@@ -19,7 +19,10 @@
                                             Flags: --quick, --oracle (replay
                                             winners through the differential
                                             oracle), --out FILE
-     dune exec bench/main.exe passes     -- per-pass timing breakdown from the
+     dune exec bench/main.exe passes     -- cost of one SMSE candidate on SF/HCD/MLP
+                                            (codegen, each pass, validate,
+                                            typecheck, estimate), then the
+                                            per-pass timing breakdown from the
                                             instrumented pass manager
      dune exec bench/main.exe kernels    -- RNS kernel microbenchmarks: Barrett/
                                             Shoup vs reference modmul, NTT,
@@ -65,7 +68,11 @@ module Explore = Hecate.Explore
 module Smu = Hecate.Smu
 module Costmodel = Hecate.Costmodel
 module Paramselect = Hecate.Paramselect
+module Codegen = Hecate.Codegen
+module Estimator = Hecate.Estimator
 module Prog = Hecate_ir.Prog
+module Typing = Hecate_ir.Typing
+module Diagnostic = Hecate_ir.Diagnostic
 module Pass_manager = Hecate_ir.Pass_manager
 module Harness = Hecate_backend.Harness
 module Interp = Hecate_backend.Interp
@@ -771,7 +778,110 @@ let explore_cmd flags =
 (* Per-pass timing breakdown via the instrumented pass manager         *)
 (* ------------------------------------------------------------------ *)
 
+(* Cost of one SMSE candidate: the explorer is driven with the codegen,
+   finalize and evaluate closures [Driver.compile] builds for the HECATE
+   scheme, every stage timed on its own. The verifier's [Prog.validate]
+   runs from the dump hook (with [verify] off) so its time is split from
+   the passes'. Returns the plans scored, the exploration wall time and
+   the seconds per stage. *)
+let timed_search (b : Apps.t) ~wl =
+  let cfg = Typing.config ~sf:(float_of_int sf_bits) ~waterline:wl () in
+  let model = Costmodel.analytic () in
+  let prog = Pass_manager.default_pipeline b.Apps.prog in
+  let stats = Pass_manager.create_stats () in
+  let codegen_s = ref 0. and validate_s = ref 0. and typecheck_s = ref 0. and estimate_s = ref 0. in
+  let timed acc f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    acc := !acc +. (Unix.gettimeofday () -. t0);
+    r
+  in
+  let instr =
+    Pass_manager.instrumentation ~verify:false ~dump_after:Pass_manager.Dump_all
+      ~dump:(fun ~pass p ->
+        timed validate_s (fun () ->
+            match Prog.validate p with
+            | Ok () -> ()
+            | Error msg -> failwith (Printf.sprintf "pass %s: %s" pass msg)))
+      ()
+  in
+  let params_of p =
+    let types = Array.map (fun (o : Prog.op) -> o.Prog.ty) p.Prog.body in
+    Paramselect.select ~sf_bits ~types ~slot_count:p.Prog.slot_count ()
+  in
+  let codegen ~hook =
+    let managed = timed codegen_s (fun () -> Codegen.pars cfg ~hook prog) in
+    let p = Pass_manager.run ~instr ~stats (Pass_manager.finalize ~early_modswitch:true) managed in
+    timed typecheck_s (fun () ->
+        (match Typing.check cfg p with Ok _ -> () | Error d -> Diagnostic.error d);
+        ignore (params_of p));
+    p
+  in
+  let evaluate p =
+    timed estimate_s (fun () ->
+        let params = params_of p in
+        Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p)
+  in
+  let edges = (Smu.generate prog).Smu.edges in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Explore.portfolio ~codegen ~evaluate ~edges ~strategies:[ Explore.default_strategy ]
+      ~max_epochs:100 ~pool_size:1 ()
+  in
+  let explore_s = Unix.gettimeofday () -. t0 in
+  let pass_rows =
+    List.map
+      (fun (t : Pass_manager.timing) -> ("pass " ^ t.Pass_manager.pass, t.Pass_manager.seconds))
+      (Pass_manager.timings stats)
+  in
+  let rows =
+    (("codegen", !codegen_s) :: pass_rows)
+    @ [ ("validate", !validate_s); ("typecheck", !typecheck_s); ("estimate", !estimate_s) ]
+  in
+  (r.Explore.p_plans_explored, explore_s, rows)
+
+(* The split of the median of [reps] searches, each started after a full
+   major collection so no run pays for the garbage of the one before. The
+   replica must score exactly the plans [Driver.compile] scores, or the
+   split would describe a different search. *)
+let candidate_split ?(reps = 5) (b : Apps.t) ~wl =
+  let runs =
+    List.init reps (fun _ ->
+        Gc.full_major ();
+        timed_search b ~wl)
+    |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
+  in
+  let plans, explore_s, rows = List.nth runs (reps / 2) in
+  let driver = Driver.compile ~pool_size:1 Driver.Hecate ~sf_bits ~waterline_bits:wl b.Apps.prog in
+  let driver_plans = (Option.get driver.Driver.exploration).Driver.plans_explored in
+  if plans <> driver_plans then begin
+    Printf.printf "FAIL: %s: the timed replica scored %d plans, Driver.compile %d\n" b.Apps.name
+      plans driver_plans;
+    exit 1
+  end;
+  let per s = 1000. *. s /. float_of_int plans in
+  let other = explore_s -. List.fold_left (fun a (_, s) -> a +. s) 0. rows in
+  Printf.printf "\n%s @ waterline %g: %d plans explored in %.3f s, %.3f ms per candidate\n"
+    b.Apps.name wl plans explore_s (per explore_s);
+  Printf.printf "  %-22s %9s %7s\n" "stage" "ms/cand" "share";
+  List.iter
+    (fun (name, s) ->
+      Printf.printf "  %-22s %9.4f %6.1f%%\n" name (per s) (100. *. s /. explore_s))
+    (rows @ [ ("other (search, memo)", other) ])
+
 let passes () =
+  heading "Cost of one SMSE candidate (HECATE, one-shot waterlines, pool 1)";
+  Printf.printf
+    "Every candidate plan the hill climber scores is generated, finalized to\n\
+     fixpoint, validated after each pass, typechecked and estimated. Times are\n\
+     per fresh candidate, from the median of 5 searches; \"validate\" is the\n\
+     verifier the pass manager runs after every pass, which\n\
+     Driver.pass_timings does not include.\n";
+  let suite = Apps.reduced_suite () in
+  List.iter
+    (fun (name, wl) ->
+      candidate_split (List.find (fun (a : Apps.t) -> a.Apps.name = name) suite) ~wl)
+    [ ("SF", 24.); ("HCD", 22.); ("MLP", 15.) ];
   heading "Per-pass timing breakdown (instrumented pass manager, waterline 20)";
   Printf.printf
     "Wall time and net op-count delta per registered pass, accumulated over\n\

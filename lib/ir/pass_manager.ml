@@ -241,7 +241,7 @@ let run ?instr ?stats pipeline p =
             failed (to_string pl) "did not converge within %d iterations" max_fixpoint_iterations
           else
             let p' = go body p in
-            if Prog.equal p p' then p' else iterate p' (k - 1)
+            if p' == p || Prog.equal p p' then p' else iterate p' (k - 1)
         in
         iterate p max_fixpoint_iterations
   in

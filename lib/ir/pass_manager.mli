@@ -20,7 +20,7 @@
 
     The built-in passes of {!Passes} are pre-registered under kebab-case
     names: [cse], [dce], [constant-fold], [fold-rotations],
-    [early-modswitch]. *)
+    [early-modswitch], [fold-plain-muls]. *)
 
 type pass = {
   name : string;
@@ -33,7 +33,11 @@ exception Pass_failed of { pass : string; reason : string }
     the offending pass. *)
 
 val register : ?description:string -> string -> (Prog.t -> Prog.t) -> unit
-(** [register name run] adds a pass to the global registry.
+(** [register name run] adds a pass to the global registry. [run] should
+    keep the no-op contract of {!Passes}: return its argument physically
+    when it changes nothing. A [Fixpoint] stops as soon as an iteration
+    returns its input physically, and falls back to {!Prog.equal} only
+    for passes that rebuild an unchanged program.
     @raise Invalid_argument if [name] is already registered or is not a
     valid spec identifier (lowercase alphanumerics and dashes). *)
 

@@ -33,26 +33,144 @@ let dce (p : Prog.t) =
   List.iter mark p.Prog.outputs;
   (* inputs are part of the signature *)
   List.iter (fun v -> live.(v) <- true) p.Prog.inputs;
-  rebuild p ~keep:live
+  if Array.for_all Fun.id live then p else rebuild p ~keep:live
 
-(* Keys for value numbering. Constants compare by contents. *)
+(* Keys for value numbering: an op's kind and its already-numbered
+   operands. Equality is [compare]'s on floats (so [0.] = [-0.] and every
+   NaN equals every NaN) and the hash agrees with it. The polymorphic
+   [Hashtbl.hash] is not used because it reads only the first few floats
+   of a constant: every weight vector with a common zero prefix would
+   share one bucket, and each lookup would walk a chain of full
+   structural compares. The hash is computed once per key and compared
+   before anything else. *)
+module Key = struct
+  type t = { kind : Prog.kind; args : int array; hash : int }
+
+  let float_eq (a : float) b = compare a b = 0
+
+  (* hand-written loops: the polymorphic Array iterators box every float *)
+  let floats_eq (x : float array) (y : float array) =
+    x == y
+    || Array.length x = Array.length y
+       &&
+       let rec go i =
+         i < 0 || (float_eq (Array.unsafe_get x i) (Array.unsafe_get y i) && go (i - 1))
+       in
+       go (Array.length x - 1)
+
+  let kind_eq (a : Prog.kind) (b : Prog.kind) =
+    match (a, b) with
+    | Prog.Input { name = x }, Prog.Input { name = y } -> String.equal x y
+    | Prog.Const { value = Prog.Scalar x }, Prog.Const { value = Prog.Scalar y } -> float_eq x y
+    | Prog.Const { value = Prog.Vector x }, Prog.Const { value = Prog.Vector y } -> floats_eq x y
+    | Prog.Encode { scale = s1; level = l1 }, Prog.Encode { scale = s2; level = l2 } ->
+        float_eq s1 s2 && l1 = l2
+    | Prog.Rotate { amount = x }, Prog.Rotate { amount = y } -> x = y
+    | Prog.Upscale { target_scale = x }, Prog.Upscale { target_scale = y } -> float_eq x y
+    | Prog.Downscale { waterline = x }, Prog.Downscale { waterline = y } -> float_eq x y
+    | Prog.Add, Prog.Add | Prog.Sub, Prog.Sub | Prog.Mul, Prog.Mul | Prog.Negate, Prog.Negate
+    | Prog.Rescale, Prog.Rescale | Prog.Modswitch, Prog.Modswitch ->
+        true
+    | _ -> false
+
+  let args_eq (x : int array) (y : int array) =
+    Array.length x = Array.length y
+    &&
+    let rec go i = i < 0 || (Array.unsafe_get x i = Array.unsafe_get y i && go (i - 1)) in
+    go (Array.length x - 1)
+
+  let equal a b = a.hash = b.hash && kind_eq a.kind b.kind && args_eq a.args b.args
+
+  let mix h x = (h * 31) + x [@@inline]
+
+  (* [compare]'s equivalence classes: both zeros, and all NaNs, hash alike *)
+  let float_hash x =
+    if x = 0. then 0
+    else if Float.is_nan x then 1
+    else
+      let b = Int64.bits_of_float x in
+      Int64.to_int b lxor Int64.to_int (Int64.shift_right_logical b 32)
+  [@@inline]
+
+  (* The first and last [ends] non-zero slots, with their positions. A
+     sparse vector is read whole, so vectors that differ anywhere after a
+     long common zero prefix (weight diagonals, slot masks) land in
+     different buckets. A dense one is read only at its two ends: [cse]
+     runs several times per SMSE candidate, and reading every slot of
+     LeNet's weights each time would cost more than the lookups save. *)
+  let ends = 8
+
+  let floats_hash (v : float array) =
+    let n = Array.length v in
+    let h = ref n and i = ref 0 and seen = ref 0 in
+    while !i < n && !seen < ends do
+      let x = Array.unsafe_get v !i in
+      if x <> 0. then begin
+        h := mix (mix !h !i) (float_hash x);
+        incr seen
+      end;
+      incr i
+    done;
+    let j = ref (n - 1) and seen = ref 0 in
+    while !j >= !i && !seen < ends do
+      let x = Array.unsafe_get v !j in
+      if x <> 0. then begin
+        h := mix (mix !h !j) (float_hash x);
+        incr seen
+      end;
+      decr j
+    done;
+    !h
+
+  let kind_hash : Prog.kind -> int = function
+    | Prog.Input { name } -> mix 1 (Hashtbl.hash name)
+    | Prog.Const { value = Prog.Scalar x } -> mix 2 (float_hash x)
+    | Prog.Const { value = Prog.Vector v } -> mix 3 (floats_hash v)
+    | Prog.Encode { scale; level } -> mix (mix 4 (float_hash scale)) level
+    | Prog.Add -> 5
+    | Prog.Sub -> 6
+    | Prog.Mul -> 7
+    | Prog.Negate -> 8
+    | Prog.Rotate { amount } -> mix 9 amount
+    | Prog.Rescale -> 10
+    | Prog.Modswitch -> 11
+    | Prog.Upscale { target_scale } -> mix 12 (float_hash target_scale)
+    | Prog.Downscale { waterline } -> mix 13 (float_hash waterline)
+
+  let hash k = k.hash
+
+  (* [mix] alone leaves the low bits, which pick the bucket, a near-linear
+     function of the operand ids; [Hashtbl.hash] on the int scrambles them *)
+  let make kind args =
+    let h = ref (kind_hash kind) in
+    for i = 0 to Array.length args - 1 do
+      h := mix !h (Array.unsafe_get args i)
+    done;
+    { kind; args; hash = Hashtbl.hash !h }
+end
+
+module Value_table = Hashtbl.Make (Key)
+
 let cse (p : Prog.t) =
   let n = Prog.num_ops p in
   let canon = Array.make n (-1) in
-  let table = Hashtbl.create 64 in
+  let table = Value_table.create n in
+  let merged = ref false in
   for i = 0 to n - 1 do
     let o = Prog.op p i in
-    let key = (o.Prog.kind, Array.map (fun a -> canon.(a)) o.Prog.args) in
     match o.Prog.kind with
     | Prog.Input _ -> canon.(i) <- i (* never merge distinct inputs *)
-    | _ -> (
-        match Hashtbl.find_opt table key with
-        | Some j -> canon.(i) <- j
+    | kind -> (
+        let key = Key.make kind (Array.map (fun a -> canon.(a)) o.Prog.args) in
+        match Value_table.find_opt table key with
+        | Some j ->
+            canon.(i) <- j;
+            merged := true
         | None ->
-            Hashtbl.replace table key i;
+            Value_table.add table key i;
             canon.(i) <- i)
   done;
-  if Array.for_all2 (fun c i -> c = i) canon (Array.init n Fun.id) then p
+  if not !merged then p
   else begin
     (* Redirect every use to the canonical op, then drop duplicates. *)
     let redirected =
@@ -103,6 +221,7 @@ let fold_values slot_count (kind : Prog.kind) (args : Prog.const_value list) =
 let constant_fold (p : Prog.t) =
   let n = Prog.num_ops p in
   let const_of = Array.make n None in
+  let folded = ref false in
   let body =
     Array.map
       (fun (o : Prog.op) ->
@@ -119,13 +238,14 @@ let constant_fold (p : Prog.t) =
               with
               | Some value ->
                   const_of.(o.Prog.id) <- Some value;
+                  folded := true;
                   { o with Prog.kind = Prog.Const { value }; args = [||] }
               | None -> o
             else o)
         | _ -> o)
       p.Prog.body
   in
-  dce { p with Prog.body }
+  dce (if !folded then { p with Prog.body } else p)
 
 let fold_rotations_once (p : Prog.t) =
   let n = Prog.num_ops p in
@@ -133,6 +253,7 @@ let fold_rotations_once (p : Prog.t) =
   let norm amount = ((amount mod p.Prog.slot_count) + p.Prog.slot_count) mod p.Prog.slot_count in
   (* forward pass: each rotate looks through a single-use rotate operand *)
   let replaced = Array.make n (-1) in
+  let changed = ref false in
   let body =
     Array.map
       (fun (o : Prog.op) ->
@@ -146,6 +267,7 @@ let fold_rotations_once (p : Prog.t) =
                   (norm (amount + inner), (Prog.op p src).Prog.args.(0))
               | _ -> (norm amount, src)
             in
+            if combined = 0 || combined <> amount || root <> src then changed := true;
             if combined = 0 then begin
               replaced.(o.Prog.id) <- root;
               (* keep a placeholder op; DCE removes it after redirection *)
@@ -155,19 +277,22 @@ let fold_rotations_once (p : Prog.t) =
         | _ -> o)
       p.Prog.body
   in
-  (* redirect uses of zero-rotations to their roots *)
-  let rec resolve v = if replaced.(v) >= 0 then resolve replaced.(v) else v in
-  let redirected =
-    {
-      p with
-      Prog.body =
-        Array.map
-          (fun (o : Prog.op) -> { o with Prog.args = Array.map resolve o.Prog.args })
-          body;
-      outputs = List.map resolve p.Prog.outputs;
-    }
-  in
-  dce redirected
+  if not !changed then dce p
+  else begin
+    (* redirect uses of zero-rotations to their roots *)
+    let rec resolve v = if replaced.(v) >= 0 then resolve replaced.(v) else v in
+    let redirected =
+      {
+        p with
+        Prog.body =
+          Array.map
+            (fun (o : Prog.op) -> { o with Prog.args = Array.map resolve o.Prog.args })
+            body;
+        outputs = List.map resolve p.Prog.outputs;
+      }
+    in
+    dce redirected
+  end
 
 (* chains of three or more rotations fold one pair per pass *)
 let fold_rotations p =

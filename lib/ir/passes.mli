@@ -1,8 +1,17 @@
 (** Generic IR cleanup passes.
 
-    All passes preserve program semantics and return a fresh program (the
-    input is never mutated structurally). Types are not recomputed; run
-    {!Typing.check} afterwards if needed.
+    All passes preserve program semantics and never mutate their input
+    structurally. Types are not recomputed; run {!Typing.check} afterwards
+    if needed.
+
+    {b No-op contract.} A pass that finds nothing to change returns its
+    argument physically ([pass p == p]); otherwise it returns a fresh
+    program. On managed programs (code generator output) one application
+    reaches that point: [pass (pass p) == pass p]. The {!Pass_manager}
+    fixpoint relies on this to detect convergence without a structural
+    comparison. The exception is {!fold_plain_muls} on unmanaged chains,
+    which shortens a chain by one link per application and so needs an
+    enclosing [fixpoint].
 
     These are the raw rewrite functions. They are registered with
     {!Pass_manager} under kebab-case names ([cse], [dce], [constant-fold],
@@ -19,7 +28,9 @@ val dce : Prog.t -> Prog.t
 
 val cse : Prog.t -> Prog.t
 (** Common-subexpression elimination by forward value numbering: operations
-    with identical kind and (already-numbered) operands collapse. *)
+    with identical kind and (already-numbered) operands collapse. Float
+    attributes and constant payloads compare as [compare] does: [0.] equals
+    [-0.] and every NaN equals every NaN; input ops never merge. *)
 
 val constant_fold : Prog.t -> Prog.t
 (** Fold homomorphic operations whose operands are all constants, evaluating

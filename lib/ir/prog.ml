@@ -350,47 +350,55 @@ end
 module Rewriter = struct
   type prog = t
 
+  (* Value ids are dense on both sides, so the old->new mapping and the
+     emitted ops (which carry their types) live in arrays indexed by id.
+     [ops] grows by doubling; slots at or past [count] hold [hole]. *)
   type t = {
     src : prog;
-    mutable ops : op list; (* reversed *)
+    mutable ops : op array;
     mutable count : int;
-    mapping : (value, value) Hashtbl.t;
-    tys : (value, Types.t) Hashtbl.t;
+    mapping : value array; (* old id -> new id; -1 until set *)
     mutable new_inputs : value list; (* reversed *)
   }
 
+  let hole = { id = -1; kind = Add; args = [||]; ty = Types.Free; prov = None }
+
   let create src =
-    {
-      src;
-      ops = [];
-      count = 0;
-      mapping = Hashtbl.create 64;
-      tys = Hashtbl.create 64;
-      new_inputs = [];
-    }
+    let n = Array.length src.body in
+    { src; ops = Array.make (max 16 (2 * n)) hole; count = 0; mapping = Array.make n (-1);
+      new_inputs = [] }
 
   let emit ?prov r kind args ty =
     let id = r.count in
-    r.ops <- { id; kind; args; ty; prov } :: r.ops;
+    if id = Array.length r.ops then begin
+      let grown = Array.make (2 * id) hole in
+      Array.blit r.ops 0 grown 0 id;
+      r.ops <- grown
+    end;
+    r.ops.(id) <- { id; kind; args; ty; prov };
     r.count <- id + 1;
-    Hashtbl.replace r.tys id ty;
     (match kind with Input _ -> r.new_inputs <- id :: r.new_inputs | _ -> ());
     id
 
-  let mapped r v = Hashtbl.find r.mapping v
-  let set_mapped r ~old_value v = Hashtbl.replace r.mapping old_value v
+  let mapped r v =
+    if v < 0 || v >= Array.length r.mapping || r.mapping.(v) < 0 then raise Not_found;
+    r.mapping.(v)
+
+  let set_mapped r ~old_value v =
+    if old_value < 0 || old_value >= Array.length r.mapping then
+      invalid_arg "Prog.Rewriter.set_mapped: value id out of range";
+    r.mapping.(old_value) <- v
 
   let ty r v =
-    match Hashtbl.find_opt r.tys v with
-    | Some t -> t
-    | None -> invalid_arg "Prog.Rewriter.ty: unknown value"
+    if v < 0 || v >= r.count then invalid_arg "Prog.Rewriter.ty: unknown value";
+    r.ops.(v).ty
 
   let finish r =
     let p =
       {
         name = r.src.name;
         slot_count = r.src.slot_count;
-        body = Array.of_list (List.rev r.ops);
+        body = Array.sub r.ops 0 r.count;
         inputs = List.rev r.new_inputs;
         outputs = List.map (mapped r) r.src.outputs;
       }

@@ -168,8 +168,12 @@ module Rewriter : sig
   (** New id standing for an old value. @raise Not_found before it is set. *)
 
   val set_mapped : t -> old_value:value -> value -> unit
+  (** @raise Invalid_argument if [old_value] is not a value of the source
+      program. *)
+
   val ty : t -> value -> Types.t
-  (** Type of a value of the {e new} program. *)
+  (** Type of a value of the {e new} program.
+      @raise Invalid_argument if no op with that id has been emitted. *)
 
   val finish : t -> prog
   (** Rebuilds with the original outputs (remapped).

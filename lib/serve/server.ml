@@ -54,7 +54,10 @@ type t = {
   work : Condition.t;
   queues : (int, job Queue.t) Hashtbl.t;  (* client id -> its FIFO *)
   ready : int Queue.t;  (* round-robin over clients with work *)
-  jobs : (int, job) Hashtbl.t;
+  jobs : (int, job) Hashtbl.t;  (* live (queued or running) jobs *)
+  finished : (int, job_state) Hashtbl.t;
+      (* final state of every finished job: its program, request and
+         connection are released as soon as it ends *)
   stopping : bool Atomic.t;
   mutable next_job : int;
   mutable next_client : int;
@@ -77,7 +80,8 @@ let log t fmt =
 let run_job t job =
   let finish state =
     Mutex.lock t.mutex;
-    job.state <- state;
+    Hashtbl.remove t.jobs job.id;
+    Hashtbl.replace t.finished job.id state;
     (match state with
     | Done -> t.completed <- t.completed + 1
     | Failed -> t.failed <- t.failed + 1
@@ -179,6 +183,7 @@ let create ?pool_size ?(workers = 2) ?(oracle = false) ?(verbose = false) cache 
       queues = Hashtbl.create 7;
       ready = Queue.create ();
       jobs = Hashtbl.create 64;
+      finished = Hashtbl.create 64;
       stopping = Atomic.make false;
       next_job = 1;
       next_client = 1;
@@ -251,7 +256,7 @@ let submit t ~client ~send (s : Protocol.submit) =
       end
 
 let job_counts t =
-  (* under t.mutex *)
+  (* under t.mutex; finished jobs have left [t.jobs] *)
   let queued = ref 0 and running = ref 0 in
   Hashtbl.iter
     (fun _ j ->
@@ -280,7 +285,11 @@ let handle_line t ~client ~send line =
       true
   | Ok (Protocol.Status id) ->
       Mutex.lock t.mutex;
-      let state = Option.map (fun j -> j.state) (Hashtbl.find_opt t.jobs id) in
+      let state =
+        match Hashtbl.find_opt t.jobs id with
+        | Some j -> Some j.state
+        | None -> Hashtbl.find_opt t.finished id
+      in
       Mutex.unlock t.mutex;
       (match state with
       | None -> send (Protocol.error ~job:id (Printf.sprintf "unknown job %d" id))
@@ -289,12 +298,12 @@ let handle_line t ~client ~send line =
   | Ok (Protocol.Cancel id) ->
       Mutex.lock t.mutex;
       let job = Hashtbl.find_opt t.jobs id in
+      let known = Option.is_some job || Hashtbl.mem t.finished id in
       Mutex.unlock t.mutex;
-      (match job with
-      | None -> send (Protocol.error ~job:id (Printf.sprintf "unknown job %d" id))
-      | Some j ->
-          Atomic.set j.cancel true;
-          send (Protocol.status ~job:id ~state:"cancelling"));
+      (* a finished job gets the same reply; its flag has nothing left to stop *)
+      Option.iter (fun j -> Atomic.set j.cancel true) job;
+      if known then send (Protocol.status ~job:id ~state:"cancelling")
+      else send (Protocol.error ~job:id (Printf.sprintf "unknown job %d" id));
       true
   | Ok Protocol.Stats ->
       Mutex.lock t.mutex;

@@ -17,6 +17,7 @@ module Costmodel = Hecate.Costmodel
 module Driver = Hecate.Driver
 module Plancache = Hecate.Plancache
 module Oracle = Hecate_fuzz.Oracle
+module Apps = Hecate_apps.Apps
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -359,6 +360,23 @@ let test_gate_rejects_faulty_strategy () =
   check Alcotest.string "without the gate the liar wins the race" liar
     ungated.Explore.p_winner
 
+(* The search itself is pinned: a change that makes candidates cheaper
+   must not change which candidates the hill climber scores. SF, HCD and
+   MLP at the waterlines of the repository benchmark's one-shot
+   requests. *)
+let test_search_pinned () =
+  List.iter
+    (fun (name, wl, plans, hits, epochs) ->
+      let app = List.find (fun (a : Apps.t) -> a.Apps.name = name) (Apps.reduced_suite ()) in
+      let c =
+        Driver.compile ~pool_size:1 Driver.Hecate ~sf_bits:28 ~waterline_bits:wl app.Apps.prog
+      in
+      let e = Option.get c.Driver.exploration in
+      check Alcotest.int (name ^ " plans explored") plans e.Driver.plans_explored;
+      check Alcotest.int (name ^ " cache hits") hits e.Driver.cache_hits;
+      check Alcotest.int (name ^ " epochs") epochs e.Driver.epochs)
+    [ ("SF", 24., 19, 0, 0); ("HCD", 22., 296, 13, 7); ("MLP", 15., 67, 1, 1) ]
+
 let () =
   Alcotest.run "explore"
     [
@@ -367,6 +385,7 @@ let () =
             test_no_incumbent_reevaluation ] );
       ( "determinism",
         [ qtest portfolio_order_and_pool_invariant; qtest portfolio_schemes_invariant ] );
+      ("search", [ Alcotest.test_case "SF/HCD/MLP search pinned" `Quick test_search_pinned ]);
       ( "warm-start",
         [ Alcotest.test_case "portfolio warm-starts from the plan corpus" `Quick
             test_warm_start_from_plan_corpus ] );

@@ -14,6 +14,8 @@ module Gen = Hecate_fuzz.Gen
 module Oracle = Hecate_fuzz.Oracle
 module Shrink = Hecate_fuzz.Shrink
 module Campaign = Hecate_fuzz.Campaign
+module Pass_manager = Hecate_ir.Pass_manager
+module Apps = Hecate_apps.Apps
 
 let test_generate_deterministic () =
   let a = Gen.generate ~seed:7 () and b = Gen.generate ~seed:7 () in
@@ -137,6 +139,53 @@ let prop_infer_always_typechecks =
                  | Ok q' -> Prog.equal q' q
                  | Error _ -> false)))
 
+(* ------------------------------------------------------------------ *)
+(* Pass no-op contract: on managed programs, every registered pass      *)
+(* returns its own output physically ([run (run p) == run p]), which is  *)
+(* what lets the pass manager's fixpoint stop without a structural       *)
+(* comparison.                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let pars_cfg = Typing.config ~sf:28. ~waterline:20. ()
+
+let noop_violations prog =
+  List.filter_map
+    (fun (pass : Pass_manager.pass) ->
+      let once = pass.Pass_manager.run prog in
+      if pass.Pass_manager.run once == once then None else Some pass.Pass_manager.name)
+    (Pass_manager.registered ())
+
+(* the code generator's output, and what finalization makes of it *)
+let managed_forms prog =
+  let managed = Codegen.pars pars_cfg prog in
+  [ ("pars", managed); ("finalized", fst (Driver.finalize ~cfg:pars_cfg managed)) ]
+
+let prop_passes_noop_on_own_output =
+  QCheck.Test.make ~name:"every pass returns its own output physically" ~count:64
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      List.for_all
+        (fun (form, p) ->
+          match noop_violations p with
+          | [] -> true
+          | names ->
+              QCheck.Test.fail_reportf "seed %d (%s): %s changed its own output" seed form
+                (String.concat ", " names))
+        (managed_forms (Gen.generate ~seed ()).Gen.prog))
+
+let test_passes_noop_on_apps () =
+  List.iter
+    (fun (a : Apps.t) ->
+      List.iter
+        (fun (form, p) ->
+          match noop_violations p with
+          | [] -> ()
+          | names ->
+              Alcotest.failf "%s (%s): %s changed its own output" a.Apps.name form
+                (String.concat ", " names))
+        (managed_forms a.Apps.prog))
+    (Apps.reduced_suite ())
+
 let corpus_dir = "corpus"
 
 let corpus_files () =
@@ -174,6 +223,11 @@ let () =
         ] );
       ("shrinker", [ Alcotest.test_case "reaches minimum" `Quick test_shrink_reaches_minimum ]);
       ("infer", [ QCheck_alcotest.to_alcotest prop_infer_always_typechecks ]);
+      ( "passes",
+        [
+          QCheck_alcotest.to_alcotest prop_passes_noop_on_own_output;
+          Alcotest.test_case "no-op on every app" `Quick test_passes_noop_on_apps;
+        ] );
       ( "corpus",
         [
           Alcotest.test_case "non-empty" `Quick test_corpus_nonempty;

@@ -210,6 +210,36 @@ let test_prog_equal () =
   let r = { q with Prog.outputs = [ 3 ] } in
   check Alcotest.bool "different outputs detected" false (Prog.equal p r)
 
+let test_rewriter_contracts () =
+  let p = small_prog () in
+  let r = Prog.Rewriter.create p in
+  Alcotest.check_raises "mapped before set" Not_found (fun () ->
+      ignore (Prog.Rewriter.mapped r 0));
+  Alcotest.check_raises "ty of an unemitted value"
+    (Invalid_argument "Prog.Rewriter.ty: unknown value") (fun () ->
+      ignore (Prog.Rewriter.ty r 0));
+  Alcotest.check_raises "set_mapped outside the source"
+    (Invalid_argument "Prog.Rewriter.set_mapped: value id out of range") (fun () ->
+      Prog.Rewriter.set_mapped r ~old_value:(Prog.num_ops p) 0);
+  (* copy the program op by op, past the initial capacity of the op array *)
+  Prog.iter
+    (fun o ->
+      let args = Array.map (Prog.Rewriter.mapped r) o.Prog.args in
+      let id = Prog.Rewriter.emit r o.Prog.kind args (cipher 20. o.Prog.id) in
+      Prog.Rewriter.set_mapped r ~old_value:o.Prog.id id)
+    p;
+  let pad =
+    List.init 40 (fun _ ->
+        Prog.Rewriter.emit r (Prog.Const { value = Prog.Scalar 0. }) [||] Types.Free)
+  in
+  check ty "type of an emitted value" (cipher 20. 3)
+    (Prog.Rewriter.ty r (Prog.Rewriter.mapped r 3));
+  check ty "type past the initial capacity" Types.Free (Prog.Rewriter.ty r (List.nth pad 39));
+  let q = Prog.Rewriter.finish r in
+  check Alcotest.int "all ops kept" (Prog.num_ops p + 40) (Prog.num_ops q);
+  check Alcotest.(list int) "inputs" p.Prog.inputs q.Prog.inputs;
+  check Alcotest.(list int) "outputs" p.Prog.outputs q.Prog.outputs
+
 let test_builder_rejects_no_output () =
   let b = B.create ~slot_count:4 () in
   ignore (B.input b "x");
@@ -322,6 +352,97 @@ let test_cse_keeps_distinct_inputs () =
   B.output b (B.add b x y);
   let p = Passes.cse (B.finish b) in
   check Alcotest.int "inputs not merged" 3 (Prog.num_ops p)
+
+(* [cse] keys constants by contents with [compare]'s float equality, so
+   these pin exactly which constants merge. *)
+let count_consts p =
+  Array.fold_left
+    (fun n (o : Prog.op) -> match o.Prog.kind with Prog.Const _ -> n + 1 | _ -> n)
+    0 p.Prog.body
+
+(* [x * c] for every constant, all summed into one output *)
+let prog_using_consts emit_consts =
+  let b = B.create ~slot_count:64 () in
+  let x = B.input b "x" in
+  let terms = List.map (fun c -> B.mul b x c) (emit_consts b) in
+  B.output b (List.fold_left (B.add b) (List.hd terms) (List.tl terms));
+  B.finish b
+
+let test_cse_vector_tails () =
+  (* 40 weight-diagonal-like vectors: a common 16-slot zero prefix, then
+     tails that differ in one slot *)
+  let tail k =
+    Array.init 64 (fun i -> if i < 16 then 0. else float_of_int ((i * 7) + (k * (i mod 5))))
+  in
+  let distinct = prog_using_consts (fun b -> List.init 40 (fun k -> B.const_vector b (tail k))) in
+  check Alcotest.int "40 distinct tails stay distinct" 40 (count_consts (Passes.cse distinct));
+  let last_slot k = Array.init 64 (fun i -> if i = 63 then float_of_int k else 0.) in
+  let sparse =
+    prog_using_consts (fun b -> List.init 40 (fun k -> B.const_vector b (last_slot (k + 1))))
+  in
+  check Alcotest.int "vectors differing only in the last slot stay distinct" 40
+    (count_consts (Passes.cse sparse));
+  (* bitwise-equal copies (separate arrays) merge onto the first *)
+  let doubled =
+    prog_using_consts (fun b ->
+        List.init 80 (fun k -> B.const_vector b (tail (k mod 40))))
+  in
+  let merged = Passes.cse doubled in
+  check Alcotest.int "bitwise-equal copies merge" 40 (count_consts merged);
+  check Alcotest.bool "still valid" true (Result.is_ok (Prog.validate merged))
+
+let test_cse_float_classes () =
+  (* [compare] puts 0. and -0. in one class and every NaN in one class *)
+  let nan1 = Int64.float_of_bits 0x7FF8000000000001L in
+  let nan2 = Int64.float_of_bits 0xFFF8000000000002L in
+  check Alcotest.bool "distinct NaN payloads" true
+    (Int64.bits_of_float nan1 <> Int64.bits_of_float nan2);
+  let consts_after emit = count_consts (Passes.cse (prog_using_consts emit)) in
+  check Alcotest.int "0. and -0. scalars merge" 1
+    (consts_after (fun b -> [ B.const_scalar b 0.; B.const_scalar b (-0.) ]));
+  check Alcotest.int "NaN scalars merge" 1
+    (consts_after (fun b -> [ B.const_scalar b nan1; B.const_scalar b nan2 ]));
+  let vec z n = Array.init 64 (fun i -> if i = 5 then z else if i = 40 then n else 1.) in
+  check Alcotest.int "vectors equal up to zero sign and NaN payload merge" 1
+    (consts_after (fun b ->
+         [ B.const_vector b (vec 0. nan1); B.const_vector b (vec (-0.) nan2) ]));
+  check Alcotest.int "a scalar never merges with a vector" 2
+    (consts_after (fun b -> [ B.const_scalar b 1.; B.const_vector b (Array.make 64 1.) ]));
+  check Alcotest.int "vectors of different lengths stay distinct" 2
+    (consts_after (fun b ->
+         [ B.const_vector b (Array.make 8 1.); B.const_vector b (Array.make 9 1.) ]))
+
+let test_cse_float_attributes () =
+  (* scale-management ops on one operand merge only when their float
+     attributes are equal *)
+  let op id kind args = { Prog.id; kind; args; ty = Types.Free; prov = None } in
+  let prog kinds =
+    let n = List.length kinds in
+    let body =
+      Array.of_list
+        ([ op 0 (Prog.Input { name = "x" }) [||];
+           op 1 (Prog.Const { value = Prog.Scalar 2. }) [||] ]
+        @ List.mapi
+            (fun i k -> op (i + 2) k [| (match k with Prog.Encode _ -> 1 | _ -> 0) |])
+            kinds)
+    in
+    { Prog.name = "attrs"; slot_count = 16; body; inputs = [ 0 ];
+      outputs = List.init n (fun i -> i + 2) }
+  in
+  let surviving kinds = Prog.num_ops (Passes.cse (prog kinds)) - 2 in
+  let eps = Float.succ 20. in
+  let encode scale level = Prog.Encode { scale; level } in
+  check Alcotest.int "encode scales" 2 (surviving [ encode 20. 0; encode eps 0 ]);
+  check Alcotest.int "encode levels" 2 (surviving [ encode 20. 0; encode 20. 1 ]);
+  check Alcotest.int "upscale targets" 2
+    (surviving [ Prog.Upscale { target_scale = 20. }; Prog.Upscale { target_scale = eps } ]);
+  check Alcotest.int "downscale waterlines" 2
+    (surviving [ Prog.Downscale { waterline = 20. }; Prog.Downscale { waterline = eps } ]);
+  check Alcotest.int "equal attributes merge" 3
+    (surviving
+       [ encode 20. 0; encode 20. 0;
+         Prog.Upscale { target_scale = 20. }; Prog.Upscale { target_scale = 20. };
+         Prog.Downscale { waterline = 20. }; Prog.Downscale { waterline = 20. } ])
 
 let test_constant_fold () =
   let b = B.create ~slot_count:4 () in
@@ -879,6 +1000,7 @@ let () =
           Alcotest.test_case "validate input list" `Quick test_validate_input_list;
           Alcotest.test_case "structural equality" `Quick test_prog_equal;
           Alcotest.test_case "builder output required" `Quick test_builder_rejects_no_output;
+          Alcotest.test_case "rewriter contracts" `Quick test_rewriter_contracts;
         ] );
       ( "text",
         [
@@ -893,6 +1015,9 @@ let () =
           Alcotest.test_case "dce" `Quick test_dce;
           Alcotest.test_case "cse" `Quick test_cse;
           Alcotest.test_case "cse inputs distinct" `Quick test_cse_keeps_distinct_inputs;
+          Alcotest.test_case "cse vector tails" `Quick test_cse_vector_tails;
+          Alcotest.test_case "cse float classes" `Quick test_cse_float_classes;
+          Alcotest.test_case "cse float attributes" `Quick test_cse_float_attributes;
           Alcotest.test_case "constant fold" `Quick test_constant_fold;
           Alcotest.test_case "constant fold rotate" `Quick test_constant_fold_rotate;
           Alcotest.test_case "early modswitch" `Quick test_early_modswitch;

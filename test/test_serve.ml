@@ -410,6 +410,56 @@ let test_server_budget_is_transient () =
       check Alcotest.string "full compile is still cold" "cold"
         o.Client.result.Protocol.origin
 
+(* One raw request on a fresh connection, answered by one event. *)
+let request sock req =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      let oc = Unix.out_channel_of_descr fd in
+      output_string oc (Protocol.render_request req ^ "\n");
+      flush oc;
+      match Protocol.parse_event (input_line (Unix.in_channel_of_descr fd)) with
+      | Ok ev -> ev
+      | Error msg -> Alcotest.fail msg)
+
+let test_server_finished_jobs_answer () =
+  (* Finished jobs leave the server's live table but keep answering
+     status and cancel, and no longer count as queued or running. *)
+  with_server @@ fun sock ->
+  let n = 6 in
+  let first =
+    List.init n (fun i ->
+        let scheme = if i mod 2 = 0 then Driver.Eva else Driver.Hecate in
+        match Client.compile ~socket:sock (submit_fig2 ~scheme ()) with
+        | Ok o -> o.Client.result.Protocol.job
+        | Error msg -> Alcotest.fail msg)
+    |> List.hd
+  in
+  (match Client.stats ~socket:sock with
+  | Error msg -> Alcotest.fail msg
+  | Ok json ->
+      let jobs field =
+        Option.value ~default:(-1) (Json.to_int (Json.member field (Json.member "jobs" json)))
+      in
+      check Alcotest.int "submitted" n (jobs "submitted");
+      check Alcotest.int "completed" n (jobs "completed");
+      check Alcotest.int "none queued" 0 (jobs "queued");
+      check Alcotest.int "none running" 0 (jobs "running"));
+  (match request sock (Protocol.Status first) with
+  | Protocol.Status { job; state } ->
+      check Alcotest.int "status names the job" first job;
+      check Alcotest.string "first job still done" "done" state
+  | _ -> Alcotest.fail "expected a status event");
+  (match request sock (Protocol.Cancel first) with
+  | Protocol.Status { state; _ } ->
+      check Alcotest.string "cancel on a finished job" "cancelling" state
+  | _ -> Alcotest.fail "expected a status event");
+  match request sock (Protocol.Status 1000) with
+  | Protocol.Error _ -> ()
+  | _ -> Alcotest.fail "an unknown job must be an error"
+
 let () =
   Alcotest.run "hecate_serve"
     [
@@ -443,6 +493,8 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end over a socket" `Quick test_server_end_to_end;
+          Alcotest.test_case "finished jobs keep answering" `Quick
+            test_server_finished_jobs_answer;
           Alcotest.test_case "oracle-gated portfolio job" `Quick test_server_oracle_portfolio;
           Alcotest.test_case "budget-truncated is transient" `Quick
             test_server_budget_is_transient;
