@@ -1572,6 +1572,8 @@ let fuzz flags =
     report.Campaign.elapsed_seconds
     (float_of_int report.Campaign.count /. Float.max 1e-9 report.Campaign.elapsed_seconds)
     (List.length report.Campaign.failures);
+  Printf.printf "lowered to a Rotate_fan: %d cases; to a Mul_rescale: %d cases\n"
+    report.Campaign.fan_cases report.Campaign.fused_cases;
   if report.Campaign.failures <> [] then begin
     List.iter
       (fun (f : Campaign.case_failure) ->

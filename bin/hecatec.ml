@@ -486,7 +486,11 @@ let info_cmd =
         Printf.printf "SMUs:           n/a (program already scale-managed)\n");
     let live = Liveness.analyze prog in
     Printf.printf "peak live:      %d ciphertexts\n" live.Liveness.peak_live;
-    Printf.printf "buffers needed: %d\n" live.Liveness.buffer_count
+    (* the ciphertext pool of the lowered schedule: what actually runs *)
+    match Hecate_backend.Schedule.lower prog with
+    | s -> Printf.printf "buffers needed: %d\n" s.Hecate_backend.Schedule.cipher_buffers
+    | exception Invalid_argument _ ->
+        print_endline "buffers needed: n/a (constants are not encoded yet; see compile --schedule)"
   in
   Cmd.v (Cmd.info "info" ~doc:"Structural statistics of a .hec program.")
     Term.(const run $ error_format_arg $ file_arg)

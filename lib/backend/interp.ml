@@ -1,17 +1,13 @@
 module Prog = Hecate_ir.Prog
-module Types = Hecate_ir.Types
-module Liveness = Hecate_ir.Liveness
 module Eval = Hecate_ckks.Eval
 module Params = Hecate_ckks.Params
-module Chain = Hecate_rns.Chain
-module Costmodel = Hecate.Costmodel
 
-type class_stat = { count : int; seconds : float }
+type class_stat = Schedule.class_stat = { count : int; seconds : float }
 
-type report = {
+type report = Schedule.report = {
   outputs : float array list;
   elapsed_seconds : float;
-  per_class : (Costmodel.op_class * class_stat) list;
+  per_class : (Hecate.Costmodel.op_class * class_stat) list;
   peak_live : int;
 }
 
@@ -39,230 +35,5 @@ let context ?(seed = 0x5EED) ?exec_n ~(params : Hecate.Paramselect.t) ~rotations
   in
   Eval.create ~seed ckks_params ~rotations
 
-type value =
-  | Vcipher of Eval.ciphertext
-  | Vplain of Eval.plaintext
-  | Vfree of float array
-  | Vpending_mul of Eval.ciphertext * Eval.ciphertext
-      (* a ciphertext Mul whose only consumer is a Rescale: the operands are
-         held until the Rescale executes the fused Eval.mul_rescale *)
-
-let class_of_op (p : Prog.t) (o : Prog.op) =
-  let cipher_arg i =
-    match (Prog.op p o.Prog.args.(i)).Prog.ty with Types.Cipher _ -> true | _ -> false
-  in
-  match o.Prog.kind with
-  | Prog.Input _ | Prog.Const _ -> None
-  | Prog.Encode _ -> Some Costmodel.Encode
-  | Prog.Add | Prog.Sub ->
-      Some (if cipher_arg 0 && cipher_arg 1 then Costmodel.Cipher_add else Costmodel.Plain_add)
-  | Prog.Negate -> Some Costmodel.Plain_add
-  | Prog.Mul -> Some (if cipher_arg 0 && cipher_arg 1 then Costmodel.Cipher_mul else Costmodel.Plain_mul)
-  | Prog.Rotate _ -> Some Costmodel.Rotate
-  | Prog.Rescale -> Some Costmodel.Rescale
-  | Prog.Modswitch -> Some Costmodel.Modswitch
-  | Prog.Upscale _ -> Some Costmodel.Plain_mul
-  | Prog.Downscale _ -> Some Costmodel.Plain_mul (* dominated by the plain product + rescale *)
-
-let execute eval ~waterline_bits (p : Prog.t) ~inputs =
-  let sc = p.Prog.slot_count in
-  let chain = (Eval.params eval).Params.chain in
-  let wl = Float.exp2 waterline_bits in
-  let live = Liveness.analyze p in
-  let values : value option array = Array.make (Prog.num_ops p) None in
-  let peak = ref 0 and live_count = ref 0 in
-  let stats = Hashtbl.create 8 in
-  let elapsed = ref 0. in
-  let get v =
-    match values.(v) with
-    | Some x -> x
-    | None -> invalid_arg "Interp.execute: value used after free (liveness bug)"
-  in
-  let cipher_exn v =
-    match get v with
-    | Vcipher c -> c
-    | Vplain _ | Vfree _ | Vpending_mul _ ->
-        invalid_arg "Interp.execute: expected a ciphertext operand"
-  in
-  (* Rotation fans: several Rotate ops consuming the same SSA value can share
-     one digit decomposition of its c1 (Eval.rotate_many). Pre-scan for
-     values rotated by >= 2 distinct amounts; the first Rotate of a fan
-     computes all of them, later ones drain the cache. Results are
-     bit-identical to per-rotation Eval.rotate, so this is invisible to the
-     differential fuzzer. *)
-  let fans : (int, int list) Hashtbl.t = Hashtbl.create 4 in
-  Prog.iter
-    (fun (o : Prog.op) ->
-      match o.Prog.kind with
-      | Prog.Rotate { amount } ->
-          let src = o.Prog.args.(0) in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt fans src) in
-          if not (List.mem amount prev) then Hashtbl.replace fans src (amount :: prev)
-      | _ -> ())
-    p;
-  Hashtbl.filter_map_inplace
-    (fun _ amounts -> if List.length amounts >= 2 then Some (List.rev amounts) else None)
-    fans;
-  let hoisted : (int * int, Eval.ciphertext) Hashtbl.t = Hashtbl.create 8 in
-  (* Mul -> Rescale fusion: a ciphertext-ciphertext Mul whose result has
-     exactly one consumer, a Rescale, runs as the fused Eval.mul_rescale
-     (one NTT round-trip saved; bit-identical output). *)
-  let use_count = Array.make (Prog.num_ops p) 0 in
-  Prog.iter
-    (fun (o : Prog.op) ->
-      Array.iter (fun a -> use_count.(a) <- use_count.(a) + 1) o.Prog.args)
-    p;
-  List.iter (fun v -> use_count.(v) <- use_count.(v) + 1) p.Prog.outputs;
-  let fuse_mul = Array.make (Prog.num_ops p) false in
-  Prog.iter
-    (fun (o : Prog.op) ->
-      match o.Prog.kind with
-      | Prog.Rescale -> (
-          let src = o.Prog.args.(0) in
-          let so = Prog.op p src in
-          match so.Prog.kind with
-          | Prog.Mul when use_count.(src) = 1 ->
-              let cipher i =
-                match (Prog.op p so.Prog.args.(i)).Prog.ty with
-                | Types.Cipher _ -> true
-                | _ -> false
-              in
-              if cipher 0 && cipher 1 then fuse_mul.(src) <- true
-          | _ -> ())
-      | _ -> ())
-    p;
-  (* The logical vector is replicated across the physical register: when the
-     execution degree offers more slots than the program declares, rotation
-     must still be cyclic in [slot_count], and replication makes the Galois
-     rotation of the register exactly that (slot counts and register widths
-     are both powers of two). Found by the differential fuzzer: a 4-slot
-     rotate executed at n = 16 used to wrap zeros in through the 8-slot
-     register. Identity when the register width equals [slot_count]. *)
-  let phys = Params.slots (Eval.params eval) in
-  let pad v =
-    let len = Array.length v in
-    Array.init phys (fun i ->
-        let j = i mod sc in
-        if j < len then v.(j) else 0.)
-  in
-  (* SEAL-style scale alignment before additive operations. *)
-  let align_cipher a target =
-    if Float.abs (Eval.scale a -. target) /. target < 1e-9 then a else Eval.set_scale eval a target
-  in
-  let run_op (o : Prog.op) =
-    match o.Prog.kind with
-    | Prog.Input { name } -> (
-        match List.assoc_opt name inputs with
-        | Some v -> Vcipher (Eval.encrypt_vector eval ~scale:wl (pad v))
-        | None -> invalid_arg ("Interp.execute: missing input " ^ name))
-    | Prog.Const { value = Prog.Scalar x } -> Vfree (Array.make phys x)
-    | Prog.Const { value = Prog.Vector v } -> Vfree (pad v)
-    | Prog.Encode { scale; level } -> (
-        match get o.Prog.args.(0) with
-        | Vfree v -> Vplain (Eval.encode eval ~level ~scale:(Float.exp2 scale) v)
-        | _ -> invalid_arg "Interp.execute: encode of a non-free value")
-    | Prog.Add | Prog.Sub -> (
-        let sub = o.Prog.kind = Prog.Sub in
-        match (get o.Prog.args.(0), get o.Prog.args.(1)) with
-        | Vcipher a, Vcipher b ->
-            let b = align_cipher b (Eval.scale a) in
-            Vcipher (if sub then Eval.sub eval a b else Eval.add eval a b)
-        | Vcipher a, Vplain b ->
-            let a = align_cipher a b.Eval.pt_scale in
-            Vcipher (if sub then Eval.sub_plain eval a b else Eval.add_plain eval a b)
-        | Vplain a, Vcipher b ->
-            let b = align_cipher b a.Eval.pt_scale in
-            Vcipher
-              (if sub then Eval.negate eval (Eval.sub_plain eval b a) else Eval.add_plain eval b a)
-        | _ -> invalid_arg "Interp.execute: additive operands must pair a ciphertext with a plaintext")
-    | Prog.Mul -> (
-        match (get o.Prog.args.(0), get o.Prog.args.(1)) with
-        | Vcipher a, Vcipher b ->
-            if fuse_mul.(o.Prog.id) then Vpending_mul (a, b) else Vcipher (Eval.mul eval a b)
-        | Vcipher a, Vplain b | Vplain b, Vcipher a -> Vcipher (Eval.mul_plain eval a b)
-        | _ -> invalid_arg "Interp.execute: mul operands must pair a ciphertext with a plaintext")
-    | Prog.Negate -> Vcipher (Eval.negate eval (cipher_exn o.Prog.args.(0)))
-    | Prog.Rotate { amount } -> (
-        let src = o.Prog.args.(0) in
-        match Hashtbl.find_opt hoisted (src, amount) with
-        | Some c ->
-            Hashtbl.remove hoisted (src, amount);
-            Vcipher c
-        | None -> (
-            match Hashtbl.find_opt fans src with
-            | Some amounts ->
-                let results = Eval.rotate_many eval (cipher_exn src) amounts in
-                List.iter2 (fun a c -> Hashtbl.replace hoisted (src, a) c) amounts results;
-                Hashtbl.remove fans src;
-                let c = Hashtbl.find hoisted (src, amount) in
-                Hashtbl.remove hoisted (src, amount);
-                Vcipher c
-            | None -> Vcipher (Eval.rotate eval (cipher_exn src) amount)))
-    | Prog.Rescale -> (
-        match get o.Prog.args.(0) with
-        | Vpending_mul (a, b) -> Vcipher (Eval.mul_rescale eval a b)
-        | Vcipher c -> Vcipher (Eval.rescale eval c)
-        | Vplain _ | Vfree _ -> invalid_arg "Interp.execute: rescale on a non-ciphertext")
-    | Prog.Modswitch -> (
-        match get o.Prog.args.(0) with
-        | Vcipher c -> Vcipher (Eval.mod_switch eval c)
-        | Vplain pt -> Vplain (Eval.mod_switch_plain eval pt)
-        | _ -> invalid_arg "Interp.execute: modswitch on a free value")
-    | Prog.Upscale { target_scale } ->
-        let c = cipher_exn o.Prog.args.(0) in
-        let factor = Float.exp2 target_scale /. Eval.scale c in
-        if factor < 1.5 then Vcipher (Eval.set_scale eval c (Float.exp2 target_scale))
-        else Vcipher (Eval.upscale eval c ~factor)
-    | Prog.Downscale _ ->
-        let c = cipher_exn o.Prog.args.(0) in
-        let lc = Chain.length chain - Eval.level c in
-        let q_drop = float_of_int (Chain.prime chain (lc - 1)) in
-        (* upscale to S_f * S_w (the rescale prime times the waterline), then
-           rescale: the result lands on the waterline up to the rounding of
-           the integer multiplier (see DESIGN.md on small-S_f precision) *)
-        let factor = q_drop *. wl /. Eval.scale c in
-        Vcipher (Eval.rescale eval (Eval.upscale eval c ~factor))
-  in
-  Prog.iter
-    (fun (o : Prog.op) ->
-      let t0 = Unix.gettimeofday () in
-      let v = run_op o in
-      let dt = Unix.gettimeofday () -. t0 in
-      (match class_of_op p o with
-      | None -> ()
-      | Some cls ->
-          elapsed := !elapsed +. dt;
-          let prev = Option.value ~default:{ count = 0; seconds = 0. } (Hashtbl.find_opt stats cls) in
-          Hashtbl.replace stats cls { count = prev.count + 1; seconds = prev.seconds +. dt });
-      values.(o.Prog.id) <- Some v;
-      (match v with
-      | Vcipher _ | Vpending_mul _ ->
-          incr live_count;
-          peak := max !peak !live_count
-      | Vplain _ | Vfree _ -> ());
-      (* free operands whose last use this was *)
-      Array.iter
-        (fun a ->
-          if live.Liveness.last_use.(a) = o.Prog.id then begin
-            (match values.(a) with
-            | Some (Vcipher _ | Vpending_mul _) -> decr live_count
-            | _ -> ());
-            values.(a) <- None
-          end)
-        o.Prog.args)
-    p;
-  let outputs =
-    List.map
-      (fun v ->
-        match get v with
-        | Vcipher c -> Eval.decrypt eval c
-        | Vplain _ | Vfree _ | Vpending_mul _ ->
-            invalid_arg "Interp.execute: output is not a ciphertext")
-      p.Prog.outputs
-  in
-  {
-    outputs;
-    elapsed_seconds = !elapsed;
-    per_class = Hashtbl.fold (fun cls st acc -> (cls, st) :: acc) stats [];
-    peak_live = !peak;
-  }
+let execute eval ~waterline_bits p ~inputs =
+  Schedule.run eval ~waterline_bits (Schedule.lower p) ~inputs

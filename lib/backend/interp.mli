@@ -1,28 +1,16 @@
-(** Execution of scale-managed programs on the RNS-CKKS evaluator (the
-    paper's SEAL backend role).
+(** Running scale-managed programs on the RNS-CKKS evaluator (the paper's
+    SEAL backend role): key setup for a compiled program, and
+    {!execute}, which lowers the program to the SEAL dialect and runs it
+    ({!Schedule.lower}, {!Schedule.run} — the only executor). *)
 
-    The interpreter lowers the opaque operations to their CKKS
-    implementations ([downscale] = upscale-to-[S_f * S_w] + rescale), applies
-    SEAL-style scale adjustment before additions to absorb prime drift, and
-    releases dead ciphertexts using the liveness plan. Per-operation
-    wall-clock times are accumulated by cost-model class for the
-    estimator-accuracy experiment.
+type class_stat = Schedule.class_stat = { count : int; seconds : float }
 
-    When the execution ring offers more slots than the program declares
-    ([n/2 > slot_count]), input and constant vectors are replicated across
-    the physical register so that slot rotation stays cyclic in the
-    declared slot count (found by the differential fuzzer — see
-    test/corpus/ and docs/TESTING.md). *)
-
-type class_stat = { count : int; seconds : float }
-
-type report = {
+type report = Schedule.report = {
   outputs : float array list; (** decrypted slot vectors, one per output *)
-  elapsed_seconds : float; (** homomorphic execution only (no keygen/decrypt) *)
+  elapsed_seconds : float; (** homomorphic execution only (no encrypt/decrypt) *)
   per_class : (Hecate.Costmodel.op_class * class_stat) list;
-  peak_live : int; (** peak simultaneously-live ciphertext count *)
+  peak_live : int; (** peak number of occupied ciphertext buffers *)
 }
-
 val required_rotations : Hecate_ir.Prog.t -> int list
 (** Distinct rotation amounts the program needs keys for. *)
 
@@ -45,6 +33,7 @@ val execute :
   Hecate_ir.Prog.t ->
   inputs:(string * float array) list ->
   report
-(** Encrypt the inputs at the waterline scale, run the program, decrypt the
-    outputs. The program must be typed (compile it with {!Hecate.Driver}).
+(** [Schedule.run eval ~waterline_bits (Schedule.lower p) ~inputs]: encrypt
+    the inputs at the waterline scale, run the program, decrypt the outputs.
+    The program must be typed (compile it with {!Hecate.Driver}).
     @raise Invalid_argument on missing inputs or rotation keys. *)

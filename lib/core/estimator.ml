@@ -1,5 +1,6 @@
 module Prog = Hecate_ir.Prog
 module Types = Hecate_ir.Types
+module Fusion = Hecate_ir.Fusion
 
 let primes_for params level = Paramselect.num_primes_at params ~level
 
@@ -46,47 +47,14 @@ let per_op_seconds ~model ~params ~n (o : Prog.op) (arg_tys : Types.t array) =
       cost Costmodel.Plain_mul ~level +. cost Costmodel.Encode ~level
       +. cost Costmodel.Rescale ~level
 
-(* The backend interpreter executes two structural optimizations that a
-   per-op sum would misprice: rotation fans (several Rotate ops on one
-   value share a hoisted digit decomposition — the first rotation pays
-   [Rotate], the rest the marginal [Rotate_hoisted]) and Mul -> Rescale
-   fusion (a ciphertext product whose only consumer is a Rescale runs as
-   the fused [Mul_rescale]). The estimate mirrors both so the Fig. 8
-   estimator-vs-actual property keeps holding on the optimized engine. *)
+(* The executor runs two structural optimizations that a per-op sum would
+   misprice; {!Hecate_ir.Fusion} decides both, for this estimate and for the
+   lowering that runs. A rotation fan's head pays [Rotate] and its later
+   members the marginal [Rotate_hoisted]; a fused multiply is charged once,
+   as [Mul_rescale] at its Rescale. The estimate mirrors the executor so the
+   Fig. 8 estimator-vs-actual property keeps holding. *)
 let estimate ~model ~params ~n (p : Prog.t) =
-  let num_ops = Prog.num_ops p in
-  let use_count = Array.make num_ops 0 in
-  Prog.iter
-    (fun (o : Prog.op) ->
-      Array.iter (fun a -> use_count.(a) <- use_count.(a) + 1) o.Prog.args)
-    p;
-  List.iter (fun v -> use_count.(v) <- use_count.(v) + 1) p.Prog.outputs;
-  let fused_mul = Array.make num_ops false in
-  Prog.iter
-    (fun (o : Prog.op) ->
-      match o.Prog.kind with
-      | Prog.Rescale -> (
-          let src = o.Prog.args.(0) in
-          let so = Prog.op p src in
-          match so.Prog.kind with
-          | Prog.Mul when use_count.(src) = 1 ->
-              let cipher i = Types.is_cipher (Prog.op p so.Prog.args.(i)).Prog.ty in
-              if cipher 0 && cipher 1 then fused_mul.(src) <- true
-          | _ -> ())
-      | _ -> ())
-    p;
-  (* distinct rotation amounts per source; fans are sources with >= 2 *)
-  let amounts : (int, int list) Hashtbl.t = Hashtbl.create 8 in
-  Prog.iter
-    (fun (o : Prog.op) ->
-      match o.Prog.kind with
-      | Prog.Rotate { amount } ->
-          let src = o.Prog.args.(0) in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt amounts src) in
-          if not (List.mem amount prev) then Hashtbl.replace amounts src (amount :: prev)
-      | _ -> ())
-    p;
-  let fan_started : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let roles = Fusion.analyze p in
   let total = ref 0. in
   Prog.iter
     (fun (o : Prog.op) ->
@@ -95,25 +63,13 @@ let estimate ~model ~params ~n (p : Prog.t) =
         model.Costmodel.cost cls ~num_primes:(primes_for params level) ~n
       in
       let seconds =
-        match o.Prog.kind with
-        | Prog.Mul when fused_mul.(o.Prog.id) -> 0. (* charged at the Rescale *)
-        | Prog.Rescale when fused_mul.(o.Prog.args.(0)) ->
-            let level = operand_level "rescale" arg_tys 0 in
-            cost Costmodel.Mul_rescale ~level
-        | Prog.Rotate _ ->
-            let src = o.Prog.args.(0) in
-            let level = operand_level "rotate" arg_tys 0 in
-            let in_fan =
-              match Hashtbl.find_opt amounts src with
-              | Some distinct -> List.length distinct >= 2
-              | None -> false
-            in
-            if in_fan && Hashtbl.mem fan_started src then cost Costmodel.Rotate_hoisted ~level
-            else begin
-              Hashtbl.replace fan_started src ();
-              cost Costmodel.Rotate ~level
-            end
-        | _ -> per_op_seconds ~model ~params ~n o arg_tys
+        match roles.(o.Prog.id) with
+        | Fusion.Fused_mul -> 0. (* charged at the Rescale *)
+        | Fusion.Fused_rescale ->
+            cost Costmodel.Mul_rescale ~level:(operand_level "rescale" arg_tys 0)
+        | Fusion.Fan_member ->
+            cost Costmodel.Rotate_hoisted ~level:(operand_level "rotate" arg_tys 0)
+        | Fusion.Fan_head _ | Fusion.Single -> per_op_seconds ~model ~params ~n o arg_tys
       in
       total := !total +. seconds)
     p;

@@ -11,7 +11,13 @@ type case_failure = {
   repro_path : string option;
 }
 
-type report = { count : int; failures : case_failure list; elapsed_seconds : float }
+type report = {
+  count : int;
+  failures : case_failure list;
+  elapsed_seconds : float;
+  fan_cases : int;
+  fused_cases : int;
+}
 
 let repro_text ~case_seed ~(oracle : Oracle.config) (failure : Oracle.failure) prog =
   let b = Buffer.create 512 in
@@ -106,10 +112,32 @@ let run ?gen ?(oracle = Oracle.default_config) ?transform ?out_dir ?(log = ignor
     ~count () =
   let t0 = Unix.gettimeofday () in
   let failures = ref [] in
+  (* which of the executor's fused instructions the current case's
+     compiled programs lowered to, over all schemes *)
+  let fan = ref false and fused = ref false in
+  let fan_cases = ref 0 and fused_cases = ref 0 in
+  let observe scheme p =
+    let p = match transform with Some f -> f scheme p | None -> p in
+    (match Hecate_backend.Schedule.lower p with
+    | s ->
+        Array.iter
+          (function
+            | Hecate_backend.Schedule.Rotate_fan _ -> fan := true
+            | Hecate_backend.Schedule.Mul_rescale _ -> fused := true
+            | _ -> ())
+          s.Hecate_backend.Schedule.instructions
+    | exception _ -> () (* the oracle reports a program that does not lower *));
+    p
+  in
   for index = 0 to count - 1 do
     let case_seed = seed + index in
     let case = Gen.generate ?config:gen ~seed:case_seed () in
-    match Oracle.run ?transform oracle case.Gen.prog ~inputs:case.Gen.inputs with
+    fan := false;
+    fused := false;
+    let result = Oracle.run ~transform:observe oracle case.Gen.prog ~inputs:case.Gen.inputs in
+    if !fan then incr fan_cases;
+    if !fused then incr fused_cases;
+    match result with
     | Ok () -> ()
     | Error failure ->
         log
@@ -140,4 +168,10 @@ let run ?gen ?(oracle = Oracle.default_config) ?transform ?out_dir ?(log = ignor
           { index; case_seed; failure; original = case.Gen.prog; shrunk; repro_path }
           :: !failures
   done;
-  { count; failures = List.rev !failures; elapsed_seconds = Unix.gettimeofday () -. t0 }
+  {
+    count;
+    failures = List.rev !failures;
+    elapsed_seconds = Unix.gettimeofday () -. t0;
+    fan_cases = !fan_cases;
+    fused_cases = !fused_cases;
+  }

@@ -18,7 +18,13 @@ type case_failure = {
   repro_path : string option;  (** where the reproducer was written, if requested *)
 }
 
-type report = { count : int; failures : case_failure list; elapsed_seconds : float }
+type report = {
+  count : int;
+  failures : case_failure list;
+  elapsed_seconds : float;
+  fan_cases : int;  (** cases some scheme lowered to at least one [Rotate_fan] *)
+  fused_cases : int;  (** cases some scheme lowered to at least one [Mul_rescale] *)
+}
 
 val run :
   ?gen:Gen.config ->

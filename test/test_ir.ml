@@ -9,6 +9,7 @@ module Parser = Hecate_ir.Parser
 module Passes = Hecate_ir.Passes
 module Pass_manager = Hecate_ir.Pass_manager
 module Liveness = Hecate_ir.Liveness
+module Fusion = Hecate_ir.Fusion
 module B = Prog.Builder
 
 let check = Alcotest.check
@@ -821,6 +822,57 @@ let test_liveness_wide_program () =
   let l = Liveness.analyze p in
   check Alcotest.bool "peak reflects width" true (l.Liveness.peak_live >= 6)
 
+let test_fusion_roles () =
+  (* a fan over %0 with amounts 1, 2 and a repeat of 1; a product whose
+     only use is its rescale (fused), one used twice and a
+     cipher x plain one (both not fused) *)
+  let p =
+    Parser.parse
+      {|
+func f(%0: cipher "x") slots=4 {
+  %1 = rotate %0, 1
+  %2 = rotate %0, 2
+  %3 = add %1, %2
+  %4 = mul %3, %3
+  %5 = rescale %4
+  %6 = rotate %0, 1
+  %7 = mul %3, %3
+  %8 = rescale %7
+  %9 = add %7, %7
+  %10 = const 2.0
+  %11 = encode %10, scale=20, level=0
+  %12 = mul %3, %11
+  %13 = rescale %12
+  %14 = modswitch %6
+  %15 = add %5, %14
+  %16 = add %15, %8
+  return %16, %9, %13
+}
+|}
+  in
+  ignore (Typing.check_exn (Typing.config ~sf:20. ~waterline:20. ()) p);
+  let roles = Fusion.analyze p in
+  let role =
+    Alcotest.testable
+      (fun fmt -> function
+        | Fusion.Single -> Format.pp_print_string fmt "single"
+        | Fusion.Fused_mul -> Format.pp_print_string fmt "fused-mul"
+        | Fusion.Fused_rescale -> Format.pp_print_string fmt "fused-rescale"
+        | Fusion.Fan_head a ->
+            Format.fprintf fmt "fan-head [%s]" (String.concat ";" (List.map string_of_int a))
+        | Fusion.Fan_member -> Format.pp_print_string fmt "fan-member")
+      ( = )
+  in
+  check role "fan head, amounts in first-use order" (Fusion.Fan_head [ 1; 2 ]) roles.(1);
+  check role "fan member" Fusion.Fan_member roles.(2);
+  check role "repeated amount is a member" Fusion.Fan_member roles.(6);
+  check role "sole-use product" Fusion.Fused_mul roles.(4);
+  check role "its rescale" Fusion.Fused_rescale roles.(5);
+  check role "product used twice" Fusion.Single roles.(7);
+  check role "rescale of a shared product" Fusion.Single roles.(8);
+  check role "cipher x plain product" Fusion.Single roles.(12);
+  check role "rescale of a plain product" Fusion.Single roles.(13)
+
 (* ------------------------------------------------------------------ *)
 (* Diagnostics                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -1066,4 +1118,5 @@ let () =
           Alcotest.test_case "outputs live" `Quick test_liveness_outputs_live;
           Alcotest.test_case "wide program" `Quick test_liveness_wide_program;
         ] );
+      ("fusion", [ Alcotest.test_case "roles" `Quick test_fusion_roles ]);
     ]
