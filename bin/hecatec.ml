@@ -109,13 +109,16 @@ let file_arg =
 
 let jobs_arg =
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for SMSE exploration (default: available cores - 1; \
-               the result is identical for every value).")
+         ~doc:"Domains for SMSE exploration, the calling one included: $(docv) - 1 \
+               workers are spawned, and 1 runs the search on the calling domain \
+               alone (default: available cores - 1; the result is identical for \
+               every value).")
 
 let kernel_jobs_arg =
   Arg.(value & opt (some int) None & info [ "kernel-jobs" ] ~docv:"N"
-         ~doc:"Worker domains for the per-RNS-component CKKS kernels (NTT and \
-               element-wise polynomial loops). Default 1 (serial), or the \
+         ~doc:"Domains for the per-RNS-component CKKS kernels (NTT and \
+               element-wise polynomial loops), the calling one included: $(docv) - 1 \
+               workers are spawned. Default 1 (serial), or the \
                $(b,HECATE_KERNEL_JOBS) environment variable; results are \
                bit-identical for every value. See docs/PERFORMANCE.md.")
 

@@ -70,8 +70,8 @@ exception Cancelled
 (* Every candidate evaluation — the base plan, warm-start seeds, and each
    strategy's neighbourhoods — flows through one memoized batch evaluator.
    The memo maps plan contents to cost and is read and written by the
-   coordinating domain only; worker domains run the pure
-   codegen+evaluate closure. Because costs are a pure function of the
+   coordinating domain only; it and the pool's worker domains run the
+   pure codegen+evaluate closure. Because costs are a pure function of the
    plan, sharing the memo across portfolio strategies cannot change any
    strategy's trajectory — only the hit/miss accounting. *)
 type context = {

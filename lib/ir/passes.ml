@@ -393,49 +393,45 @@ let early_modswitch_once (p : Prog.t) =
     let remap = Array.make n (-1) in
     let ops = ref [] in
     let count = ref 0 in
-    let emit kind args =
+    let emit ?prov kind args =
       let id = !count in
-      ops := { Prog.id; kind; args; ty = Types.Free; prov = None } :: !ops;
+      ops := { Prog.id; kind; args; ty = Types.Free; prov } :: !ops;
       incr count;
       id
     in
-    (* Share the wrapper chains: wrapping [mul %x, %x] must produce ONE
-       [modswitch %x] feeding both operands, not two. With distinct copies
-       the base value gains a second use, the copies stop being absorbable,
-       and migration stalls until a later cse merges them — which is what
-       made convergence take one fixpoint iteration per dataflow step. *)
-    let wrap_memo = Hashtbl.create 16 in
-    let rec wrap v k =
-      if k = 0 then v
-      else
-        match Hashtbl.find_opt wrap_memo (v, k) with
-        | Some id -> id
-        | None ->
-            let id = emit Prog.Modswitch [| wrap v (k - 1) |] in
-            Hashtbl.add wrap_memo (v, k) id;
-            id
+    (* One [modswitch] per value, shared by every wrapper chain and every
+       modswitch the program already had. Wrapping [mul %x, %x] yields ONE
+       [modswitch %x] feeding both operands, and wrapping an operand that
+       is already modswitched elsewhere reuses that op. A duplicate would
+       give the base value a second use: the copies would stop being
+       absorbable, and migration would stall until a cse merged them, at
+       the cost of one more finalize fixpoint iteration per stall. Shared,
+       this pass's own sweeps carry every absorption through. *)
+    let modswitched = Hashtbl.create 16 in
+    let modswitch ?prov a =
+      match Hashtbl.find_opt modswitched a with
+      | Some id -> id
+      | None ->
+          let id = emit ?prov Prog.Modswitch [| a |] in
+          Hashtbl.add modswitched a id;
+          id
     in
+    let rec wrap v k = if k = 0 then v else modswitch (wrap v (k - 1)) in
     for i = 0 to n - 1 do
       let o = Prog.op p i in
       if elided.(i) then remap.(i) <- remap.(o.Prog.args.(0))
-      else begin
-        let m = absorbed.(i) in
-        let kind =
-          match o.Prog.kind with
-          | Prog.Encode { scale; level } when m > 0 -> Prog.Encode { scale; level = level + m }
-          | k -> k
-        in
-        let args =
-          Array.map
-            (fun a ->
-              let base = remap.(a) in
-              match o.Prog.kind with
-              | Prog.Encode _ -> base (* absorbed into the level attribute *)
-              | _ -> wrap base m)
-            o.Prog.args
-        in
-        remap.(i) <- emit kind args
-      end
+      else
+        remap.(i) <-
+          (match o.Prog.kind with
+          | Prog.Modswitch -> modswitch ?prov:o.Prog.prov remap.(o.Prog.args.(0))
+          | Prog.Encode { scale; level } ->
+              (* the absorbed layers move into the level attribute *)
+              emit ?prov:o.Prog.prov
+                (Prog.Encode { scale; level = level + absorbed.(i) })
+                (Array.map (fun a -> remap.(a)) o.Prog.args)
+          | kind ->
+              emit ?prov:o.Prog.prov kind
+                (Array.map (fun a -> wrap remap.(a) absorbed.(i)) o.Prog.args))
     done;
     let out =
       {

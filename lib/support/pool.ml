@@ -48,38 +48,46 @@ let create ?size () =
       state = Running;
     }
   in
-  t.domains <- Array.init n (fun _ -> Domain.spawn (fun () -> worker t));
+  (* the domain calling [map_array] is the pool's [n]-th *)
+  t.domains <- Array.init (n - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
-let submit t task =
-  Mutex.lock t.mutex;
-  if t.state <> Running then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  Queue.push task t.queue;
-  Condition.signal t.wakeup;
-  Mutex.unlock t.mutex
-
+(* Each call hands its elements out through its own [next] counter: the
+   caller and up to [size - 1] queued drainers claim indices until none are
+   left. The caller therefore only ever runs its own tasks, and never waits
+   on a worker that is busy elsewhere; a drainer a worker picks up late
+   finds nothing left and returns at once. *)
 let map_array t ~f arr =
   let n = Array.length arr in
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
+    let next = Atomic.make 0 in
     let remaining = ref n in
     let finished = Mutex.create () and all_done = Condition.create () in
-    Array.iteri
-      (fun i x ->
-        submit t (fun () ->
-            let r =
-              try Ok (f x) with e -> Error (e, Printexc.get_raw_backtrace ())
-            in
-            Mutex.lock finished;
-            results.(i) <- Some r;
-            decr remaining;
-            if !remaining = 0 then Condition.signal all_done;
-            Mutex.unlock finished))
-      arr;
+    let rec drain () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        let r = try Ok (f arr.(i)) with e -> Error (e, Printexc.get_raw_backtrace ()) in
+        Mutex.lock finished;
+        results.(i) <- Some r;
+        decr remaining;
+        if !remaining = 0 then Condition.signal all_done;
+        Mutex.unlock finished;
+        drain ()
+      end
+    in
+    Mutex.lock t.mutex;
+    if t.state <> Running then begin
+      Mutex.unlock t.mutex;
+      invalid_arg "Pool.map_array: pool is shut down"
+    end;
+    for _ = 1 to min (n - 1) (Array.length t.domains) do
+      Queue.push drain t.queue;
+      Condition.signal t.wakeup
+    done;
+    Mutex.unlock t.mutex;
+    drain ();
     Mutex.lock finished;
     while !remaining > 0 do
       Condition.wait all_done finished

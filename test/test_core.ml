@@ -739,6 +739,66 @@ let test_compile_dump_instrumentation () =
   check Alcotest.bool "every pass execution dumped" true (List.length !dumped >= 5);
   check Alcotest.bool "cse dumped" true (List.mem_assoc "cse" !dumped)
 
+(* early-modswitch rebuilds the program with modswitches moved, added and
+   dropped, but every other op is emitted once, in order: its provenance
+   must come along, or everything compiled under EVA or HECATE loses the
+   source locations diagnostics and profiles report. *)
+let test_early_modswitch_keeps_provenance () =
+  let hcd = List.find (fun (a : Hecate_apps.Apps.t) -> a.Hecate_apps.Apps.name = "HCD")
+      (Hecate_apps.Apps.reduced_suite ()) in
+  let cfg = Typing.config ~sf:28. ~waterline:22. () in
+  let managed = Codegen.waterline cfg (Pass_manager.default_pipeline hcd.Hecate_apps.Apps.prog) in
+  let provs p =
+    Array.to_list p.Prog.body
+    |> List.filter_map (fun (o : Prog.op) ->
+           match o.Prog.kind with Prog.Modswitch -> None | _ -> Some o.Prog.prov)
+  in
+  let before = provs managed in
+  check Alcotest.bool "codegen output carries provenance" true
+    (List.exists Option.is_some before);
+  let after = Hecate_ir.Passes.early_modswitch managed in
+  check Alcotest.bool "the pass changed the program" false (after == managed);
+  check Alcotest.bool "every non-modswitch op keeps its provenance" true (provs after = before)
+
+(* early-modswitch reuses every modswitch the program has or the pass has
+   emitted, so the cse after it finds nothing to merge and the finalize
+   fixpoint stops after one productive iteration and one confirming it.
+   Checked on every candidate the HECATE search finalizes for the one-shot
+   programs at their waterlines. *)
+let test_finalize_fixpoint_iterations () =
+  let suite = Hecate_apps.Apps.reduced_suite () in
+  List.iter
+    (fun (name, wl) ->
+      let a = List.find (fun (a : Hecate_apps.Apps.t) -> a.Hecate_apps.Apps.name = name) suite in
+      let cfg = Typing.config ~sf:28. ~waterline:wl () in
+      let prog = Pass_manager.default_pipeline a.Hecate_apps.Apps.prog in
+      let worst = ref 0 and candidates = ref 0 in
+      let codegen ~hook =
+        let stats = Pass_manager.create_stats () in
+        let p, _ = Driver.finalize ~stats ~cfg (Codegen.pars cfg ~hook prog) in
+        let t =
+          List.find
+            (fun (t : Pass_manager.timing) -> t.Pass_manager.pass = "early-modswitch")
+            (Pass_manager.timings stats)
+        in
+        worst := max !worst t.Pass_manager.runs;
+        incr candidates;
+        p
+      in
+      let evaluate p =
+        let types = Array.map (fun (o : Prog.op) -> o.Prog.ty) p.Prog.body in
+        let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:p.Prog.slot_count () in
+        Estimator.estimate ~model:(Costmodel.analytic ()) ~params
+          ~n:params.Paramselect.secure_n p
+      in
+      let edges = (Smu.generate prog).Smu.edges in
+      ignore (Explore.portfolio ~codegen ~evaluate ~edges ~pool_size:1 ());
+      check Alcotest.bool (name ^ ": candidates finalized") true (!candidates > 1);
+      check Alcotest.bool
+        (Printf.sprintf "%s: at most 2 fixpoint iterations per candidate (worst %d)" name !worst)
+        true (!worst <= 2))
+    [ ("SF", 24.); ("HCD", 22.); ("MLP", 15.) ]
+
 let () =
   Alcotest.run "hecate_core"
     [
@@ -811,5 +871,9 @@ let () =
           Alcotest.test_case "per-pass timings reported" `Quick test_compile_reports_pass_timings;
           Alcotest.test_case "custom cleanup pipeline" `Quick test_compile_custom_cleanup;
           Alcotest.test_case "dump instrumentation" `Quick test_compile_dump_instrumentation;
+          Alcotest.test_case "early modswitch keeps provenance" `Quick
+            test_early_modswitch_keeps_provenance;
+          Alcotest.test_case "finalize fixpoint iterations" `Quick
+            test_finalize_fixpoint_iterations;
         ] );
     ]

@@ -610,8 +610,8 @@ let test_pool_double_shutdown () =
   Pool.shutdown p;
   Pool.shutdown p;
   (* idempotent *)
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
+  Alcotest.check_raises "map_array after shutdown"
+    (Invalid_argument "Pool.map_array: pool is shut down") (fun () ->
       ignore (Pool.map_array p ~f:Fun.id [| 1 |]))
 
 let test_pool_concurrent_shutdown () =
@@ -623,7 +623,7 @@ let test_pool_concurrent_shutdown () =
   Pool.shutdown p;
   List.iter Domain.join callers;
   Alcotest.check_raises "closed afterwards"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
+    (Invalid_argument "Pool.map_array: pool is shut down") (fun () ->
       ignore (Pool.map_array p ~f:Fun.id [| 1 |]))
 
 (* Work already submitted must complete even when shutdown lands while
@@ -647,6 +647,50 @@ let test_pool_shutdown_drains_pending () =
   let results = Domain.join submitter in
   check Alcotest.int "all tasks ran" 16 (Atomic.get done_count);
   check Alcotest.(array int) "results intact" (Array.init 16 Fun.id) results
+
+(* A pool counts its caller: size 1 spawns no domain and runs every task
+   on the calling domain. Domain ids come from one counter, so a domain
+   spawned after the pool's work gets the id right after one spawned
+   before it. *)
+let test_pool_size_one_runs_on_caller () =
+  let probe () =
+    let d = Domain.spawn Fun.id in
+    let id = (Domain.get_id d :> int) in
+    Domain.join d;
+    id
+  in
+  let before = probe () in
+  let self = Domain.self () in
+  let ran_on =
+    Pool.with_pool ~size:1 (fun p ->
+        check Alcotest.int "size" 1 (Pool.size p);
+        Pool.map_array p ~f:(fun _ -> Domain.self ()) (Array.init 8 Fun.id))
+  in
+  check Alcotest.bool "every task on the caller" true (Array.for_all (( = ) self) ran_on);
+  check Alcotest.int "no domain spawned" (before + 1) (probe ())
+
+(* Results come back in input order whoever ran them, and a task's
+   exception surfaces only once every other task has finished. *)
+let test_pool_order_and_late_raise () =
+  Pool.with_pool ~size:2 (fun p ->
+      let n = 32 in
+      check Alcotest.(array int) "order" (Array.init n (fun i -> i * i))
+        (Pool.map_array p ~f:(fun i -> if i mod 3 = 0 then Unix.sleepf 0.001; i * i)
+           (Array.init n Fun.id));
+      let finished = Atomic.make 0 in
+      (match
+         Pool.map_array p
+           ~f:(fun i ->
+             if i = 0 then failwith "task 0"
+             else begin
+               Unix.sleepf 0.002;
+               Atomic.incr finished
+             end)
+           (Array.init n Fun.id)
+       with
+      | _ -> Alcotest.fail "the task's exception must be re-raised"
+      | exception Failure msg -> check Alcotest.string "re-raised" "task 0" msg);
+      check Alcotest.int "every other task finished first" (n - 1) (Atomic.get finished))
 
 (* ------------------------------------------------------------------ *)
 (* Json rendering                                                      *)
@@ -753,6 +797,9 @@ let () =
           Alcotest.test_case "concurrent shutdown" `Quick test_pool_concurrent_shutdown;
           Alcotest.test_case "shutdown drains pending" `Quick
             test_pool_shutdown_drains_pending;
+          Alcotest.test_case "size one runs on the caller" `Quick
+            test_pool_size_one_runs_on_caller;
+          Alcotest.test_case "order and late raise" `Quick test_pool_order_and_late_raise;
         ] );
       ( "json",
         [
