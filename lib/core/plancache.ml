@@ -487,8 +487,8 @@ let find_or_compute t key ~compute =
 (* Compilation through the cache                                       *)
 (* ------------------------------------------------------------------ *)
 
-let compile t ?pool_size ?should_stop ?on_epoch ?budget_seconds
-    ?(strategy = Explore.default_strategy) ?gate ~scheme ~sf_bits ~waterline_bits
+let compile t ?pool_size ?(run_cold = fun f -> f ()) ?should_stop ?on_epoch
+    ?budget_seconds ?(strategy = Explore.default_strategy) ?gate ~scheme ~sf_bits ~waterline_bits
     ?(max_epochs = 100) prog =
   let k = key ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs prog in
   let fingerprint = Prog.fingerprint prog in
@@ -516,8 +516,9 @@ let compile t ?pool_size ?should_stop ?on_epoch ?budget_seconds
         s
       in
       let c =
-        Driver.compile ?pool_size ~should_stop:stop ?on_epoch ~max_epochs ~strategy
-          ?gate ~warm_plans:warm scheme ~sf_bits ~waterline_bits prog
+        run_cold (fun () ->
+            Driver.compile ?pool_size ~should_stop:stop ?on_epoch ~max_epochs ~strategy
+              ?gate ~warm_plans:warm scheme ~sf_bits ~waterline_bits prog)
       in
       let compile_seconds = Unix.gettimeofday () -. t0 in
       let plan, keyed_plan, explore_epochs, explore_plans, winner_strategy =

@@ -134,6 +134,7 @@ val find_or_compute : t -> string -> compute:(unit -> entry * bool) -> entry * o
 val compile :
   t ->
   ?pool_size:int ->
+  ?run_cold:((unit -> Driver.compiled) -> Driver.compiled) ->
   ?should_stop:(unit -> bool) ->
   ?on_epoch:(strategy:string -> Explore.epoch_trace -> unit) ->
   ?budget_seconds:float ->
@@ -156,6 +157,10 @@ val compile :
     (diagnostics, {!Explore.Cancelled}, gate rejections with code
     [Oracle_rejected]) propagate to every requester of the flight and are
     not cached — so nothing the oracle rejected ever enters the cache.
+
+    [run_cold] runs the cold {!Driver.compile} it is handed (default: on
+    the calling thread); [hecated] passes one that runs it on a domain of
+    its own. Hits never reach it.
 
     [strategy] forwards to {!Driver.compile} and is part of the key;
     [gate] re-validates every strategy winner before the entry is built.

@@ -70,8 +70,8 @@ let default_config =
 let exn_text e = Printexc.to_string e
 
 (* Harness.cached_context mutates a shared table with no lock (fine for the
-   single-threaded fuzz loop). The explorer gate runs on hecated worker
-   threads, so serialize context lookup/creation here. *)
+   single-threaded fuzz loop). The explorer gate runs inside hecated's
+   concurrent compiles, so serialize context lookup/creation here. *)
 let ctx_mutex = Mutex.create ()
 
 let shared_context ~params ~rotations =

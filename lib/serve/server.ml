@@ -4,10 +4,15 @@
 
    Concurrency structure:
    - one systhread per connection, reading request lines;
-   - [workers] systhreads draining the job queues. Each compile may
-     additionally fan out across worker *domains* via the exploration
-     pool ([pool_size]) — threads give cheap blocking I/O concurrency,
-     domains give the compute parallelism.
+   - [workers] systhreads draining the job queues. When the process may
+     use more than one CPU, each cold compile runs on a domain spawned for
+     it, so compiles run in parallel with each other and never hold the
+     runtime lock the connection threads need; on one CPU a second domain
+     buys no parallelism and only makes every minor collection stop both,
+     so the worker thread compiles itself. The compile's exploration pool
+     ([pool_size]) counts that domain and spawns [pool_size - 1] more —
+     threads give cheap blocking I/O concurrency, domains give the compute
+     parallelism.
    - fair admission: every client (connection) has its own FIFO; a
      round-robin ready list picks the next client, so one client
      submitting 100 jobs cannot starve another submitting 1.
@@ -48,6 +53,7 @@ type job = {
 type t = {
   cache : Plancache.t;
   pool_size : int option;
+  compile_domain : bool;  (* run each cold compile on a domain of its own *)
   oracle : bool;  (* gate every exploration winner through the differential oracle *)
   verbose : bool;
   mutex : Mutex.t;
@@ -111,8 +117,11 @@ let run_job t job =
              ~waterline_bits:s.Protocol.waterline_bits job.prog)
       else None
     in
+    let run_cold =
+      if t.compile_domain then Some (fun f -> Domain.join (Domain.spawn f)) else None
+    in
     match
-      Plancache.compile t.cache ?pool_size:t.pool_size
+      Plancache.compile t.cache ?pool_size:t.pool_size ?run_cold
         ~should_stop:(fun () -> Atomic.get job.cancel || Atomic.get t.stopping)
         ?on_epoch ?strategy:s.Protocol.strategy ?gate
         ?budget_seconds:s.Protocol.budget_seconds ~scheme:s.Protocol.scheme
@@ -176,6 +185,7 @@ let create ?pool_size ?(workers = 2) ?(oracle = false) ?(verbose = false) cache 
     {
       cache;
       pool_size;
+      compile_domain = Domain.recommended_domain_count () > 1;
       oracle;
       verbose;
       mutex = Mutex.create ();

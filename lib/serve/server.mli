@@ -22,9 +22,13 @@ type t
 val create :
   ?pool_size:int -> ?workers:int -> ?oracle:bool -> ?verbose:bool -> Hecate.Plancache.t -> t
 (** [create cache] starts [workers] (default 2) job threads immediately.
-    [pool_size] is forwarded to each compile's exploration pool (worker
-    {e domains} per job — threads give I/O concurrency, domains give
-    compute parallelism). [oracle] (default false) re-validates every
+    When {!Domain.recommended_domain_count} is above 1, each cold compile
+    runs on a domain spawned for it, so compiles run in parallel and
+    connection threads answer beside them; on one CPU the job thread
+    compiles itself. [pool_size] is forwarded to each compile's
+    exploration pool: the number of domains one compile computes on, its
+    own included ([pool_size - 1] more are spawned per compile, none for
+    1). [oracle] (default false) re-validates every
     exploration winner through {!Hecate_fuzz.Oracle.explorer_gate} before
     it is returned or cached; rejected plans surface as [error] events
     with diagnostic code [oracle-rejected].

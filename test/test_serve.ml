@@ -124,6 +124,29 @@ let test_cache_hit_bit_identical () =
         warm.Plancache.artifact)
     Driver.all_schemes
 
+(* [run_cold] wraps the cold compile only: a hit never reaches it, and a
+   compile run on a domain of its own gives the same artifact. *)
+let test_cache_run_cold () =
+  let prog = fig2 () in
+  let cache = Plancache.create () in
+  let runs = Atomic.make 0 in
+  let run_cold f =
+    Atomic.incr runs;
+    Domain.join (Domain.spawn f)
+  in
+  let compile () =
+    Plancache.compile cache ~run_cold ~scheme:Driver.Hecate ~sf_bits:28 ~waterline_bits:20. prog
+  in
+  let cold, _ = compile () in
+  let warm, o = compile () in
+  check Alcotest.int "cold compile only" 1 (Atomic.get runs);
+  check Alcotest.string "warm origin" "memory" (Plancache.origin_name o);
+  let direct = Driver.compile Driver.Hecate ~sf_bits:28 ~waterline_bits:20. prog in
+  check Alcotest.string "cold on a domain = direct"
+    (Printer.to_string direct.Driver.prog)
+    cold.Plancache.artifact;
+  check Alcotest.string "warm = cold" cold.Plancache.artifact warm.Plancache.artifact
+
 (* Alpha-equivalent submissions share one entry. *)
 let test_cache_alpha_equivalent_hit () =
   let prog = fig2 () in
@@ -476,6 +499,7 @@ let () =
             test_cache_hit_bit_identical;
           Alcotest.test_case "alpha-equivalent submissions hit" `Quick
             test_cache_alpha_equivalent_hit;
+          Alcotest.test_case "run_cold wraps cold compiles" `Quick test_cache_run_cold;
           Alcotest.test_case "disk roundtrip" `Quick test_cache_disk_roundtrip;
           Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
           Alcotest.test_case "LRU eviction bounds" `Quick test_cache_lru_eviction;
