@@ -64,10 +64,19 @@ let scheme_of_name = function
   | "HECATE" -> Some Driver.Hecate
   | _ -> None
 
+(* Version 2 added [digest]: the MD5 of the rendering of every other
+   field. A file that still parses as JSON after a flipped byte (a digit
+   of a number, a character of the artifact) no longer matches it, so a
+   damaged entry is a miss rather than a different answer. Version 1
+   entries have no digest and are misses too. *)
+let format_version = 2
+
+let fields_digest fields = Digest.to_hex (Digest.string (Json.render (Json.Obj fields)))
+
 let entry_to_json (e : entry) =
-  Json.Obj
+  let fields =
     [
-      ("version", Json.int 1);
+      ("version", Json.int format_version);
       ("key", Json.Str e.key);
       ("fingerprint", Json.Str e.fingerprint);
       ("scheme", Json.Str (Driver.scheme_name e.scheme));
@@ -93,9 +102,8 @@ let entry_to_json (e : entry) =
       ("explore_epochs", Json.int e.explore_epochs);
       ("explore_plans", Json.int e.explore_plans);
       ("compile_seconds", Json.Num e.compile_seconds);
-      (* PR 10 corpus fields. Optional on read, so pre-portfolio disk
-         entries keep parsing (they fall back to the default strategy and
-         an empty portable plan). *)
+      (* corpus fields: optional on read (the default strategy and an
+         empty portable plan when absent) *)
       ("structure", Json.Str e.structure);
       ("strategy", Json.Str e.strategy);
       ("winner_strategy", Json.Str e.winner_strategy);
@@ -106,12 +114,20 @@ let entry_to_json (e : entry) =
                Json.Obj [ ("site", Json.Str site); ("degree", Json.int degree) ])
              e.keyed_plan) );
     ]
+  in
+  Json.Obj (fields @ [ ("digest", Json.Str (fields_digest fields)) ])
 
 let entry_of_json j =
   let open Json in
   let ( let* ) = Option.bind in
   let* version = to_int (member "version" j) in
-  if version <> 1 then None
+  let* digest = to_string (member "digest" j) in
+  let intact =
+    match j with
+    | Obj fields -> fields_digest (List.filter (fun (k, _) -> k <> "digest") fields) = digest
+    | _ -> false
+  in
+  if version <> format_version || not intact then None
   else
     let* key = to_string (member "key" j) in
     let* fingerprint = to_string (member "fingerprint" j) in

@@ -15,7 +15,8 @@
     - an optional on-disk store (one JSON file per key, written with
       {!Hecate_support.Fileio.write_atomic} so a crash can never leave a
       torn entry) that survives process restarts and feeds the in-memory
-      layer on miss;
+      layer on miss; a file that is damaged anyway, or in an older format,
+      reads as a miss;
     - single-flight deduplication: N concurrent requests for the same key
       trigger {e one} exploration, the rest park until the result lands
       and share it (origin [Joined]).
@@ -171,4 +172,7 @@ val snapshot : t -> stats_snapshot
 
 val entry_to_json : entry -> Hecate_support.Json.t
 val entry_of_json : Hecate_support.Json.t -> entry option
-(** The on-disk representation, exposed for the serve protocol and tests. *)
+(** The on-disk representation, exposed for the serve protocol and tests.
+    It carries a format version and a digest of every other field;
+    [entry_of_json] is [None] when either does not match, so a damaged
+    or older-format file on disk is a miss, never a different entry. *)

@@ -363,104 +363,154 @@ let fold_plain_muls (p : Prog.t) =
     dce (Prog.Rewriter.finish rw)
   end
 
-let early_modswitch_once (p : Prog.t) =
-  let n = Prog.num_ops p in
-  let uses = Prog.use_counts p in
-  (* absorbed.(v): number of modswitch layers to fold into the op defining v *)
-  let absorbed = Array.make n 0 in
-  let elided = Array.make n false in
-  let absorbs kind =
-    match kind with
-    | Prog.Add | Prog.Sub | Prog.Mul | Prog.Negate | Prog.Rotate _ | Prog.Rescale | Prog.Upscale _
-    | Prog.Downscale _ | Prog.Encode _ ->
-        true
-    | Prog.Input _ | Prog.Const _ | Prog.Modswitch -> false
+(* EVA's early-modswitch, as one backward analysis and one rebuild.
+
+   A modswitch applied to the single use of an absorbing op is absorbed:
+   the op runs one level lower and each of its operands (or, for [encode],
+   its level attribute) takes the modswitch instead. Applied until nothing
+   moves, each absorption can enable the next one up the chain. The pass
+   computes that closure directly instead of re-sweeping the program once
+   per moved layer.
+
+   Resolve every value to a base (its nearest non-modswitch definition) and
+   a depth (the explicit modswitches in between): a modswitch layer is a
+   (base, depth) pair, and the program ends up with one [modswitch] per
+   surviving layer, however many the input spelled out. A base [x] absorbs
+   layers one at a time, and only while every live use of [x] (an operand
+   of a non-modswitch op, or an output) sits at least one layer deeper than
+   what [x] has absorbed so far. When consumer [y] absorbs [k] layers, its
+   operand moves [k] layers deeper, except under [encode], which takes the
+   layers into its attribute. So, in reverse id order:
+
+     absorbed x = min over live uses of (depth + absorbed y)   (depth alone
+                  for outputs and [encode] operands)
+
+   A base with no live uses absorbs the longest modswitch chain hanging off
+   it: a dead [modswitch] is absorbed like any other, but it never holds
+   the base back, because it merges into the layer node it duplicates.
+
+   A base absorbs its first layer only once its modswitches are one op, and
+   duplicates merge only in a rewrite that changes something else. So
+   whether anything changes at all is the literal test below: some
+   modswitch whose operand can absorb and has no other use. If there is
+   none, the input comes back physically, duplicates and all.
+
+   Each surviving layer becomes one [modswitch] op, placed at the first of
+   the points that create it, in program order: an explicit [modswitch] of
+   the input (which keeps its provenance) or the wrapper the [k]-th
+   absorption of consumer [y] puts in front of [y] for each operand
+   (without provenance). The wrappers of one consumer come in absorption
+   order, and operand order within an absorption. *)
+
+let absorbs : Prog.kind -> bool = function
+  | Prog.Add | Prog.Sub | Prog.Mul | Prog.Negate | Prog.Rotate _ | Prog.Rescale | Prog.Upscale _
+  | Prog.Downscale _ | Prog.Encode _ ->
+      true
+  | Prog.Input _ | Prog.Const _ | Prog.Modswitch -> false
+
+let early_modswitch (p : Prog.t) =
+  let body = p.Prog.body in
+  let n = Array.length body in
+  let movable =
+    let uses = Prog.use_counts p in
+    Array.exists
+      (fun (o : Prog.op) ->
+        match o.Prog.kind with
+        | Prog.Modswitch ->
+            let x = o.Prog.args.(0) in
+            uses.(x) = 1 && absorbs body.(x).Prog.kind
+        | _ -> false)
+      body
   in
-  for i = n - 1 downto 0 do
-    let o = Prog.op p i in
-    match o.Prog.kind with
-    | Prog.Modswitch ->
-        let x = o.Prog.args.(0) in
-        let def = Prog.op p x in
-        if uses.(x) = 1 && absorbs def.Prog.kind then begin
-          absorbed.(x) <- absorbed.(x) + 1 + absorbed.(i);
-          elided.(i) <- true
-        end
-    | _ -> ()
-  done;
-  if Array.for_all not elided then p
+  if not movable then p
   else begin
-    let remap = Array.make n (-1) in
-    let ops = ref [] in
+    let base = Array.make n 0 and depth = Array.make n 0 in
+    for i = 0 to n - 1 do
+      match body.(i).Prog.kind with
+      | Prog.Modswitch ->
+          let a = body.(i).Prog.args.(0) in
+          base.(i) <- base.(a);
+          depth.(i) <- depth.(a) + 1
+      | _ -> base.(i) <- i
+    done;
+    (* lowest.(b): the shallowest layer a live use of [b] ends up at;
+       deepest.(b): the deepest layer any use reaches, dead chains included *)
+    let lowest = Array.make n max_int and deepest = Array.make n 0 in
+    let reach ~live b layer =
+      if live && layer < lowest.(b) then lowest.(b) <- layer;
+      if layer > deepest.(b) then deepest.(b) <- layer
+    in
+    List.iter (fun v -> reach ~live:true base.(v) depth.(v)) p.Prog.outputs;
+    let absorbed = Array.make n 0 in
+    for i = n - 1 downto 0 do
+      let o = body.(i) in
+      match o.Prog.kind with
+      | Prog.Modswitch -> reach ~live:false base.(i) depth.(i)
+      | kind ->
+          if absorbs kind then
+            absorbed.(i) <- (if lowest.(i) < max_int then lowest.(i) else deepest.(i));
+          let shift = match kind with Prog.Encode _ -> 0 | _ -> absorbed.(i) in
+          Array.iter (fun a -> reach ~live:true base.(a) (depth.(a) + shift)) o.Prog.args
+    done;
+    (* the surviving layers of base [b] are absorbed.(b)+1 .. deepest.(b);
+       layer_at.(first.(b) + d - absorbed.(b) - 1) is layer d's new op *)
+    let first = Array.make n 0 in
+    let layers = ref 0 and bases = ref 0 in
+    for b = 0 to n - 1 do
+      match body.(b).Prog.kind with
+      | Prog.Modswitch -> ()
+      | _ ->
+          first.(b) <- !layers;
+          layers := !layers + deepest.(b) - absorbed.(b);
+          incr bases
+    done;
+    let layer_at = Array.make !layers (-1) in
+    let ops = Array.make (!bases + !layers) body.(0) in
     let count = ref 0 in
     let emit ?prov kind args =
       let id = !count in
-      ops := { Prog.id; kind; args; ty = Types.Free; prov } :: !ops;
+      ops.(id) <- { Prog.id; kind; args; ty = Types.Free; prov };
       incr count;
       id
     in
-    (* One [modswitch] per value, shared by every wrapper chain and every
-       modswitch the program already had. Wrapping [mul %x, %x] yields ONE
-       [modswitch %x] feeding both operands, and wrapping an operand that
-       is already modswitched elsewhere reuses that op. A duplicate would
-       give the base value a second use: the copies would stop being
-       absorbable, and migration would stall until a cse merged them, at
-       the cost of one more finalize fixpoint iteration per stall. Shared,
-       this pass's own sweeps carry every absorption through. *)
-    let modswitched = Hashtbl.create 16 in
-    let modswitch ?prov a =
-      match Hashtbl.find_opt modswitched a with
-      | Some id -> id
-      | None ->
-          let id = emit ?prov Prog.Modswitch [| a |] in
-          Hashtbl.add modswitched a id;
-          id
+    let renamed = Array.make n (-1) in
+    let node b d =
+      if d = absorbed.(b) then renamed.(b) else layer_at.(first.(b) + d - absorbed.(b) - 1)
     in
-    let rec wrap v k = if k = 0 then v else modswitch (wrap v (k - 1)) in
+    (* the first request for a surviving layer creates it *)
+    let request ?prov b d =
+      if d > absorbed.(b) then begin
+        let k = first.(b) + d - absorbed.(b) - 1 in
+        if layer_at.(k) < 0 then layer_at.(k) <- emit ?prov Prog.Modswitch [| node b (d - 1) |]
+      end
+    in
+    let operand shift a = node base.(a) (depth.(a) + shift) in
     for i = 0 to n - 1 do
-      let o = Prog.op p i in
-      if elided.(i) then remap.(i) <- remap.(o.Prog.args.(0))
-      else
-        remap.(i) <-
-          (match o.Prog.kind with
-          | Prog.Modswitch -> modswitch ?prov:o.Prog.prov remap.(o.Prog.args.(0))
-          | Prog.Encode { scale; level } ->
-              (* the absorbed layers move into the level attribute *)
-              emit ?prov:o.Prog.prov
-                (Prog.Encode { scale; level = level + absorbed.(i) })
-                (Array.map (fun a -> remap.(a)) o.Prog.args)
-          | kind ->
-              emit ?prov:o.Prog.prov kind
-                (Array.map (fun a -> wrap remap.(a) absorbed.(i)) o.Prog.args))
+      let o = body.(i) in
+      let prov = o.Prog.prov in
+      match o.Prog.kind with
+      | Prog.Modswitch -> request ?prov base.(i) depth.(i)
+      | Prog.Encode { scale; level } ->
+          renamed.(i) <-
+            emit ?prov
+              (Prog.Encode { scale; level = level + absorbed.(i) })
+              (Array.map (operand 0) o.Prog.args)
+      | kind ->
+          let k = absorbed.(i) in
+          for j = 1 to k do
+            Array.iter (fun a -> request base.(a) (depth.(a) + j)) o.Prog.args
+          done;
+          renamed.(i) <- emit ?prov kind (Array.map (operand k) o.Prog.args)
     done;
     let out =
       {
         p with
-        Prog.body = Array.of_list (List.rev !ops);
-        inputs = List.map (fun v -> remap.(v)) p.Prog.inputs;
-        outputs = List.map (fun v -> remap.(v)) p.Prog.outputs;
+        Prog.body = ops;
+        inputs = List.map (fun v -> renamed.(v)) p.Prog.inputs;
+        outputs = List.map (operand 0) p.Prog.outputs;
       }
     in
     match Prog.validate out with
     | Ok () -> out
     | Error msg -> invalid_arg ("Passes.early_modswitch: " ^ msg)
   end
-
-(* One [early_modswitch_once] moves each modswitch one def earlier: the
-   wrappers it emits around an absorbing op's operands only become
-   absorbable themselves on the next sweep. Iterating here makes the pass
-   transitive (and idempotent) as documented, instead of leaning on the
-   enclosing fixpoint pipeline for the propagation — on deep programs
-   (LeNet's conv chains) the per-iteration step used to exceed the pass
-   manager's 64-iteration fixpoint budget and crash the compile. Each sweep
-   strictly moves some modswitch earlier and never moves one later, so the
-   number of sweeps is bounded by the program's dataflow depth; [num_ops]
-   is a safe cap that can only be hit by a genuine non-termination bug. *)
-let early_modswitch (p : Prog.t) =
-  let rec fix p budget =
-    if budget = 0 then p
-    else
-      let p' = early_modswitch_once p in
-      if p' == p then p else fix p' (budget - 1)
-  in
-  fix p (Prog.num_ops p + 1)

@@ -56,16 +56,21 @@ val early_modswitch : Prog.t -> Prog.t
 (** EVA's early-modswitch optimization: a [modswitch] applied to the single
     use of an eligible operation is absorbed into that operation's operands
     (or its attribute, for [encode]), so the operation itself executes at
-    the higher — cheaper — level. Applied transitively: the backward
-    absorption sweep is iterated internally until no modswitch can move
-    (each sweep pushes a modswitch one definition earlier; the iteration
-    count is bounded by the program's dataflow depth), so the result is
-    idempotent and an enclosing [fixpoint] converges in O(1) iterations
-    regardless of program depth. Each sweep emits at most one [modswitch]
-    per value, reusing one the program already has, so it never leaves a
-    duplicate for [cse] to merge before absorption can go on. On the
+    the higher — cheaper — level. Applied transitively, to the closure of
+    that rule, which one backward analysis finds: each value's base (its
+    nearest non-[modswitch] definition) absorbs as many layers as its
+    shallowest live use will sit below it once every consumer has absorbed
+    its own. One rebuild then emits one [modswitch] per surviving layer,
+    however many the input spelled out, at the first point in program order
+    that creates it: an explicit [modswitch] of the input, which keeps its
+    provenance, or the wrapper an absorbing consumer puts in front of
+    itself, one absorption after the other. The result is the program the
+    absorption rule reaches when applied one layer at a time until nothing
+    moves ([test/oracle] keeps that formulation and checks the two agree),
+    so it is idempotent and leaves no duplicate for [cse] to merge. On the
     HECATE searches of SF, HCD, MLP, LeNet-r and PR E2, every candidate's
     finalize fixpoint stops after one iteration that changes the program
     and one that confirms it (measured, not guaranteed: [bench/main.exe
-    passes] and [test/test_core.ml] check SF, HCD and MLP). Ops keep their
-    provenance. *)
+    passes] and [test/test_core.ml] check SF, HCD and MLP). When no
+    [modswitch] has a single-use absorbable operand, the input comes back
+    physically. Other ops keep their provenance; types are reset. *)

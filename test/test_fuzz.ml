@@ -186,6 +186,25 @@ let test_passes_noop_on_apps () =
         (managed_forms a.Apps.prog))
     (Apps.reduced_suite ())
 
+(* Every early-modswitch call of a compile, under each scheme, against the
+   sweep the pass replaced (test/oracle): same program, same provenance,
+   and the input handed back physically exactly when the sweep does. *)
+let prop_early_modswitch_matches_sweep =
+  QCheck.Test.make ~name:"early-modswitch matches the sweep on every call of a compile"
+    ~count:200
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let prog = (Gen.generate ~seed ()).Gen.prog in
+      List.for_all
+        (fun scheme ->
+          let instr, tally = Modswitch_sweep.recorder () in
+          ignore (Driver.compile ~pool_size:1 ~instr scheme ~sf_bits:28 ~waterline_bits:20. prog);
+          match tally.Modswitch_sweep.failure with
+          | None -> true
+          | Some msg ->
+              QCheck.Test.fail_reportf "seed %d (%s): %s" seed (Driver.scheme_name scheme) msg)
+        Driver.all_schemes)
+
 let corpus_dir = "corpus"
 
 let corpus_files () =
@@ -226,6 +245,7 @@ let () =
       ( "passes",
         [
           QCheck_alcotest.to_alcotest prop_passes_noop_on_own_output;
+          QCheck_alcotest.to_alcotest prop_early_modswitch_matches_sweep;
           Alcotest.test_case "no-op on every app" `Quick test_passes_noop_on_apps;
         ] );
       ( "corpus",

@@ -250,6 +250,57 @@ let test_cache_entry_json_roundtrip () =
       check Alcotest.bool "plan" true (entry.Plancache.plan = e.Plancache.plan);
       check Alcotest.bool "params" true (entry.Plancache.params = e.Plancache.params)
 
+(* A damaged file in the disk store is a miss, whatever the damage: the
+   persisted entry cut at every length, and every byte with one bit
+   flipped (the low bit, which turns a digit into another digit, and the
+   high bit). Each must read back as nothing or as the identical entry,
+   never raise and never serve another artifact. A version-1 entry, which
+   has no digest, is a miss too. *)
+let test_cache_damaged_entry_is_miss () =
+  with_temp_dir @@ fun dir ->
+  let cold, _ = compile_cached (Plancache.create ~dir ()) Driver.Hecate (fig2 ()) in
+  let key = cold.Plancache.key in
+  let path = Filename.concat dir (key ^ ".json") in
+  let text = Hecate_support.Fileio.read_file ~path in
+  let rendered e = Json.render (Plancache.entry_to_json e) in
+  let read_back what contents =
+    Hecate_support.Fileio.write_atomic ~path contents;
+    match Plancache.find (Plancache.create ~dir ()) key with
+    | None -> false
+    | Some (e, _) ->
+        if rendered e <> rendered cold then Alcotest.failf "%s: served a different entry" what;
+        true
+    | exception exn -> Alcotest.failf "%s: raised %s" what (Printexc.to_string exn)
+  in
+  check Alcotest.bool "intact file hits" true (read_back "intact" text);
+  let n = String.length text in
+  for len = 0 to n - 1 do
+    (* the trailing newline is not part of the JSON *)
+    if read_back (Printf.sprintf "cut at %d" len) (String.sub text 0 len) && len < n - 1 then
+      Alcotest.failf "cut at %d of %d bytes still hits" len n
+  done;
+  List.iter
+    (fun bit ->
+      for i = 0 to n - 1 do
+        let b = Bytes.of_string text in
+        Bytes.set b i (Char.chr (Char.code text.[i] lxor bit));
+        ignore (read_back (Printf.sprintf "bit %#x of byte %d" bit i) (Bytes.to_string b))
+      done)
+    [ 0x01; 0x80 ];
+  let v1 =
+    match Plancache.entry_to_json cold with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.filter_map
+             (function
+               | "digest", _ -> None
+               | "version", _ -> Some ("version", Json.int 1)
+               | f -> Some f)
+             fields)
+    | _ -> assert false
+  in
+  check Alcotest.bool "version-1 entry misses" false (read_back "version 1" (Json.render v1))
+
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -507,6 +558,7 @@ let () =
           Alcotest.test_case "transient results not stored" `Quick
             test_cache_transient_not_stored;
           Alcotest.test_case "entry JSON roundtrip" `Quick test_cache_entry_json_roundtrip;
+          Alcotest.test_case "damaged entry is a miss" `Quick test_cache_damaged_entry_is_miss;
         ] );
       ( "protocol",
         [
