@@ -2,6 +2,7 @@ module Poly = Hecate_rns.Poly
 module Chain = Hecate_rns.Chain
 module Prng = Hecate_support.Prng
 module Kernels = Hecate_support.Kernels
+module Buf = Hecate_support.Buf
 
 type ciphertext = { c0 : Poly.t; c1 : Poly.t; scale : float; level : int }
 type plaintext = { poly : Poly.t; pt_scale : float; pt_level : int }
@@ -49,27 +50,32 @@ let encode_constant t ~level:lvl ~scale c =
   in
   { poly = Poly.to_eval p; pt_scale = scale; pt_level = lvl }
 
-let ternary_poly g chain ~level_count =
-  let coeffs = Array.init (Chain.degree chain) (fun _ -> Prng.ternary g) in
-  Poly.to_eval_inplace (Poly.of_centered_coeffs chain ~level_count ~with_special:false coeffs)
-
-let error_poly_eval t g ~level_count =
-  let chain = t.params.Params.chain in
-  let coeffs =
-    Array.init (Chain.degree chain) (fun _ ->
-        Prng.centered_binomial g ~eta:t.params.Params.error_sigma_eta)
-  in
-  Poly.to_eval_inplace (Poly.of_centered_coeffs chain ~level_count ~with_special:false coeffs)
-
+(* c0 = pk0 u + e0 + m and c1 = pk1 u + e1, assembled over the fresh error
+   polynomials. Each sum of one residue product and at most two residues
+   stays below [q^2 < 2^62], so one hardware [mod] reduces it. *)
 let encrypt t pt =
   if pt.pt_level <> 0 then
     raise (Level_mismatch "Eval.encrypt: fresh ciphertexts are encrypted at level 0");
   let lc = level_count t 0 in
-  let u = ternary_poly t.enc_rng t.params.Params.chain ~level_count:lc in
-  let e0 = error_poly_eval t t.enc_rng ~level_count:lc in
-  let e1 = error_poly_eval t t.enc_rng ~level_count:lc in
-  let c0 = Poly.add (Poly.add (Poly.mul t.keys.Keys.public0 u) e0) pt.poly in
-  let c1 = Poly.add (Poly.mul t.keys.Keys.public1 u) e1 in
+  let chain = t.params.Params.chain in
+  if pt.poly.Poly.chain != chain || pt.poly.Poly.level_count <> lc then
+    invalid_arg "Eval.encrypt: plaintext from another context";
+  let u = Keys.ternary_poly t.enc_rng t.params ~level_count:lc in
+  let c0 = Keys.error_poly t.enc_rng t.params ~level_count:lc ~with_special:false in
+  let c1 = Keys.error_poly t.enc_rng t.params ~level_count:lc ~with_special:false in
+  let pk0 = t.keys.Keys.public0 and pk1 = t.keys.Keys.public1 in
+  for j = 0 to lc - 1 do
+    let q = Chain.prime chain j in
+    let du = u.Poly.data.(j) and dm = pt.poly.Poly.data.(j) in
+    let d0 = c0.Poly.data.(j) and d1 = c1.Poly.data.(j) in
+    let p0 = pk0.Poly.data.(j) and p1 = pk1.Poly.data.(j) in
+    for i = 0 to Buf.length du - 1 do
+      let x = Buf.unsafe_get du i in
+      Buf.unsafe_set d0 i
+        (((Buf.unsafe_get p0 i * x) + Buf.unsafe_get d0 i + Buf.unsafe_get dm i) mod q);
+      Buf.unsafe_set d1 i (((Buf.unsafe_get p1 i * x) + Buf.unsafe_get d1 i) mod q)
+    done
+  done;
   { c0; c1; scale = pt.pt_scale; level = 0 }
 
 let encrypt_vector t ~scale v = encrypt t (encode t ~level:0 ~scale v)

@@ -24,6 +24,17 @@ val generate : ?seed:int -> Params.t -> galois_elements:int list -> t
 (** [generate params ~galois_elements] draws a fresh key set; a rotation key
     is created for each listed Galois element (duplicates are merged). *)
 
+val error_poly :
+  Hecate_support.Prng.t -> Params.t -> level_count:int -> with_special:bool -> Hecate_rns.Poly.t
+(** A fresh RLWE error polynomial in [Eval] domain: [n] centered binomial
+    draws with the parameters' [error_sigma_eta], over the first
+    [level_count] chain primes (and the special prime when
+    [with_special]). *)
+
+val ternary_poly : Hecate_support.Prng.t -> Params.t -> level_count:int -> Hecate_rns.Poly.t
+(** A fresh uniform ternary polynomial in [Eval] domain over the first
+    [level_count] chain primes (the encryption mask [u]). *)
+
 val galois_key : t -> int -> switch_key
 (** @raise Not_found if no key was generated for that element. *)
 

@@ -416,6 +416,16 @@ let test_wrong_key_garbage () =
   check Alcotest.bool "wrong key decrypt far from message" true
     (Stats.max_abs_diff v wrong > 1.)
 
+let test_foreign_plaintext () =
+  (* encryption reads the plaintext's residues directly, so a plaintext
+     encoded under another chain is rejected before any is read *)
+  let t = Lazy.force ctx in
+  let other = Eval.create (Params.create ~n:16 ~q0_bits:30 ~sf_bits:20 ~levels:1 ()) ~rotations:[] in
+  let pt = Eval.encode other ~level:0 ~scale:scale20 [| 1. |] in
+  match Eval.encrypt t pt with
+  | _ -> Alcotest.fail "encrypted a plaintext from another context"
+  | exception Invalid_argument _ -> ()
+
 let test_deep_chain_exhaustion () =
   (* four muls need four rescales but only three primes can be dropped *)
   let t = Lazy.force ctx in
@@ -655,5 +665,6 @@ let () =
           Alcotest.test_case "full rotation identity" `Quick test_full_rotation_is_identity;
           Alcotest.test_case "plain modswitch" `Quick test_plain_modswitch_roundtrip;
           Alcotest.test_case "64-way additive" `Quick test_additive_homomorphism_many;
+          Alcotest.test_case "foreign plaintext" `Quick test_foreign_plaintext;
         ] );
     ]

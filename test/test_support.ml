@@ -254,6 +254,23 @@ let test_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "shuffle is a permutation" (Array.init 50 Fun.id) sorted
 
+let test_binomial_negative_eta () =
+  Alcotest.check_raises "eta = -1"
+    (Invalid_argument "Prng.centered_binomial: eta must be non-negative") (fun () ->
+      ignore (P.centered_binomial (P.create ~seed:1) ~eta:(-1)))
+
+(* Each seed's first raw output has its top 62 bits at or above
+   2^62 - 256, the draws [float_of_int] rounds up to 2^62 (seeds found by
+   inverting the splitmix64 and xoshiro256** output maps). *)
+let test_float01_below_one () =
+  List.iter
+    (fun seed ->
+      let top = Int64.shift_right_logical (P.bits64 (P.create ~seed)) 2 in
+      check Alcotest.bool "a rounding draw" true (Int64.compare top 0x3FFF_FFFF_FFFF_FF00L >= 0);
+      check (Alcotest.float 0.) "largest float below one" (Float.pred 1.)
+        (P.float01 (P.create ~seed)))
+    [ 884820625909093051; -1778988460208707 ]
+
 (* ------------------------------------------------------------------ *)
 (* FFT                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -750,6 +767,8 @@ let () =
           Alcotest.test_case "centered binomial moments" `Quick test_centered_binomial_moments;
           Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
+          Alcotest.test_case "binomial negative eta" `Quick test_binomial_negative_eta;
+          Alcotest.test_case "float01 below one" `Quick test_float01_below_one;
         ] );
       ( "fft",
         [
