@@ -24,8 +24,8 @@
                                             typecheck, estimate), then the
                                             per-pass timing breakdown from the
                                             instrumented pass manager
-     dune exec bench/main.exe kernels    -- RNS kernel microbenchmarks: Barrett/
-                                            Shoup vs reference modmul, NTT,
+     dune exec bench/main.exe kernels    -- RNS kernel microbenchmarks: fast
+                                            vs reference modmul, NTT,
                                             keyswitch, cipher mul, rescale;
                                             writes BENCH_kernels.json.
                                             Flags: --quick, --reps N (default 5),
@@ -1049,7 +1049,7 @@ let kernels flags =
     Printf.eprintf "kernels: --reps must be >= 1\n";
     exit 2
   end;
-  heading "RNS kernel microbenchmarks -- Barrett/Shoup kernels vs reference paths";
+  heading "RNS kernel microbenchmarks -- fast kernels vs reference paths";
   Printf.printf "median of %d reps (%d warmup), jobs=%d%s\n\n" !reps !warmup (PoolK.jobs ())
     (if !quick then " [quick]" else "");
   let time f = Stats.time_median ~warmup:!warmup ~min_sample_s:1e-3 ~reps:!reps f in
@@ -1071,8 +1071,8 @@ let kernels flags =
   let g = Prng.create ~seed:0xBA44E77 in
   (* modmul: element-wise modular product of two length-m residue vectors,
      measured through Ntt.pointwise_mul — the loop the kernels actually live
-     in — so the division-based and Barrett paths are compared as deployed
-     (inlined, no per-element call). *)
+     in — so the reference, which calls [Modarith.mul] per element, is
+     compared with the fast loop's hardware [mod] written in [Ntt]. *)
   let m = 4096 in
   let q = List.hd (Pr.ntt_primes ~bits:30 ~n:m ~count:1) in
   let mm_tbl = Ntt.make_table ~p:q ~n:m in
@@ -1124,7 +1124,7 @@ let kernels flags =
       (* algorithmic pairs: both variants run on the fast kernels; the
          "reference" leg is the per-rotation / unfused algorithm, the
          "fast" leg the hoisted / fused one, so the speedup column isolates
-         the structural win rather than Barrett-vs-division arithmetic *)
+         the structural win rather than fast-vs-reference arithmetic *)
       record "rotate_fan8" "reference" ~n ~levels:lc
         (time (fun () -> List.iter (fun r -> ignore (E.rotate eval ct r)) fan_amounts) *. 1e9);
       record "rotate_fan8" "fast" ~n ~levels:lc

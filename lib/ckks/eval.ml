@@ -148,33 +148,48 @@ let keyswitch_reference t ~lc d (key : Keys.switch_key) =
   let p1 = Poly.mod_down_special (Poly.to_coeff !acc1) in
   (Poly.to_eval p0, Poly.to_eval p1)
 
-(* Fast path: one scratch digit buffer NTT'd in place and fused
-   multiply-accumulate directly against the full-level key material
-   (mul_add_into reads the key's matching components), so the per-digit
-   loop allocates nothing. Returns the switched pair in Coeff domain —
-   callers that consume it in Eval transform it themselves, and the fused
-   mul+rescale path consumes it in Coeff directly, skipping those NTTs. *)
-let keyswitch_fast_coeff t ~lc d (key : Keys.switch_key) =
+(* Fast path. [switch_sums] sums the digits against the full-level key
+   material (key_switch_add reads the key's matching components) with lazy
+   reduction; [digit i] returns the Eval-domain digit [i] of the switched
+   polynomial before the automorphism [galois] (1 for none). [mod_down]
+   divides in Eval domain: per accumulator one inverse transform of the
+   special component and [lc] forward transforms of its lift, where the
+   Coeff round trip took [lc + 1] and [lc]. Every step is exact arithmetic
+   on canonical residues, so the pair is bit-identical to
+   [keyswitch_reference]. *)
+let switch_sums t ~lc ~galois digit (key : Keys.switch_key) =
   let chain = t.params.Params.chain in
   let acc0 = Poly.zero chain ~level_count:lc ~with_special:true Poly.Eval in
   let acc1 = Poly.zero chain ~level_count:lc ~with_special:true Poly.Eval in
-  let dig = Poly.zero chain ~level_count:lc ~with_special:true Poly.Coeff in
   for i = 0 to lc - 1 do
-    Poly.lift_digit_into ~dst:dig d ~digit:i;
-    let dig_e = Poly.to_eval_inplace dig in
-    Poly.mul_add_into ~acc:acc0 dig_e key.Keys.k0.(i);
-    Poly.mul_add_into ~acc:acc1 dig_e key.Keys.k1.(i)
+    Poly.key_switch_add ~acc0 ~acc1 (digit i) ~k0:key.Keys.k0.(i) ~k1:key.Keys.k1.(i) ~galois
+      ~term:i ~terms:lc
   done;
-  let p0 = Poly.mod_down_special (Poly.to_coeff_inplace acc0) in
-  let p1 = Poly.mod_down_special (Poly.to_coeff_inplace acc1) in
-  (p0, p1)
+  (acc0, acc1)
+
+let mod_down (acc0, acc1) = (Poly.mod_down_special acc0, Poly.mod_down_special acc1)
+
+(* Digits of [d] (Coeff domain) lifted one at a time into a single scratch
+   buffer and transformed there: each is consumed before the next. *)
+let scratch_digits t ~lc d =
+  let dig = Poly.zero t.params.Params.chain ~level_count:lc ~with_special:true Poly.Coeff in
+  fun i ->
+    Poly.lift_digit_into ~dst:dig d ~digit:i;
+    Poly.to_eval_inplace dig
 
 let keyswitch t ~lc d (key : Keys.switch_key) =
   if Kernels.use_naive () then keyswitch_reference t ~lc d key
-  else begin
-    let p0, p1 = keyswitch_fast_coeff t ~lc d key in
-    (Poly.to_eval_inplace p0, Poly.to_eval_inplace p1)
-  end
+  else mod_down (switch_sums t ~lc ~galois:1 (scratch_digits t ~lc d) key)
+
+(* The fast product's parts before the relinearization mod-down:
+   [d0 = a0 b0], [d1 = a0 b1 + a1 b0] and the extended-basis key-switch
+   sums of [d2 = a1 b1]. *)
+let mul_parts t ~lc a b =
+  let d0 = Poly.mul a.c0 b.c0 in
+  let d1 = Poly.mul a.c0 b.c1 in
+  Poly.mul_add_into ~acc:d1 a.c1 b.c0;
+  let d2 = Poly.to_coeff_inplace (Poly.mul a.c1 b.c1) in
+  (d0, d1, switch_sums t ~lc ~galois:1 (scratch_digits t ~lc d2) t.keys.Keys.relin)
 
 let mul t a b =
   check_binop "mul" a b;
@@ -187,11 +202,8 @@ let mul t a b =
     { c0 = Poly.add d0 p0; c1 = Poly.add d1 p1; scale = a.scale *. b.scale; level = a.level }
   end
   else begin
-    let d0 = Poly.mul a.c0 b.c0 in
-    let d1 = Poly.mul a.c0 b.c1 in
-    Poly.mul_add_into ~acc:d1 a.c1 b.c0;
-    let d2 = Poly.mul a.c1 b.c1 in
-    let p0, p1 = keyswitch t ~lc (Poly.to_coeff_inplace d2) t.keys.Keys.relin in
+    let d0, d1, sums = mul_parts t ~lc a b in
+    let p0, p1 = mod_down sums in
     Poly.add_into ~dst:d0 d0 p0;
     Poly.add_into ~dst:d1 d1 p1;
     { c0 = d0; c1 = d1; scale = a.scale *. b.scale; level = a.level }
@@ -206,27 +218,33 @@ let mul_plain _t ct pt =
     scale = ct.scale *. pt.pt_scale;
   }
 
+(* The fast path rescales in Eval domain (Poly.rescale_last): one inverse
+   and [lc - 1] forward transforms per polynomial instead of [lc] and
+   [lc - 1], bit-identical to the Coeff round trip the reference takes. *)
 let rescale t ct =
   if ct.level >= max_level t then
     raise (Level_mismatch "Eval.rescale: no rescaling prime remains");
   let lc = level_count t ct.level in
   let dropped_prime = Chain.prime t.params.Params.chain (lc - 1) in
-  (* to_coeff copies (the ciphertext stays owned by the caller); rescale_last
-     allocates its result, so the final transform can run in place. *)
-  let c0 = Poly.to_eval_inplace (Poly.rescale_last (Poly.to_coeff ct.c0)) in
-  let c1 = Poly.to_eval_inplace (Poly.rescale_last (Poly.to_coeff ct.c1)) in
-  { c0; c1; scale = ct.scale /. float_of_int dropped_prime; level = ct.level + 1 }
+  let rescale_poly p =
+    if Kernels.use_naive () then Poly.to_eval_inplace (Poly.rescale_last (Poly.to_coeff p))
+    else Poly.rescale_last p
+  in
+  {
+    c0 = rescale_poly ct.c0;
+    c1 = rescale_poly ct.c1;
+    scale = ct.scale /. float_of_int dropped_prime;
+    level = ct.level + 1;
+  }
 
-(* Fused multiply + rescale. The baseline sequence forward-transforms the
-   key-switched pair (2 * lc NTTs) only for [rescale] to immediately
-   inverse-transform the sums again (2 * lc more). Fusing the two ops keeps
-   the key-switch output in Coeff, brings d0/d1 down instead, accumulates
-   and rescales in Coeff, and pays a single forward transform of the
-   (lc - 1)-component results — one full NTT round-trip saved per
-   ciphertext multiplication. The inverse NTT is linear and exact, so
-   accumulating before or after the transform yields the same canonical
-   residues: bit-identical to [rescale t (mul t a b)], which remains the
-   reference path (and the naive-kernel branch). *)
+(* Fused multiply + rescale. The relinearization mod-down and the rescale
+   both divide by a dropped modulus, and in Eval domain each needs the
+   forward transform of a lift per kept modulus. Poly.mod_down_rescale
+   adds the two lifts before transforming them, so the pair costs one
+   forward transform per kept modulus instead of two: [2 lc] fewer
+   transforms than [rescale t (mul t a b)], to which it is bit-identical.
+   That composition remains the reference (and the naive-kernel
+   branch). *)
 let mul_rescale t a b =
   check_binop "mul_rescale" a b;
   if a.level >= max_level t then
@@ -234,21 +252,11 @@ let mul_rescale t a b =
   if Kernels.use_naive () then rescale t (mul t a b)
   else begin
     let lc = level_count t a.level in
-    let d0 = Poly.mul a.c0 b.c0 in
-    let d1 = Poly.mul a.c0 b.c1 in
-    Poly.mul_add_into ~acc:d1 a.c1 b.c0;
-    let d2 = Poly.mul a.c1 b.c1 in
-    let p0, p1 = keyswitch_fast_coeff t ~lc (Poly.to_coeff_inplace d2) t.keys.Keys.relin in
-    let d0c = Poly.to_coeff_inplace d0 in
-    Poly.add_into ~dst:d0c d0c p0;
-    let d1c = Poly.to_coeff_inplace d1 in
-    Poly.add_into ~dst:d1c d1c p1;
+    let d0, d1, (acc0, acc1) = mul_parts t ~lc a b in
     let dropped_prime = Chain.prime t.params.Params.chain (lc - 1) in
-    let c0 = Poly.to_eval_inplace (Poly.rescale_last d0c) in
-    let c1 = Poly.to_eval_inplace (Poly.rescale_last d1c) in
     {
-      c0;
-      c1;
+      c0 = Poly.mod_down_rescale acc0 ~plus:d0;
+      c1 = Poly.mod_down_rescale acc1 ~plus:d1;
       scale = a.scale *. b.scale /. float_of_int dropped_prime;
       level = a.level + 1;
     }
@@ -279,34 +287,47 @@ let set_scale _t ct new_scale =
     raise (Scale_mismatch "Eval.set_scale: adjustment larger than 1%");
   { ct with scale = new_scale }
 
+(* [ct] rotated by the Galois element [galois], given the Eval-domain
+   digits of its unrotated [c1]. *)
+let rotated t ct ~lc ~galois digit =
+  let key = Keys.galois_key t.keys galois in
+  let p0, p1 = mod_down (switch_sums t ~lc ~galois digit key) in
+  let c0 = Poly.automorphism_eval ct.c0 ~galois in
+  Poly.add_into ~dst:c0 c0 p0;
+  { ct with c0; c1 = p1 }
+
+(* Rotation key switching reads the digits of the unrotated [c1] through
+   the Galois permutation: digit extraction commutes with the automorphism
+   (the centered lift is symmetric, so negating a residue negates its
+   lift), and on Eval-domain vectors the automorphism is the pure slot
+   permutation {!Poly.automorphism_eval}. [c0] is permuted in Eval domain
+   too, so a rotation pays no Coeff round trip beyond the digit
+   decomposition of [c1]. Bit-identical to the reference, which
+   key-switches the Coeff-domain automorphism of [c1]. *)
 let rotate t ct r =
   let half = t.params.Params.n / 2 in
   let r = ((r mod half) + half) mod half in
   if r = 0 then ct
   else begin
     let g = Encoder.galois_element t.encoder ~rotation:r in
-    let key = Keys.galois_key t.keys g in
     let lc = level_count t ct.level in
-    let c0r = Poly.automorphism (Poly.to_coeff ct.c0) ~galois:g in
-    let c1r = Poly.automorphism (Poly.to_coeff ct.c1) ~galois:g in
-    let p0, p1 = keyswitch t ~lc c1r key in
-    (* automorphism allocated c0r, so transform it in place and accumulate *)
-    let c0e = Poly.to_eval_inplace c0r in
-    Poly.add_into ~dst:c0e c0e p0;
-    { ct with c0 = c0e; c1 = p1 }
+    if Kernels.use_naive () then begin
+      let key = Keys.galois_key t.keys g in
+      let c0r = Poly.automorphism (Poly.to_coeff ct.c0) ~galois:g in
+      let c1r = Poly.automorphism (Poly.to_coeff ct.c1) ~galois:g in
+      let p0, p1 = keyswitch_reference t ~lc c1r key in
+      { ct with c0 = Poly.add (Poly.to_eval c0r) p0; c1 = p1 }
+    end
+    else rotated t ct ~lc ~galois:g (scratch_digits t ~lc (Poly.to_coeff ct.c1))
   end
 
 (* Hoisted rotation fan (Halevi–Shoup hoisting): every rotation of the same
    ciphertext key-switches an automorphism of the same [c1], and the
    expensive part of key switching — lifting each RNS digit and
    forward-transforming it over the extended basis, lc * (lc+1) NTTs — does
-   not depend on the rotation amount. Digit extraction commutes with the
-   automorphism (the centered lift is symmetric, so negating a residue
-   negates its lift), and on Eval-domain vectors the automorphism is the
-   pure slot permutation {!Poly.automorphism_eval}. So: decompose once,
-   then per rotation permute the cached Eval-domain digits (O(n) copies)
-   instead of re-lifting and re-transforming. The digit loop runs in the
-   same order with the same accumulation as {!keyswitch}, so every output
+   not depend on the rotation amount. So: decompose once, then per rotation
+   read the cached Eval-domain digits through that rotation's permutation.
+   The digit sums run in the same order as {!rotate}'s, so every output
    residue is bit-identical to the per-rotation path — [rotate] stays the
    reference oracle, and the naive-kernel branch simply calls it. *)
 let rotate_many t ct rs =
@@ -315,37 +336,18 @@ let rotate_many t ct rs =
   if Kernels.use_naive () || List.length (List.filter (fun r -> norm r <> 0) rs) < 2 then
     List.map (rotate t ct) rs
   else begin
-    let chain = t.params.Params.chain in
     let lc = level_count t ct.level in
-    (* shared decomposition of c1: lift + NTT each digit once *)
     let d = Poly.to_coeff ct.c1 in
-    let dig = Poly.zero chain ~level_count:lc ~with_special:true Poly.Coeff in
     let digits =
-      Array.init lc (fun i ->
-          Poly.lift_digit_into ~dst:dig d ~digit:i;
-          let e = Poly.to_eval_inplace (Poly.copy dig) in
-          e)
+      Array.init lc (fun i -> Poly.to_eval_inplace (Poly.lift_digit d ~digit:i ~with_special:true))
     in
-    let rot_dig = Poly.zero chain ~level_count:lc ~with_special:true Poly.Eval in
     List.map
       (fun r ->
         let r = norm r in
         if r = 0 then ct
         else begin
           let g = Encoder.galois_element t.encoder ~rotation:r in
-          let key = Keys.galois_key t.keys g in
-          let acc0 = Poly.zero chain ~level_count:lc ~with_special:true Poly.Eval in
-          let acc1 = Poly.zero chain ~level_count:lc ~with_special:true Poly.Eval in
-          for i = 0 to lc - 1 do
-            Poly.automorphism_eval_into ~dst:rot_dig digits.(i) ~galois:g;
-            Poly.mul_add_into ~acc:acc0 rot_dig key.Keys.k0.(i);
-            Poly.mul_add_into ~acc:acc1 rot_dig key.Keys.k1.(i)
-          done;
-          let p0 = Poly.to_eval_inplace (Poly.mod_down_special (Poly.to_coeff_inplace acc0)) in
-          let p1 = Poly.to_eval_inplace (Poly.mod_down_special (Poly.to_coeff_inplace acc1)) in
-          let c0r = Poly.automorphism_eval ct.c0 ~galois:g in
-          Poly.add_into ~dst:c0r c0r p0;
-          { ct with c0 = c0r; c1 = p1 }
+          rotated t ct ~lc ~galois:g (Array.get digits)
         end)
       rs
   end

@@ -63,10 +63,11 @@ val rescale : t -> ciphertext -> ciphertext
 
 val mul_rescale : t -> ciphertext -> ciphertext -> ciphertext
 (** [mul_rescale t a b] is bit-identical to [rescale t (mul t a b)] but
-    fuses the two: the key-switched pair is consumed in [Coeff] domain and
-    the sums are rescaled before the single forward transform, saving one
-    full NTT round-trip per ciphertext multiplication. Under naive kernels
-    it runs the unfused reference sequence.
+    fuses the relinearization mod-down with the rescale
+    ({!Hecate_rns.Poly.mod_down_rescale}): both divisions share one forward
+    transform per kept modulus, saving [2 lc] transforms per ciphertext
+    multiplication at [lc] chain primes. Under naive kernels it runs the
+    unfused reference sequence.
     @raise Level_mismatch when no rescaling prime remains. *)
 
 val mod_switch : t -> ciphertext -> ciphertext
@@ -97,7 +98,8 @@ val rotate_many : t -> ciphertext -> int list -> ciphertext list
     hoisting: the RNS digit decomposition and its forward transforms —
     the dominant cost of rotation key switching — are computed once for
     [ct] and shared by all rotations, each of which only permutes the
-    cached Eval-domain digits. Every result is bit-identical to the
+    cached Eval-domain digits (read through each rotation's slot
+    permutation, not copied). Every result is bit-identical to the
     corresponding [rotate t ct r]; with naive kernels (or fewer than two
     non-trivial amounts) it simply maps {!rotate}. *)
 
@@ -110,5 +112,8 @@ val keyswitch :
 (** [keyswitch t ~lc d key]: hybrid key switching of the [Coeff]-domain
     polynomial [d] (over the first [lc] chain primes) against [key],
     returning [(p0, p1)] in [Eval] domain with [p0 + p1*s ≈ d*s'] where
-    [s'] is the key's secret payload. Exposed for the kernel
-    microbenchmarks; [mul] and [rotate] call it internally. *)
+    [s'] is the key's secret payload. The fast path sums the digit
+    products with lazy reduction and divides by the special prime in
+    [Eval] domain; both are bit-identical to the reference kernels' Coeff
+    round trip. Exposed for the kernel microbenchmarks; [mul] and
+    [rotate] share its code. *)

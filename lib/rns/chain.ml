@@ -9,8 +9,6 @@ type t = {
   special : int; (* P *)
   tables : Ntt.table array;
   special_table : Ntt.table;
-  ctxs : M.ctx array; (* Barrett contexts, one per chain prime *)
-  special_ctx : M.ctx;
   (* w.(i).(j) = w_i mod q_j for j < L, and w.(i).(L) = w_i mod P, where
      w_i = (Q_L / q_i) * ((Q_L / q_i)^{-1} mod q_i). *)
   w : int array array;
@@ -26,8 +24,6 @@ let primes c = Array.copy c.primes
 let special_prime c = c.special
 let table c i = c.tables.(i)
 let special_table c = c.special_table
-let ctx c i = c.ctxs.(i)
-let special_ctx c = c.special_ctx
 let gadget_weight c ~digit ~modulus_index = c.w.(digit).(modulus_index)
 let rescale_inv c ~dropped i = c.rescale_inv.(dropped).(i)
 let special_inv c i = c.p_inv.(i)
@@ -101,8 +97,6 @@ let create ~n ~q0_bits ~sf_bits ~levels ~special_bits =
     special;
     tables;
     special_table;
-    ctxs = Array.map (fun q -> M.ctx ~q) primes;
-    special_ctx = M.ctx ~q:special;
     w;
     rescale_inv;
     p_inv;

@@ -39,12 +39,6 @@ val table : t -> int -> Hecate_support.Ntt.table
 
 val special_table : t -> Hecate_support.Ntt.table
 
-val ctx : t -> int -> Hecate_support.Modarith.ctx
-(** Barrett context for chain prime [i]. *)
-
-val special_ctx : t -> Hecate_support.Modarith.ctx
-(** Barrett context for the special prime. *)
-
 val log2_q : t -> upto:int -> float
 (** [log2_q c ~upto] is [log2 (q_0 * ... * q_{upto-1})]. *)
 

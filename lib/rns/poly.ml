@@ -26,9 +26,6 @@ let component_count p = p.level_count + if p.with_special then 1 else 0
 let modulus_at p i =
   if p.with_special && i = p.level_count then Chain.special_prime p.chain else Chain.prime p.chain i
 
-let ctx_at p i =
-  if p.with_special && i = p.level_count then Chain.special_ctx p.chain else Chain.ctx p.chain i
-
 let table_at p i =
   if p.with_special && i = p.level_count then Chain.special_table p.chain else Chain.table p.chain i
 
@@ -145,10 +142,15 @@ let mul_loop_naive q da db dst =
 
 (* Fast loops use unchecked accesses: every residue view of a polynomial
    has length [Chain.degree] by construction, and [check_compatible] has
-   already matched the operands' chains. *)
-let mul_loop ctx da db dst =
+   already matched the operands' chains. They reduce with a hardware [mod]
+   written here rather than a call into [Modarith]: dune's default profile
+   compiles with [-opaque], so a cross-module call per element is never
+   inlined and costs about twice the division (docs/PERFORMANCE.md,
+   "Compiling without flambda"). Every product of two residues is below
+   [q^2 < 2^62], so it fits a native int. *)
+let mul_loop q da db dst =
   for t = 0 to Buf.length da - 1 do
-    Buf.unsafe_set dst t (M.mulmod ctx (Buf.unsafe_get da t) (Buf.unsafe_get db t))
+    Buf.unsafe_set dst t (Buf.unsafe_get da t * Buf.unsafe_get db t mod q)
   done
 
 let check_eval name a b =
@@ -165,7 +167,7 @@ let mul a b =
     done
   else
     kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
-        mul_loop (ctx_at a i) a.data.(i) b.data.(i) out.data.(i));
+        mul_loop (modulus_at a i) a.data.(i) b.data.(i) out.data.(i));
   out
 
 let mul_into ~dst a b =
@@ -173,33 +175,68 @@ let mul_into ~dst a b =
   check_compatible "mul_into" a b;
   check_compatible "mul_into" dst a;
   kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
-      mul_loop (ctx_at a i) a.data.(i) b.data.(i) dst.data.(i))
+      mul_loop (modulus_at a i) a.data.(i) b.data.(i) dst.data.(i))
 
 (* [b] may carry a deeper chain basis than [acc]/[a] (full-level key
    material): component [i < level_count] of [b] is used directly and [b]'s
    special component aligns with [a]'s. This is what lets key switching use
    the stored keys without materializing [restrict_levels] copies. *)
+let multiplier_component a b i =
+  if a.with_special && i = a.level_count then b.data.(b.level_count) else b.data.(i)
+
+let check_multiplier name a b =
+  if b.domain <> Eval || b.chain != a.chain || b.with_special <> a.with_special
+     || b.level_count < a.level_count
+  then invalid_arg ("Poly." ^ name ^ ": incompatible multiplier")
+
 let mul_add_into ~acc a b =
   check_compatible "mul_add_into" acc a;
-  if a.domain <> Eval || b.domain <> Eval || acc.domain <> Eval then
+  if a.domain <> Eval || acc.domain <> Eval then
     invalid_arg "Poly.mul_add_into: operands must be in Eval domain";
-  if b.chain != a.chain || b.with_special <> a.with_special || b.level_count < a.level_count then
-    invalid_arg "Poly.mul_add_into: incompatible multiplier";
+  check_multiplier "mul_add_into" a b;
   kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
-      let ctx = ctx_at a i in
-      let q = M.modulus ctx in
-      let bi =
-        if a.with_special && i = a.level_count then b.data.(b.level_count) else b.data.(i)
-      in
+      let q = modulus_at a i in
+      let bi = multiplier_component a b i in
       let da = a.data.(i) and dacc = acc.data.(i) in
       for t = 0 to Buf.length da - 1 do
-        let s =
-          Buf.unsafe_get dacc t
-          + M.mulmod ctx (Buf.unsafe_get da t) (Buf.unsafe_get bi t)
-          - q
-        in
-        Buf.unsafe_set dacc t (s + (s asr 62 land q))
+        (* acc < q and the product < q^2, so the sum stays below 2^62 *)
+        Buf.unsafe_set dacc t
+          ((Buf.unsafe_get dacc t + (Buf.unsafe_get da t * Buf.unsafe_get bi t)) mod q)
       done)
+
+(* Key-switching inner product, reduced lazily. A residue product is at
+   most [(q-1)^2], so a canonical accumulator takes [budget q] of them
+   before the sum can pass [max_int]: every 64 terms for 28-bit moduli,
+   every term for a 31-bit one. The loop reduces only on the terms that
+   exhaust the budget and on the last one. The digit is read through the
+   Galois permutation, so rotations reuse one digit without copying it. *)
+let lazy_budget q = (max_int - q) / ((q - 1) * (q - 1))
+
+let key_switch_add ~acc0 ~acc1 dig ~k0 ~k1 ~galois ~term ~terms =
+  check_eval "key_switch_add" dig acc0;
+  check_compatible "key_switch_add" acc0 dig;
+  check_compatible "key_switch_add" acc1 dig;
+  check_multiplier "key_switch_add" dig k0;
+  check_multiplier "key_switch_add" dig k1;
+  if term < 0 || term >= terms then invalid_arg "Poly.key_switch_add: bad term index";
+  let n = Chain.degree dig.chain in
+  let perm = Ntt.galois_perm (Chain.table dig.chain 0) ~galois in
+  kernel_par (component_count dig) n (fun i ->
+      let q = modulus_at dig i in
+      let d = dig.data.(i) and a0 = acc0.data.(i) and a1 = acc1.data.(i) in
+      let b0 = multiplier_component dig k0 i and b1 = multiplier_component dig k1 i in
+      if (term + 1) mod lazy_budget q = 0 || term = terms - 1 then
+        for t = 0 to n - 1 do
+          let x = Buf.unsafe_get d (Array.unsafe_get perm t) in
+          Buf.unsafe_set a0 t ((Buf.unsafe_get a0 t + (x * Buf.unsafe_get b0 t)) mod q);
+          Buf.unsafe_set a1 t ((Buf.unsafe_get a1 t + (x * Buf.unsafe_get b1 t)) mod q)
+        done
+      else
+        for t = 0 to n - 1 do
+          let x = Buf.unsafe_get d (Array.unsafe_get perm t) in
+          Buf.unsafe_set a0 t (Buf.unsafe_get a0 t + (x * Buf.unsafe_get b0 t));
+          Buf.unsafe_set a1 t (Buf.unsafe_get a1 t + (x * Buf.unsafe_get b1 t))
+        done)
 
 let scalar_mul_loop p i k out =
   if Kernels.use_naive () then begin
@@ -210,10 +247,10 @@ let scalar_mul_loop p i k out =
     done
   end
   else begin
-    let ctx = ctx_at p i in
+    let q = modulus_at p i in
     let dst = out.data.(i) and src = p.data.(i) in
     for t = 0 to Buf.length src - 1 do
-      Buf.unsafe_set dst t (M.mulmod ctx (Buf.unsafe_get src t) k)
+      Buf.unsafe_set dst t (Buf.unsafe_get src t * k mod q)
     done
   end
 
@@ -286,54 +323,92 @@ let automorphism p ~galois =
    [to_eval (automorphism (to_coeff p) ~galois)] because the NTT is an exact
    ring isomorphism; hoisted rotation key switching depends on that to reuse
    one digit decomposition across every rotation of a ciphertext. *)
-let automorphism_eval_into ~dst p ~galois =
+let automorphism_eval p ~galois =
   if p.domain <> Eval then invalid_arg "Poly.automorphism_eval: operand must be in Eval domain";
   if galois land 1 = 0 then invalid_arg "Poly.automorphism_eval: galois element must be odd";
-  check_compatible "automorphism_eval" dst p;
-  if dst == p then invalid_arg "Poly.automorphism_eval_into: dst must not alias the source";
+  let out = alloc_like p in
   let n = Chain.degree p.chain in
   (* resolve (and cache) the permutation before fanning out over components *)
   let perm = Ntt.galois_perm (Chain.table p.chain 0) ~galois in
   kernel_par (component_count p) n (fun i ->
-      let src = p.data.(i) and d = dst.data.(i) in
+      let src = p.data.(i) and d = out.data.(i) in
       for j = 0 to n - 1 do
         Buf.unsafe_set d j (Buf.unsafe_get src (Array.unsafe_get perm j))
-      done)
+      done);
+  out
 
-let automorphism_eval p ~galois =
-  if p.domain <> Eval then invalid_arg "Poly.automorphism_eval: operand must be in Eval domain";
-  let out = alloc_like p in
-  automorphism_eval_into ~dst:out p ~galois;
+(* [dst <- src] read as centered residues modulo [q_from] and reduced
+   modulo [q]. The centered value lies in [(-q_from/2, q_from/2]]; when
+   [q_from < 2q] that is inside [(-q, q)], and one branchless conditional
+   add canonicalizes it, with no division. *)
+let lift_loop ~q_from ~q src dst =
+  let half = q_from / 2 in
+  if q_from < 2 * q then
+    for t = 0 to Buf.length src - 1 do
+      let x = Buf.unsafe_get src t in
+      let c = x - (q_from land ((half - x) asr 62)) in
+      Buf.unsafe_set dst t (c + (c asr 62 land q))
+    done
+  else
+    for t = 0 to Buf.length src - 1 do
+      let x = Buf.unsafe_get src t in
+      let r = (x - (q_from land ((half - x) asr 62))) mod q in
+      Buf.unsafe_set dst t (r + (r asr 62 land q))
+    done
+
+let lift_loop_naive ~q_from ~q src dst =
+  for t = 0 to Buf.length src - 1 do
+    Buf.set dst t (M.reduce ~q (M.to_centered ~q:q_from (Buf.get src t)))
+  done
+
+(* Divide by the modulus of component [count] with centered rounding and
+   drop it (and everything above it):
+
+     out_i = (p_i - [p_count]_{q_i}) * inv i  mod q_i,   i < count
+
+   where [x]_{q_i} is the centered lift of the dropped residue. The lift is
+   the only step that needs coefficients. In Eval domain only the dropped
+   component is inverse-transformed; its lift is forward-transformed modulo
+   each q_i and subtracted slot by slot. The NTT is linear and every step
+   is exact modular arithmetic on canonical residues, so the result equals
+   [to_eval (divide (to_coeff p))] bit for bit, at [count] forward and one
+   inverse transform instead of [2 count + 1]. *)
+let divide_last p ~count ~inv =
+  let n = Chain.degree p.chain in
+  let tbl = table_at p count in
+  let q_last = Ntt.prime tbl in
+  let last =
+    match p.domain with
+    | Coeff -> p.data.(count)
+    | Eval ->
+        let b = Buf.copy p.data.(count) in
+        Ntt.inverse tbl b;
+        b
+  in
+  let out = zero p.chain ~level_count:count ~with_special:false p.domain in
+  let naive = Kernels.use_naive () in
+  kernel_par count n (fun i ->
+      let q = Chain.prime p.chain i and inv = inv i in
+      let src = p.data.(i) and dst = out.data.(i) in
+      if naive then lift_loop_naive ~q_from:q_last ~q last dst
+      else lift_loop ~q_from:q_last ~q last dst;
+      if p.domain = Eval then Ntt.forward (Chain.table p.chain i) dst;
+      if naive then
+        for t = 0 to n - 1 do
+          Buf.set dst t (M.mul ~q (M.sub ~q (Buf.get src t) (Buf.get dst t)) inv)
+        done
+      else
+        for t = 0 to n - 1 do
+          let d = Buf.unsafe_get src t - Buf.unsafe_get dst t in
+          Buf.unsafe_set dst t ((d + (d asr 62 land q)) * inv mod q)
+        done);
   out
 
 let rescale_last p =
-  if p.domain <> Coeff then invalid_arg "Poly.rescale_last: operand must be in Coeff domain";
   if p.with_special then invalid_arg "Poly.rescale_last: special component present";
   if p.level_count < 2 then invalid_arg "Poly.rescale_last: nothing to drop";
   let dropped = p.level_count - 1 in
-  let q_last = Chain.prime p.chain dropped in
-  let last = p.data.(dropped) in
-  let out = zero p.chain ~level_count:dropped ~with_special:false Coeff in
-  let n = Chain.degree p.chain in
-  let naive = Kernels.use_naive () in
-  kernel_par dropped n (fun i ->
-      let q = Chain.prime p.chain i in
-      let inv = Chain.rescale_inv p.chain ~dropped i in
-      let src = p.data.(i) and dst = out.data.(i) in
-      if naive then
-        for t = 0 to n - 1 do
-          let c = M.to_centered ~q:q_last (Buf.get last t) in
-          Buf.set dst t (M.mul ~q (M.sub ~q (Buf.get src t) (M.reduce ~q c)) inv)
-        done
-      else begin
-        let ctx = Chain.ctx p.chain i in
-        for t = 0 to n - 1 do
-          let c = M.to_centered ~q:q_last (Buf.unsafe_get last t) in
-          Buf.unsafe_set dst t
-            (M.mulmod ctx (M.sub ~q (Buf.unsafe_get src t) (M.reduce_ctx ctx c)) inv)
-        done
-      end);
-  out
+  divide_last p ~count:dropped ~inv:(Chain.rescale_inv p.chain ~dropped)
 
 let drop_last p =
   if p.with_special then invalid_arg "Poly.drop_last: special component present";
@@ -344,51 +419,72 @@ let drop_last p =
   out
 
 let mod_down_special p =
-  if p.domain <> Coeff then invalid_arg "Poly.mod_down_special: operand must be in Coeff domain";
   if not p.with_special then invalid_arg "Poly.mod_down_special: no special component";
-  let sp = Chain.special_prime p.chain in
-  let last = p.data.(p.level_count) in
-  let out = zero p.chain ~level_count:p.level_count ~with_special:false Coeff in
-  let n = Chain.degree p.chain in
-  let naive = Kernels.use_naive () in
-  kernel_par p.level_count n (fun i ->
-      let q = Chain.prime p.chain i in
-      let inv = Chain.special_inv p.chain i in
-      let src = p.data.(i) and dst = out.data.(i) in
-      if naive then
-        for t = 0 to n - 1 do
-          let c = M.to_centered ~q:sp (Buf.get last t) in
-          Buf.set dst t (M.mul ~q (M.sub ~q (Buf.get src t) (M.reduce ~q c)) inv)
-        done
-      else begin
-        let ctx = Chain.ctx p.chain i in
-        for t = 0 to n - 1 do
-          let c = M.to_centered ~q:sp (Buf.unsafe_get last t) in
-          Buf.unsafe_set dst t
-            (M.mulmod ctx (M.sub ~q (Buf.unsafe_get src t) (M.reduce_ctx ctx c)) inv)
-        done
-      end);
+  divide_last p ~count:p.level_count ~inv:(Chain.special_inv p.chain)
+
+(* [rescale_last (add d (mod_down_special acc))] in Eval domain, with the
+   two divisions sharing their forward transforms. Write [x] for the
+   special component of [acc] in Coeff, [v_i = d_i + acc_i * P^-1] and
+   [c] for the last chain component of the sum in Coeff. By linearity
+
+     c     = INTT(v_last) - [x]_{q_last} * P^-1
+     out_i = (v_i - NTT([x]_{q_i} * P^-1 + [c]_{q_i})) * q_last^-1
+
+   so each kept modulus pays one forward transform where the composition
+   pays two, and the last one only an inverse transform. All of it is
+   exact arithmetic on canonical residues: bit-identical to the
+   composition. *)
+let mod_down_rescale acc ~plus:d =
+  if acc.domain <> Eval || d.domain <> Eval then
+    invalid_arg "Poly.mod_down_rescale: operands must be in Eval domain";
+  if (not acc.with_special) || d.with_special || d.chain != acc.chain
+     || d.level_count <> acc.level_count
+  then invalid_arg "Poly.mod_down_rescale: incompatible operands";
+  if d.level_count < 2 then invalid_arg "Poly.mod_down_rescale: nothing to drop";
+  let chain = acc.chain and n = Chain.degree acc.chain in
+  let last = d.level_count - 1 in
+  let sp = Chain.special_prime chain and q_last = Chain.prime chain last in
+  let x = Buf.copy acc.data.(last + 1) in
+  Ntt.inverse (Chain.special_table chain) x;
+  let sum_loop ~q ~pinv da dacc dst =
+    for t = 0 to n - 1 do
+      Buf.unsafe_set dst t ((Buf.unsafe_get da t + (Buf.unsafe_get dacc t * pinv)) mod q)
+    done
+  in
+  let c = Buf.create n and xl = Buf.create n in
+  let pinv = Chain.special_inv chain last in
+  sum_loop ~q:q_last ~pinv d.data.(last) acc.data.(last) c;
+  Ntt.inverse (Chain.table chain last) c;
+  lift_loop ~q_from:sp ~q:q_last x xl;
+  for t = 0 to n - 1 do
+    let r = Buf.unsafe_get c t - (Buf.unsafe_get xl t * pinv mod q_last) in
+    Buf.unsafe_set c t (r + (r asr 62 land q_last))
+  done;
+  let out = zero chain ~level_count:last ~with_special:false Eval in
+  let scratch = Buf.create (last * n) in
+  kernel_par last n (fun i ->
+      let q = Chain.prime chain i in
+      let pinv = Chain.special_inv chain i and rinv = Chain.rescale_inv chain ~dropped:last i in
+      let dst = out.data.(i) and cl = Buf.sub scratch (i * n) n in
+      lift_loop ~q_from:sp ~q x dst;
+      lift_loop ~q_from:q_last ~q c cl;
+      for t = 0 to n - 1 do
+        Buf.unsafe_set dst t ((Buf.unsafe_get dst t * pinv + Buf.unsafe_get cl t) mod q)
+      done;
+      Ntt.forward (Chain.table chain i) dst;
+      sum_loop ~q ~pinv d.data.(i) acc.data.(i) cl;
+      for t = 0 to n - 1 do
+        let r = Buf.unsafe_get cl t - Buf.unsafe_get dst t in
+        Buf.unsafe_set dst t ((r + (r asr 62 land q)) * rinv mod q)
+      done);
   out
 
 let lift_digit_loop ~dst p ~digit =
-  let q_digit = Chain.prime p.chain digit in
+  let q_from = Chain.prime p.chain digit in
   let src = p.data.(digit) in
-  let n = Chain.degree p.chain in
-  let naive = Kernels.use_naive () in
-  kernel_par (component_count dst) n (fun i ->
-      let d = dst.data.(i) in
-      if naive then begin
-        let q = modulus_at dst i in
-        for t = 0 to n - 1 do
-          Buf.set d t (M.reduce ~q (M.to_centered ~q:q_digit (Buf.get src t)))
-        done
-      end
-      else begin
-        let ctx = ctx_at dst i in
-        for t = 0 to n - 1 do
-          Buf.unsafe_set d t (M.reduce_ctx ctx (M.to_centered ~q:q_digit (Buf.unsafe_get src t)))
-        done
-      end)
+  let loop = if Kernels.use_naive () then lift_loop_naive else lift_loop in
+  kernel_par (component_count dst) (Chain.degree p.chain) (fun i ->
+      loop ~q_from ~q:(modulus_at dst i) src dst.data.(i))
 
 let check_lift name p ~digit =
   if p.domain <> Coeff then invalid_arg ("Poly." ^ name ^ ": operand must be in Coeff domain");
@@ -438,15 +534,11 @@ let crt_reconstruct_centered p =
         for j = 0 to i - 1 do
           u := M.mul ~q (M.sub ~q !u (M.reduce ~q digits.(j))) (Chain.garner_inv p.chain i j)
         done
-      else begin
-        let ctx = Chain.ctx p.chain i in
+      else
         for j = 0 to i - 1 do
-          u :=
-            M.mulmod ctx
-              (M.sub ~q !u (M.reduce_ctx ctx digits.(j)))
-              (Chain.garner_inv p.chain i j)
-        done
-      end;
+          let d = !u - (digits.(j) mod q) in
+          u := (d + (d asr 62 land q)) * Chain.garner_inv p.chain i j mod q
+        done;
       digits.(i) <- !u
     done;
     (* Horner accumulation from most significant digit *)

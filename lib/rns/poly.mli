@@ -69,6 +69,23 @@ val mul_add_into : acc:t -> t -> t -> unit
     consumed at a reduced ciphertext level without [restrict_levels]
     copies. *)
 
+val key_switch_add :
+  acc0:t -> acc1:t -> t -> k0:t -> k1:t -> galois:int -> term:int -> terms:int -> unit
+(** [key_switch_add ~acc0 ~acc1 dig ~k0 ~k1 ~galois ~term ~terms] adds
+    [σ(dig) * k0] to [acc0] and [σ(dig) * k1] to [acc1] point-wise, where
+    [σ] is the automorphism [X -> X^galois] applied as the slot permutation
+    of {!automorphism_eval} ([galois = 1] reads [dig] as it is). It is
+    term [term] of the [terms]-term key-switching inner product
+    [Σ_i σ(digit_i) * key_i]. All operands are in [Eval] domain; the keys
+    may carry a deeper basis, as in {!mul_add_into}.
+
+    The sum is reduced lazily: per modulus [q], only the terms that would
+    let it pass [max_int] ([(max_int - q) / (q - 1)^2] products after a
+    reduction) and the last term reduce. So [acc0] and [acc1] must be zero
+    before term 0, hold unreduced sums between terms, and hold canonical
+    residues after term [terms - 1], equal to a sum reduced at every
+    term. *)
+
 val lift_digit_into : dst:t -> t -> digit:int -> unit
 (** [lift_digit_into ~dst p ~digit] is {!lift_digit} writing into the
     existing [Coeff]-domain polynomial [dst] (same chain as [p]; any
@@ -111,18 +128,16 @@ val automorphism_eval : t -> galois:int -> t
 (** [automorphism_eval p ~galois:g] applies [X -> X^g] directly to an
     [Eval]-domain polynomial as a slot permutation — bit-identical to
     [to_eval (automorphism (to_coeff p) ~galois:g)] without the two NTT
-    round-trips. Hoisted rotation key switching uses this to rotate a
-    shared digit decomposition once per rotation instead of re-decomposing
-    (see {!Hecate_support.Ntt.galois_perm}). *)
-
-val automorphism_eval_into : dst:t -> t -> galois:int -> unit
-(** Destination-buffer form of {!automorphism_eval}. [dst] must not alias
-    the source (the permutation is not applied in place). *)
+    round-trips (see {!Hecate_support.Ntt.galois_perm}). Rotation permutes
+    [c0] with it; key switching reads its digits through the same
+    permutation ({!key_switch_add}). *)
 
 val rescale_last : t -> t
 (** Exact RNS rescale: divide by the last chain prime with centered rounding
-    and drop it. Requires [Coeff] domain, no special component, and
-    [level_count >= 2]. *)
+    and drop it. Requires no special component and [level_count >= 2].
+    Either domain; the result is in the operand's domain. In [Eval] domain
+    only the dropped component is inverse-transformed, and the result is
+    bit-identical to [to_eval (rescale_last (to_coeff p))]. *)
 
 val drop_last : t -> t
 (** Drop the last chain prime without dividing (modswitch). Domain-agnostic.
@@ -130,7 +145,21 @@ val drop_last : t -> t
 
 val mod_down_special : t -> t
 (** Divide by the special prime with centered rounding and drop it (the
-    tail of key switching). Requires [Coeff] domain and [with_special]. *)
+    tail of key switching). Requires [with_special]. Either domain, as for
+    {!rescale_last}: in [Eval] domain only the special component is
+    inverse-transformed, bit-identical to
+    [to_eval (mod_down_special (to_coeff p))]. *)
+
+val mod_down_rescale : t -> plus:t -> t
+(** [mod_down_rescale acc ~plus:d] is
+    [rescale_last (add d (mod_down_special acc))] for [Eval]-domain [acc]
+    (with the special component) and [d] (without it, same level count
+    [>= 2]), bit for bit, with the two divisions sharing their forward
+    transforms: one forward transform per kept modulus and two inverse
+    transforms, against [2 level_count - 1] forward and two inverse for
+    the composition. The tail of a fused multiply-and-rescale. Uses the
+    fast kernels whatever {!Hecate_support.Kernels.use_naive} says; the
+    composition is the reference. *)
 
 val lift_digit : t -> digit:int -> with_special:bool -> t
 (** [lift_digit p ~digit:i ~with_special] extracts the RNS digit [i] (the

@@ -1,6 +1,7 @@
-(* Runtime selection between the fast arithmetic kernels (Barrett/Shoup,
-   allocation-free, optionally domain-parallel) and the division-based
-   reference kernels the fast paths are validated against. *)
+(* Runtime selection between the fast arithmetic kernels (Shoup NTTs,
+   in-module reductions, allocation-free, optionally domain-parallel) and
+   the division-based reference kernels the fast paths are validated
+   against. *)
 
 (* Recognize explicit on/off spellings; anything else still selects the
    reference kernels (the historical "any non-empty value" contract) but

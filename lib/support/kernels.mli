@@ -1,10 +1,11 @@
 (** Runtime kernel selection.
 
-    The RNS hot loops ship in two flavours: the {e fast} kernels
-    (Barrett/Shoup modular arithmetic, allocation-free polynomial ops,
-    optionally domain-parallel component loops) and the {e reference}
-    kernels (hardware division, copy-per-operation) they are validated
-    against. Both produce bit-identical results; the reference path exists
+    The RNS hot loops ship in two flavours: the {e fast} kernels (Shoup
+    NTT butterflies, in-module reductions, lazily reduced key-switch sums,
+    Eval-domain mod-down, allocation-free polynomial ops, optionally
+    domain-parallel component loops) and the {e reference} kernels
+    ([Modarith] division calls, Coeff-domain mod-down, copy-per-operation)
+    they are validated against. Both produce bit-identical results; the reference path exists
     for property tests and for the [bench kernels] before/after comparison.
 
     The initial mode is fast unless the [HECATE_NAIVE_KERNELS] environment

@@ -12,56 +12,13 @@ let neg ~q a = if a = 0 then 0 else q - a
 
 let mul ~q a b = a * b mod q
 
-(* ------------------------------------------------------------------ *)
-(* Barrett reduction                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* For q < 2^b (b minimal, so q >= 2^(b-1)) and z = a*b < q^2 < 2^(2b), the
-   quotient floor(z/q) is approximated as
-
-     qe = ((z >> (b-1)) * mu) >> (61-b),   mu = floor(2^60 / q)
-
-   Every intermediate fits the 63-bit native int: z >> (b-1) < 2^(b+1) and
-   mu <= 2^(61-b), so their product is < 2^62. The two floors and the
-   truncated mu underestimate the quotient by at most z/2^60 + 2^(b-1)/q + 2
-   < 7 (the worst case is b = 31, where z/2^60 < 4), so the remainder
-   z - qe*q lands in [0, 8q) and three conditional subtractions (4q, 2q, q
-   — precomputed so the kernel is straight-line and inlinable, with no
-   allocation) canonicalize it. No division instruction anywhere.
-
-   Conditional subtraction is branchless: for r in [0, 2m), [r - m] is in
+(* Conditional subtraction is branchless: for r in [0, 2m), [r - m] is in
    (-m, m), so adding back [m land (sign mask)] selects r or r - m without
    a data-dependent branch (which would mispredict half the time on random
    residues). *)
-
 let[@inline] csub r m =
   let d = r - m in
   d + (d asr 62 land m)
-type ctx = { q : int; shift1 : int; shift2 : int; mu : int; q2 : int; q4 : int }
-
-let ctx ~q =
-  if q < 2 || q >= 1 lsl max_modulus_bits then
-    invalid_arg "Modarith.ctx: modulus out of range";
-  let bits =
-    let rec go b = if 1 lsl b > q then b else go (b + 1) in
-    go 1
-  in
-  { q; shift1 = bits - 1; shift2 = 61 - bits; mu = (1 lsl 60) / q; q2 = 2 * q; q4 = 4 * q }
-
-let modulus c = c.q
-
-let[@inline] reduce_nonneg c z =
-  let qe = ((z lsr c.shift1) * c.mu) lsr c.shift2 in
-  let r = z - (qe * c.q) in
-  csub (csub (csub r c.q4) c.q2) c.q
-
-let[@inline] mulmod c a b = reduce_nonneg c (a * b)
-
-let reduce_ctx c z =
-  if z >= 0 then reduce_nonneg c z
-  else
-    let r = reduce_nonneg c (-z) in
-    if r = 0 then 0 else c.q - r
 
 (* ------------------------------------------------------------------ *)
 (* Shoup multiplication (one operand fixed)                            *)

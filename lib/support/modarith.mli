@@ -4,16 +4,13 @@
     product of two residues fits in OCaml's 63-bit native [int] without
     overflow. Residues are kept in canonical form, i.e. in [\[0, q)].
 
-    Besides the naive operations, the module provides two division-free
-    multiplication kernels used by the RNS hot loops (see
-    docs/PERFORMANCE.md for the derivations and invariants):
-
-    - {e Barrett}: a per-modulus {!ctx} precomputes [mu = floor(2^60/q)]
-      and two shifts; {!mulmod} then needs only multiplications, shifts and
-      a short subtraction loop.
-    - {e Shoup}: when one operand [w] is fixed (NTT twiddles, [n^-1]), the
-      precomputed [w' = floor(w * 2^31 / q)] lets {!mulmod_shoup} reduce
-      with a single estimated-quotient multiply. *)
+    Besides the naive operations, the module provides the Shoup kernel
+    for a fixed operand [w] (NTT twiddles, [n^-1]): the precomputed
+    [w' = floor(w * 2^31 / q)] lets {!mulmod_shoup} reduce with a single
+    estimated-quotient multiply and no division (see docs/PERFORMANCE.md).
+    Hot loops elsewhere reduce with a hardware [mod] written in their own
+    module, which under dune's [-opaque] builds beats any call into this
+    one. *)
 
 val max_modulus_bits : int
 (** Largest supported modulus width in bits (31). *)
@@ -29,27 +26,8 @@ val neg : q:int -> int -> int
 
 val mul : q:int -> int -> int -> int
 (** [mul ~q a b] is [(a * b) mod q] by hardware division. Requires
-    [q < 2^31]. The reference against which {!mulmod} is validated. *)
-
-type ctx
-(** Barrett reduction context for one modulus. *)
-
-val ctx : q:int -> ctx
-(** [ctx ~q] precomputes the Barrett constants for [q], [2 <= q < 2^31]. *)
-
-val modulus : ctx -> int
-(** The modulus the context was built for. *)
-
-val mulmod : ctx -> int -> int -> int
-(** [mulmod c a b] is [(a * b) mod modulus c] for canonical [a], [b],
-    computed without a division instruction. Agrees exactly with {!mul}. *)
-
-val reduce_ctx : ctx -> int -> int
-(** [reduce_ctx c z] is [reduce ~q:(modulus c) z] via Barrett, for any [z]
-    with [|z| < min (2 * q^2) 2^62] (the quotient-estimate multiply
-    overflows beyond that). Every caller reduces either residue products
-    ([< q^2]) or centered single-modulus values ([< 2^31]), both well
-    inside the domain. *)
+    [q < 2^31]. The reference against which {!mulmod_shoup} is
+    validated. *)
 
 val shoup : q:int -> int -> int
 (** [shoup ~q w] is the Shoup precomputation [floor(w * 2^31 / q)] for a

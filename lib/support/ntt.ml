@@ -1,7 +1,6 @@
 type table = {
   p : int;
   n : int;
-  ctx : Modarith.ctx;
   psi_rev : int array; (* psi^bitrev(i), i = 0..n-1 *)
   psi_rev_shoup : int array; (* floor(psi_rev * 2^31 / p) *)
   psi_inv_rev : int array; (* psi^{-bitrev(i)} *)
@@ -12,7 +11,6 @@ type table = {
 
 let prime t = t.p
 let degree t = t.n
-let barrett t = t.ctx
 
 let bitrev i bits =
   let r = ref 0 and x = ref i in
@@ -46,7 +44,6 @@ let make_table ~p ~n =
   {
     p;
     n;
-    ctx = Modarith.ctx ~q:p;
     psi_rev;
     psi_rev_shoup = Array.map (Modarith.shoup ~q:p) psi_rev;
     psi_inv_rev;
@@ -192,9 +189,10 @@ let pointwise_mul t dst a b =
     done
   end
   else begin
-    let ctx = t.ctx in
+    (* a hardware [mod] in this module: no call per element (see Poly) *)
+    let p = t.p in
     for i = 0 to t.n - 1 do
-      Buf.unsafe_set dst i (Modarith.mulmod ctx (Buf.unsafe_get a i) (Buf.unsafe_get b i))
+      Buf.unsafe_set dst i (Buf.unsafe_get a i * Buf.unsafe_get b i mod p)
     done
   end
 

@@ -2,9 +2,9 @@
 
     A table caches the powers of a primitive [2n]-th root of unity [ψ] in
     bit-reversed order (Longa–Naehrig layout), together with their Shoup
-    precomputations ([floor(w * 2^31 / p)]) and a Barrett context for the
-    prime. Point-wise multiplication of two forward-transformed vectors
-    followed by {!inverse} computes the product in [Z_p\[X\]/(X^n + 1)].
+    precomputations ([floor(w * 2^31 / p)]). Point-wise multiplication of
+    two forward-transformed vectors followed by {!inverse} computes the
+    product in [Z_p\[X\]/(X^n + 1)].
 
     Residue vectors are {!Buf.t} — unboxed Bigarray storage the GC never
     scans (see buf.mli); transforms mutate them in place.
@@ -25,9 +25,6 @@ val make_table : p:int -> n:int -> table
 
 val prime : table -> int
 val degree : table -> int
-
-val barrett : table -> Modarith.ctx
-(** Barrett context for the table's prime. *)
 
 val forward : table -> Buf.t -> unit
 (** In-place forward negacyclic NTT. Input and output are canonical residues.

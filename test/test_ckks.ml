@@ -319,10 +319,10 @@ let test_mul_faster_at_higher_level () =
 (* Fast kernels vs naive reference                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The Barrett/Shoup/in-place evaluator paths must be bit-identical to the
-   naive division-based reference on the same inputs. All the ops below are
-   deterministic given the ciphertext, so we can run each twice under the
-   kernel toggle and compare residue-for-residue. *)
+(* The fast (Shoup, lazily reduced, Eval-domain) evaluator paths must be
+   bit-identical to the naive division-based reference on the same inputs.
+   All the ops below are deterministic given the ciphertext, so we can run
+   each twice under the kernel toggle and compare residue-for-residue. *)
 let test_eval_fast_matches_naive () =
   let module K = Hecate_support.Kernels in
   let t = Lazy.force ctx in
@@ -400,6 +400,46 @@ let test_mul_rescale_matches_composition () =
   check Alcotest.bool "c1" true (Poly.equal fused.Eval.c1 composed.Eval.c1);
   check (Alcotest.float 0.) "scale" (Eval.scale composed) (Eval.scale fused);
   check Alcotest.int "level" (Eval.level composed) (Eval.level fused)
+
+(* A context whose key-switch sums overrun the lazy-reduction budget: the
+   30-bit chain primes take four unreduced products and the sums here run
+   over eight digits (seven after one rescale), so every fast operation
+   reduces mid-sum on chain primes, and every digit on the 31-bit special
+   prime. Each must match the reference kernels bit for bit. *)
+let deep_ctx =
+  lazy
+    (Eval.create ~seed:11
+       (Params.create ~n:512 ~q0_bits:30 ~sf_bits:30 ~levels:7 ())
+       ~rotations:[ 1; 5; -3 ])
+
+let test_deep_chain_matches_naive () =
+  let module K = Hecate_support.Kernels in
+  let t = Lazy.force deep_ctx in
+  let slots = Params.slots (Eval.params t) in
+  let ca = Eval.encrypt_vector t ~scale:0x1p26 (random_vector 163 slots) in
+  let cb = Eval.encrypt_vector t ~scale:0x1p26 (random_vector 167 slots) in
+  let pair f = (K.with_naive true f, K.with_naive false f) in
+  let same name (naive, fast) =
+    check Alcotest.bool (name ^ " c0") true (Poly.equal naive.Eval.c0 fast.Eval.c0);
+    check Alcotest.bool (name ^ " c1") true (Poly.equal naive.Eval.c1 fast.Eval.c1)
+  in
+  let at_level name a b =
+    let lc = Chain.length (Eval.params t).Params.chain - Eval.level a in
+    let relin = (Eval.keys t).Hecate_ckks.Keys.relin in
+    let ks_naive, ks_fast = pair (fun () -> Eval.keyswitch t ~lc (Poly.to_coeff a.Eval.c1) relin) in
+    check Alcotest.bool (name ^ "keyswitch p0") true (Poly.equal (fst ks_naive) (fst ks_fast));
+    check Alcotest.bool (name ^ "keyswitch p1") true (Poly.equal (snd ks_naive) (snd ks_fast));
+    let ((prod, _) as products) = pair (fun () -> Eval.mul t a b) in
+    same (name ^ "mul") products;
+    same (name ^ "rescale") (pair (fun () -> Eval.rescale t prod));
+    same (name ^ "mul_rescale") (pair (fun () -> Eval.mul_rescale t a b));
+    same (name ^ "rotate") (pair (fun () -> Eval.rotate t a 5));
+    let fans = pair (fun () -> Eval.rotate_many t a [ 1; 5; -3 ]) in
+    List.iter2 (fun n f -> same (name ^ "rotate_many") (n, f)) (fst fans) (snd fans)
+  in
+  at_level "" ca cb;
+  let down ct = Eval.rescale t (Eval.mul_plain t ct (Eval.encode_constant t ~level:0 ~scale:0x1p30 1.)) in
+  at_level "level 1 " (down ca) (down cb)
 
 (* ------------------------------------------------------------------ *)
 (* Failure injection / security smoke                                  *)
@@ -649,6 +689,7 @@ let () =
           Alcotest.test_case "rotate_many matches naive" `Quick test_rotate_many_matches_naive;
           Alcotest.test_case "mul_rescale matches composition" `Quick
             test_mul_rescale_matches_composition;
+          Alcotest.test_case "deep chain matches naive" `Quick test_deep_chain_matches_naive;
         ] );
       ( "properties",
         [

@@ -7,6 +7,8 @@ module Prng = Hecate_support.Prng
 module M = Hecate_support.Modarith
 module Chain = Hecate_rns.Chain
 module Poly = Hecate_rns.Poly
+module Buf = Hecate_support.Buf
+module K = Hecate_support.Kernels
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -284,32 +286,8 @@ let test_poly_incompatible_rejected () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Fast kernels: Barrett contexts, into-ops, in-place NTT, parallelism *)
+(* Fast kernels: into-ops, in-place NTT, parallelism                   *)
 (* ------------------------------------------------------------------ *)
-
-let test_chain_barrett_ctx () =
-  (* every precomputed Barrett context agrees with hardware-division
-     multiplication on boundary and random residues *)
-  let c = Lazy.force chain in
-  let g = Prng.create ~seed:21 in
-  let check_ctx name ctx q =
-    check Alcotest.int (name ^ " modulus") q (M.modulus ctx);
-    let residues = [ 0; 1; q - 2; q - 1 ] in
-    List.iter
-      (fun a ->
-        List.iter
-          (fun b -> check Alcotest.int name (M.mul ~q a b) (M.mulmod ctx a b))
-          residues)
-      residues;
-    for _ = 1 to 200 do
-      let a = Prng.int_below g q and b = Prng.int_below g q in
-      check Alcotest.int name (M.mul ~q a b) (M.mulmod ctx a b)
-    done
-  in
-  for i = 0 to Chain.length c - 1 do
-    check_ctx (Printf.sprintf "chain prime %d" i) (Chain.ctx c i) (Chain.prime c i)
-  done;
-  check_ctx "special prime" (Chain.special_ctx c) (Chain.special_prime c)
 
 let test_poly_into_ops_match_pure () =
   let a, _ = random_poly 22 and b, _ = random_poly 23 in
@@ -395,6 +373,20 @@ let test_poly_parallel_matches_serial () =
       let serial_sum = Poly.add a b in
       let serial_mul = Poly.mul ea eb in
       let serial_back = Poly.to_coeff serial_mul in
+      (* the Eval-domain divisions and the lazy key-switch sum fan out too *)
+      let key_switch () =
+        let zero () = Poly.zero (Lazy.force big_chain) ~level_count:3 ~with_special:true Poly.Eval in
+        let acc0 = zero () and acc1 = zero () in
+        for term = 0 to 1 do
+          Poly.key_switch_add ~acc0 ~acc1 ea ~k0:eb ~k1:ea ~galois:5 ~term ~terms:2
+        done;
+        (acc0, acc1)
+      in
+      let divisions () =
+        let down = Poly.mod_down_special ea in
+        [ down; Poly.rescale_last down; Poly.mod_down_rescale eb ~plus:down ]
+      in
+      let serial_switch = key_switch () and serial_divisions = divisions () in
       List.iter
         (fun jobs ->
           K.set_jobs jobs;
@@ -404,7 +396,12 @@ let test_poly_parallel_matches_serial () =
           check Alcotest.bool (name "to_eval") true (Poly.equal ea ea');
           check Alcotest.bool (name "mul") true (Poly.equal serial_mul (Poly.mul ea' eb'));
           check Alcotest.bool (name "to_coeff") true
-            (Poly.equal serial_back (Poly.to_coeff serial_mul)))
+            (Poly.equal serial_back (Poly.to_coeff serial_mul));
+          let acc0, acc1 = key_switch () in
+          check Alcotest.bool (name "key_switch_add") true
+            (Poly.equal (fst serial_switch) acc0 && Poly.equal (snd serial_switch) acc1);
+          check Alcotest.bool (name "eval divisions") true
+            (List.for_all2 Poly.equal serial_divisions (divisions ())))
         [ 1; 2; 4 ])
 
 let prop_poly_add_matches_int =
@@ -415,6 +412,94 @@ let prop_poly_add_matches_int =
       let sum = Poly.crt_reconstruct_centered (Poly.add p1 p2) in
       Array.for_all2 (fun s (a, b) -> s = float_of_int (a + b)) sum
         (Array.map2 (fun a b -> (a, b)) c1 c2))
+
+(* Lazy reduction and Eval-domain division at their boundaries: a chain
+   whose 30-bit primes take only four unreduced products (eight digits
+   overrun the budget mid-sum), a 31-bit base prime and a 31-bit special
+   prime that take one, and residues drawn towards 0 and q - 1, where the
+   unreduced sums peak, and towards (q - 1) / 2 and (q + 1) / 2, where
+   the centered lift changes sign. Every fast result must equal the
+   reference-kernel Coeff-domain computation. *)
+let deep_chain =
+  lazy (Chain.create ~n:64 ~q0_bits:31 ~sf_bits:30 ~levels:7 ~special_bits:31)
+
+let extreme_poly ?(domain = Poly.Eval) g c ~level_count ~with_special =
+  let p = Poly.zero c ~level_count ~with_special domain in
+  Array.iteri
+    (fun i d ->
+      let q = Poly.modulus_at p i in
+      for t = 0 to Buf.length d - 1 do
+        Buf.set d t
+          (match Prng.int_below g 10 with
+          | 0 -> 0
+          | 1 | 2 | 3 | 4 -> q - 1
+          | 5 -> (q - 1) / 2
+          | 6 -> (q + 1) / 2
+          | _ -> Prng.int_below g q)
+      done)
+    p.Poly.data;
+  p
+
+let prop_eval_division_matches_coeff =
+  QCheck.Test.make ~name:"eval mod-down/rescale = coeff" ~count:40 QCheck.small_nat
+    (fun seed ->
+      let c = Lazy.force deep_chain in
+      let g = Prng.create ~seed in
+      let lc = 2 + Prng.int_below g (Chain.length c - 1) in
+      let acc = extreme_poly g c ~level_count:lc ~with_special:true in
+      let d = extreme_poly g c ~level_count:lc ~with_special:false in
+      let reference f = K.with_naive true (fun () -> Poly.to_eval (f (Poly.to_coeff acc))) in
+      Poly.equal
+        (K.with_naive false (fun () -> Poly.mod_down_special acc))
+        (reference Poly.mod_down_special)
+      && Poly.equal
+           (K.with_naive false (fun () -> Poly.rescale_last d))
+           (K.with_naive true (fun () -> Poly.to_eval (Poly.rescale_last (Poly.to_coeff d))))
+      && Poly.equal
+           (K.with_naive false (fun () -> Poly.mod_down_rescale acc ~plus:d))
+           (reference (fun a ->
+                Poly.rescale_last (Poly.add (Poly.to_coeff d) (Poly.mod_down_special a)))))
+
+(* The Coeff-domain fast loops (digit lift, mod-down, rescale) read the
+   boundary residues directly. *)
+let prop_coeff_division_matches_naive =
+  QCheck.Test.make ~name:"coeff lift/mod-down/rescale = naive" ~count:40 QCheck.small_nat
+    (fun seed ->
+      let c = Lazy.force deep_chain in
+      let g = Prng.create ~seed in
+      let lc = 2 + Prng.int_below g (Chain.length c - 1) in
+      let p = extreme_poly ~domain:Poly.Coeff g c ~level_count:lc ~with_special:true in
+      let r = extreme_poly ~domain:Poly.Coeff g c ~level_count:lc ~with_special:false in
+      let digit = Prng.int_below g lc in
+      let both f = Poly.equal (K.with_naive false f) (K.with_naive true f) in
+      both (fun () -> Poly.lift_digit p ~digit ~with_special:true)
+      && both (fun () -> Poly.mod_down_special p)
+      && both (fun () -> Poly.rescale_last r))
+
+let prop_lazy_key_switch_sum =
+  QCheck.Test.make ~name:"lazy key-switch sum = reduced sum" ~count:40 QCheck.small_nat
+    (fun seed ->
+      let c = Lazy.force deep_chain in
+      let g = Prng.create ~seed in
+      let full = Chain.length c in
+      let lc = 1 + Prng.int_below g full in
+      let galois = [| 1; 3; 5; 127 |].(Prng.int_below g 4) in
+      let zero () = Poly.zero c ~level_count:lc ~with_special:true Poly.Eval in
+      let acc0 = zero () and acc1 = zero () in
+      let ref0 = ref (zero ()) and ref1 = ref (zero ()) in
+      for term = 0 to lc - 1 do
+        let dig = extreme_poly g c ~level_count:lc ~with_special:true in
+        let k0 = extreme_poly g c ~level_count:full ~with_special:true in
+        let k1 = extreme_poly g c ~level_count:full ~with_special:true in
+        K.with_naive false (fun () ->
+            Poly.key_switch_add ~acc0 ~acc1 dig ~k0 ~k1 ~galois ~term ~terms:lc);
+        K.with_naive true (fun () ->
+            let rot = Poly.automorphism_eval dig ~galois in
+            let plus acc k = Poly.add acc (Poly.mul rot (Poly.restrict_levels k ~level_count:lc)) in
+            ref0 := plus !ref0 k0;
+            ref1 := plus !ref1 k1)
+      done;
+      Poly.equal acc0 !ref0 && Poly.equal acc1 !ref1)
 
 let () =
   Alcotest.run "hecate_rns"
@@ -456,12 +541,14 @@ let () =
         ] );
       ( "kernels",
         [
-          Alcotest.test_case "chain barrett ctx" `Quick test_chain_barrett_ctx;
           Alcotest.test_case "into ops match pure" `Quick test_poly_into_ops_match_pure;
           Alcotest.test_case "mul_add_into deeper basis" `Quick
             test_poly_mul_add_into_deeper_basis;
           Alcotest.test_case "inplace transforms" `Quick test_poly_inplace_transforms;
           Alcotest.test_case "lift_digit_into" `Quick test_poly_lift_digit_into;
           Alcotest.test_case "parallel matches serial" `Quick test_poly_parallel_matches_serial;
+          qtest prop_eval_division_matches_coeff;
+          qtest prop_coeff_division_matches_naive;
+          qtest prop_lazy_key_switch_sum;
         ] );
     ]

@@ -50,10 +50,10 @@ let prop_centered_roundtrip =
     QCheck.(int_bound (q31 - 1))
     (fun a -> M.of_centered ~q:q31 (M.to_centered ~q:q31 a) = a)
 
-(* Barrett and Shoup kernels must agree bit-for-bit with the division-based
+(* The Shoup kernel must agree bit-for-bit with the division-based
    reference, across prime widths and including the boundary residues. *)
 
-let barrett_test_primes () =
+let shoup_test_primes () =
   (* several widths, including the 31-bit extreme the special prime can hit *)
   List.concat_map
     (fun bits -> Pr.ntt_primes ~bits ~n:1024 ~count:2)
@@ -61,46 +61,6 @@ let barrett_test_primes () =
   @ [ q31; q_small ]
 
 let boundary_residues q = [ 0; 1; q - 2; q - 1 ]
-
-let test_barrett_vs_naive () =
-  let g = P.create ~seed:0xBA22E77 in
-  List.iter
-    (fun q ->
-      let c = M.ctx ~q in
-      check Alcotest.int "modulus" q (M.modulus c);
-      let pairs =
-        List.concat_map (fun a -> List.map (fun b -> (a, b)) (boundary_residues q))
-          (boundary_residues q)
-        @ List.init 200 (fun _ -> (P.uniform_mod g q, P.uniform_mod g q))
-      in
-      List.iter
-        (fun (a, b) ->
-          check Alcotest.int
-            (Printf.sprintf "mulmod q=%d %d*%d" q a b)
-            (M.mul ~q a b) (M.mulmod c a b))
-        pairs)
-    (barrett_test_primes ())
-
-let test_barrett_reduce_ctx () =
-  let g = P.create ~seed:0xC0FFEE in
-  List.iter
-    (fun q ->
-      let c = M.ctx ~q in
-      (* domain: |z| < min (2 q^2) 2^62 *)
-      let zmax = min ((2 * q * q) - 1) ((1 lsl 62) - 1) in
-      let zs =
-        [ 0; 1; q - 1; q; q + 1; (q * q) - 1; -1; -q; zmax; -zmax ]
-        @ List.init 200 (fun _ ->
-              (* random value below q^2 + q, signed *)
-              let z = (P.uniform_mod g q * P.uniform_mod g q) + P.uniform_mod g q in
-              if P.uniform_mod g 2 = 0 then -z else z)
-      in
-      List.iter
-        (fun z ->
-          check Alcotest.int (Printf.sprintf "reduce_ctx q=%d z=%d" q z) (M.reduce ~q z)
-            (M.reduce_ctx c z))
-        zs)
-    (barrett_test_primes ())
 
 let test_shoup_vs_naive () =
   let g = P.create ~seed:0x540FF in
@@ -118,7 +78,7 @@ let test_shoup_vs_naive () =
                 (M.mulmod_shoup ~q a w w'))
             (boundary_residues q @ List.init 20 (fun _ -> P.uniform_mod g q)))
         ws)
-    (barrett_test_primes ())
+    (shoup_test_primes ())
 
 let test_pow_negative_base () =
   (* regression: [b mod q] is negative for negative [b] in OCaml; pow must
@@ -408,7 +368,7 @@ let test_ntt_roundtrip () =
     [ 8; 64; 512; 1024 ]
 
 let test_ntt_fast_vs_naive () =
-  (* the Shoup/Barrett transforms must agree bit-for-bit with the
+  (* the Shoup transforms must agree bit-for-bit with the
      division-based reference on identical inputs *)
   List.iter
     (fun n ->
@@ -747,8 +707,6 @@ let () =
           Alcotest.test_case "inverses" `Quick test_mod_inverse;
           qtest prop_mul_assoc;
           qtest prop_centered_roundtrip;
-          Alcotest.test_case "barrett vs naive" `Quick test_barrett_vs_naive;
-          Alcotest.test_case "barrett reduce_ctx" `Quick test_barrett_reduce_ctx;
           Alcotest.test_case "shoup vs naive" `Quick test_shoup_vs_naive;
           Alcotest.test_case "pow negative base" `Quick test_pow_negative_base;
         ] );
