@@ -781,38 +781,31 @@ let explore_cmd flags =
 (* Cost of one SMSE candidate: the explorer is driven with the codegen,
    finalize and evaluate closures [Driver.compile] builds for the HECATE
    scheme, every stage timed on its own; the pass manager charges its
-   verifier's [Prog.validate] time apart from the passes'. Returns the
-   plans scored, the exploration wall time, the seconds per stage and each
-   candidate's finalize fixpoint iterations (one early-modswitch run per
-   iteration, counted by the dump hook). *)
+   verifier's [Prog.validate] time apart from the pass's. Returns the
+   plans scored, the exploration wall time, the seconds per stage and
+   every candidate's finalized program. *)
 let timed_search (b : Apps.t) ~wl =
   let cfg = Typing.config ~sf:(float_of_int sf_bits) ~waterline:wl () in
   let model = Costmodel.analytic () in
   let prog = Pass_manager.default_pipeline b.Apps.prog in
   let stats = Pass_manager.create_stats () in
   let codegen_s = ref 0. and typecheck_s = ref 0. and estimate_s = ref 0. in
-  let sweeps = ref 0 and iterations = ref [] in
+  let finalized = ref [] in
   let timed acc f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     acc := !acc +. (Unix.gettimeofday () -. t0);
     r
   in
-  let instr =
-    Pass_manager.instrumentation
-      ~dump_after:(Pass_manager.Dump_passes [ "early-modswitch" ])
-      ~dump:(fun ~pass:_ _ -> incr sweeps)
-      ()
-  in
+  let instr = Pass_manager.instrumentation () in
   let params_of p =
     let types = Array.map (fun (o : Prog.op) -> o.Prog.ty) p.Prog.body in
     Paramselect.select ~sf_bits ~types ~slot_count:p.Prog.slot_count ()
   in
   let codegen ~hook =
     let managed = timed codegen_s (fun () -> Codegen.pars cfg ~hook prog) in
-    sweeps := 0;
     let p = Pass_manager.run ~instr ~stats (Pass_manager.finalize ~early_modswitch:true) managed in
-    iterations := !sweeps :: !iterations;
+    finalized := p :: !finalized;
     timed typecheck_s (fun () ->
         (match Typing.check cfg p with Ok _ -> () | Error d -> Diagnostic.error d);
         ignore (params_of p));
@@ -830,25 +823,26 @@ let timed_search (b : Apps.t) ~wl =
       ~max_epochs:100 ~pool_size:1 ()
   in
   let explore_s = Unix.gettimeofday () -. t0 in
-  let pass_rows =
-    List.map
-      (fun (t : Pass_manager.timing) -> ("pass " ^ t.Pass_manager.pass, t.Pass_manager.seconds))
+  let finalize_s =
+    List.fold_left (fun a (t : Pass_manager.timing) -> a +. t.Pass_manager.seconds) 0.
       (Pass_manager.timings stats)
   in
   let rows =
-    (("codegen", !codegen_s) :: pass_rows)
-    @ [
-        ("validate", Pass_manager.validate_seconds stats);
-        ("typecheck", !typecheck_s);
-        ("estimate", !estimate_s);
-      ]
+    [
+      ("codegen", !codegen_s);
+      ("finalize", finalize_s);
+      ("validate", Pass_manager.validate_seconds stats);
+      ("typecheck", !typecheck_s);
+      ("estimate", !estimate_s);
+    ]
   in
-  (r.Explore.p_plans_explored, explore_s, rows, !iterations)
+  (r.Explore.p_plans_explored, explore_s, rows, !finalized)
 
 (* The split of the median of [reps] searches, each started after a full
    major collection so no run pays for the garbage of the one before. The
    replica must score exactly the plans [Driver.compile] scores, or the
-   split would describe a different search. *)
+   split would describe a different search. Returns how many finalized
+   candidates the reference pipeline still changes. *)
 let candidate_split ?(reps = 5) (b : Apps.t) ~wl =
   let runs =
     List.init reps (fun _ ->
@@ -856,7 +850,7 @@ let candidate_split ?(reps = 5) (b : Apps.t) ~wl =
         timed_search b ~wl)
     |> List.sort (fun (_, a, _, _) (_, b, _, _) -> compare a b)
   in
-  let plans, explore_s, rows, iterations = List.nth runs (reps / 2) in
+  let plans, explore_s, rows, finalized = List.nth runs (reps / 2) in
   let driver = Driver.compile ~pool_size:1 Driver.Hecate ~sf_bits ~waterline_bits:wl b.Apps.prog in
   let driver_plans = (Option.get driver.Driver.exploration).Driver.plans_explored in
   if plans <> driver_plans then begin
@@ -873,42 +867,36 @@ let candidate_split ?(reps = 5) (b : Apps.t) ~wl =
     (fun (name, s) ->
       Printf.printf "  %-22s %9.4f %6.1f%%\n" name (per s) (100. *. s /. explore_s))
     (rows @ [ ("other (search, memo)", other) ]);
-  let worst = List.fold_left max 0 iterations in
-  Printf.printf "  finalize fixpoint iterations per candidate:";
-  for k = 1 to worst do
-    let n = List.length (List.filter (( = ) k) iterations) in
-    if n > 0 then Printf.printf " %d x%d" k n
-  done;
-  Printf.printf " (total %d, max %d)\n" (List.fold_left ( + ) 0 iterations) worst;
-  worst
-
-(* The finalize fixpoint needs one iteration that changes the candidate and
-   one that confirms nothing changes; early-modswitch reuses modswitches,
-   so the cse after it has nothing left to merge that would call for a
-   third. *)
-let max_finalize_iterations = 2
+  let reference = Pass_manager.finalize_reference ~early_modswitch:true in
+  let changed =
+    List.length (List.filter (fun p -> Pass_manager.run reference p != p) finalized)
+  in
+  Printf.printf "  finalized candidates the reference pipeline changes: %d of %d\n" changed
+    (List.length finalized);
+  changed
 
 let passes () =
   heading "Cost of one SMSE candidate (HECATE, one-shot waterlines, pool 1)";
   Printf.printf
-    "Every candidate plan the hill climber scores is generated, finalized to\n\
-     fixpoint, validated after each pass, typechecked and estimated. Times are\n\
-     per fresh candidate, from the median of 5 searches; \"validate\" is the\n\
-     verifier the pass manager runs after every pass, which\n\
-     Driver.pass_timings does not include. The iteration counts are\n\
-     deterministic; any candidate above %d fails this section.\n"
-    max_finalize_iterations;
+    "Every candidate plan the hill climber scores is generated, finalized in\n\
+     one sweep, validated, typechecked and estimated. Times are per fresh\n\
+     candidate, from the median of 5 searches; \"validate\" is the verifier\n\
+     the pass manager runs after the finalize pass, which\n\
+     Driver.pass_timings does not include. Every finalized candidate must be\n\
+     a fixpoint of the reference pipeline, which the pass fuses:\n\
+    \  %s\n\
+     a candidate it changes fails this section.\n"
+    (Pass_manager.to_string (Pass_manager.finalize_reference ~early_modswitch:true));
   let suite = Apps.reduced_suite () in
-  let over =
+  let changed =
     List.filter
       (fun (name, wl) ->
-        candidate_split (List.find (fun (a : Apps.t) -> a.Apps.name = name) suite) ~wl
-        > max_finalize_iterations)
+        candidate_split (List.find (fun (a : Apps.t) -> a.Apps.name = name) suite) ~wl > 0)
       [ ("SF", 24.); ("HCD", 22.); ("MLP", 15.) ]
   in
-  if over <> [] then begin
-    Printf.printf "FAIL: a finalize fixpoint ran more than %d iterations on %s\n"
-      max_finalize_iterations (String.concat ", " (List.map fst over));
+  if changed <> [] then begin
+    Printf.printf "FAIL: the reference pipeline changes finalized candidates of %s\n"
+      (String.concat ", " (List.map fst changed));
     exit 1
   end;
   heading "Per-pass timing breakdown (instrumented pass manager, waterline 20)";

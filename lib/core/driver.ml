@@ -34,8 +34,9 @@ let scheme_name = function Eva -> "EVA" | Pars -> "PARS" | Smse -> "SMSE" | Heca
 let all_schemes = [ Eva; Pars; Smse; Hecate ]
 
 let finalize ?q0_bits ?(early_modswitch = true)
+    ?(passes = Pass_manager.finalize ~early_modswitch)
     ?(instr = Pass_manager.instrumentation ()) ?stats ~cfg prog =
-  let prog = Pass_manager.run ~instr ?stats (Pass_manager.finalize ~early_modswitch) prog in
+  let prog = Pass_manager.run ~instr ?stats passes prog in
   let types =
     match Typing.check cfg prog with Ok tys -> tys | Error d -> Diagnostic.error d
   in
@@ -76,7 +77,8 @@ let plan_of_keyed keys keyed =
 
 let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_exploration = false)
     ?q0_bits ?early_modswitch ?(downscale_analysis = true) ?smu_phases ?noise_budget_bits
-    ?pool_size ?(passes = Pass_manager.cleanup) ?(instr = Pass_manager.instrumentation ())
+    ?pool_size ?(passes = Pass_manager.cleanup) ?finalize_passes
+    ?(instr = Pass_manager.instrumentation ())
     ?(strategy = Explore.default_strategy) ?gate ?(warm_plans = [])
     ?should_stop ?on_epoch scheme ~sf_bits ~waterline_bits prog =
   if not (Explore.known_strategy strategy) then
@@ -116,7 +118,7 @@ let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_explora
   in
   let run_finalized ~hook =
     let managed = generator ~hook in
-    fst (finalize ?q0_bits ?early_modswitch ~instr ~stats ~cfg managed)
+    fst (finalize ?q0_bits ?early_modswitch ?passes:finalize_passes ~instr ~stats ~cfg managed)
   in
   let evaluate p =
     (* types are already on the ops after finalize's check *)

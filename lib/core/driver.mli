@@ -56,6 +56,7 @@ val compile :
   ?noise_budget_bits:float ->
   ?pool_size:int ->
   ?passes:Hecate_ir.Pass_manager.pipeline ->
+  ?finalize_passes:Hecate_ir.Pass_manager.pipeline ->
   ?instr:Hecate_ir.Pass_manager.instrumentation ->
   ?strategy:string ->
   ?gate:Explore.gate ->
@@ -70,9 +71,12 @@ val compile :
 (** [compile scheme ~sf_bits ~waterline_bits prog] cleans the input
     ({!Hecate_ir.Pass_manager.cleanup}: CSE, constant folding, rotation
     folding and DCE to fixpoint), applies the scheme, then finalizes
-    ({!Hecate_ir.Pass_manager.finalize} run to fixpoint: early-modswitch
-    hoisting, CSE, constant folding, DCE), type checks and selects
-    parameters. [passes] substitutes a different cleanup pipeline; [instr]
+    ({!Hecate_ir.Pass_manager.finalize}: CSE, early-modswitch hoisting,
+    constant folding and DCE to fixpoint, in one sweep), type checks and
+    selects parameters. [passes] substitutes a different cleanup pipeline
+    and [finalize_passes] a different finalization, for every candidate
+    (the oracle tests run {!Hecate_ir.Pass_manager.finalize_reference});
+    [instr]
     controls inter-pass verification and IR dumps (default: structural
     {!Hecate_ir.Prog.validate} after every pass, no dumps).
     [naive_exploration] replaces SMU edges with raw use-def edges (the
@@ -142,14 +146,17 @@ val compile_result :
 val finalize :
   ?q0_bits:int ->
   ?early_modswitch:bool ->
+  ?passes:Hecate_ir.Pass_manager.pipeline ->
   ?instr:Hecate_ir.Pass_manager.instrumentation ->
   ?stats:Hecate_ir.Pass_manager.stats ->
   cfg:Hecate_ir.Typing.config ->
   Hecate_ir.Prog.t ->
   Hecate_ir.Prog.t * Paramselect.t
 (** The shared post-codegen pipeline, exposed for the explorer and tests.
-    Runs {!Hecate_ir.Pass_manager.finalize} under [instr] (default:
-    structural verification only), charging pass timings to [stats]. *)
+    Runs [passes] (default {!Hecate_ir.Pass_manager.finalize}
+    [~early_modswitch]) under [instr] (default: structural verification
+    only), charging pass timings to [stats], then type checks and selects
+    parameters. *)
 
 val estimate_at : ?model:Costmodel.t -> compiled -> n:int -> float
 (** Re-estimate a compiled program's latency at an explicit ring degree

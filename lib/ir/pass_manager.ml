@@ -58,7 +58,13 @@ let () =
     Passes.early_modswitch;
   register "fold-plain-muls"
     ~description:"fuse nested multiplications by constants (batching mask/coefficient chains)"
-    Passes.fold_plain_muls
+    Passes.fold_plain_muls;
+  register "finalize"
+    ~description:"fixpoint(cse,early-modswitch,cse,constant-fold,dce) in one sweep"
+    (Passes.finalize ~early_modswitch:true);
+  register "finalize-no-ems"
+    ~description:"fixpoint(cse,constant-fold,dce) in one sweep (finalize without early-modswitch)"
+    (Passes.finalize ~early_modswitch:false)
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline AST, spec parser and printer                               *)
@@ -273,9 +279,13 @@ let run ?instr ?stats pipeline p =
 (* ------------------------------------------------------------------ *)
 
 let cleanup = parse_exn "cse,constant-fold,fixpoint(fold-rotations,dce)"
+let finalize_ems = parse_exn "finalize"
+let finalize_no_ems = parse_exn "finalize-no-ems"
+let finalize ~early_modswitch = if early_modswitch then finalize_ems else finalize_no_ems
+let reference_ems = parse_exn "fixpoint(cse,early-modswitch,cse,constant-fold,dce)"
+let reference_no_ems = parse_exn "fixpoint(cse,constant-fold,dce)"
 
-let finalize ~early_modswitch =
-  if early_modswitch then parse_exn "fixpoint(cse,early-modswitch,cse,constant-fold,dce)"
-  else parse_exn "fixpoint(cse,constant-fold,dce)"
+let finalize_reference ~early_modswitch =
+  if early_modswitch then reference_ems else reference_no_ems
 
 let default_pipeline p = run cleanup p

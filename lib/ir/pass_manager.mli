@@ -20,7 +20,9 @@
 
     The built-in passes of {!Passes} are pre-registered under kebab-case
     names: [cse], [dce], [constant-fold], [fold-rotations],
-    [early-modswitch], [fold-plain-muls]. *)
+    [early-modswitch], [fold-plain-muls], and the fused finalization
+    {!Passes.finalize} as [finalize] ([finalize-no-ems] without
+    early-modswitch). *)
 
 type pass = {
   name : string;
@@ -35,9 +37,11 @@ exception Pass_failed of { pass : string; reason : string }
 val register : ?description:string -> string -> (Prog.t -> Prog.t) -> unit
 (** [register name run] adds a pass to the global registry. [run] should
     keep the no-op contract of {!Passes}: return its argument physically
-    when it changes nothing. A [Fixpoint] stops as soon as an iteration
-    returns its input physically, and falls back to {!Prog.equal} only
-    for passes that rebuild an unchanged program.
+    when it changes nothing, and on its own output ([run (run p) == run
+    p]). A [Fixpoint] stops as soon as an iteration returns its input
+    physically, and compares with {!Prog.equal} only when a pass returned
+    a new program. A pass may reach a fixpoint itself, as [finalize] does;
+    it is then one pass execution, timed, verified and dumped once.
     @raise Invalid_argument if [name] is already registered or is not a
     valid spec identifier (lowercase alphanumerics and dashes). *)
 
@@ -51,8 +55,9 @@ type pipeline =
   | Pass of string  (** a registered pass, by name *)
   | Seq of pipeline list
   | Fixpoint of pipeline
-      (** repeat the body until the program stops changing
-          (structurally, per {!Prog.equal}); bounded at 64 iterations *)
+      (** repeat the body until an iteration returns its input
+          physically or, failing that, a program {!Prog.equal} to it,
+          which is the result; bounded at 64 iterations *)
 
 val parse : string -> (pipeline, string) result
 val parse_exn : string -> pipeline
@@ -130,7 +135,12 @@ val cleanup : pipeline
     ["cse,constant-fold,fixpoint(fold-rotations,dce)"]. *)
 
 val finalize : early_modswitch:bool -> pipeline
-(** The post-codegen finalization pipeline, run to fixpoint:
+(** The post-codegen finalization: the one pass [finalize]
+    ({!Passes.finalize}; [finalize-no-ems] when [early_modswitch] is
+    off). Built once, like every standard pipeline here. *)
+
+val finalize_reference : early_modswitch:bool -> pipeline
+(** The pipeline [finalize] fuses, kept as its differential reference:
     ["fixpoint(cse,early-modswitch,cse,constant-fold,dce)"] (without the
     [early-modswitch] element when disabled). *)
 

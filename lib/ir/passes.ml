@@ -1,14 +1,16 @@
-(* Rebuild helper: keep ops selected by [keep], remapping operand ids.
-   Assumes every kept op only references kept ops. *)
-let rebuild (p : Prog.t) ~keep =
+(* Rebuild helper: keep ops selected by [keep], remapping operand ids,
+   each first sent through [redirect] when one is given. Assumes every
+   kept op only references kept ops. *)
+let rebuild ?redirect (p : Prog.t) ~keep =
   let n = Prog.num_ops p in
   let remap = Array.make n (-1) in
+  let id = match redirect with None -> fun a -> remap.(a) | Some r -> fun a -> remap.(r.(a)) in
   let ops = ref [] in
   let count = ref 0 in
   for i = 0 to n - 1 do
     if keep.(i) then begin
       let o = Prog.op p i in
-      let args = Array.map (fun a -> remap.(a)) o.Prog.args in
+      let args = Array.map id o.Prog.args in
       ops := { o with Prog.id = !count; args } :: !ops;
       remap.(i) <- !count;
       incr count
@@ -17,8 +19,8 @@ let rebuild (p : Prog.t) ~keep =
   {
     p with
     Prog.body = Array.of_list (List.rev !ops);
-    inputs = List.map (fun v -> remap.(v)) p.Prog.inputs;
-    outputs = List.map (fun v -> remap.(v)) p.Prog.outputs;
+    inputs = List.map id p.Prog.inputs;
+    outputs = List.map id p.Prog.outputs;
   }
 
 let dce (p : Prog.t) =
@@ -95,9 +97,10 @@ module Key = struct
   (* The first and last [ends] non-zero slots, with their positions. A
      sparse vector is read whole, so vectors that differ anywhere after a
      long common zero prefix (weight diagonals, slot masks) land in
-     different buckets. A dense one is read only at its two ends: [cse]
-     runs several times per SMSE candidate, and reading every slot of
-     LeNet's weights each time would cost more than the lookups save. *)
+     different buckets. A dense one is read only at its two ends: every
+     SMSE candidate's [finalize] numbers its values, once in its walk and
+     again as early-modswitch rebuilds, and reading every slot of LeNet's
+     weights each time would cost more than the lookups save. *)
   let ends = 8
 
   let floats_hash (v : float array) =
@@ -218,34 +221,56 @@ let fold_values slot_count (kind : Prog.kind) (args : Prog.const_value list) =
       Some (Prog.Vector (Array.init slot_count (fun i -> va.((i + r) mod slot_count))))
   | _ -> None
 
-let constant_fold (p : Prog.t) =
-  let n = Prog.num_ops p in
-  let const_of = Array.make n None in
-  let folded = ref false in
-  let body =
-    Array.map
-      (fun (o : Prog.op) ->
-        match o.Prog.kind with
-        | Prog.Const { value } ->
-            const_of.(o.Prog.id) <- Some value;
-            o
-        | Prog.Add | Prog.Sub | Prog.Mul | Prog.Negate | Prog.Rotate _ -> (
-            let arg_consts = Array.map (fun a -> const_of.(a)) o.Prog.args in
-            if Array.for_all Option.is_some arg_consts then
-              match
-                fold_values p.Prog.slot_count o.Prog.kind
-                  (Array.to_list (Array.map Option.get arg_consts))
-              with
-              | Some value ->
-                  const_of.(o.Prog.id) <- Some value;
-                  folded := true;
-                  { o with Prog.kind = Prog.Const { value }; args = [||] }
-              | None -> o
-            else o)
-        | _ -> o)
-      p.Prog.body
+(* the ops [constant_fold] folds first: arithmetic over constant operands
+   only. Anything it folds later has one of these below it. *)
+let foldable (p : Prog.t) =
+  let body = p.Prog.body in
+  let is_const a =
+    match (Array.unsafe_get body a).Prog.kind with Prog.Const _ -> true | _ -> false
   in
-  dce (if !folded then { p with Prog.body } else p)
+  let rec all_const args k =
+    k < 0 || (is_const (Array.unsafe_get args k) && all_const args (k - 1))
+  in
+  let rec go i =
+    i >= 0
+    && ((match body.(i).Prog.kind with
+        | Prog.Add | Prog.Sub | Prog.Mul | Prog.Negate | Prog.Rotate _ ->
+            let args = body.(i).Prog.args in
+            all_const args (Array.length args - 1)
+        | _ -> false)
+       || go (i - 1))
+  in
+  go (Array.length body - 1)
+
+let constant_fold (p : Prog.t) =
+  if not (foldable p) then dce p
+  else begin
+    let n = Prog.num_ops p in
+    let const_of = Array.make n None in
+    let body =
+      Array.map
+        (fun (o : Prog.op) ->
+          match o.Prog.kind with
+          | Prog.Const { value } ->
+              const_of.(o.Prog.id) <- Some value;
+              o
+          | Prog.Add | Prog.Sub | Prog.Mul | Prog.Negate | Prog.Rotate _ -> (
+              let arg_consts = Array.map (fun a -> const_of.(a)) o.Prog.args in
+              if Array.for_all Option.is_some arg_consts then
+                match
+                  fold_values p.Prog.slot_count o.Prog.kind
+                    (Array.to_list (Array.map Option.get arg_consts))
+                with
+                | Some value ->
+                    const_of.(o.Prog.id) <- Some value;
+                    { o with Prog.kind = Prog.Const { value }; args = [||] }
+                | None -> o
+              else o)
+          | _ -> o)
+        p.Prog.body
+    in
+    dce { p with Prog.body }
+  end
 
 let fold_rotations_once (p : Prog.t) =
   let n = Prog.num_ops p in
@@ -408,109 +433,278 @@ let absorbs : Prog.kind -> bool = function
       true
   | Prog.Input _ | Prog.Const _ | Prog.Modswitch -> false
 
-let early_modswitch (p : Prog.t) =
+(* the literal test for "anything moves" *)
+let movable (p : Prog.t) uses =
+  let body = p.Prog.body in
+  Array.exists
+    (fun (o : Prog.op) ->
+      match o.Prog.kind with
+      | Prog.Modswitch ->
+          let x = o.Prog.args.(0) in
+          uses.(x) = 1 && absorbs body.(x).Prog.kind
+      | _ -> false)
+    body
+
+(* Open-addressing value table over op ids, for the value numbering
+   [finalize] does without [Key]s: [same cand j] compares the op being
+   numbered with entry [j], so a lookup allocates nothing. *)
+module Vn = struct
+  type t = { ids : int array; hashes : int array; mask : int }
+
+  let create n =
+    let size = ref 16 in
+    while !size < 2 * n do
+      size := 2 * !size
+    done;
+    { ids = Array.make !size (-1); hashes = Array.make !size 0; mask = !size - 1 }
+
+  (* [Key.mix] leaves the low bits, which pick the slot, a near-linear
+     function of the operand ids *)
+  let scramble h =
+    let h = h * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+  [@@inline]
+
+  (* the entry [same] matches, or [cand], which is added *)
+  let find_or_add t ~same h cand =
+    let rec probe s =
+      let j = Array.unsafe_get t.ids s in
+      if j < 0 then begin
+        Array.unsafe_set t.ids s cand;
+        Array.unsafe_set t.hashes s h;
+        cand
+      end
+      else if Array.unsafe_get t.hashes s = h && same cand j then j
+      else probe ((s + 1) land t.mask)
+    in
+    probe (h land t.mask)
+end
+
+(* The analysis and rebuild of [early_modswitch], on a program where
+   [movable] holds. With [value_number], every op is looked up among the
+   ops emitted before it, as [cse] would number it, and a duplicate is
+   not emitted: its uses go to the first. Returns the program and whether
+   anything merged; without a merge the program is the one
+   [early_modswitch] returns. *)
+let absorb_modswitches ~value_number (p : Prog.t) =
   let body = p.Prog.body in
   let n = Array.length body in
-  let movable =
-    let uses = Prog.use_counts p in
-    Array.exists
-      (fun (o : Prog.op) ->
-        match o.Prog.kind with
-        | Prog.Modswitch ->
-            let x = o.Prog.args.(0) in
-            uses.(x) = 1 && absorbs body.(x).Prog.kind
-        | _ -> false)
-      body
+  let base = Array.make n 0 and depth = Array.make n 0 in
+  for i = 0 to n - 1 do
+    match body.(i).Prog.kind with
+    | Prog.Modswitch ->
+        let a = body.(i).Prog.args.(0) in
+        base.(i) <- base.(a);
+        depth.(i) <- depth.(a) + 1
+    | _ -> base.(i) <- i
+  done;
+  (* lowest.(b): the shallowest layer a live use of [b] ends up at;
+     deepest.(b): the deepest layer any use reaches, dead chains included *)
+  let lowest = Array.make n max_int and deepest = Array.make n 0 in
+  let reach ~live b layer =
+    if live && layer < lowest.(b) then lowest.(b) <- layer;
+    if layer > deepest.(b) then deepest.(b) <- layer
   in
-  if not movable then p
-  else begin
-    let base = Array.make n 0 and depth = Array.make n 0 in
-    for i = 0 to n - 1 do
-      match body.(i).Prog.kind with
-      | Prog.Modswitch ->
-          let a = body.(i).Prog.args.(0) in
-          base.(i) <- base.(a);
-          depth.(i) <- depth.(a) + 1
-      | _ -> base.(i) <- i
-    done;
-    (* lowest.(b): the shallowest layer a live use of [b] ends up at;
-       deepest.(b): the deepest layer any use reaches, dead chains included *)
-    let lowest = Array.make n max_int and deepest = Array.make n 0 in
-    let reach ~live b layer =
-      if live && layer < lowest.(b) then lowest.(b) <- layer;
-      if layer > deepest.(b) then deepest.(b) <- layer
-    in
-    List.iter (fun v -> reach ~live:true base.(v) depth.(v)) p.Prog.outputs;
-    let absorbed = Array.make n 0 in
-    for i = n - 1 downto 0 do
-      let o = body.(i) in
-      match o.Prog.kind with
-      | Prog.Modswitch -> reach ~live:false base.(i) depth.(i)
-      | kind ->
-          if absorbs kind then
-            absorbed.(i) <- (if lowest.(i) < max_int then lowest.(i) else deepest.(i));
-          let shift = match kind with Prog.Encode _ -> 0 | _ -> absorbed.(i) in
-          Array.iter (fun a -> reach ~live:true base.(a) (depth.(a) + shift)) o.Prog.args
-    done;
-    (* the surviving layers of base [b] are absorbed.(b)+1 .. deepest.(b);
-       layer_at.(first.(b) + d - absorbed.(b) - 1) is layer d's new op *)
-    let first = Array.make n 0 in
-    let layers = ref 0 and bases = ref 0 in
-    for b = 0 to n - 1 do
-      match body.(b).Prog.kind with
-      | Prog.Modswitch -> ()
-      | _ ->
-          first.(b) <- !layers;
-          layers := !layers + deepest.(b) - absorbed.(b);
-          incr bases
-    done;
-    let layer_at = Array.make !layers (-1) in
-    let ops = Array.make (!bases + !layers) body.(0) in
-    let count = ref 0 in
-    let emit ?prov kind args =
-      let id = !count in
-      ops.(id) <- { Prog.id; kind; args; ty = Types.Free; prov };
-      incr count;
-      id
-    in
-    let renamed = Array.make n (-1) in
-    let node b d =
-      if d = absorbed.(b) then renamed.(b) else layer_at.(first.(b) + d - absorbed.(b) - 1)
-    in
-    (* the first request for a surviving layer creates it *)
-    let request ?prov b d =
-      if d > absorbed.(b) then begin
-        let k = first.(b) + d - absorbed.(b) - 1 in
-        if layer_at.(k) < 0 then layer_at.(k) <- emit ?prov Prog.Modswitch [| node b (d - 1) |]
-      end
-    in
-    let operand shift a = node base.(a) (depth.(a) + shift) in
-    for i = 0 to n - 1 do
-      let o = body.(i) in
-      let prov = o.Prog.prov in
-      match o.Prog.kind with
-      | Prog.Modswitch -> request ?prov base.(i) depth.(i)
-      | Prog.Encode { scale; level } ->
-          renamed.(i) <-
-            emit ?prov
-              (Prog.Encode { scale; level = level + absorbed.(i) })
-              (Array.map (operand 0) o.Prog.args)
-      | kind ->
-          let k = absorbed.(i) in
-          for j = 1 to k do
-            Array.iter (fun a -> request base.(a) (depth.(a) + j)) o.Prog.args
-          done;
-          renamed.(i) <- emit ?prov kind (Array.map (operand k) o.Prog.args)
-    done;
-    let out =
-      {
-        p with
-        Prog.body = ops;
-        inputs = List.map (fun v -> renamed.(v)) p.Prog.inputs;
-        outputs = List.map (operand 0) p.Prog.outputs;
-      }
-    in
+  List.iter (fun v -> reach ~live:true base.(v) depth.(v)) p.Prog.outputs;
+  let absorbed = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    let o = body.(i) in
+    match o.Prog.kind with
+    | Prog.Modswitch -> reach ~live:false base.(i) depth.(i)
+    | kind ->
+        if absorbs kind then
+          absorbed.(i) <- (if lowest.(i) < max_int then lowest.(i) else deepest.(i));
+        let shift = match kind with Prog.Encode _ -> 0 | _ -> absorbed.(i) in
+        Array.iter (fun a -> reach ~live:true base.(a) (depth.(a) + shift)) o.Prog.args
+  done;
+  (* the surviving layers of base [b] are absorbed.(b)+1 .. deepest.(b);
+     layer_at.(first.(b) + d - absorbed.(b) - 1) is layer d's new op *)
+  let first = Array.make n 0 in
+  let layers = ref 0 and bases = ref 0 in
+  for b = 0 to n - 1 do
+    match body.(b).Prog.kind with
+    | Prog.Modswitch -> ()
+    | _ ->
+        first.(b) <- !layers;
+        layers := !layers + deepest.(b) - absorbed.(b);
+        incr bases
+  done;
+  let layer_at = Array.make !layers (-1) in
+  let size = !bases + !layers in
+  let ops = Array.make size body.(0) in
+  let count = ref 0 and merged = ref false in
+  let table = Vn.create (if value_number then size else 0) in
+  let same i j =
+    Key.kind_eq ops.(i).Prog.kind ops.(j).Prog.kind
+    && Key.args_eq ops.(i).Prog.args ops.(j).Prog.args
+  in
+  let emit ?prov kind args =
+    let id = !count in
+    ops.(id) <- { Prog.id; kind; args; ty = Types.Free; prov };
+    match kind with
+    | Prog.Input _ ->
+        incr count;
+        id
+    | _ when not value_number ->
+        incr count;
+        id
+    | _ ->
+        let h = ref (Key.kind_hash kind) in
+        for k = 0 to Array.length args - 1 do
+          h := Key.mix !h (Array.unsafe_get args k)
+        done;
+        let j = Vn.find_or_add table ~same (Vn.scramble !h) id in
+        if j = id then incr count else merged := true;
+        j
+  in
+  let renamed = Array.make n (-1) in
+  let node b d =
+    if d = absorbed.(b) then renamed.(b) else layer_at.(first.(b) + d - absorbed.(b) - 1)
+  in
+  (* the first request for a surviving layer creates it *)
+  let request ?prov b d =
+    if d > absorbed.(b) then begin
+      let k = first.(b) + d - absorbed.(b) - 1 in
+      if layer_at.(k) < 0 then layer_at.(k) <- emit ?prov Prog.Modswitch [| node b (d - 1) |]
+    end
+  in
+  let operand shift a = node base.(a) (depth.(a) + shift) in
+  for i = 0 to n - 1 do
+    let o = body.(i) in
+    let prov = o.Prog.prov in
+    match o.Prog.kind with
+    | Prog.Modswitch -> request ?prov base.(i) depth.(i)
+    | Prog.Encode { scale; level } ->
+        renamed.(i) <-
+          emit ?prov
+            (Prog.Encode { scale; level = level + absorbed.(i) })
+            (Array.map (operand 0) o.Prog.args)
+    | kind ->
+        let k = absorbed.(i) in
+        for j = 1 to k do
+          Array.iter (fun a -> request base.(a) (depth.(a) + j)) o.Prog.args
+        done;
+        renamed.(i) <- emit ?prov kind (Array.map (operand k) o.Prog.args)
+  done;
+  ( {
+      p with
+      Prog.body = (if !count = size then ops else Array.sub ops 0 !count);
+      inputs = List.map (fun v -> renamed.(v)) p.Prog.inputs;
+      outputs = List.map (operand 0) p.Prog.outputs;
+    },
+    !merged )
+
+let early_modswitch (p : Prog.t) =
+  if not (movable p (Prog.use_counts p)) then p
+  else
+    let out, _ = absorb_modswitches ~value_number:false p in
     match Prog.validate out with
     | Ok () -> out
     | Error msg -> invalid_arg ("Passes.early_modswitch: " ^ msg)
+
+(* ------------------------------------------------------------------ *)
+(* Finalize in one sweep                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [cse] with one rebuild: the same numbering, over the [Vn] table, and
+   when something merged, the redirection of every use and the [dce]
+   after it as one compaction, where [cse] copies every op twice. The
+   input comes back physically when nothing merges. *)
+let value_number (p : Prog.t) =
+  let body = p.Prog.body in
+  let n = Array.length body in
+  let canon = Array.make n 0 in
+  let table = Vn.create n in
+  let same i j =
+    let oi = Array.unsafe_get body i and oj = Array.unsafe_get body j in
+    Key.kind_eq oi.Prog.kind oj.Prog.kind
+    &&
+    let a = oi.Prog.args and b = oj.Prog.args in
+    Array.length a = Array.length b
+    &&
+    let rec go k =
+      k < 0 || (canon.(Array.unsafe_get a k) = canon.(Array.unsafe_get b k) && go (k - 1))
+    in
+    go (Array.length a - 1)
+  in
+  let merged = ref false in
+  for i = 0 to n - 1 do
+    match body.(i).Prog.kind with
+    | Prog.Input _ -> canon.(i) <- i (* never merge distinct inputs *)
+    | kind ->
+        let args = body.(i).Prog.args in
+        let h = ref (Key.kind_hash kind) in
+        for k = 0 to Array.length args - 1 do
+          h := Key.mix !h canon.(Array.unsafe_get args k)
+        done;
+        let j = Vn.find_or_add table ~same (Vn.scramble !h) i in
+        canon.(i) <- j;
+        if j <> i then merged := true
+  done;
+  if not !merged then p
+  else begin
+    (* liveness through the redirected uses: only canonical ops get marked *)
+    let live = Array.make n false in
+    List.iter (fun v -> live.(canon.(v)) <- true) p.Prog.outputs;
+    List.iter (fun v -> live.(v) <- true) p.Prog.inputs;
+    for i = n - 1 downto 0 do
+      if live.(i) then Array.iter (fun a -> live.(canon.(a)) <- true) body.(i).Prog.args
+    done;
+    rebuild ~redirect:canon p ~keep:live
   end
+
+(* A program has a dead op exactly when some op other than an input has no
+   use: the last dead op cannot have one. *)
+let has_dead (p : Prog.t) uses =
+  let body = p.Prog.body in
+  let rec go i =
+    i >= 0
+    && ((uses.(i) = 0 && match body.(i).Prog.kind with Prog.Input _ -> false | _ -> true)
+       || go (i - 1))
+  in
+  go (Array.length body - 1)
+
+let max_iterations = 64
+
+(* One iteration of the reference body per round, each pass computed from
+   what the round already knows:
+   - [cse] is [value_number]; [clean] says the program is the output of
+     an earlier round that folded nothing, so it has no duplicate, no
+     dead op and nothing to fold, and every pass but early-modswitch
+     hands it back;
+   - early-modswitch runs its [movable] scan on use counts [uses] carries
+     over when they are the program's own, and when it moves something,
+     its rebuild numbers the ops it emits, which is the [cse] after it;
+   - [constant-fold] is [dce] unless [foldable] finds work, which no
+     pass here creates, so a clean round skips the scan;
+   - [dce] is needed only where no compaction ran, and the use counts
+     tell whether it is.
+   A round stops the loop under the fixpoint's own test. *)
+let finalize ~early_modswitch (p : Prog.t) =
+  let rec round p ~clean ~uses k =
+    if k = 0 then
+      invalid_arg
+        (Printf.sprintf "Passes.finalize: did not converge within %d iterations" max_iterations);
+    let q = if clean then p else value_number p in
+    (* [live]: [q] is known to have no dead op, as a compaction leaves none *)
+    let live = clean || q != p in
+    let uses = if q == p then uses else None in
+    let q, live, uses =
+      if not early_modswitch then (q, live, uses)
+      else
+        let u = match uses with Some u -> u | None -> Prog.use_counts q in
+        if not (movable q u) then (q, live, Some u)
+        else
+          let q', merged = absorb_modswitches ~value_number:true q in
+          if merged then (dce q', true, None) else (q', false, None)
+    in
+    if (not clean) && foldable q then next p (dce (constant_fold q)) ~clean:false ~uses:None k
+    else if live then next p q ~clean:true ~uses k
+    else
+      let u = match uses with Some u -> u | None -> Prog.use_counts q in
+      if has_dead q u then next p (dce q) ~clean:true ~uses:None k
+      else next p q ~clean:true ~uses:(Some u) k
+  and next p r ~clean ~uses k =
+    if r == p || Prog.equal p r then r else round r ~clean ~uses (k - 1)
+  in
+  round p ~clean:false ~uses:None max_iterations

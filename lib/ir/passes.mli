@@ -15,7 +15,8 @@
 
     These are the raw rewrite functions. They are registered with
     {!Pass_manager} under kebab-case names ([cse], [dce], [constant-fold],
-    [fold-rotations], [early-modswitch]); compose them through pipelines
+    [fold-rotations], [early-modswitch], [fold-plain-muls], and {!finalize}
+    as [finalize] and [finalize-no-ems]); compose them through pipelines
     there — e.g. the standard cleanup pipeline
     ["cse,constant-fold,fixpoint(fold-rotations,dce)"] is
     {!Pass_manager.cleanup} (formerly [default_pipeline] here, whose doc
@@ -34,7 +35,10 @@ val cse : Prog.t -> Prog.t
 
 val constant_fold : Prog.t -> Prog.t
 (** Fold homomorphic operations whose operands are all constants, evaluating
-    element-wise over the slot vector. *)
+    element-wise over the slot vector, then remove what no longer reaches
+    an output. A first scan looks for an operation with only constant
+    operands; with none, nothing is copied and the pass is {!dce}, which
+    hands back a program without dead ops physically. *)
 
 val fold_rotations : Prog.t -> Prog.t
 (** Collapse chained rotations: [rotate (rotate x a) b] with a single use
@@ -69,8 +73,26 @@ val early_modswitch : Prog.t -> Prog.t
     moves ([test/oracle] keeps that formulation and checks the two agree),
     so it is idempotent and leaves no duplicate for [cse] to merge. On the
     HECATE searches of SF, HCD, MLP, LeNet-r and PR E2, every candidate's
-    finalize fixpoint stops after one iteration that changes the program
-    and one that confirms it (measured, not guaranteed: [bench/main.exe
-    passes] and [test/test_core.ml] check SF, HCD and MLP). When no
+    reference finalize fixpoint stops after one iteration that changes
+    the program and one that confirms it (measured, not guaranteed:
+    [test/test_core.ml] checks SF, HCD and MLP). When no
     [modswitch] has a single-use absorbable operand, the input comes back
     physically. Other ops keep their provenance; types are reset. *)
+
+val finalize : early_modswitch:bool -> Prog.t -> Prog.t
+(** The post-codegen finalization in one sweep: exactly what
+    {!Pass_manager.finalize_reference} returns, that is
+    [fixpoint(cse,early-modswitch,cse,constant-fold,dce)] run through the
+    pass manager ([fixpoint(cse,constant-fold,dce)] without
+    [early_modswitch]): the same program under {!Prog.equal}, the same
+    provenance on every op, and the input itself exactly when the
+    pipeline hands it back. Each round of the fixpoint is one value
+    numbering walk whose redirection and dead-code removal are a single
+    rebuild, early-modswitch's analysis and rebuild with the ops it emits
+    value-numbered in place of the second [cse], and scans that find
+    nothing to fold and nothing dead without copying anything. The round
+    that confirms the fixpoint costs early-modswitch's [movable] scan
+    alone. [test/oracle] checks it against the pipeline on every
+    candidate of the pinned searches.
+    @raise Invalid_argument if it has not converged after 64 rounds, where
+    the pipeline's fixpoint gives up too. *)

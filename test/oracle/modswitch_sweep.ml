@@ -113,10 +113,10 @@ let early_modswitch (p : Prog.t) =
 (* Differential check                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* [None] when [actual], the pass's output on [input], is what the oracle
-   makes of [input]; otherwise what differs. *)
-let difference ~input ~actual =
-  let expected = early_modswitch input in
+(* [None] when [actual], a pass's output on [input], is [expected], what
+   its oracle makes of [input]: the same program, the same provenance, and
+   the input itself in the same cases; otherwise what differs. *)
+let compare ~input ~expected ~actual =
   if (expected == input) <> (actual == input) then
     Some
       (if expected == input then "the oracle returns its input, the pass a new program"
@@ -138,6 +138,8 @@ let difference ~input ~actual =
     in
     Option.map (Printf.sprintf "provenance differs at op %d") (first 0)
 
+let difference ~input ~actual = compare ~input ~expected:(early_modswitch input) ~actual
+
 let check ~input ~actual =
   match difference ~input ~actual with
   | None -> Ok ()
@@ -147,12 +149,14 @@ let check ~input ~actual =
 type tally = { mutable calls : int; mutable changed : int; mutable failure : string option }
 
 (* Instrumentation that checks every early-modswitch call of the pipelines
-   it is passed to. In the finalize fixpoint
-   [cse,early-modswitch,cse,constant-fold,dce] the pass's input is what the
-   [cse] before it returned, so the dump hook keeps the last [cse] result
-   and compares the next early-modswitch result against the oracle run on
-   it. The hook state is not shared between domains: use it with
-   [~pool_size:1]. *)
+   it is passed to. In the reference finalization
+   [fixpoint(cse,early-modswitch,cse,constant-fold,dce)] the pass's input
+   is what the [cse] before it returned, so the dump hook keeps the last
+   [cse] result and compares the next early-modswitch result against the
+   oracle run on it. Compiles finalize with the fused [finalize] pass,
+   which calls neither, so a compile checked this way must run the
+   reference ({!check_compile} does). The hook state is not shared
+   between domains: use it with [~pool_size:1]. *)
 let recorder () =
   let tally = { calls = 0; changed = 0; failure = None } in
   let last = ref None in
@@ -220,13 +224,15 @@ let configurations () =
       | Hecate.Driver.Smse | Hecate.Driver.Hecate -> List.map (fun s -> (scheme, s)) strategies)
     Hecate.Driver.all_schemes
 
-(* Compile [t] under [scheme]/[strategy] and check every early-modswitch
-   call; [Error] names the first difference. *)
+(* Compile [t] under [scheme]/[strategy], finalizing every candidate
+   through the reference pipeline, and check every early-modswitch call;
+   [Error] names the first difference. *)
 let check_compile t (scheme, strategy) =
   let instr, tally = recorder () in
   ignore
-    (Hecate.Driver.compile ~pool_size:1 ~instr ?passes:t.cleanup ~strategy scheme
-       ~sf_bits:28 ~waterline_bits:t.waterline t.prog);
+    (Hecate.Driver.compile ~pool_size:1 ~instr ?passes:t.cleanup
+       ~finalize_passes:(Pass_manager.finalize_reference ~early_modswitch:true)
+       ~strategy scheme ~sf_bits:28 ~waterline_bits:t.waterline t.prog);
   match tally.failure with
   | None -> Ok tally
   | Some msg ->

@@ -715,11 +715,12 @@ let test_compile_reports_pass_timings () =
           check Alcotest.bool (name ^ " ran") true (t.Pass_manager.runs > 0);
           check Alcotest.bool (name ^ " non-negative time") true (t.Pass_manager.seconds >= 0.)
       | None -> Alcotest.failf "pass %s missing from the timing table" name)
-    [ "cse"; "dce"; "constant-fold"; "fold-rotations"; "early-modswitch" ];
+    [ "cse"; "dce"; "constant-fold"; "fold-rotations"; "finalize" ];
   (* the explorer finalizes every candidate plan through the same stats:
-     cse must have been charged far more often than the one cleanup run *)
-  let cse = Option.get (find "cse") in
-  check Alcotest.bool "cse charged across candidate plans" true (cse.Pass_manager.runs > 3)
+     finalize must have been charged once per candidate *)
+  let finalize = Option.get (find "finalize") in
+  check Alcotest.bool "finalize charged across candidate plans" true
+    (finalize.Pass_manager.runs > 3)
 
 let test_compile_custom_cleanup () =
   let passes = Pass_manager.parse_exn "dce" in
@@ -761,21 +762,24 @@ let test_early_modswitch_keeps_provenance () =
   check Alcotest.bool "every non-modswitch op keeps its provenance" true (provs after = before)
 
 (* early-modswitch reuses every modswitch the program has or the pass has
-   emitted, so the cse after it finds nothing to merge and the finalize
-   fixpoint stops after one productive iteration and one confirming it.
-   Checked on every candidate the HECATE search finalizes for the one-shot
-   programs at their waterlines. *)
+   emitted, so the cse after it finds nothing to merge and the reference
+   finalize pipeline stops after one productive iteration and one
+   confirming it; and what the fused finalize returns, the pipeline
+   leaves physically unchanged. Checked on every candidate the HECATE
+   search finalizes for the one-shot programs at their waterlines. *)
 let test_finalize_fixpoint_iterations () =
   let suite = Hecate_apps.Apps.reduced_suite () in
+  let reference = Pass_manager.finalize_reference ~early_modswitch:true in
   List.iter
     (fun (name, wl) ->
       let a = List.find (fun (a : Hecate_apps.Apps.t) -> a.Hecate_apps.Apps.name = name) suite in
       let cfg = Typing.config ~sf:28. ~waterline:wl () in
       let prog = Pass_manager.default_pipeline a.Hecate_apps.Apps.prog in
-      let worst = ref 0 and candidates = ref 0 in
+      let worst = ref 0 and candidates = ref 0 and moved = ref 0 in
       let codegen ~hook =
+        let managed = Codegen.pars cfg ~hook prog in
         let stats = Pass_manager.create_stats () in
-        let p, _ = Driver.finalize ~stats ~cfg (Codegen.pars cfg ~hook prog) in
+        ignore (Pass_manager.run ~stats reference managed);
         let t =
           List.find
             (fun (t : Pass_manager.timing) -> t.Pass_manager.pass = "early-modswitch")
@@ -783,6 +787,8 @@ let test_finalize_fixpoint_iterations () =
         in
         worst := max !worst t.Pass_manager.runs;
         incr candidates;
+        let p, _ = Driver.finalize ~cfg managed in
+        if Pass_manager.run reference p != p then incr moved;
         p
       in
       let evaluate p =
@@ -796,7 +802,8 @@ let test_finalize_fixpoint_iterations () =
       check Alcotest.bool (name ^ ": candidates finalized") true (!candidates > 1);
       check Alcotest.bool
         (Printf.sprintf "%s: at most 2 fixpoint iterations per candidate (worst %d)" name !worst)
-        true (!worst <= 2))
+        true (!worst <= 2);
+      check Alcotest.int (name ^ ": finalized candidates the pipeline changes") 0 !moved)
     [ ("SF", 24.); ("HCD", 22.); ("MLP", 15.) ]
 
 let () =

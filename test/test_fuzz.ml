@@ -188,7 +188,10 @@ let test_passes_noop_on_apps () =
 
 (* Every early-modswitch call of a compile, under each scheme, against the
    sweep the pass replaced (test/oracle): same program, same provenance,
-   and the input handed back physically exactly when the sweep does. *)
+   and the input handed back physically exactly when the sweep does. The
+   compile finalizes through the reference pipeline, whose
+   early-modswitch calls the recorder sees; the fused finalize makes
+   none. *)
 let prop_early_modswitch_matches_sweep =
   QCheck.Test.make ~name:"early-modswitch matches the sweep on every call of a compile"
     ~count:200
@@ -198,7 +201,10 @@ let prop_early_modswitch_matches_sweep =
       List.for_all
         (fun scheme ->
           let instr, tally = Modswitch_sweep.recorder () in
-          ignore (Driver.compile ~pool_size:1 ~instr scheme ~sf_bits:28 ~waterline_bits:20. prog);
+          ignore
+            (Driver.compile ~pool_size:1 ~instr
+               ~finalize_passes:(Pass_manager.finalize_reference ~early_modswitch:true)
+               scheme ~sf_bits:28 ~waterline_bits:20. prog);
           match tally.Modswitch_sweep.failure with
           | None -> true
           | Some msg ->
