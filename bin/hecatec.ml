@@ -51,35 +51,10 @@ let render_diagnostic (d : Diagnostic.t) =
   | Json -> Printf.eprintf "%s\n" (Diagnostic.to_json d));
   1
 
-(* Every failure mode of the subcommands funnels into a diagnostic: already
-   structured ones pass through; parse errors, pass-manager failures and
-   configuration errors are wrapped. No exception reaches the user as a
-   backtrace. *)
+(* Every failure mode of the subcommands funnels into a diagnostic
+   ({!Driver.diagnose}). No exception reaches the user as a backtrace. *)
 let handle_errors f =
-  try f () with
-  | Diagnostic.Error d -> exit (render_diagnostic d)
-  | Parser.Parse_error { line; message } ->
-      exit
-        (render_diagnostic
-           (Diagnostic.v ~code:Diagnostic.Parse_error
-              ~hint:"see docs/ARCHITECTURE.md for the textual program grammar"
-              (Printf.sprintf "line %d: %s" line message)))
-  | Pass_manager.Pass_failed { pass; reason } ->
-      exit
-        (render_diagnostic
-           (Diagnostic.v ~code:Diagnostic.Internal
-              ~hint:"this is a compiler bug; re-run with --print-ir-after to bisect the pipeline"
-              (Printf.sprintf "pass %s failed: %s" pass reason)))
-  | Invalid_argument msg ->
-      exit
-        (render_diagnostic
-           (Diagnostic.v ~code:Diagnostic.Precondition
-              ~hint:
-                "the configuration cannot accommodate this program; adjust the waterline, \
-                 rescaling factor or program depth"
-              msg))
-  | Sys_error msg ->
-      exit (render_diagnostic (Diagnostic.v ~code:Diagnostic.Precondition msg))
+  match Driver.diagnose f with Ok v -> v | Error d -> exit (render_diagnostic d)
 
 let scheme_conv =
   let parse s =

@@ -25,8 +25,8 @@
       support is disjoint from (or contained in) the written slots.
 
     The emitted {!Hecate_ir.Prog.t} is unmanaged — run {!pipeline} to clean
-    it up, then any of the four scale-management schemes or
-    {!Hecate_frontend.Infer} exactly as for hand-written vector programs. *)
+    it up, then any of the four scale-management schemes exactly as for
+    hand-written vector programs. *)
 
 type spec =
   | Auto  (** per-array layouts chosen by the rotation-count cost model *)

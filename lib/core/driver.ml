@@ -3,6 +3,7 @@ module Typing = Hecate_ir.Typing
 module Passes = Hecate_ir.Passes
 module Pass_manager = Hecate_ir.Pass_manager
 module Diagnostic = Hecate_ir.Diagnostic
+module Parser = Hecate_ir.Parser
 
 type scheme = Eva | Pars | Smse | Hecate
 
@@ -76,7 +77,7 @@ let plan_of_keyed keys keyed =
       if Array.exists (fun d -> d > 0) p then Some p else None
 
 let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_exploration = false)
-    ?q0_bits ?early_modswitch ?(downscale_analysis = true) ?smu_phases ?noise_budget_bits
+    ?q0_bits ?early_modswitch ?(downscale_analysis = true) ?smu_phases
     ?pool_size ?(passes = Pass_manager.cleanup) ?finalize_passes
     ?(instr = Pass_manager.instrumentation ())
     ?(strategy = Explore.default_strategy) ?gate ?(warm_plans = [])
@@ -126,17 +127,7 @@ let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_explora
     let params =
       Paramselect.select ?q0_bits ~sf_bits ~types ~slot_count:p.Prog.slot_count ()
     in
-    (* ELASM-style noise-aware exploration: reject plans whose predicted
-       output error exceeds the budget *)
-    let noise_ok =
-      match noise_budget_bits with
-      | None -> true
-      | Some budget ->
-          let ncfg = Noisemodel.default_config ~n:params.Paramselect.secure_n in
-          Noisemodel.predicted_rmse_bits ncfg p <= budget
-    in
-    if not noise_ok then infinity
-    else Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p
+    Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p
   in
   match scheme with
   | Eva | Pars ->
@@ -206,18 +197,16 @@ let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_explora
         pass_timings = Pass_manager.timings stats;
       }
 
-let compile_result ?model ?max_epochs ?naive_exploration ?q0_bits ?early_modswitch
-    ?downscale_analysis ?smu_phases ?noise_budget_bits ?pool_size ?passes ?instr
-    ?strategy ?gate ?warm_plans ?should_stop ?on_epoch scheme ~sf_bits ~waterline_bits
-    prog =
-  match
-    compile ?model ?max_epochs ?naive_exploration ?q0_bits ?early_modswitch
-      ?downscale_analysis ?smu_phases ?noise_budget_bits ?pool_size ?passes ?instr
-      ?strategy ?gate ?warm_plans ?should_stop ?on_epoch scheme ~sf_bits ~waterline_bits
-      prog
-  with
-  | c -> Ok c
+let diagnose f =
+  match f () with
+  | v -> Ok v
+  | exception Explore.Cancelled -> raise Explore.Cancelled
   | exception Diagnostic.Error d -> Error d
+  | exception Parser.Parse_error { line; message } ->
+      Error
+        (Diagnostic.v ~code:Diagnostic.Parse_error
+           ~hint:"see docs/ARCHITECTURE.md for the textual program grammar"
+           (Printf.sprintf "line %d: %s" line message))
   | exception Pass_manager.Pass_failed { pass; reason } ->
       Error
         (Diagnostic.v ~code:Diagnostic.Internal
@@ -227,10 +216,14 @@ let compile_result ?model ?max_epochs ?naive_exploration ?q0_bits ?early_modswit
       Error
         (Diagnostic.v ~code:Diagnostic.Precondition
            ~hint:
-             "the compiler configuration cannot accommodate this program (e.g. the modulus \
-              chain outgrew every supported ring degree); adjust the waterline, rescaling \
-              factor or program depth"
+             "the configuration cannot accommodate this program; adjust the waterline, \
+              rescaling factor or program depth"
            msg)
+  | exception Sys_error msg -> Error (Diagnostic.v ~code:Diagnostic.Precondition msg)
+  | exception e ->
+      Error
+        (Diagnostic.v ~code:Diagnostic.Internal ~hint:"this is a compiler bug"
+           (Printf.sprintf "uncaught exception: %s" (Printexc.to_string e)))
 
 let estimate_at ?(model = Costmodel.analytic ()) compiled ~n =
   Estimator.estimate ~model ~params:compiled.params ~n compiled.prog

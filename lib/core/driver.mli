@@ -53,7 +53,6 @@ val compile :
   ?early_modswitch:bool ->
   ?downscale_analysis:bool ->
   ?smu_phases:int ->
-  ?noise_budget_bits:float ->
   ?pool_size:int ->
   ?passes:Hecate_ir.Pass_manager.pipeline ->
   ?finalize_passes:Hecate_ir.Pass_manager.pipeline ->
@@ -84,9 +83,6 @@ val compile :
     [early_modswitch] (default true) toggles EVA's hoisting pass,
     [downscale_analysis] (default true) toggles PARS step (e), and
     [smu_phases] truncates SMU generation (see {!Smu.generate}).
-    [noise_budget_bits] enables ELASM-style noise-aware exploration: plans
-    whose {!Noisemodel}-predicted output error exceeds [2^budget] are
-    rejected during the climb (only meaningful for [Smse]/[Hecate]).
     [pool_size] sets the exploration worker-domain count (see
     {!Explore.portfolio}); every pool size returns the same result.
 
@@ -114,34 +110,14 @@ val compile :
     @raise Invalid_argument if the configuration itself is infeasible
     (e.g. parameter selection cannot find a supported ring degree). *)
 
-val compile_result :
-  ?model:Costmodel.t ->
-  ?max_epochs:int ->
-  ?naive_exploration:bool ->
-  ?q0_bits:int ->
-  ?early_modswitch:bool ->
-  ?downscale_analysis:bool ->
-  ?smu_phases:int ->
-  ?noise_budget_bits:float ->
-  ?pool_size:int ->
-  ?passes:Hecate_ir.Pass_manager.pipeline ->
-  ?instr:Hecate_ir.Pass_manager.instrumentation ->
-  ?strategy:string ->
-  ?gate:Explore.gate ->
-  ?warm_plans:(string * int) list list ->
-  ?should_stop:(unit -> bool) ->
-  ?on_epoch:(strategy:string -> Explore.epoch_trace -> unit) ->
-  scheme ->
-  sf_bits:int ->
-  waterline_bits:float ->
-  Hecate_ir.Prog.t ->
-  (compiled, Hecate_ir.Diagnostic.t) result
-(** Non-raising counterpart of {!compile}: every failure — structured
-    diagnostics, pass-manager failures ([Internal]), infeasible
-    configurations ([Precondition]) — comes back as [Error]. This is the
-    API front ends and tools should consume; {!compile} remains for callers
-    that prefer exceptions. {!Explore.Cancelled} is not a compilation
-    failure and still raises: cancellation is the caller's own signal. *)
+val diagnose : (unit -> 'a) -> ('a, Hecate_ir.Diagnostic.t) result
+(** [diagnose f] runs [f] and turns every failure into a diagnostic, the
+    one mapping every front end shares: {!Hecate_ir.Diagnostic.Error}
+    passes through; a parse error becomes [Parse_error], a pass-manager
+    failure and any unexpected exception [Internal], and an
+    [Invalid_argument] (an infeasible configuration) or a [Sys_error]
+    [Precondition]. {!Explore.Cancelled} is not a failure and is
+    re-raised: cancellation is the caller's own signal. *)
 
 val finalize :
   ?q0_bits:int ->

@@ -12,16 +12,6 @@ type epoch_trace = {
   elapsed_seconds : float;
 }
 
-type result = {
-  best_plan : plan;
-  best_prog : Hecate_ir.Prog.t;
-  best_cost : float;
-  epochs : int;
-  plans_explored : int;
-  cache_hits : int;
-  trace : epoch_trace list;
-}
-
 let hook_of_plan (edges : Smu.edge array) (plan : plan) =
   let table = Hashtbl.create 64 in
   Array.iteri
@@ -731,26 +721,3 @@ let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
             p_cache_hits = ctx.ctx_hits;
             p_seeded = seeded;
           })
-
-(* ------------------------------------------------------------------ *)
-(* hill_climb: the PR 1 entry point, now a one-strategy portfolio       *)
-(* ------------------------------------------------------------------ *)
-
-let hill_climb ~codegen ~evaluate ~(edges : Smu.edge array) ?(max_epochs = 100)
-    ?pool_size ?(should_stop = fun () -> false) ?on_epoch () =
-  let r =
-    portfolio ~codegen ~evaluate ~edges ~strategies:[ "hill-climb" ] ~max_epochs
-      ?pool_size ~should_stop
-      ?on_epoch:(Option.map (fun f -> fun ~strategy:_ t -> f t) on_epoch)
-      ()
-  in
-  let s = List.hd r.p_strategies in
-  {
-    best_plan = r.p_best_plan;
-    best_prog = r.p_best_prog;
-    best_cost = r.p_best_cost;
-    epochs = s.s_epochs;
-    plans_explored = r.p_plans_explored;
-    cache_hits = r.p_cache_hits;
-    trace = s.s_trace;
-  }

@@ -44,16 +44,6 @@ type epoch_trace = {
   elapsed_seconds : float; (** wall-clock spent on this epoch *)
 }
 
-type result = {
-  best_plan : plan;
-  best_prog : Hecate_ir.Prog.t; (** finalized and typed *)
-  best_cost : float; (** estimated seconds *)
-  epochs : int; (** epochs that found an improvement *)
-  plans_explored : int; (** candidate programs actually compiled+evaluated *)
-  cache_hits : int; (** candidates answered by the plan memo cache *)
-  trace : epoch_trace list; (** per-epoch records, in epoch order *)
-}
-
 val hook_of_plan : Smu.edge array -> plan -> Codegen.hook
 (** Degree lookup for the code generators: the degree of the edge owning a
     given (op, operand) site, 0 elsewhere. *)
@@ -210,20 +200,3 @@ val portfolio :
     or a name in [strategies] is not registered.
     @raise Hecate_ir.Diagnostic.Error with code [Oracle_rejected] if every
     strategy's winning plan failed [gate]. *)
-
-val hill_climb :
-  codegen:(hook:Codegen.hook -> Hecate_ir.Prog.t) ->
-  evaluate:(Hecate_ir.Prog.t -> float) ->
-  edges:Smu.edge array ->
-  ?max_epochs:int ->
-  ?pool_size:int ->
-  ?should_stop:(unit -> bool) ->
-  ?on_epoch:(epoch_trace -> unit) ->
-  unit ->
-  result
-(** The PR 1 entry point, kept verbatim: a one-strategy portfolio running
-    ["hill-climb"] with no seeds and no gate. Same winner rule, same
-    accounting, same anytime/cancellation contract as before.
-    @raise Cancelled if [should_stop] is true before the base plan runs.
-    @raise Invalid_argument if the all-zero base plan fails to compile or
-    evaluate. *)

@@ -71,10 +71,6 @@ let kind_name = function
   | Upscale _ -> "upscale"
   | Downscale _ -> "downscale"
 
-let is_homomorphic = function
-  | Input _ | Const _ | Add | Sub | Mul | Negate | Rotate _ -> true
-  | Encode _ | Rescale | Modswitch | Upscale _ | Downscale _ -> false
-
 let validate p =
   let n = Array.length p.body in
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in

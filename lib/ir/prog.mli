@@ -29,7 +29,7 @@ type kind =
 
 type provenance = { label : string; context : string list }
 (** Where an operation came from in the surface program: [label] names the
-    surface construct that emitted it (e.g. ["mul"], ["rescale (inferred)"]),
+    surface construct that emitted it (e.g. ["mul"]),
     [context] is the enclosing combinator chain, outermost first (e.g.
     [["matvec 4x4"]]). Metadata only — ignored by {!equal} and every pass. *)
 
@@ -76,10 +76,6 @@ val use_counts : t -> int array
 
 val users : t -> value list array
 (** For each value, ids of the operations that consume it (in order). *)
-
-val is_homomorphic : kind -> bool
-(** True for operations with a plaintext counterpart; false for the opaque
-    scale-management operations. *)
 
 val kind_name : kind -> string
 

@@ -27,6 +27,7 @@
 module Prog = Hecate_ir.Prog
 module Parser = Hecate_ir.Parser
 module Diagnostic = Hecate_ir.Diagnostic
+module Driver = Hecate.Driver
 module Plancache = Hecate.Plancache
 module Explore = Hecate.Explore
 module Oracle = Hecate_fuzz.Oracle
@@ -121,14 +122,15 @@ let run_job t job =
       if t.compile_domain then Some (fun f -> Domain.join (Domain.spawn f)) else None
     in
     match
-      Plancache.compile t.cache ?pool_size:t.pool_size ?run_cold
-        ~should_stop:(fun () -> Atomic.get job.cancel || Atomic.get t.stopping)
-        ?on_epoch ?strategy:s.Protocol.strategy ?gate
-        ?budget_seconds:s.Protocol.budget_seconds ~scheme:s.Protocol.scheme
-        ~sf_bits:s.Protocol.sf_bits ~waterline_bits:s.Protocol.waterline_bits
-        ~max_epochs:s.Protocol.max_epochs job.prog
+      Driver.diagnose (fun () ->
+          Plancache.compile t.cache ?pool_size:t.pool_size ?run_cold
+            ~should_stop:(fun () -> Atomic.get job.cancel || Atomic.get t.stopping)
+            ?on_epoch ?strategy:s.Protocol.strategy ?gate
+            ?budget_seconds:s.Protocol.budget_seconds ~scheme:s.Protocol.scheme
+            ~sf_bits:s.Protocol.sf_bits ~waterline_bits:s.Protocol.waterline_bits
+            ~max_epochs:s.Protocol.max_epochs job.prog)
     with
-    | entry, origin ->
+    | Ok (entry, origin) ->
         let wall = Unix.gettimeofday () -. t0 in
         finish Done;
         log t "job %d done (%s, %.4f s)" job.id (Plancache.origin_name origin) wall;
@@ -136,12 +138,9 @@ let run_job t job =
     | exception Explore.Cancelled ->
         finish Cancelled;
         job.send (Protocol.cancelled ~job:job.id)
-    | exception Diagnostic.Error d ->
+    | Error d ->
         finish Failed;
         job.send (Protocol.error ~job:job.id (Format.asprintf "%a" Diagnostic.pp d))
-    | exception Invalid_argument msg ->
-        finish Failed;
-        job.send (Protocol.error ~job:job.id msg)
   end
 
 let worker_loop t =
@@ -260,7 +259,7 @@ let submit t ~client ~send (s : Protocol.submit) =
         Condition.signal t.work;
         Mutex.unlock t.mutex;
         log t "job %d accepted from client %d (%s, %d ops)" id client
-          (Hecate.Driver.scheme_name s.Protocol.scheme)
+          (Driver.scheme_name s.Protocol.scheme)
           (Prog.num_ops prog);
         send (Protocol.accepted ~job:id)
       end
@@ -409,9 +408,3 @@ let serve t ~socket_path =
   drain t;
   (try Unix.close fd with Unix.Unix_error _ -> ());
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ())
-
-let stats_line t =
-  Mutex.lock t.mutex;
-  let jobs = job_counts t in
-  Mutex.unlock t.mutex;
-  Protocol.stats ~jobs ~cache:(Plancache.snapshot t.cache)

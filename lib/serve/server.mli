@@ -54,6 +54,3 @@ val request_shutdown : t -> unit
 val drain : t -> unit
 (** {!request_shutdown} and join the worker threads (waits for queued
     and running jobs to settle). Idempotent. *)
-
-val stats_line : t -> string
-(** The [stats] event line for the current job and cache counters. *)

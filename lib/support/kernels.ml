@@ -25,8 +25,6 @@ let parse_env_flag () =
 let naive = Atomic.make (parse_env_flag ())
 
 let use_naive () = Atomic.get naive
-let set_naive b = Atomic.set naive b
-
 let with_naive b f =
   let prev = Atomic.get naive in
   Atomic.set naive b;

@@ -16,9 +16,6 @@
 val use_naive : unit -> bool
 (** True when the reference (division-based) kernels are selected. *)
 
-val set_naive : bool -> unit
-(** Select the reference ([true]) or fast ([false]) kernels process-wide. *)
-
 val with_naive : bool -> (unit -> 'a) -> 'a
 (** [with_naive b f] runs [f] with the mode forced to [b], restoring the
     previous mode afterwards (also on exceptions). Not safe to race with

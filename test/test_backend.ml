@@ -397,15 +397,6 @@ let test_noise_model_waterline_monotone () =
   check Alcotest.bool "16 < 12" true (pred 16. < pred 12.);
   check Alcotest.bool "20 < 16" true (pred 20. < pred 16.)
 
-let test_noise_aware_exploration () =
-  (* an absurdly tight budget rejects every neighbour: the climb stays at
-     the baseline; a loose budget behaves like plain HECATE *)
-  let prog = fig2 () in
-  let loose = Driver.compile ~noise_budget_bits:100. Driver.Hecate ~sf_bits:28 ~waterline_bits:20. prog in
-  let plain = Driver.compile Driver.Hecate ~sf_bits:28 ~waterline_bits:20. prog in
-  check (Alcotest.float 1e-9) "loose budget = plain hecate" plain.Driver.estimated_seconds
-    loose.Driver.estimated_seconds
-
 (* ------------------------------------------------------------------ *)
 (* Ablation flags                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -638,7 +629,6 @@ let () =
         [
           Alcotest.test_case "predicts measurement" `Quick test_noise_model_predicts_measurement;
           Alcotest.test_case "waterline monotone" `Quick test_noise_model_waterline_monotone;
-          Alcotest.test_case "noise-aware exploration" `Quick test_noise_aware_exploration;
         ] );
       ( "ablations",
         [

@@ -13,7 +13,6 @@ module Printer = Hecate_ir.Printer
 module Pass_manager = Hecate_ir.Pass_manager
 module Diagnostic = Hecate_ir.Diagnostic
 module Typing = Hecate_ir.Typing
-module Infer = Hecate_frontend.Infer
 module Driver = Hecate.Driver
 module Plancache = Hecate.Plancache
 module Reference = Hecate_backend.Reference
@@ -379,22 +378,6 @@ let test_encrypted_end_to_end () =
         true (rmse < 1e-2))
     (Batch_apps.suite ())
 
-let test_infer_agrees_with_eva_codegen () =
-  (* frontend scale inference over the cleaned batched program coincides
-     with the driver's EVA placement, exactly as for hand-written IR *)
-  let infer_cfg = Typing.config ~sf:28. ~waterline:20. () in
-  List.iter
-    (fun (app : Batch_apps.t) ->
-      let l = lower_exn Lower.Auto app.Batch_apps.surface in
-      let cleaned = cleanup l.Lower.prog in
-      let inferred = Infer.infer_exn infer_cfg cleaned in
-      let finalized = fst (Driver.finalize ~cfg:infer_cfg inferred) in
-      let eva = compile_batched Driver.Eva l in
-      if not (Prog.equal finalized eva.Driver.prog) then
-        Alcotest.failf "%s: inferred placement differs from EVA codegen"
-          app.Batch_apps.name)
-    (Batch_apps.suite ())
-
 (* ------------------------------------------------------------------ *)
 (* Fingerprints and the plan cache                                      *)
 (* ------------------------------------------------------------------ *)
@@ -458,7 +441,6 @@ let () =
         [
           Alcotest.test_case "golden IR all schemes" `Quick test_golden_all_schemes;
           Alcotest.test_case "encrypted end to end" `Quick test_encrypted_end_to_end;
-          Alcotest.test_case "inference = EVA codegen" `Quick test_infer_agrees_with_eva_codegen;
         ] );
       ( "caching",
         [

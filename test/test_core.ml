@@ -73,7 +73,7 @@ let test_codegen_rejects_managed_input () =
      included, with the same structured code *)
   List.iter
     (fun scheme ->
-      match Driver.compile_result scheme ~sf_bits:28 ~waterline_bits:20. p with
+      match Driver.diagnose (fun () -> Driver.compile scheme ~sf_bits:28 ~waterline_bits:20. p) with
       | Ok _ -> Alcotest.fail "driver accepted a managed program"
       | Error d ->
           check Alcotest.string "driver code" "already-managed"
@@ -473,6 +473,9 @@ let test_fig2_three_plans () =
 (* Explorer and driver                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* improving epochs of the (only) strategy *)
+let epochs (r : Explore.portfolio_result) = (List.hd r.Explore.p_strategies).Explore.s_epochs
+
 let test_hill_climb_improves () =
   let prog = fig2 () in
   let smu = Smu.generate prog in
@@ -482,11 +485,13 @@ let test_hill_climb_improves () =
     let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:8 () in
     Estimator.estimate ~model ~params ~n:8192 p
   in
-  let r = Explore.hill_climb ~codegen ~evaluate ~edges:smu.Smu.edges () in
+  let r =
+    Explore.portfolio ~codegen ~evaluate ~edges:smu.Smu.edges ~strategies:[ "hill-climb" ] ()
+  in
   let base = evaluate (codegen ~hook:Codegen.no_hook) in
-  check Alcotest.bool "no regression" true (r.Explore.best_cost <= base);
+  check Alcotest.bool "no regression" true (r.Explore.p_best_cost <= base);
   check Alcotest.bool "explored the neighbourhood" true
-    (r.Explore.plans_explored >= Array.length smu.Smu.edges)
+    (r.Explore.p_plans_explored >= Array.length smu.Smu.edges)
 
 let test_hill_climb_evaluate_exception_skipped () =
   (* an Invalid_argument from [evaluate] (e.g. Paramselect.num_primes_at on a
@@ -500,12 +505,14 @@ let test_hill_climb_evaluate_exception_skipped () =
     if Atomic.fetch_and_add calls 1 = 0 then float_of_int (Prog.num_ops p)
     else invalid_arg "Paramselect.num_primes_at: bad level"
   in
-  let r = Explore.hill_climb ~codegen ~evaluate ~edges:smu.Smu.edges () in
-  check Alcotest.bool "search survived" true (r.Explore.best_cost < infinity);
-  check Alcotest.int "no candidate accepted" 0 r.Explore.epochs;
+  let r =
+    Explore.portfolio ~codegen ~evaluate ~edges:smu.Smu.edges ~strategies:[ "hill-climb" ] ()
+  in
+  check Alcotest.bool "search survived" true (r.Explore.p_best_cost < infinity);
+  check Alcotest.int "no candidate accepted" 0 (epochs r);
   check (Alcotest.array Alcotest.int) "base plan kept"
     (Array.make (Array.length smu.Smu.edges) 0)
-    r.Explore.best_plan
+    r.Explore.p_best_plan
 
 let test_hill_climb_base_evaluate_fatal () =
   (* the all-zero base plan must compile and evaluate: a crash there is
@@ -514,7 +521,9 @@ let test_hill_climb_base_evaluate_fatal () =
   let smu = Smu.generate prog in
   let codegen ~hook = fst (Driver.finalize ~cfg (Codegen.waterline cfg ~hook prog)) in
   let evaluate _ = invalid_arg "boom" in
-  match Explore.hill_climb ~codegen ~evaluate ~edges:smu.Smu.edges () with
+  match
+    Explore.portfolio ~codegen ~evaluate ~edges:smu.Smu.edges ~strategies:[ "hill-climb" ] ()
+  with
   | _ -> Alcotest.fail "expected Invalid_argument on a failing base plan"
   | exception Invalid_argument _ -> ()
 
@@ -546,14 +555,14 @@ let backoff_evaluate p =
 
 let test_hill_climb_backoff () =
   let r =
-    Explore.hill_climb ~codegen:backoff_codegen ~evaluate:backoff_evaluate
-      ~edges:backoff_edges ()
+    Explore.portfolio ~codegen:backoff_codegen ~evaluate:backoff_evaluate ~edges:backoff_edges
+      ~strategies:[ "hill-climb" ] ()
   in
   check (Alcotest.array Alcotest.int) "optimum needs a -1 move" [| 0; 1; 1 |]
-    r.Explore.best_plan;
-  check (Alcotest.float 0.) "cost of the backed-off plan" 6. r.Explore.best_cost;
-  check Alcotest.int "four improving epochs" 4 r.Explore.epochs;
-  check Alcotest.bool "revisited plans served from the cache" true (r.Explore.cache_hits > 0)
+    r.Explore.p_best_plan;
+  check (Alcotest.float 0.) "cost of the backed-off plan" 6. r.Explore.p_best_cost;
+  check Alcotest.int "four improving epochs" 4 (epochs r);
+  check Alcotest.bool "revisited plans served from the cache" true (r.Explore.p_cache_hits > 0)
 
 let test_hill_climb_parallel_matches_serial () =
   (* bit-identical best_plan/best_cost/plans_explored for every pool size *)
@@ -576,22 +585,23 @@ let test_hill_climb_parallel_matches_serial () =
         Estimator.estimate ~model ~params ~n:8192 p
       in
       let explore pool_size =
-        Explore.hill_climb ~codegen ~evaluate ~edges:smu.Smu.edges ~max_epochs ~pool_size ()
+        Explore.portfolio ~codegen ~evaluate ~edges:smu.Smu.edges ~strategies:[ "hill-climb" ]
+          ~max_epochs ~pool_size ()
       in
       let serial = explore 1 in
       List.iter
         (fun pool_size ->
           let par = explore pool_size in
           let lbl s = Printf.sprintf "%s pool=%d: %s" name pool_size s in
-          check (Alcotest.array Alcotest.int) (lbl "best_plan") serial.Explore.best_plan
-            par.Explore.best_plan;
-          check (Alcotest.float 0.) (lbl "best_cost") serial.Explore.best_cost
-            par.Explore.best_cost;
-          check Alcotest.int (lbl "plans_explored") serial.Explore.plans_explored
-            par.Explore.plans_explored;
-          check Alcotest.int (lbl "cache_hits") serial.Explore.cache_hits
-            par.Explore.cache_hits;
-          check Alcotest.int (lbl "epochs") serial.Explore.epochs par.Explore.epochs)
+          check (Alcotest.array Alcotest.int) (lbl "best_plan") serial.Explore.p_best_plan
+            par.Explore.p_best_plan;
+          check (Alcotest.float 0.) (lbl "best_cost") serial.Explore.p_best_cost
+            par.Explore.p_best_cost;
+          check Alcotest.int (lbl "plans_explored") serial.Explore.p_plans_explored
+            par.Explore.p_plans_explored;
+          check Alcotest.int (lbl "cache_hits") serial.Explore.p_cache_hits
+            par.Explore.p_cache_hits;
+          check Alcotest.int (lbl "epochs") (epochs serial) (epochs par))
         [ 2; 4 ])
     apps
 
@@ -607,13 +617,48 @@ let test_driver_pool_size_invariant () =
   check Alcotest.bool "trace covers every epoch" true
     (List.length (stats reference).Driver.trace > (stats reference).Driver.epochs - 1)
 
+let test_driver_diagnose () =
+  (* the one exception-to-diagnostic mapping every front end shares *)
+  let module D = Hecate_ir.Diagnostic in
+  let diag f =
+    match Driver.diagnose f with
+    | Ok () -> Alcotest.fail "expected a diagnostic"
+    | Error d -> (D.code_name d.D.code, d.D.message)
+  in
+  let expect what (code, message) f =
+    check Alcotest.(pair string string) what (code, message) (diag f)
+  in
+  check Alcotest.(result int reject) "value passes through" (Ok 42)
+    (Driver.diagnose (fun () -> 42));
+  let d = D.v ~code:D.Scale_overflow "too big" in
+  (match Driver.diagnose (fun () -> D.error d) with
+  | Error d' -> check Alcotest.bool "diagnostic passes through" true (d' == d)
+  | Ok () -> Alcotest.fail "expected the raised diagnostic");
+  expect "parse error" ("parse-error", "line 3: expected ','") (fun () ->
+      raise (Hecate_ir.Parser.Parse_error { line = 3; message = "expected ','" }));
+  expect "pass failure" ("internal", "pass cse failed: broken") (fun () ->
+      raise (Hecate_ir.Pass_manager.Pass_failed { pass = "cse"; reason = "broken" }));
+  expect "invalid argument" ("precondition", "no ring degree") (fun () ->
+      invalid_arg "no ring degree");
+  expect "system error" ("precondition", "x.hec: No such file") (fun () ->
+      raise (Sys_error "x.hec: No such file"));
+  expect "any other exception" ("internal", "uncaught exception: Not_found") (fun () ->
+      raise Not_found);
+  (* cancellation is the caller's own signal, not a failure *)
+  match Driver.diagnose (fun () -> raise Explore.Cancelled) with
+  | _ -> Alcotest.fail "Cancelled must be re-raised"
+  | exception Explore.Cancelled -> ()
+
 let test_hill_climb_epoch_cap () =
   let prog = fig2 () in
   let smu = Smu.generate prog in
   let codegen ~hook = fst (Driver.finalize ~cfg (Codegen.waterline cfg ~hook prog)) in
   let evaluate p = float_of_int (Prog.num_ops p) in
-  let r = Explore.hill_climb ~codegen ~evaluate ~edges:smu.Smu.edges ~max_epochs:1 () in
-  check Alcotest.bool "capped" true (r.Explore.epochs <= 1)
+  let r =
+    Explore.portfolio ~codegen ~evaluate ~edges:smu.Smu.edges ~strategies:[ "hill-climb" ]
+      ~max_epochs:1 ()
+  in
+  check Alcotest.bool "capped" true (epochs r <= 1)
 
 let test_driver_all_schemes () =
   let prog = fig2 () in
@@ -870,6 +915,7 @@ let () =
           Alcotest.test_case "naive explores more" `Quick test_driver_naive_explores_more;
           Alcotest.test_case "output types valid" `Quick test_driver_output_types_valid;
           Alcotest.test_case "pool size invariant" `Quick test_driver_pool_size_invariant;
+          Alcotest.test_case "diagnose maps every failure" `Quick test_driver_diagnose;
         ] );
       ( "pass-manager",
         [

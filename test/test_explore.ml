@@ -101,20 +101,23 @@ let test_no_incumbent_reevaluation () =
     Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k));
     backoff_cost p
   in
-  let r = Explore.hill_climb ~codegen:backoff_codegen ~evaluate ~edges:backoff_edges () in
+  let r =
+    Explore.portfolio ~codegen:backoff_codegen ~evaluate ~edges:backoff_edges
+      ~strategies:[ "hill-climb" ] ()
+  in
   check (Alcotest.array Alcotest.int) "search still finds the optimum" [| 0; 1; 1 |]
-    r.Explore.best_plan;
+    r.Explore.p_best_plan;
   Hashtbl.iter
     (fun k n ->
       check Alcotest.int (Printf.sprintf "plan with %d ops evaluated exactly once" k) 1 n)
     counts;
   let total = Hashtbl.fold (fun _ n acc -> n + acc) counts 0 in
-  check Alcotest.int "every evaluation was fresh" r.Explore.plans_explored total;
+  check Alcotest.int "every evaluation was fresh" r.Explore.p_plans_explored total;
   (* Pin the exact count: base (1) plus the fresh part of each visited
      neighbourhood (3+3+3+4+2). The incumbent-re-evaluation bug inflated
      this by one per epoch. *)
   check Alcotest.int "evaluation count pinned" 16 total;
-  check Alcotest.bool "revisits served from the memo" true (r.Explore.cache_hits > 0)
+  check Alcotest.bool "revisits served from the memo" true (r.Explore.p_cache_hits > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: pool size and registration order are invisible          *)

@@ -1,16 +1,16 @@
 (* Tests for the DSL and its packing helpers, validated against the exact
-   plaintext reference interpreter, and for scale/level inference over DSL
-   programs (no manual scale management anywhere in this file). *)
+   plaintext reference interpreter, and for scale management of DSL
+   programs by the driver (no manual scale management anywhere in this
+   file). *)
 
 module Dsl = Hecate_frontend.Dsl
-module Infer = Hecate_frontend.Infer
 module Ref = Hecate_backend.Reference
 module Prog = Hecate_ir.Prog
 module Printer = Hecate_ir.Printer
 module Typing = Hecate_ir.Typing
-module Pass_manager = Hecate_ir.Pass_manager
 module Diagnostic = Hecate_ir.Diagnostic
 module Driver = Hecate.Driver
+module Codegen = Hecate.Codegen
 module Prng = Hecate_support.Prng
 module Stats = Hecate_support.Stats
 
@@ -222,10 +222,10 @@ let test_bad_params_rejected () =
       Dsl.with_label d "my_combinator" (fun () -> Dsl.add_many d []))
 
 (* ------------------------------------------------------------------ *)
-(* Scale/level inference over DSL programs (ISSUE 7 tentpole).          *)
-(* The DSL emits no scale management; [Infer] must place it, the result *)
-(* must typecheck, coincide with the driver's EVA code generation, and  *)
-(* — for the running example — reproduce the hand-pinned golden IR.     *)
+(* Scale management of DSL programs. The DSL emits none; the driver's   *)
+(* code generators place it, the result must typecheck under every      *)
+(* scheme and — for the running example — reproduce the hand-pinned     *)
+(* golden IR.                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let infer_cfg = Typing.config ~sf:28. ~waterline:20. ()
@@ -262,36 +262,19 @@ let conv_dsl () =
 
 let surface_apps () = [ ("fig2", fig2_dsl ()); ("matvec", matvec_dsl ()); ("conv", conv_dsl ()) ]
 
-(* The driver cleans the surface program before code generation; apply the
-   same cleanup before inference so the comparison is about scale-management
-   placement, not about CSE/folding. *)
-let infer_and_finalize surface =
-  let cleaned = Pass_manager.run Pass_manager.cleanup surface in
-  let inferred = Infer.infer_exn infer_cfg cleaned in
-  fst (Driver.finalize ~cfg:infer_cfg inferred)
-
-let test_infer_matches_driver_eva () =
-  List.iter
-    (fun (name, surface) ->
-      let finalized = infer_and_finalize surface in
-      let eva = Driver.compile Driver.Eva ~sf_bits:28 ~waterline_bits:20. surface in
-      if not (Prog.equal finalized eva.Driver.prog) then
-        Alcotest.failf "%s: inferred placement differs from the driver's EVA output" name)
-    (surface_apps ())
-
 let test_infer_typechecks_all_schemes () =
   List.iter
     (fun (name, surface) ->
-      (match Infer.infer infer_cfg surface with
-      | Error d -> Alcotest.failf "%s: inference failed: %s" name (Diagnostic.to_string d)
-      | Ok q -> (
-          match Typing.check infer_cfg q with
-          | Ok _ -> ()
-          | Error d ->
-              Alcotest.failf "%s: inferred program ill-typed: %s" name (Diagnostic.to_string d)));
+      (match Typing.check infer_cfg (Codegen.waterline infer_cfg surface) with
+      | Ok _ -> ()
+      | Error d ->
+          Alcotest.failf "%s: waterline placement ill-typed: %s" name (Diagnostic.to_string d));
       List.iter
         (fun scheme ->
-          match Driver.compile_result scheme ~sf_bits:28 ~waterline_bits:20. surface with
+          match
+            Driver.diagnose (fun () ->
+                Driver.compile scheme ~sf_bits:28 ~waterline_bits:20. surface)
+          with
           | Ok _ -> ()
           | Error d ->
               Alcotest.failf "%s under %s: %s" name (Driver.scheme_name scheme)
@@ -306,22 +289,24 @@ let read_file path =
   s
 
 let test_infer_fig2_matches_golden () =
-  (* end to end: the zero-annotation DSL program reproduces, byte for byte,
-     the golden IR pinned for the hand-written examples/fig2.hec under EVA
-     (default printing is provenance-free, so the pin is unaffected by the
-     provenance the DSL records) *)
+  (* end to end: the zero-annotation DSL program compiles under EVA to,
+     byte for byte, the golden IR pinned for the hand-written
+     examples/fig2.hec (default printing is provenance-free, so the pin is
+     unaffected by the provenance the DSL records) *)
+  let eva = Driver.compile Driver.Eva ~sf_bits:28 ~waterline_bits:20. (fig2_dsl ()) in
   check Alcotest.string "golden/fig2_eva.ir" (read_file "golden/fig2_eva.ir")
-    (Printer.to_string (infer_and_finalize (fig2_dsl ())))
+    (Printer.to_string eva.Driver.prog)
 
 let test_infer_diagnostic_carries_surface_chain () =
-  (* under a modulus too small for x^4, inference fails with C1 — and the
-     diagnostic names the surface combinator chain, not just an op id *)
+  (* under a modulus too small for x^4, the waterline placement fails C1 —
+     and the diagnostic names the surface combinator chain, not just an op
+     id *)
   let d = Dsl.create ~slot_count:8 () in
   let x = Dsl.input d "x" in
   Dsl.output d (Dsl.square d (Dsl.square d x));
   let surface = Dsl.finish d in
   let tight = Typing.config ~sf:28. ~waterline:20. ~max_log_q:60. () in
-  match Infer.infer tight surface with
+  match Typing.check tight (Codegen.waterline tight surface) with
   | Ok _ -> Alcotest.fail "expected a scale-overflow diagnostic"
   | Error e ->
       check
@@ -364,7 +349,6 @@ let () =
         ] );
       ( "infer",
         [
-          Alcotest.test_case "matches driver EVA placement" `Quick test_infer_matches_driver_eva;
           Alcotest.test_case "typechecks under all schemes" `Quick
             test_infer_typechecks_all_schemes;
           Alcotest.test_case "fig2 matches golden IR" `Quick test_infer_fig2_matches_golden;

@@ -1,15 +1,13 @@
 (* Fuzzer self-tests: generator determinism/validity, oracle smoke run,
    fault injection caught and shrunk (with the reproducer header recording
    the structured failure class), checked-in corpus replay, and the
-   frontend-inference property (Infer output always typechecks and matches
-   EVA code generation). *)
+   waterline property (EVA code generation always typechecks). *)
 
 module Prog = Hecate_ir.Prog
 module Typing = Hecate_ir.Typing
 module Diagnostic = Hecate_ir.Diagnostic
 module Driver = Hecate.Driver
 module Codegen = Hecate.Codegen
-module Infer = Hecate_frontend.Infer
 module Gen = Hecate_fuzz.Gen
 module Oracle = Hecate_fuzz.Oracle
 module Shrink = Hecate_fuzz.Shrink
@@ -108,36 +106,21 @@ let test_injected_bug_caught_and_shrunk () =
                 (Oracle.same_class replayed f.Campaign.failure)))
     report.Campaign.failures
 
-(* ------------------------------------------------------------------ *)
-(* Frontend inference property (ISSUE 7): on any generated surface      *)
-(* program, Infer's elaboration typechecks and coincides with EVA       *)
-(* code generation; already-managed programs are accepted unchanged.    *)
+(* Waterline property: on any generated surface program, EVA code       *)
+(* generation places scale management that the typing rules accept.    *)
 (* ------------------------------------------------------------------ *)
 
-let prop_infer_always_typechecks =
-  QCheck.Test.make ~name:"Infer output always passes Typing.check" ~count:64
+let prop_waterline_always_typechecks =
+  QCheck.Test.make ~name:"waterline output passes Typing.check" ~count:64
     QCheck.(int_bound 100_000)
     (fun seed ->
       let prog = (Gen.generate ~seed ()).Gen.prog in
       let cfg = Typing.config ~sf:28. ~waterline:20. () in
-      match Infer.infer cfg prog with
+      match Typing.check cfg (Codegen.waterline cfg prog) with
+      | Ok _ -> true
       | Error d ->
-          QCheck.Test.fail_reportf "seed %d: infer failed: %s" seed (Diagnostic.to_string d)
-      | Ok q -> (
-          match Typing.check cfg q with
-          | Error d ->
-              QCheck.Test.fail_reportf "seed %d: inferred program ill-typed: %s" seed
-                (Diagnostic.to_string d)
-          | Ok _ ->
-              (* the elaborated placement is exactly EVA's *)
-              Prog.equal q (Codegen.waterline cfg prog)
-              (* and a second pass is the identity: managed programs pass
-                 through untouched, and fully-normalized unmanaged ones
-                 (shallow programs needing no management) re-elaborate to
-                 themselves *)
-              && (match Infer.infer cfg q with
-                 | Ok q' -> Prog.equal q' q
-                 | Error _ -> false)))
+          QCheck.Test.fail_reportf "seed %d: waterline placement ill-typed: %s" seed
+            (Diagnostic.to_string d))
 
 (* ------------------------------------------------------------------ *)
 (* Pass no-op contract: on managed programs, every registered pass      *)
@@ -247,7 +230,7 @@ let () =
             test_injected_bug_caught_and_shrunk;
         ] );
       ("shrinker", [ Alcotest.test_case "reaches minimum" `Quick test_shrink_reaches_minimum ]);
-      ("infer", [ QCheck_alcotest.to_alcotest prop_infer_always_typechecks ]);
+      ("waterline", [ QCheck_alcotest.to_alcotest prop_waterline_always_typechecks ]);
       ( "passes",
         [
           QCheck_alcotest.to_alcotest prop_passes_noop_on_own_output;
