@@ -781,15 +781,17 @@ let explore_cmd flags =
 (* Cost of one SMSE candidate: the explorer is driven with the codegen,
    finalize and evaluate closures [Driver.compile] builds for the HECATE
    scheme, every stage timed on its own; the pass manager charges its
-   verifier's [Prog.validate] time apart from the pass's. Returns the
-   plans scored, the exploration wall time, the seconds per stage and
-   every candidate's finalized program. *)
+   verifier's [Prog.validate] time apart from the pass's. As in
+   [Driver.compile], parameters are selected once per candidate, from the
+   types the check left on the ops. Returns the plans scored, the
+   exploration wall time, the minor collections it ran, the seconds per
+   stage and every candidate's finalized program. *)
 let timed_search (b : Apps.t) ~wl =
   let cfg = Typing.config ~sf:(float_of_int sf_bits) ~waterline:wl () in
   let model = Costmodel.analytic () in
   let prog = Pass_manager.default_pipeline b.Apps.prog in
   let stats = Pass_manager.create_stats () in
-  let codegen_s = ref 0. and typecheck_s = ref 0. and estimate_s = ref 0. in
+  let codegen_s = ref 0. and typecheck_s = ref 0. and params_s = ref 0. and estimate_s = ref 0. in
   let finalized = ref [] in
   let timed acc f =
     let t0 = Unix.gettimeofday () in
@@ -798,31 +800,27 @@ let timed_search (b : Apps.t) ~wl =
     r
   in
   let instr = Pass_manager.instrumentation () in
-  let params_of p =
-    let types = Array.map (fun (o : Prog.op) -> o.Prog.ty) p.Prog.body in
-    Paramselect.select ~sf_bits ~types ~slot_count:p.Prog.slot_count ()
-  in
   let codegen ~hook =
     let managed = timed codegen_s (fun () -> Codegen.pars cfg ~hook prog) in
     let p = Pass_manager.run ~instr ~stats (Pass_manager.finalize ~early_modswitch:true) managed in
     finalized := p :: !finalized;
     timed typecheck_s (fun () ->
-        (match Typing.check cfg p with Ok _ -> () | Error d -> Diagnostic.error d);
-        ignore (params_of p));
+        match Typing.check cfg p with Ok _ -> () | Error d -> Diagnostic.error d);
     p
   in
   let evaluate p =
-    timed estimate_s (fun () ->
-        let params = params_of p in
-        Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p)
+    let params = timed params_s (fun () -> Paramselect.of_prog ~sf_bits p) in
+    timed estimate_s (fun () -> Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p)
   in
   let edges = (Smu.generate prog).Smu.edges in
+  let minor0 = (Gc.quick_stat ()).Gc.minor_collections in
   let t0 = Unix.gettimeofday () in
   let r =
     Explore.portfolio ~codegen ~evaluate ~edges ~strategies:[ Explore.default_strategy ]
       ~max_epochs:100 ~pool_size:1 ()
   in
   let explore_s = Unix.gettimeofday () -. t0 in
+  let minor = (Gc.quick_stat ()).Gc.minor_collections - minor0 in
   let finalize_s =
     List.fold_left (fun a (t : Pass_manager.timing) -> a +. t.Pass_manager.seconds) 0.
       (Pass_manager.timings stats)
@@ -833,10 +831,11 @@ let timed_search (b : Apps.t) ~wl =
       ("finalize", finalize_s);
       ("validate", Pass_manager.validate_seconds stats);
       ("typecheck", !typecheck_s);
+      ("paramselect", !params_s);
       ("estimate", !estimate_s);
     ]
   in
-  (r.Explore.p_plans_explored, explore_s, rows, !finalized)
+  (r.Explore.p_plans_explored, explore_s, minor, rows, !finalized)
 
 (* The split of the median of [reps] searches, each started after a full
    major collection so no run pays for the garbage of the one before. The
@@ -848,9 +847,9 @@ let candidate_split ?(reps = 5) (b : Apps.t) ~wl =
     List.init reps (fun _ ->
         Gc.full_major ();
         timed_search b ~wl)
-    |> List.sort (fun (_, a, _, _) (_, b, _, _) -> compare a b)
+    |> List.sort (fun (_, a, _, _, _) (_, b, _, _, _) -> compare a b)
   in
-  let plans, explore_s, rows, finalized = List.nth runs (reps / 2) in
+  let plans, explore_s, minor, rows, finalized = List.nth runs (reps / 2) in
   let driver = Driver.compile ~pool_size:1 Driver.Hecate ~sf_bits ~waterline_bits:wl b.Apps.prog in
   let driver_plans = (Option.get driver.Driver.exploration).Driver.plans_explored in
   if plans <> driver_plans then begin
@@ -862,6 +861,8 @@ let candidate_split ?(reps = 5) (b : Apps.t) ~wl =
   let other = explore_s -. List.fold_left (fun a (_, s) -> a +. s) 0. rows in
   Printf.printf "\n%s @ waterline %g: %d plans explored in %.3f s, %.3f ms per candidate\n"
     b.Apps.name wl plans explore_s (per explore_s);
+  Printf.printf "  minor collections: %d, %.2f per candidate\n" minor
+    (float_of_int minor /. float_of_int plans);
   Printf.printf "  %-22s %9s %7s\n" "stage" "ms/cand" "share";
   List.iter
     (fun (name, s) ->
@@ -879,10 +880,11 @@ let passes () =
   heading "Cost of one SMSE candidate (HECATE, one-shot waterlines, pool 1)";
   Printf.printf
     "Every candidate plan the hill climber scores is generated, finalized in\n\
-     one sweep, validated, typechecked and estimated. Times are per fresh\n\
-     candidate, from the median of 5 searches; \"validate\" is the verifier\n\
-     the pass manager runs after the finalize pass, which\n\
-     Driver.pass_timings does not include. Every finalized candidate must be\n\
+     one sweep, validated, typechecked, given parameters and estimated.\n\
+     Times are per fresh candidate, from the median of 5 searches;\n\
+     \"validate\" is the verifier the pass manager runs after the finalize\n\
+     pass, which Driver.pass_timings does not include. Minor collections\n\
+     are counted over the same search. Every finalized candidate must be\n\
      a fixpoint of the reference pipeline, which the pass fuses:\n\
     \  %s\n\
      a candidate it changes fails this section.\n"

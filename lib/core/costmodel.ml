@@ -26,6 +26,20 @@ let classes =
     Encode;
   ]
 
+let num_classes = List.length classes
+
+let index = function
+  | Cipher_add -> 0
+  | Plain_add -> 1
+  | Cipher_mul -> 2
+  | Plain_mul -> 3
+  | Rotate -> 4
+  | Rotate_hoisted -> 5
+  | Rescale -> 6
+  | Mul_rescale -> 7
+  | Modswitch -> 8
+  | Encode -> 9
+
 let class_name = function
   | Cipher_add -> "cipher_add"
   | Plain_add -> "plain_add"

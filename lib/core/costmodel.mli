@@ -43,3 +43,8 @@ val of_table : (op_class * int * int, float) Hashtbl.t -> fallback:t -> t
 
 val classes : op_class list
 val class_name : op_class -> string
+
+val num_classes : int
+
+val index : op_class -> int
+(** Position of a class in {!classes}, from 0 to [num_classes - 1]. *)

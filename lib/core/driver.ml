@@ -34,19 +34,17 @@ type compiled = {
 let scheme_name = function Eva -> "EVA" | Pars -> "PARS" | Smse -> "SMSE" | Hecate -> "HECATE"
 let all_schemes = [ Eva; Pars; Smse; Hecate ]
 
-let finalize ?q0_bits ?(early_modswitch = true)
-    ?(passes = Pass_manager.finalize ~early_modswitch)
+(* The finalize pipeline and the type check, which leaves every op's type
+   on the op; parameters are selected from those by whoever needs them. *)
+let finalize_typed ?(early_modswitch = true) ?(passes = Pass_manager.finalize ~early_modswitch)
     ?(instr = Pass_manager.instrumentation ()) ?stats ~cfg prog =
   let prog = Pass_manager.run ~instr ?stats passes prog in
-  let types =
-    match Typing.check cfg prog with Ok tys -> tys | Error d -> Diagnostic.error d
-  in
-  let params =
-    Paramselect.select ?q0_bits
-      ~sf_bits:(int_of_float cfg.Typing.sf)
-      ~types ~slot_count:prog.Prog.slot_count ()
-  in
-  (prog, params)
+  (match Typing.check cfg prog with Ok _ -> () | Error d -> Diagnostic.error d);
+  prog
+
+let finalize ?q0_bits ?early_modswitch ?passes ?instr ?stats ~cfg prog =
+  let prog = finalize_typed ?early_modswitch ?passes ?instr ?stats ~cfg prog in
+  (prog, Paramselect.of_prog ?q0_bits ~sf_bits:(int_of_float cfg.Typing.sf) prog)
 
 (* Canonical per-edge keys: each SMU edge named by the sorted list of its
    (canonical op id, operand) sites. Alpha-equivalent programs assign
@@ -118,24 +116,18 @@ let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_explora
     | Pars | Hecate -> Codegen.pars cfg ~hook ~downscale_analysis prog
   in
   let run_finalized ~hook =
-    let managed = generator ~hook in
-    fst (finalize ?q0_bits ?early_modswitch ?passes:finalize_passes ~instr ~stats ~cfg managed)
+    finalize_typed ?early_modswitch ?passes:finalize_passes ~instr ~stats ~cfg (generator ~hook)
   in
+  (* one parameter selection per candidate, from the types finalize left *)
+  let params_of p = Paramselect.of_prog ?q0_bits ~sf_bits p in
   let evaluate p =
-    (* types are already on the ops after finalize's check *)
-    let types = Array.map (fun (o : Prog.op) -> o.Prog.ty) p.Prog.body in
-    let params =
-      Paramselect.select ?q0_bits ~sf_bits ~types ~slot_count:p.Prog.slot_count ()
-    in
+    let params = params_of p in
     Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p
   in
   match scheme with
   | Eva | Pars ->
       let managed = run_finalized ~hook:Codegen.no_hook in
-      let types = Array.map (fun (o : Prog.op) -> o.Prog.ty) managed.Prog.body in
-      let params =
-        Paramselect.select ?q0_bits ~sf_bits ~types ~slot_count:managed.Prog.slot_count ()
-      in
+      let params = params_of managed in
       {
         prog = managed;
         params;
@@ -159,10 +151,7 @@ let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_explora
       in
       let explore_seconds = Unix.gettimeofday () -. t0 in
       let best = result.Explore.p_best_prog in
-      let types = Array.map (fun (o : Prog.op) -> o.Prog.ty) best.Prog.body in
-      let params =
-        Paramselect.select ?q0_bits ~sf_bits ~types ~slot_count:best.Prog.slot_count ()
-      in
+      let params = params_of best in
       let winner =
         List.find
           (fun (s : Explore.strategy_stats) -> s.Explore.strategy = result.Explore.p_winner)

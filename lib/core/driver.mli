@@ -131,8 +131,9 @@ val finalize :
 (** The shared post-codegen pipeline, exposed for the explorer and tests.
     Runs [passes] (default {!Hecate_ir.Pass_manager.finalize}
     [~early_modswitch]) under [instr] (default: structural verification
-    only), charging pass timings to [stats], then type checks and selects
-    parameters. *)
+    only), charging pass timings to [stats], then type checks, which
+    leaves every op's type on the op, and selects parameters from those
+    types ({!Paramselect.of_prog}). *)
 
 val estimate_at : ?model:Costmodel.t -> compiled -> n:int -> float
 (** Re-estimate a compiled program's latency at an explicit ring degree

@@ -12,14 +12,52 @@ type epoch_trace = {
   elapsed_seconds : float;
 }
 
-let hook_of_plan (edges : Smu.edge array) (plan : plan) =
-  let table = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (e : Smu.edge) ->
-      if plan.(i) > 0 then
-        List.iter (fun site -> Hashtbl.replace table site plan.(i)) e.Smu.sites)
-    edges;
-  fun ~op_id ~operand -> Option.value ~default:0 (Hashtbl.find_opt table (op_id, operand))
+(* One slot per (op, operand) site at [2 * op_id + operand]: ops have at
+   most two operands. Sites past the last one an edge names, and operands
+   other than 0 and 1, answer 0. Where two edges share a site, the later
+   one with a non-zero degree wins. *)
+let hook_of_plan (edges : Smu.edge array) =
+  let size =
+    Array.fold_left
+      (fun acc (e : Smu.edge) ->
+        List.fold_left (fun acc (op, operand) -> Int.max acc ((2 * op) + operand + 1)) acc e.Smu.sites)
+      0 edges
+  in
+  fun (plan : plan) ->
+    let degree = Array.make size 0 in
+    Array.iteri
+      (fun i (e : Smu.edge) ->
+        if plan.(i) > 0 then
+          List.iter (fun (op, operand) -> degree.((2 * op) + operand) <- plan.(i)) e.Smu.sites)
+      edges;
+    fun ~op_id ~operand ->
+      let k = (2 * op_id) + operand in
+      if (operand = 0 || operand = 1) && k >= 0 && k < size then Array.unsafe_get degree k
+      else 0
+
+(* Plans keyed by every entry: [Hashtbl.hash] reads only the first ten
+   entries of an array, so plans that differ past index 9 would share a
+   bucket. The final multiply-xorshift spreads the sum into the low bits
+   the table indexes by. *)
+let hash_plan (plan : plan) =
+  let h = ref (Array.length plan) in
+  for i = 0 to Array.length plan - 1 do
+    h := (!h * 31) + Array.unsafe_get plan i
+  done;
+  let h = !h * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
+module Plan_table = Hashtbl.Make (struct
+  type t = plan
+
+  let equal (a : plan) (b : plan) =
+    Array.length a = Array.length b
+    &&
+    let rec go i = i < 0 || (Array.unsafe_get a i = Array.unsafe_get b i && go (i - 1)) in
+    go (Array.length a - 1)
+
+  let hash = hash_plan
+end)
 
 (* The ±1 neighbourhood of [plan], in the deterministic tie-break order:
    ascending edge index, the -1 move (where legal) before the +1 move. *)
@@ -66,7 +104,7 @@ exception Cancelled
    strategy's trajectory — only the hit/miss accounting. *)
 type context = {
   ctx_run : plan -> Hecate_ir.Prog.t option * float;
-  ctx_memo : (plan, float) Hashtbl.t;
+  ctx_memo : float Plan_table.t;
   ctx_pool : Pool.t;
   mutable ctx_explored : int;
   mutable ctx_hits : int;
@@ -84,18 +122,18 @@ let eval_batch ctx (plans : plan array) : (Hecate_ir.Prog.t option * float) arra
   let n = Array.length plans in
   let state = Array.make n `Dup in
   let hits = ref 0 in
-  let seen = Hashtbl.create (2 * n) in
+  let seen = Plan_table.create (2 * n) in
   let fresh_rev = ref [] in
   Array.iteri
     (fun i p ->
-      match Hashtbl.find_opt ctx.ctx_memo p with
+      match Plan_table.find_opt ctx.ctx_memo p with
       | Some cost ->
           incr hits;
           state.(i) <- `Cached cost
       | None ->
-          if Hashtbl.mem seen p then incr hits (* duplicate within the batch *)
+          if Plan_table.mem seen p then incr hits (* duplicate within the batch *)
           else begin
-            Hashtbl.replace seen p ();
+            Plan_table.replace seen p ();
             fresh_rev := i :: !fresh_rev
           end)
     plans;
@@ -105,7 +143,7 @@ let eval_batch ctx (plans : plan array) : (Hecate_ir.Prog.t option * float) arra
   Array.iteri
     (fun k i ->
       let prog, cost = results.(k) in
-      Hashtbl.replace ctx.ctx_memo plans.(i) cost;
+      Plan_table.replace ctx.ctx_memo plans.(i) cost;
       state.(i) <- `Fresh (prog, cost))
     fresh_idx;
   ctx.ctx_explored <- ctx.ctx_explored + Array.length fresh;
@@ -115,7 +153,7 @@ let eval_batch ctx (plans : plan array) : (Hecate_ir.Prog.t option * float) arra
       (fun i -> function
         | `Fresh (prog, cost) -> (prog, cost)
         | `Cached cost -> (None, cost)
-        | `Dup -> (None, Hashtbl.find ctx.ctx_memo plans.(i)))
+        | `Dup -> (None, Plan_table.find ctx.ctx_memo plans.(i)))
       state
   in
   (out, !hits)
@@ -497,12 +535,12 @@ type runner = {
   mutable r_trace_rev : epoch_trace list;
 }
 
-let make_context ~codegen ~evaluate ~edges ~should_stop pool =
+let make_context ~codegen ~evaluate ~hook_of ~should_stop pool =
   let run plan =
     if should_stop () then (None, infinity)
     else
       match
-        let prog = codegen ~hook:(hook_of_plan edges plan) in
+        let prog = codegen ~hook:(hook_of plan) in
         (prog, evaluate prog)
       with
       | prog, cost -> (Some prog, cost)
@@ -511,7 +549,7 @@ let make_context ~codegen ~evaluate ~edges ~should_stop pool =
   in
   {
     ctx_run = run;
-    ctx_memo = Hashtbl.create 256;
+    ctx_memo = Plan_table.create 256;
     ctx_pool = pool;
     ctx_explored = 0;
     ctx_hits = 0;
@@ -542,7 +580,8 @@ let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
   in
   let num_edges = Array.length edges in
   Pool.with_pool ?size:pool_size (fun pool ->
-      let ctx = make_context ~codegen ~evaluate ~edges ~should_stop pool in
+      let hook_of = hook_of_plan edges in
+      let ctx = make_context ~codegen ~evaluate ~hook_of ~should_stop pool in
       let eval = eval_batch ctx in
       (* Base plan plus any warm-start seeds are the shared opening batch;
          every strategy starts from the best of them, and the memo already
@@ -631,25 +670,23 @@ let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
       done;
       (* One codegen rebuilds a winner whose program was answered from the
          memo; no re-evaluation, and the generators are deterministic. *)
-      let rebuild plan = codegen ~hook:(hook_of_plan edges plan) in
+      let rebuild plan = codegen ~hook:(hook_of plan) in
       let prog_of r =
         match r.r_best_prog with Some p -> p | None -> rebuild r.r_best_plan
       in
       (* Gate every strategy's winner (deduplicated by plan — strategies
          that converged to the same plan share one oracle run). *)
-      let verdicts : (plan, (unit, gate_failure) Result.t) Hashtbl.t =
-        Hashtbl.create 8
-      in
+      let verdicts : (unit, gate_failure) Result.t Plan_table.t = Plan_table.create 8 in
       let gate_of r =
         match gate with
         | None -> Not_gated
         | Some g -> (
             let v =
-              match Hashtbl.find_opt verdicts r.r_best_plan with
+              match Plan_table.find_opt verdicts r.r_best_plan with
               | Some v -> v
               | None ->
                   let v = g ~strategy:r.r_name ~plan:r.r_best_plan (prog_of r) in
-                  Hashtbl.replace verdicts r.r_best_plan v;
+                  Plan_table.replace verdicts r.r_best_plan v;
                   v
             in
             match v with Ok () -> Gate_passed | Error f -> Gate_rejected f)

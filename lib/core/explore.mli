@@ -19,6 +19,7 @@
       scheduler itself is single-threaded round-robin, so strategies never
       nest pool calls;
     - {e memoized}: candidate costs are cached by plan contents in a memo
+      (a {!Plan_table}, hashed over every entry)
       {e shared by every strategy} — a plan any strategy (or the opening
       base-plan/warm-start batch) has already scored is never recompiled,
       and in particular a strategy's own incumbent is never re-evaluated
@@ -46,7 +47,17 @@ type epoch_trace = {
 
 val hook_of_plan : Smu.edge array -> plan -> Codegen.hook
 (** Degree lookup for the code generators: the degree of the edge owning a
-    given (op, operand) site, 0 elsewhere. *)
+    given (op, operand) site, 0 elsewhere. The degrees live in one [int
+    array] indexed by [2 * op_id + operand] (operands are 0 or 1), sized
+    by the edges' sites; applying [hook_of_plan edges] once and the result
+    to every plan sizes it once. *)
+
+val hash_plan : plan -> int
+(** A non-negative hash that reads every entry of the plan. *)
+
+module Plan_table : Hashtbl.S with type key = plan
+(** Tables keyed by plan contents, hashed by {!hash_plan}: the explorer's
+    memo, its per-batch duplicate set and the gate's verdicts. *)
 
 val moves_of : plan -> plan list
 (** The ±1 neighbourhood of a plan, in the deterministic tie-break order:

@@ -29,5 +29,10 @@ val select :
     [margin_bits] (default 6.0) is headroom for message magnitude.
     @raise Invalid_argument if some scale cannot fit even at level 0. *)
 
+val of_prog : ?q0_bits:int -> ?margin_bits:float -> sf_bits:int -> Hecate_ir.Prog.t -> t
+(** {!select} over the types annotated on a typed program's ops
+    ({!Hecate_ir.Typing.check} sets them), for its slot count, with no
+    type array built. *)
+
 val num_primes_at : t -> level:int -> int
 (** Chain primes still present at a rescaling level. *)

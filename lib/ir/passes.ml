@@ -5,20 +5,22 @@ let rebuild ?redirect (p : Prog.t) ~keep =
   let n = Prog.num_ops p in
   let remap = Array.make n (-1) in
   let id = match redirect with None -> fun a -> remap.(a) | Some r -> fun a -> remap.(r.(a)) in
-  let ops = ref [] in
+  let kept = ref 0 in
+  Array.iter (fun k -> if k then incr kept) keep;
+  let body = Array.make !kept Prog.placeholder in
   let count = ref 0 in
   for i = 0 to n - 1 do
     if keep.(i) then begin
       let o = Prog.op p i in
       let args = Array.map id o.Prog.args in
-      ops := { o with Prog.id = !count; args } :: !ops;
+      body.(!count) <- { o with Prog.id = !count; args };
       remap.(i) <- !count;
       incr count
     end
   done;
   {
     p with
-    Prog.body = Array.of_list (List.rev !ops);
+    Prog.body;
     inputs = List.map id p.Prog.inputs;
     outputs = List.map id p.Prog.outputs;
   }
@@ -531,7 +533,7 @@ let absorb_modswitches ~value_number (p : Prog.t) =
   done;
   let layer_at = Array.make !layers (-1) in
   let size = !bases + !layers in
-  let ops = Array.make size body.(0) in
+  let ops = Array.make size Prog.placeholder in
   let count = ref 0 and merged = ref false in
   let table = Vn.create (if value_number then size else 0) in
   let same i j =

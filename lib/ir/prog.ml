@@ -45,6 +45,8 @@ type t = {
   outputs : value list;
 }
 
+let placeholder = { id = -1; kind = Add; args = [||]; ty = Types.Free; prov = None }
+
 let op p v =
   if v < 0 || v >= Array.length p.body then invalid_arg "Prog.op: value id out of range";
   p.body.(v)
@@ -348,7 +350,7 @@ module Rewriter = struct
 
   (* Value ids are dense on both sides, so the old->new mapping and the
      emitted ops (which carry their types) live in arrays indexed by id.
-     [ops] grows by doubling; slots at or past [count] hold [hole]. *)
+     [ops] grows by doubling; slots at or past [count] hold [placeholder]. *)
   type t = {
     src : prog;
     mutable ops : op array;
@@ -357,17 +359,15 @@ module Rewriter = struct
     mutable new_inputs : value list; (* reversed *)
   }
 
-  let hole = { id = -1; kind = Add; args = [||]; ty = Types.Free; prov = None }
-
   let create src =
     let n = Array.length src.body in
-    { src; ops = Array.make (max 16 (2 * n)) hole; count = 0; mapping = Array.make n (-1);
+    { src; ops = Array.make (max 16 (2 * n)) placeholder; count = 0; mapping = Array.make n (-1);
       new_inputs = [] }
 
   let emit ?prov r kind args ty =
     let id = r.count in
     if id = Array.length r.ops then begin
-      let grown = Array.make (2 * id) hole in
+      let grown = Array.make (2 * id) placeholder in
       Array.blit r.ops 0 grown 0 id;
       r.ops <- grown
     end;

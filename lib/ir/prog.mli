@@ -55,6 +55,11 @@ type t = {
   outputs : value list;
 }
 
+val placeholder : op
+(** An op that belongs to no program, to pre-size op arrays with. Filling
+    a large array with a freshly allocated op instead makes OCaml run a
+    minor collection first. *)
+
 val op : t -> value -> op
 (** @raise Invalid_argument on out-of-range ids. *)
 

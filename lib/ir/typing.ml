@@ -11,162 +11,173 @@ let eps = 1e-6
    dropped first are rescaling primes of sf bits each. *)
 let remaining_log_q cfg level = cfg.max_log_q -. (float_of_int level *. cfg.sf)
 
-let errf = Diagnostic.errf
+(* A rule that fails raises [Ill] with its diagnostic, so a well-typed op
+   allocates nothing beyond its type; [infer] and [check] turn it back into
+   an [Error]. *)
+exception Ill of Diagnostic.t
 
-let scaled_pair name a b =
-  match (Types.scaled_of a, Types.scaled_of b) with
-  | Some x, Some y -> Ok (x, y)
-  | _ ->
-      errf ~code:Diagnostic.Operand_kind
+let illf ?hint ~code fmt =
+  Printf.ksprintf (fun message -> raise (Ill (Diagnostic.v ?hint ~code message))) fmt
+
+let scaled_operand name (t : Types.t) =
+  match t with
+  | Types.Plain s | Types.Cipher s -> s
+  | Types.Free ->
+      illf ~code:Diagnostic.Operand_kind
         ~hint:"wrap the free operand in an encode at the consumer's scale and level" "%s%s" name
         ": operands must be scaled (encode free operands first)"
 
-let cipherness a b =
-  if Types.is_cipher a || Types.is_cipher b then fun s -> Types.Cipher s else fun s -> Types.Plain s
+(* cipher if either operand is *)
+let retag a b s = if Types.is_cipher a || Types.is_cipher b then Types.Cipher s else Types.Plain s
 
 let check_level_bound cfg name level =
   match cfg.max_level with
   | Some m when level > m ->
-      errf ~code:Diagnostic.Level_exceeded
+      illf ~code:Diagnostic.Level_exceeded
         ~hint:"the program consumes more rescaling primes than the parameter set provides; raise max_level or shorten the multiplication chain"
         "%s: level %d exceeds maximum %d" name level m
-  | Some _ | None -> Ok ()
+  | Some _ | None -> ()
 
 let check_c1 cfg name (s : Types.scaled) =
   if s.scale > remaining_log_q cfg s.level +. eps then
-    errf ~code:Diagnostic.Scale_overflow
+    illf ~code:Diagnostic.Scale_overflow
       ~hint:"insert a rescale on an operand so the scale drops before this point"
       "%s: scale 2^%.2f overflows the 2^%.2f modulus remaining at level %d (C1)" name s.scale
       (remaining_log_q cfg s.level) s.level
-  else Ok ()
 
-let ( let* ) = Result.bind
+let scaled_result cfg name (s : Types.scaled) =
+  check_level_bound cfg name s.level;
+  check_c1 cfg name s;
+  s
 
-let scaled_result cfg name mk (s : Types.scaled) =
-  let* () = check_level_bound cfg name s.level in
-  let* () = check_c1 cfg name s in
-  Ok (mk s)
-
-let infer cfg kind (args : Types.t array) =
+let infer_exn cfg kind (args : Types.t array) =
   match (kind, args) with
-  | Prog.Input _, [||] -> Ok (Types.Cipher { scale = cfg.waterline; level = 0 })
-  | Prog.Const _, [||] -> Ok Types.Free
+  | Prog.Input _, [||] -> Types.Cipher { scale = cfg.waterline; level = 0 }
+  | Prog.Const _, [||] -> Types.Free
   | Prog.Encode { scale; level }, [| Types.Free |] ->
       if scale +. eps < cfg.waterline then
-        errf ~code:Diagnostic.Below_waterline
+        illf ~code:Diagnostic.Below_waterline
           ~hint:"encode at the waterline scale or above" "encode: scale 2^%.2f below the waterline 2^%.2f (C2)"
           scale cfg.waterline
-      else scaled_result cfg "encode" (fun s -> Types.Plain s) { scale; level }
+      else Types.Plain (scaled_result cfg "encode" { scale; level })
   | Prog.Encode _, [| _ |] ->
-      errf ~code:Diagnostic.Operand_kind ~hint:"encode applies to const/free values only"
+      illf ~code:Diagnostic.Operand_kind ~hint:"encode applies to const/free values only"
         "encode: operand must be free"
   | Prog.Add, [| a; b |] | Prog.Sub, [| a; b |] ->
       let name = Prog.kind_name kind in
-      let* x, y = scaled_pair name a b in
+      let x = scaled_operand name a in
+      let y = scaled_operand name b in
       if x.level <> y.level then
-        errf ~code:Diagnostic.Level_mismatch
+        illf ~code:Diagnostic.Level_mismatch
           ~hint:"insert modswitch on the shallower operand to equalize levels"
           "%s: operand levels %d and %d differ (C3)" name x.level y.level
       else if not (Types.scale_close x.scale y.scale) then
-        errf ~code:Diagnostic.Scale_mismatch
+        illf ~code:Diagnostic.Scale_mismatch
           ~hint:"rescale or upscale one operand so both scales match"
           "%s: operand scales 2^%.2f and 2^%.2f differ (C3)" name x.scale y.scale
-      else scaled_result cfg name (cipherness a b) x
+      else retag a b (scaled_result cfg name x)
   | Prog.Mul, [| a; b |] ->
-      let* x, y = scaled_pair "mul" a b in
+      let x = scaled_operand "mul" a in
+      let y = scaled_operand "mul" b in
       if x.level <> y.level then
-        errf ~code:Diagnostic.Level_mismatch
+        illf ~code:Diagnostic.Level_mismatch
           ~hint:"insert modswitch on the shallower operand to equalize levels"
           "mul: operand levels %d and %d differ (C3)" x.level y.level
-      else
-        scaled_result cfg "mul" (cipherness a b) { scale = x.scale +. y.scale; level = x.level }
+      else retag a b (scaled_result cfg "mul" { scale = x.scale +. y.scale; level = x.level })
   | Prog.Negate, [| a |] | (Prog.Rotate _, [| a |]) -> (
-      match Types.scaled_of a with
-      | None ->
-          errf ~code:Diagnostic.Operand_kind
+      match a with
+      | Types.Free ->
+          illf ~code:Diagnostic.Operand_kind
             ~hint:"wrap the free operand in an encode at the consumer's scale and level" "%s%s"
             (Prog.kind_name kind) ": operand must be scaled"
-      | Some s ->
-          scaled_result cfg (Prog.kind_name kind)
-            (fun s -> if Types.is_cipher a then Types.Cipher s else Types.Plain s)
-            s)
+      | Types.Plain s | Types.Cipher s -> retag a a (scaled_result cfg (Prog.kind_name kind) s))
   | Prog.Rescale, [| a |] -> (
       match a with
       | Types.Cipher s ->
           let scale = s.scale -. cfg.sf in
           if scale +. eps < cfg.waterline then
-            errf ~code:Diagnostic.Below_waterline
+            illf ~code:Diagnostic.Below_waterline
               ~hint:"use downscale (which lands exactly on the waterline) instead of rescale here"
               "rescale: result scale 2^%.2f below the waterline 2^%.2f (C2)" scale cfg.waterline
-          else scaled_result cfg "rescale" (fun s -> Types.Cipher s) { scale; level = s.level + 1 }
+          else Types.Cipher (scaled_result cfg "rescale" { scale; level = s.level + 1 })
       | Types.Free | Types.Plain _ ->
-          errf ~code:Diagnostic.Operand_kind ~hint:"rescale applies to ciphertexts only"
+          illf ~code:Diagnostic.Operand_kind ~hint:"rescale applies to ciphertexts only"
             "rescale: operand must be a ciphertext")
   | Prog.Modswitch, [| a |] -> (
-      match Types.scaled_of a with
-      | None ->
-          errf ~code:Diagnostic.Operand_kind
+      match a with
+      | Types.Free ->
+          illf ~code:Diagnostic.Operand_kind
             ~hint:"wrap the free operand in an encode at the consumer's scale and level"
             "modswitch: operand must be scaled"
-      | Some s ->
-          scaled_result cfg "modswitch"
-            (fun s -> if Types.is_cipher a then Types.Cipher s else Types.Plain s)
-            { s with level = s.level + 1 })
+      | Types.Plain s | Types.Cipher s ->
+          retag a a (scaled_result cfg "modswitch" { s with level = s.level + 1 }))
   | Prog.Upscale { target_scale }, [| a |] -> (
-      match Types.scaled_of a with
-      | None ->
-          errf ~code:Diagnostic.Operand_kind
+      match a with
+      | Types.Free ->
+          illf ~code:Diagnostic.Operand_kind
             ~hint:"wrap the free operand in an encode at the consumer's scale and level"
             "upscale: operand must be scaled"
-      | Some s ->
+      | Types.Plain s | Types.Cipher s ->
           if target_scale +. eps < s.scale then
-            errf ~code:Diagnostic.Bad_upscale ~hint:"upscale can only raise a scale; use rescale to lower it"
+            illf ~code:Diagnostic.Bad_upscale ~hint:"upscale can only raise a scale; use rescale to lower it"
               "upscale: target 2^%.2f below current scale 2^%.2f" target_scale s.scale
-          else
-            scaled_result cfg "upscale"
-              (fun s -> if Types.is_cipher a then Types.Cipher s else Types.Plain s)
-              { s with scale = target_scale })
+          else retag a a (scaled_result cfg "upscale" { s with scale = target_scale }))
   | Prog.Downscale { waterline }, [| a |] -> (
       match a with
       | Types.Cipher s ->
           if not (Types.scale_close waterline cfg.waterline) then
-            errf ~code:Diagnostic.Bad_downscale
+            illf ~code:Diagnostic.Bad_downscale
               ~hint:"re-emit the downscale with the configured waterline attribute"
               "downscale: attribute disagrees with the configured waterline"
           else if s.scale <= cfg.waterline +. eps then
-            errf ~code:Diagnostic.Redundant_op ~hint:"replace this downscale with a modswitch"
+            illf ~code:Diagnostic.Redundant_op ~hint:"replace this downscale with a modswitch"
               "downscale: scale 2^%.2f is already at the waterline (use modswitch)" s.scale
           else if s.scale -. cfg.sf +. eps >= cfg.waterline then
-            errf ~code:Diagnostic.Redundant_op ~hint:"replace this downscale with a rescale"
+            illf ~code:Diagnostic.Redundant_op ~hint:"replace this downscale with a rescale"
               "downscale: rescale is applicable at scale 2^%.2f (use rescale)" s.scale
-          else
+          else begin
             (* peak scale during the upscale-to-(sf + waterline) implementation
                counts toward C1 at the operand's level *)
-            let* () = check_c1 cfg "downscale (peak)" { s with scale = cfg.sf +. cfg.waterline } in
-            scaled_result cfg "downscale"
-              (fun s -> Types.Cipher s)
-              { scale = cfg.waterline; level = s.level + 1 }
+            check_c1 cfg "downscale (peak)" { s with scale = cfg.sf +. cfg.waterline };
+            Types.Cipher (scaled_result cfg "downscale" { scale = cfg.waterline; level = s.level + 1 })
+          end
       | Types.Free | Types.Plain _ ->
-          errf ~code:Diagnostic.Operand_kind ~hint:"downscale applies to ciphertexts only"
+          illf ~code:Diagnostic.Operand_kind ~hint:"downscale applies to ciphertexts only"
             "downscale: operand must be a ciphertext")
-  | _ ->
-      errf ~code:Diagnostic.Arity "%s%s" (Prog.kind_name kind) ": wrong operand count"
+  | _ -> illf ~code:Diagnostic.Arity "%s%s" (Prog.kind_name kind) ": wrong operand count"
+
+let infer cfg kind args = match infer_exn cfg kind args with ty -> Ok ty | exception Ill d -> Error d
+
+let ( let* ) = Result.bind
 
 let check cfg (p : Prog.t) =
   let n = Prog.num_ops p in
   let tys = Array.make n Types.Free in
+  (* operand types, in arrays reused across ops of arity 1 and 2 *)
+  let one = [| Types.Free |] and two = [| Types.Free; Types.Free |] in
+  let operand_types (o : Prog.op) =
+    match o.Prog.args with
+    | [| a |] ->
+        one.(0) <- tys.(a);
+        one
+    | [| a; b |] ->
+        two.(0) <- tys.(a);
+        two.(1) <- tys.(b);
+        two
+    | args -> Array.map (fun a -> tys.(a)) args
+  in
   let rec walk i =
     if i >= n then Ok ()
     else
       let o = Prog.op p i in
-      let arg_tys = Array.map (fun a -> tys.(a)) o.Prog.args in
-      match infer cfg o.Prog.kind arg_tys with
-      | Error d ->
-          Error (Diagnostic.at o { d with Diagnostic.operand_types = Array.to_list arg_tys })
-      | Ok ty ->
+      let arg_tys = operand_types o in
+      match infer_exn cfg o.Prog.kind arg_tys with
+      | ty ->
           tys.(i) <- ty;
           o.Prog.ty <- ty;
           walk (i + 1)
+      | exception Ill d ->
+          Error (Diagnostic.at o { d with Diagnostic.operand_types = Array.to_list arg_tys })
   in
   let* () = walk 0 in
   let* () =

@@ -228,10 +228,9 @@ let drain t =
 (* ------------------------------------------------------------------ *)
 
 let submit t ~client ~send (s : Protocol.submit) =
-  match Parser.parse s.Protocol.program with
-  | exception Parser.Parse_error { line; message } ->
-      send (Protocol.error (Printf.sprintf "parse error at line %d: %s" line message))
-  | prog ->
+  match Driver.diagnose (fun () -> Parser.parse s.Protocol.program) with
+  | Error d -> send (Protocol.error (Format.asprintf "%a" Diagnostic.pp d))
+  | Ok prog ->
       Mutex.lock t.mutex;
       if Atomic.get t.stopping then begin
         Mutex.unlock t.mutex;

@@ -380,6 +380,66 @@ let test_search_pinned () =
       check Alcotest.int (name ^ " epochs") epochs e.Driver.epochs)
     [ ("SF", 24., 19, 0, 0); ("HCD", 22., 296, 13, 7); ("MLP", 15., 67, 1, 1) ]
 
+(* ------------------------------------------------------------------ *)
+(* Memo hash: every entry of a plan counts                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [Hashtbl.hash] reads only the first ten entries of an array: a 35-entry
+   zero plan and the same plan with entry 20 set hash alike under it. *)
+let test_hash_reads_every_entry () =
+  let zero = Array.make 35 0 in
+  for i = 10 to 34 do
+    let p = Array.copy zero in
+    p.(i) <- 1;
+    check Alcotest.bool
+      (Printf.sprintf "entry %d changes the hash" i)
+      true
+      (Explore.hash_plan p <> Explore.hash_plan zero)
+  done;
+  let t = Explore.Plan_table.create 8 in
+  Explore.Plan_table.replace t zero 1.;
+  let p = Array.copy zero in
+  p.(20) <- 1;
+  check Alcotest.bool "a plan differing at entry 20 is another key" false
+    (Explore.Plan_table.mem t p)
+
+(* HCD's hill climb at the one-shot waterline, plan by plan: every scored
+   plan read back through its hook, one site per edge. In a table of the
+   memo's initial size they spread over the buckets. *)
+let test_hcd_memo_buckets () =
+  let app = List.find (fun (a : Apps.t) -> a.Apps.name = "HCD") (Apps.reduced_suite ()) in
+  let cfg = Typing.config ~sf:28. ~waterline:22. () in
+  let prog = Hecate_ir.Pass_manager.run Hecate_ir.Pass_manager.cleanup app.Apps.prog in
+  let edges = (Smu.generate prog).Smu.edges in
+  let plans = ref [] in
+  let codegen ~hook =
+    plans :=
+      Array.map
+        (fun (e : Smu.edge) ->
+          let op_id, operand = List.hd e.Smu.sites in
+          hook ~op_id ~operand)
+        edges
+      :: !plans;
+    fst (Driver.finalize ~cfg (Codegen.pars cfg ~hook prog))
+  in
+  let evaluate p =
+    let params = Paramselect.of_prog ~sf_bits:28 p in
+    Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p
+  in
+  let r =
+    Explore.portfolio ~codegen ~evaluate ~edges ~strategies:[ Explore.default_strategy ]
+      ~pool_size:1 ()
+  in
+  check Alcotest.int "plans scored" 296 r.Explore.p_plans_explored;
+  let memo = Explore.Plan_table.create 256 in
+  List.iter (fun p -> Explore.Plan_table.replace memo p ()) !plans;
+  check Alcotest.int "distinct plans" 296 (Explore.Plan_table.length memo);
+  let stats = Explore.Plan_table.stats memo in
+  check Alcotest.bool
+    (Printf.sprintf "largest bucket holds %d plans" stats.Hashtbl.max_bucket_length)
+    true
+    (stats.Hashtbl.max_bucket_length <= 8)
+
 let () =
   Alcotest.run "explore"
     [
@@ -389,6 +449,11 @@ let () =
       ( "determinism",
         [ qtest portfolio_order_and_pool_invariant; qtest portfolio_schemes_invariant ] );
       ("search", [ Alcotest.test_case "SF/HCD/MLP search pinned" `Quick test_search_pinned ]);
+      ( "memo-hash",
+        [
+          Alcotest.test_case "every plan entry counts" `Quick test_hash_reads_every_entry;
+          Alcotest.test_case "HCD memo buckets" `Quick test_hcd_memo_buckets;
+        ] );
       ( "warm-start",
         [ Alcotest.test_case "portfolio warm-starts from the plan corpus" `Quick
             test_warm_start_from_plan_corpus ] );

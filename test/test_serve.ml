@@ -426,12 +426,17 @@ let test_server_end_to_end () =
     cold.Client.result.Protocol.artifact warm.Client.result.Protocol.artifact;
   check Alcotest.bool "artifact non-empty" true
     (String.length cold.Client.result.Protocol.artifact > 0);
-  (* a parse error must come back as a protocol error, not kill the session *)
+  (* a parse error must come back as a rendered diagnostic, not kill the
+     session *)
   (match
      Client.compile ~socket:sock
        { (submit_fig2 ()) with Protocol.program = "this is not a program" }
    with
-  | Error _ -> ()
+  | Error msg ->
+      check Alcotest.bool ("parse-error diagnostic: " ^ msg) true
+        (Astring.String.is_prefix ~affix:"error[parse-error]: line 1: " msg);
+      check Alcotest.bool ("with its hint: " ^ msg) true
+        (Astring.String.is_infix ~affix:"\n  hint: see docs/ARCHITECTURE.md" msg)
   | Ok _ -> Alcotest.fail "malformed program should fail");
   match Client.stats ~socket:sock with
   | Error msg -> Alcotest.fail msg
