@@ -1,35 +1,17 @@
 module Prog = Hecate_ir.Prog
 module Liveness = Hecate_ir.Liveness
-module Fusion = Hecate_ir.Fusion
 module Eval = Hecate_ckks.Eval
 module Chain = Hecate_rns.Chain
 module Params = Hecate_ckks.Params
 module Costmodel = Hecate.Costmodel
+module Select = Hecate.Select
+open Select
 
-type operand = Immediate of float array | Scalar_imm of float
-
-type instruction =
-  | Encrypt_input of { name : string; dst : int }
-  | Encode_imm of { value : operand; scale_bits : float; level : int; plain_id : int }
-  | Add of { lhs : int; rhs : int; dst : int }
-  | Sub of { lhs : int; rhs : int; dst : int }
-  | Add_plain of { lhs : int; plain : int; dst : int }
-  | Sub_plain of { lhs : int; plain : int; dst : int; reversed : bool }
-  | Mul of { lhs : int; rhs : int; dst : int }
-  | Mul_plain of { lhs : int; plain : int; dst : int }
-  | Mul_rescale of { lhs : int; rhs : int; dst : int }
-  | Negate of { src : int; dst : int }
-  | Rotate of { src : int; amount : int; dst : int }
-  | Rotate_fan of { src : int; amounts : int list; dsts : int list }
-  | Rescale of { src : int; dst : int }
-  | Modswitch of { src : int; dst : int }
-  | Modswitch_plain of { plain : int; dst_plain : int }
-  | Upscale of { src : int; target_scale_bits : float; dst : int }
-  | Downscale of { src : int; waterline_bits : float; dst : int }
-  | Output of { src : int; index : int }
+type instruction = Select.instruction
 
 type t = {
   instructions : instruction array;
+  levels : int array;
   cipher_buffers : int;
   plain_slots : int;
   output_count : int;
@@ -67,111 +49,15 @@ let regs i =
   ignore (map_regs ~read:(note reads) ~write:(note writes) i);
   (List.rev !reads, List.rev !writes)
 
-type lowered_value =
-  | Lcipher of int
-  | Lplain of int
-  | Lfree of operand
-  | Lpending_mul of int * int (* a fused Mul: its operands, read at the Rescale *)
-
-(* Lowering emits instructions over virtual registers, one per ciphertext
-   the stream defines; the registers are then packed into the buffer pool
-   by linear scan over the stream itself. IR-level liveness would be wrong
-   here: a fan defines its later members' values at its head, and a fused
-   multiply reads its operands at the Rescale. *)
+(* Selection's virtual registers are packed into the buffer pool by linear
+   scan over the stream itself. IR-level liveness would be wrong here: a
+   fan defines its later members' values at its head, and a fused multiply
+   reads its operands at the Rescale. *)
 let lower (p : Prog.t) =
-  let roles = Fusion.analyze p in
-  let values = Array.make (Prog.num_ops p) (Lfree (Scalar_imm 0.)) in
-  let instrs = ref [] in
-  let emit i = instrs := i :: !instrs in
-  let counter () =
-    let c = ref 0 in
-    fun () ->
-      let id = !c in
-      incr c;
-      id
-  in
-  let fresh_reg = counter () and fresh_plain = counter () in
-  let fanned : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
-  let reg v =
-    match values.(v) with
-    | Lcipher r -> r
-    | Lplain _ | Lfree _ | Lpending_mul _ ->
-        invalid_arg "Schedule.lower: expected a ciphertext value"
-  in
-  (* emit [make dst] into a fresh register *)
-  let def make =
-    let dst = fresh_reg () in
-    emit (make dst);
-    Lcipher dst
-  in
-  Prog.iter
-    (fun (o : Prog.op) ->
-      let arg i = o.Prog.args.(i) in
-      let lowered =
-        match (o.Prog.kind, roles.(o.Prog.id)) with
-        | Prog.Input { name }, _ -> def (fun dst -> Encrypt_input { name; dst })
-        | Prog.Const { value = Prog.Scalar x }, _ -> Lfree (Scalar_imm x)
-        | Prog.Const { value = Prog.Vector v }, _ -> Lfree (Immediate (Array.copy v))
-        | Prog.Encode { scale; level }, _ -> (
-            match values.(arg 0) with
-            | Lfree value ->
-                let plain_id = fresh_plain () in
-                emit (Encode_imm { value; scale_bits = scale; level; plain_id });
-                Lplain plain_id
-            | _ -> invalid_arg "Schedule.lower: encode of a non-free value")
-        | (Prog.Add | Prog.Sub), _ -> (
-            let sub = o.Prog.kind = Prog.Sub in
-            match (values.(arg 0), values.(arg 1)) with
-            | Lcipher lhs, Lcipher rhs ->
-                def (fun dst -> if sub then Sub { lhs; rhs; dst } else Add { lhs; rhs; dst })
-            | Lcipher lhs, Lplain plain ->
-                def (fun dst ->
-                    if sub then Sub_plain { lhs; plain; dst; reversed = false }
-                    else Add_plain { lhs; plain; dst })
-            | Lplain plain, Lcipher lhs ->
-                def (fun dst ->
-                    if sub then Sub_plain { lhs; plain; dst; reversed = true }
-                    else Add_plain { lhs; plain; dst })
-            | _ -> invalid_arg "Schedule.lower: additive operands must pair a ciphertext with a plaintext")
-        | Prog.Mul, Fusion.Fused_mul -> Lpending_mul (reg (arg 0), reg (arg 1))
-        | Prog.Mul, _ -> (
-            match (values.(arg 0), values.(arg 1)) with
-            | Lcipher lhs, Lcipher rhs -> def (fun dst -> Mul { lhs; rhs; dst })
-            | Lcipher lhs, Lplain plain | Lplain plain, Lcipher lhs ->
-                def (fun dst -> Mul_plain { lhs; plain; dst })
-            | _ -> invalid_arg "Schedule.lower: mul operands must pair a ciphertext with a plaintext")
-        | Prog.Negate, _ -> def (fun dst -> Negate { src = reg (arg 0); dst })
-        | Prog.Rotate { amount }, Fusion.Fan_head amounts ->
-            let src = reg (arg 0) in
-            let dsts = List.map (fun _ -> fresh_reg ()) amounts in
-            List.iter2 (fun a d -> Hashtbl.replace fanned (arg 0, a) d) amounts dsts;
-            emit (Rotate_fan { src; amounts; dsts });
-            Lcipher (Hashtbl.find fanned (arg 0, amount))
-        | Prog.Rotate { amount }, Fusion.Fan_member -> Lcipher (Hashtbl.find fanned (arg 0, amount))
-        | Prog.Rotate { amount }, _ -> def (fun dst -> Rotate { src = reg (arg 0); amount; dst })
-        | Prog.Rescale, _ -> (
-            match values.(arg 0) with
-            | Lpending_mul (lhs, rhs) -> def (fun dst -> Mul_rescale { lhs; rhs; dst })
-            | _ -> def (fun dst -> Rescale { src = reg (arg 0); dst }))
-        | Prog.Modswitch, _ -> (
-            match values.(arg 0) with
-            | Lplain plain ->
-                let dst_plain = fresh_plain () in
-                emit (Modswitch_plain { plain; dst_plain });
-                Lplain dst_plain
-            | _ -> def (fun dst -> Modswitch { src = reg (arg 0); dst }))
-        | Prog.Upscale { target_scale }, _ ->
-            def (fun dst -> Upscale { src = reg (arg 0); target_scale_bits = target_scale; dst })
-        | Prog.Downscale { waterline }, _ ->
-            def (fun dst -> Downscale { src = reg (arg 0); waterline_bits = waterline; dst })
-      in
-      values.(o.Prog.id) <- lowered)
-    p;
-  List.iteri (fun index v -> emit (Output { src = reg v; index })) p.Prog.outputs;
-  let stream = Array.of_list (List.rev !instrs) in
-  let num_values = fresh_reg () in
+  let s = Select.select p in
+  let stream = s.Select.instructions in
   let live =
-    Liveness.plan ~num_values
+    Liveness.plan ~num_values:s.Select.registers
       ~reads:(Array.map (fun i -> fst (regs i)) stream)
       ~writes:(Array.map (fun i -> snd (regs i)) stream)
   in
@@ -179,56 +65,18 @@ let lower (p : Prog.t) =
     instructions =
       (let buffer r = live.Liveness.buffer_of.(r) in
        Array.map (map_regs ~read:buffer ~write:buffer) stream);
+    levels = s.Select.levels;
     cipher_buffers = max 1 live.Liveness.buffer_count;
-    plain_slots = max 1 (fresh_plain ());
+    plain_slots = max 1 s.Select.plaintexts;
     output_count = List.length p.Prog.outputs;
     source_ops = Prog.num_ops p;
     slot_count = p.Prog.slot_count;
   }
 
-let pp_operand fmt = function
-  | Immediate v -> Format.fprintf fmt "imm<%d elems>" (Array.length v)
-  | Scalar_imm x -> Format.fprintf fmt "imm %g" x
-
-let pp_instruction fmt = function
-  | Encrypt_input { name; dst } -> Format.fprintf fmt "ct[%d] <- encrypt %S" dst name
-  | Encode_imm { value; scale_bits; level; plain_id } ->
-      Format.fprintf fmt "pt[%d] <- encode %a scale=2^%g level=%d" plain_id pp_operand value
-        scale_bits level
-  | Add { lhs; rhs; dst } -> Format.fprintf fmt "ct[%d] <- add ct[%d], ct[%d]" dst lhs rhs
-  | Sub { lhs; rhs; dst } -> Format.fprintf fmt "ct[%d] <- sub ct[%d], ct[%d]" dst lhs rhs
-  | Add_plain { lhs; plain; dst } ->
-      Format.fprintf fmt "ct[%d] <- add_plain ct[%d], pt[%d]" dst lhs plain
-  | Sub_plain { lhs; plain; dst; reversed } ->
-      Format.fprintf fmt "ct[%d] <- %s ct[%d], pt[%d]" dst
-        (if reversed then "rsub_plain" else "sub_plain")
-        lhs plain
-  | Mul { lhs; rhs; dst } -> Format.fprintf fmt "ct[%d] <- mul+relin ct[%d], ct[%d]" dst lhs rhs
-  | Mul_plain { lhs; plain; dst } ->
-      Format.fprintf fmt "ct[%d] <- mul_plain ct[%d], pt[%d]" dst lhs plain
-  | Mul_rescale { lhs; rhs; dst } ->
-      Format.fprintf fmt "ct[%d] <- mul+relin+rescale ct[%d], ct[%d]" dst lhs rhs
-  | Negate { src; dst } -> Format.fprintf fmt "ct[%d] <- negate ct[%d]" dst src
-  | Rotate { src; amount; dst } -> Format.fprintf fmt "ct[%d] <- rotate ct[%d], %d" dst src amount
-  | Rotate_fan { src; amounts; dsts } ->
-      let list pp = Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_string f ", ") pp in
-      Format.fprintf fmt "%a <- rotate_fan ct[%d], %a"
-        (list (fun f d -> Format.fprintf f "ct[%d]" d))
-        dsts src (list Format.pp_print_int) amounts
-  | Rescale { src; dst } -> Format.fprintf fmt "ct[%d] <- rescale ct[%d]" dst src
-  | Modswitch { src; dst } -> Format.fprintf fmt "ct[%d] <- modswitch ct[%d]" dst src
-  | Modswitch_plain { plain; dst_plain } ->
-      Format.fprintf fmt "pt[%d] <- modswitch pt[%d]" dst_plain plain
-  | Upscale { src; target_scale_bits; dst } ->
-      Format.fprintf fmt "ct[%d] <- upscale ct[%d] to 2^%g" dst src target_scale_bits
-  | Downscale { src; waterline_bits; dst } ->
-      Format.fprintf fmt "ct[%d] <- downscale ct[%d] to 2^%g" dst src waterline_bits
-  | Output { src; index } -> Format.fprintf fmt "out[%d] <- ct[%d]" index src
-
 let pp fmt t =
   Format.fprintf fmt "; %d instructions, %d ciphertext buffers, %d plaintexts (from %d IR ops)@\n"
     (Array.length t.instructions) t.cipher_buffers t.plain_slots t.source_ops;
-  Array.iter (fun i -> Format.fprintf fmt "  %a@\n" pp_instruction i) t.instructions
+  Array.iter (fun i -> Format.fprintf fmt "  %a@\n" Select.pp_instruction i) t.instructions
 
 type class_stat = { count : int; seconds : float }
 
@@ -238,21 +86,6 @@ type report = {
   per_class : (Costmodel.op_class * class_stat) list;
   peak_live : int;
 }
-
-(* The cost-model class an instruction is timed under, and how many
-   operations of that class it performs. *)
-let op_class = function
-  | Encrypt_input _ | Output _ -> None
-  | Encode_imm _ -> Some (Costmodel.Encode, 1)
-  | Add _ | Sub _ -> Some (Costmodel.Cipher_add, 1)
-  | Add_plain _ | Sub_plain _ | Negate _ -> Some (Costmodel.Plain_add, 1)
-  | Mul _ -> Some (Costmodel.Cipher_mul, 1)
-  | Mul_plain _ | Upscale _ | Downscale _ -> Some (Costmodel.Plain_mul, 1)
-  | Mul_rescale _ -> Some (Costmodel.Mul_rescale, 1)
-  | Rotate _ -> Some (Costmodel.Rotate, 1)
-  | Rotate_fan { amounts; _ } -> Some (Costmodel.Rotate_hoisted, List.length amounts)
-  | Rescale _ -> Some (Costmodel.Rescale, 1)
-  | Modswitch _ | Modswitch_plain _ -> Some (Costmodel.Modswitch, 1)
 
 let run eval ~waterline_bits t ~inputs =
   let params = Eval.params eval in
@@ -296,7 +129,7 @@ let run eval ~waterline_bits t ~inputs =
         | Some v -> set dst (Eval.encrypt_vector eval ~scale:(Float.exp2 waterline_bits) (replicate v))
         | None -> invalid_arg ("Schedule.run: missing input " ^ name))
     | Encode_imm { value; scale_bits; level; plain_id } ->
-        let v = match value with Scalar_imm x -> Array.make phys x | Immediate v -> replicate v in
+        let v = match value with Prog.Scalar x -> Array.make phys x | Prog.Vector v -> replicate v in
         pts.(plain_id) <- Some (Eval.encode eval ~level ~scale:(Float.exp2 scale_bits) v)
     | Add { lhs; rhs; dst } ->
         let a = ct lhs in
@@ -338,17 +171,34 @@ let run eval ~waterline_bits t ~inputs =
         set dst (Eval.rescale eval (Eval.upscale eval c ~factor))
     | Output { src; index } -> outputs.(index) <- Eval.decrypt eval (ct src)
   in
-  Array.iter
-    (fun instr ->
-      match op_class instr with
-      | None -> step instr
-      | Some (cls, n) ->
+  let add cls count seconds =
+    let prev = Option.value ~default:{ count = 0; seconds = 0. } (Hashtbl.find_opt stats cls) in
+    Hashtbl.replace stats cls { count = prev.count + count; seconds = prev.seconds +. seconds }
+  in
+  (* an instruction of several charges splits its time across them in
+     proportion to their analytic prices at its level *)
+  let analytic = Costmodel.analytic () in
+  let price level (cls, count) =
+    let num_primes = max 1 (params.Params.levels + 1 - level) in
+    float_of_int count *. analytic.Costmodel.cost cls ~num_primes ~n:params.Params.n
+  in
+  Array.iteri
+    (fun k instr ->
+      match Select.charges instr with
+      | [] -> step instr
+      | charges -> (
           let t0 = Unix.gettimeofday () in
           step instr;
           let dt = Unix.gettimeofday () -. t0 in
           elapsed := !elapsed +. dt;
-          let prev = Option.value ~default:{ count = 0; seconds = 0. } (Hashtbl.find_opt stats cls) in
-          Hashtbl.replace stats cls { count = prev.count + n; seconds = prev.seconds +. dt })
+          match charges with
+          | [ (cls, count) ] -> add cls count dt
+          | _ ->
+              let level = t.levels.(k) in
+              let total = List.fold_left (fun a c -> a +. price level c) 0. charges in
+              List.iter
+                (fun ((cls, count) as c) -> add cls count (dt *. price level c /. total))
+                charges))
     t.instructions;
   {
     outputs = Array.to_list outputs;

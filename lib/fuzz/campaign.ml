@@ -122,8 +122,8 @@ let run ?gen ?(oracle = Oracle.default_config) ?transform ?out_dir ?(log = ignor
     | s ->
         Array.iter
           (function
-            | Hecate_backend.Schedule.Rotate_fan _ -> fan := true
-            | Hecate_backend.Schedule.Mul_rescale _ -> fused := true
+            | Hecate.Select.Rotate_fan _ -> fan := true
+            | Hecate.Select.Mul_rescale _ -> fused := true
             | _ -> ())
           s.Hecate_backend.Schedule.instructions
     | exception _ -> () (* the oracle reports a program that does not lower *));

@@ -355,12 +355,54 @@ let line_sender oc =
      with Sys_error _ | Sys_blocked_io -> ());
     Mutex.unlock m
 
+(* The longest request line a session reads, far above any real program
+   (the paper-size MLP is 9.4 MB of text). *)
+let max_request_bytes = 32 * 1024 * 1024
+
+exception Line_too_long
+
+(* [input_line] with a bound: reads [ic] in chunks and keeps what follows a
+   newline for the next call, so a client that never sends one costs at
+   most [max_request_bytes] of memory. The chunk and the line start small
+   enough for the minor heap: every request opens a connection. *)
+let line_reader ic =
+  let chunk = Bytes.create 1024 and pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 1024 in
+  let rec next () =
+    if !pos >= !len then begin
+      pos := 0;
+      len := input ic chunk 0 (Bytes.length chunk)
+    end;
+    let start = !pos in
+    let rec scan i = if i < !len && Bytes.unsafe_get chunk i <> '\n' then scan (i + 1) else i in
+    let stop = scan start in
+    if !len = 0 && Buffer.length line = 0 then raise End_of_file
+    else if Buffer.length line + (stop - start) > max_request_bytes then raise Line_too_long
+    else begin
+      Buffer.add_subbytes line chunk start (stop - start);
+      pos := stop + 1;
+      if stop < !len || !len = 0 then (
+        let s = Buffer.contents line in
+        Buffer.clear line;
+        s)
+      else next ()
+    end
+  in
+  next
+
 let session t ~ic ~send =
   let client = fresh_client t in
+  let read = line_reader ic in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
-    | exception Sys_error _ -> ()
+    match read () with
+    | exception (End_of_file | Sys_error _) -> ()
+    | exception Line_too_long ->
+        send
+          (Protocol.error
+             (Format.asprintf "%a" Diagnostic.pp
+                (Diagnostic.v ~code:Diagnostic.Parse_error
+                   ~hint:"send one JSON request per line; the connection is closed"
+                   (Printf.sprintf "request line longer than %d bytes" max_request_bytes))))
     | line ->
         let keep = try handle_line t ~client ~send line with _ -> true in
         if keep && not (Atomic.get t.stopping) then loop ()

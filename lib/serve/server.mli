@@ -34,6 +34,12 @@ val create :
     with diagnostic code [oracle-rejected].
     @raise Invalid_argument if [workers < 1]. *)
 
+val max_request_bytes : int
+(** The longest request line a session reads (32 MiB). A longer line is
+    answered with a [parse-error] diagnostic and the connection is closed,
+    so a client that never sends a newline cannot grow the daemon's memory
+    without bound. *)
+
 val serve : t -> socket_path:string -> unit
 (** Bind a Unix-domain stream socket at [socket_path] (replacing a stale
     socket file; refusing to clobber a non-socket), accept connections

@@ -6,7 +6,9 @@
      per source, the oracle for [Hecate_ir.Fusion.analyze];
    - [Estimator]: the per-op sum with an operand-type array and a model
      call per op, the oracle for [Hecate.Estimator], which must return
-     estimates equal to the last bit. *)
+     estimates equal to the last bit. Three places are edited (each marked)
+     to charge what the selected instructions run, as the estimator now
+     prices them. *)
 
 type plan = int array
 
@@ -85,6 +87,11 @@ module Estimator = struct
     | Prog.Encode _ ->
         let level = match Types.scaled_of o.Prog.ty with Some s -> s.Types.level | None -> 0 in
         cost Costmodel.Encode ~level
+    (* edited: a reversed subtraction (plaintext minus ciphertext) runs
+       sub_plain and then negate, two Plain_add *)
+    | Prog.Sub when (not (Types.is_cipher arg_tys.(0))) && Types.is_cipher arg_tys.(1) ->
+        let level = operand_level "add" arg_tys 0 in
+        cost Costmodel.Plain_add ~level +. cost Costmodel.Plain_add ~level
     | Prog.Add | Prog.Sub ->
         let level = operand_level "add" arg_tys 0 in
         let both_cipher = Types.is_cipher arg_tys.(0) && Types.is_cipher arg_tys.(1) in
@@ -96,7 +103,9 @@ module Estimator = struct
         let level = operand_level "mul" arg_tys 0 in
         let both_cipher = Types.is_cipher arg_tys.(0) && Types.is_cipher arg_tys.(1) in
         if both_cipher then cost Costmodel.Cipher_mul ~level
-        else cost Costmodel.Plain_mul ~level +. cost Costmodel.Encode ~level
+          (* edited: no Encode here; the Encode op feeding the product is
+             charged on its own, and only its Encode_imm runs *)
+        else cost Costmodel.Plain_mul ~level
     | Prog.Rotate _ ->
         let level = operand_level "rotate" arg_tys 0 in
         cost Costmodel.Rotate ~level
@@ -136,9 +145,15 @@ module Estimator = struct
           | Fusion.Fused_mul -> 0. (* charged at the Rescale *)
           | Fusion.Fused_rescale ->
               cost Costmodel.Mul_rescale ~level:(operand_level "rescale" arg_tys 0)
-          | Fusion.Fan_member ->
-              cost Costmodel.Rotate_hoisted ~level:(operand_level "rotate" arg_tys 0)
-          | Fusion.Fan_head _ | Fusion.Single -> per_op_seconds ~model ~params ~n o arg_tys
+          (* edited: the fan runs at its head, one Rotate and a
+             Rotate_hoisted per further distinct amount; its later members,
+             a repeated amount included, run nothing *)
+          | Fusion.Fan_member -> 0.
+          | Fusion.Fan_head amounts ->
+              per_op_seconds ~model ~params ~n o arg_tys
+              +. float_of_int (List.length amounts - 1)
+                 *. cost Costmodel.Rotate_hoisted ~level:(operand_level "rotate" arg_tys 0)
+          | Fusion.Single -> per_op_seconds ~model ~params ~n o arg_tys
         in
         total := !total +. seconds)
       p;

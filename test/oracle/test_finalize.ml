@@ -143,7 +143,7 @@ let () =
       ( "fused sweep",
         [
           Alcotest.test_case "SF/HCD/MLP/matvec searches" `Quick
-            (test_searches [ "SF"; "HCD"; "MLP"; "matvec" ] ~candidates:5312 ~calls:10263);
+            (test_searches [ "SF"; "HCD"; "MLP"; "matvec" ] ~candidates:4963 ~calls:9567);
           Alcotest.test_case "PR E2 searches" `Quick
             (test_searches [ "PR E2" ] ~candidates:35825 ~calls:71650);
           QCheck_alcotest.to_alcotest prop_generated;

@@ -28,7 +28,7 @@ let test_oneshot_programs () =
         List.map (fun conf -> (t, conf)) (Modswitch_sweep.configurations ()))
       [ "SF"; "HCD"; "MLP"; "matvec" ]
   in
-  Alcotest.(check int) "early-modswitch calls checked" 10263 (compiles targets)
+  Alcotest.(check int) "early-modswitch calls checked" 9567 (compiles targets)
 
 let test_pr_e2_hill_climb () =
   let calls =

@@ -12,6 +12,8 @@ module Accuracy = Hecate_backend.Accuracy
 module Profile = Hecate_backend.Profile
 module Harness = Hecate_backend.Harness
 module Apps = Hecate_apps.Apps
+module Batch_apps = Hecate_apps.Batch_apps
+module Lower = Hecate_batch.Lower
 module Prng = Hecate_support.Prng
 module Stats = Hecate_support.Stats
 
@@ -277,7 +279,7 @@ func fan_gap(%0: cipher "x") slots=16 {
   check Alcotest.bool "an op between the members takes a member's IR buffer" true
     (ir.Liveness.buffer_of.(2) = ir.Liveness.buffer_of.(4));
   check Alcotest.bool "lowered to a fan" true
-    (Array.exists (function Schedule.Rotate_fan _ -> true | _ -> false) s.Schedule.instructions);
+    (Array.exists (function Hecate.Select.Rotate_fan _ -> true | _ -> false) s.Schedule.instructions);
   check_reference p ~inputs r.Schedule.outputs
 
 let test_schedule_fused_operand_gap () =
@@ -302,7 +304,7 @@ func fused_gap(%0: cipher "x", %1: cipher "y") slots=16 {
   check Alcotest.bool "an op before the Rescale takes the operand's IR buffer" true
     (ir.Liveness.buffer_of.(2) = ir.Liveness.buffer_of.(4));
   check Alcotest.bool "lowered to a fused multiply" true
-    (Array.exists (function Schedule.Mul_rescale _ -> true | _ -> false) s.Schedule.instructions);
+    (Array.exists (function Hecate.Select.Mul_rescale _ -> true | _ -> false) s.Schedule.instructions);
   check_reference p ~inputs r.Schedule.outputs
 
 let test_schedule_replicates_inputs () =
@@ -350,10 +352,63 @@ func fused_fan(%0: cipher "x") slots=16 {
   check Alcotest.int "fused multiply" 1 (count Costmodel.Mul_rescale);
   check Alcotest.int "no separate multiply" 0 (count Costmodel.Cipher_mul);
   check Alcotest.int "no separate rescale" 0 (count Costmodel.Rescale);
-  check Alcotest.int "one count per fanned rotation" 2 (count Costmodel.Rotate_hoisted);
-  check Alcotest.int "no single rotation" 0 (count Costmodel.Rotate);
+  (* the fan computes 1 and 2: one rotation, and one hoisted rotation for
+     the further amount; %6's repeat of 1 runs nothing *)
+  check Alcotest.int "the fan's first rotation" 1 (count Costmodel.Rotate);
+  check Alcotest.int "one hoisted count per further amount" 1 (count Costmodel.Rotate_hoisted);
   let total = List.fold_left (fun a (_, st) -> a +. st.Schedule.seconds) 0. r.Schedule.per_class in
   check (Alcotest.float 1e-9) "classes sum to the elapsed time" r.Schedule.elapsed_seconds total
+
+(* The estimate prices the instructions that run: under a unit model (cost
+   1 for one class, 0 for the others) a compiled program's estimate is the
+   executed report's count of that class, for every class and scheme. *)
+let check_counts_match ?passes label ~waterline_bits ~inputs prog =
+  List.iter
+    (fun scheme ->
+      let c = Driver.compile ?passes scheme ~sf_bits:28 ~waterline_bits prog in
+      let eval =
+        Interp.context ~params:c.Driver.params
+          ~rotations:(Interp.required_rotations c.Driver.prog) ()
+      in
+      let r = Interp.execute eval ~waterline_bits c.Driver.prog ~inputs in
+      List.iter
+        (fun cls ->
+          let unit_model =
+            { Costmodel.cost = (fun c ~num_primes:_ ~n:_ -> if c = cls then 1. else 0.) }
+          in
+          let ran =
+            match List.assoc_opt cls r.Interp.per_class with Some st -> st.Interp.count | None -> 0
+          in
+          check (Alcotest.float 0.)
+            (Printf.sprintf "%s, %s: %s" label (Driver.scheme_name scheme)
+               (Costmodel.class_name cls))
+            (float_of_int ran)
+            (Driver.estimate_at ~model:unit_model c ~n:c.Driver.params.Hecate.Paramselect.secure_n))
+        Costmodel.classes)
+    Driver.all_schemes
+
+let reduced_apps =
+  [ ("SF", 24.); ("HCD", 22.); ("MLP", 15.); ("LeNet-r", 18.); ("LR E2", 20.); ("PR E2", 25.) ]
+
+let test_estimate_counts_what_runs () =
+  check_counts_match "fig2" ~waterline_bits:20. ~inputs:fig2_inputs (fig2 ());
+  List.iter
+    (fun (name, waterline_bits) ->
+      let a = List.find (fun (a : Apps.t) -> a.Apps.name = name) (Apps.reduced_suite ()) in
+      check_counts_match name ~waterline_bits ~inputs:a.Apps.inputs a.Apps.prog)
+    reduced_apps;
+  List.iter
+    (fun (app : Batch_apps.t) ->
+      match Lower.lower ~spec:Lower.Auto app.Batch_apps.surface with
+      | Error d -> Alcotest.fail (Hecate_ir.Diagnostic.to_string d)
+      | Ok l ->
+          let inputs =
+            List.map (fun (n, d) -> (n, Lower.pack_input l n d)) app.Batch_apps.inputs
+          in
+          check_counts_match app.Batch_apps.name
+            ~passes:(Hecate_ir.Pass_manager.parse_exn Lower.pipeline)
+            ~waterline_bits:20. ~inputs l.Lower.prog)
+    (Batch_apps.suite ())
 
 let test_schedule_buffer_reuse () =
   (* a long multiply chain must run in a handful of buffers *)
@@ -624,6 +679,7 @@ let () =
           Alcotest.test_case "fused operand gap" `Quick test_schedule_fused_operand_gap;
           Alcotest.test_case "replicates inputs" `Quick test_schedule_replicates_inputs;
           Alcotest.test_case "reports what ran" `Quick test_schedule_reports_what_ran;
+          Alcotest.test_case "estimate counts what runs" `Quick test_estimate_counts_what_runs;
         ] );
       ( "noise",
         [

@@ -13,6 +13,7 @@ module Estimator = Hecate.Estimator
 module Paramselect = Hecate.Paramselect
 module Costmodel = Hecate.Costmodel
 module Driver = Hecate.Driver
+module Select = Hecate.Select
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -365,19 +366,28 @@ let test_table_model_tie_deterministic () =
         (m.Costmodel.cost Costmodel.Cipher_mul ~num_primes:4 ~n:1024))
     [ [ (2, 7.); (6, 13.) ]; [ (6, 13.); (2, 7.) ] ]
 
+(* [instr]'s charges priced at [level], summed in the order they are listed *)
+let priced ~params ~n level instr =
+  List.fold_left
+    (fun acc (cls, count) ->
+      let num_primes = Paramselect.num_primes_at params ~level in
+      acc +. (float_of_int count *. model.Costmodel.cost cls ~num_primes ~n))
+    0. (Select.charges instr)
+
 let test_estimate_additive () =
-  (* the program estimate is exactly the sum of per-op charges *)
+  (* the program estimate is exactly the sum of the selected instructions'
+     priced charges *)
   let p = Codegen.pars cfg (fig2 ()) in
   let types = Typing.check_exn cfg p in
-  ignore types;
   let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:8 () in
   let total = Estimator.estimate ~model ~params ~n:2048 p in
+  let s = Select.select p in
   let by_hand = ref 0. in
-  Prog.iter
-    (fun (o : Prog.op) ->
-      let arg_tys = Array.map (fun a -> (Prog.op p a).Prog.ty) o.Prog.args in
-      by_hand := !by_hand +. Estimator.per_op_seconds ~model ~params ~n:2048 o arg_tys)
-    p;
+  Array.iteri
+    (fun k i ->
+      if Select.charges i <> [] then
+        by_hand := !by_hand +. priced ~params ~n:2048 s.Select.levels.(k) i)
+    s.Select.instructions;
   check (Alcotest.float 1e-12) "additive" !by_hand total
 
 let test_estimate_free_ops_cost_nothing () =
@@ -386,16 +396,24 @@ let test_estimate_free_ops_cost_nothing () =
   B.output b (B.mul b x (B.const_scalar b 0.5));
   let p = Codegen.pars cfg (B.finish b) in
   let types = Typing.check_exn cfg p in
-  ignore types;
   let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:8 () in
-  Prog.iter
-    (fun (o : Prog.op) ->
-      let arg_tys = Array.map (fun a -> (Prog.op p a).Prog.ty) o.Prog.args in
-      let c = Estimator.per_op_seconds ~model ~params ~n:2048 o arg_tys in
-      match o.Prog.kind with
-      | Prog.Input _ | Prog.Const _ -> check (Alcotest.float 0.) "free" 0. c
-      | _ -> check Alcotest.bool "charged" true (c > 0.))
-    p
+  let s = Select.select p in
+  (* constants select no instruction; inputs and outputs are not charged *)
+  let consts =
+    Array.fold_left
+      (fun a (o : Prog.op) -> match o.Prog.kind with Prog.Const _ -> a + 1 | _ -> a)
+      0 p.Prog.body
+  in
+  check Alcotest.int "no instruction for a constant"
+    (Prog.num_ops p - consts + List.length p.Prog.outputs)
+    (Array.length s.Select.instructions);
+  Array.iteri
+    (fun k i ->
+      match i with
+      | Select.Encrypt_input _ | Select.Output _ ->
+          check Alcotest.bool "free" true (Select.charges i = [])
+      | _ -> check Alcotest.bool "charged" true (priced ~params ~n:2048 s.Select.levels.(k) i > 0.))
+    s.Select.instructions
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 2: the three hand-written plans, ordered by the estimator       *)

@@ -539,6 +539,36 @@ let test_server_finished_jobs_answer () =
   | Protocol.Error _ -> ()
   | _ -> Alcotest.fail "an unknown job must be an error"
 
+let test_server_bounds_request_lines () =
+  (* a line one byte over the bound, with no newline: the daemon answers
+     with a diagnostic, closes the connection, and keeps serving others *)
+  with_server @@ fun sock ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      let chunk = Bytes.make 65536 'x' in
+      let rec send left =
+        if left > 0 then
+          let n = Unix.write fd chunk 0 (min left (Bytes.length chunk)) in
+          send (left - n)
+      in
+      (try send (Server.max_request_bytes + 1) with Unix.Unix_error _ -> ());
+      let ic = Unix.in_channel_of_descr fd in
+      (match Protocol.parse_event (input_line ic) with
+      | Ok (Protocol.Error { message; _ }) ->
+          check Alcotest.bool ("diagnostic: " ^ message) true
+            (Astring.String.is_prefix ~affix:"error[parse-error]: request line longer than" message)
+      | Ok _ -> Alcotest.fail "expected an error event"
+      | Error msg -> Alcotest.fail msg);
+      match input_line ic with
+      | exception End_of_file -> ()
+      | line -> Alcotest.fail ("the connection stayed open: " ^ line));
+  match Client.stats ~socket:sock with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail ("the daemon stopped answering: " ^ msg)
+
 let () =
   Alcotest.run "hecate_serve"
     [
@@ -574,6 +604,7 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end to end over a socket" `Quick test_server_end_to_end;
+          Alcotest.test_case "over-long request line" `Quick test_server_bounds_request_lines;
           Alcotest.test_case "finished jobs keep answering" `Quick
             test_server_finished_jobs_answer;
           Alcotest.test_case "oracle-gated portfolio job" `Quick test_server_oracle_portfolio;
