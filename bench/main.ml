@@ -33,7 +33,10 @@
                                             --out FILE (see docs/PERFORMANCE.md)
      dune exec bench/main.exe serve      -- plan-cache serving latencies: cold
                                             fig2 compile vs warm memory/disk
-                                            hits and sustained hit throughput;
+                                            hits and sustained hit throughput,
+                                            then what one memory hit costs
+                                            stage by stage on fig2 and the
+                                            reduced MLP (docs/SERVING.md);
                                             writes BENCH_serve.json.
                                             Flags: --reps N, --cold-reps N,
                                             --quick, --out FILE
@@ -1262,6 +1265,97 @@ let check_regress flags =
 (* Plan-cache serving latencies                                        *)
 (* ------------------------------------------------------------------ *)
 
+module Plancache = Hecate.Plancache
+module Protocol = Hecate_serve.Protocol
+
+type stages = {
+  timings : (string * string * float) list;  (* key, label, median seconds *)
+  n : int;
+  levels : int;
+}
+
+(* What one memory hit costs, stage by stage, as a hecated request runs
+   them: the client renders its request line, the server reads it, parses
+   the program, looks the plan up, renders the done line, and the client
+   reads that. The stages are timed in interleaved rounds (one call of each
+   per round) so a slow spell of the host lands on all of them alike. *)
+let hit_stages ~reps ~waterline_bits prog =
+  let text = Hecate_ir.Printer.to_string prog in
+  let cache = Plancache.create () in
+  let compile p = Plancache.compile cache ~scheme:Driver.Hecate ~sf_bits ~waterline_bits p in
+  ignore (compile prog);
+  let submit =
+    {
+      Protocol.program = text;
+      scheme = Driver.Hecate;
+      sf_bits;
+      waterline_bits;
+      max_epochs = 100;
+      budget_seconds = None;
+      strategy = None;
+      stream = false;
+    }
+  in
+  let line = Protocol.render_request (Protocol.Submit submit) in
+  let parsed = Hecate_ir.Parser.parse text in
+  let entry, origin = compile parsed in
+  assert (origin = Plancache.Memory);
+  let done_line = Protocol.done_ ~job:1 ~origin ~wall_seconds:1e-3 entry in
+  let stages =
+    [
+      ("render_request", "client: render request", fun () ->
+          ignore (Protocol.render_request (Protocol.Submit submit)));
+      ("parse_request", "server: parse request line", fun () ->
+          ignore (Protocol.parse_request line));
+      ("parse_program", "server: Parser.parse", fun () -> ignore (Hecate_ir.Parser.parse text));
+      ("cache_hit", "server: Plancache.compile, memory hit", fun () ->
+          let _, origin = compile parsed in
+          assert (origin = Plancache.Memory));
+      ("render_done", "server: render done", fun () ->
+          ignore (Protocol.done_ ~job:1 ~origin ~wall_seconds:1e-3 entry));
+      ("parse_done", "client: parse done", fun () -> ignore (Protocol.parse_event done_line));
+    ]
+  in
+  let samples = List.map (fun _ -> Array.make reps 0.) stages in
+  for r = 0 to reps - 1 do
+    List.iter2
+      (fun (_, _, f) a ->
+        let t0 = Unix.gettimeofday () in
+        f ();
+        a.(r) <- Unix.gettimeofday () -. t0)
+      stages samples
+  done;
+  {
+    timings = List.map2 (fun (key, label, _) a -> (key, label, Stats.median a)) stages samples;
+    n = entry.Plancache.params.Paramselect.secure_n;
+    levels = entry.Plancache.params.Paramselect.chain_levels;
+  }
+
+let hit_seconds st =
+  let _, _, s = List.find (fun (key, _, _) -> key = "cache_hit") st.timings in
+  s
+
+(* Median disk hit: a fresh in-memory layer over a store holding the
+   entry, as after a daemon restart, answering the stored artifact. *)
+let disk_hit ~reps ~waterline_bits prog =
+  let dir = Filename.temp_file "hecate_bench_serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let compile cache = Plancache.compile cache ~scheme:Driver.Hecate ~sf_bits ~waterline_bits prog in
+  let stored, _ = compile (Plancache.create ~dir ()) in
+  let seconds =
+    Stats.median
+      (Array.init reps (fun _ ->
+           let fresh = Plancache.create ~dir () in
+           let t0 = Unix.gettimeofday () in
+           let e, origin = compile fresh in
+           assert (origin = Plancache.Disk);
+           assert (String.equal e.Plancache.artifact stored.Plancache.artifact);
+           Unix.gettimeofday () -. t0))
+  in
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
+  seconds
+
 (* The latency trade the daemon lives on: a cold fig2 compile pays the
    full SMSE exploration, a warm hit answers from the content-addressed
    plan cache (memory or disk) with the byte-identical artifact. Writes
@@ -1270,7 +1364,6 @@ let check_regress flags =
    cold-seconds / warm-seconds. Fails (exit 1) if a memory hit is not at
    least 10x faster than a cold miss — the serving design point. *)
 let serve flags =
-  let module Plancache = Hecate.Plancache in
   let out = ref "BENCH_serve.json" in
   let reps = ref 200 in
   let cold_reps = ref 7 in
@@ -1335,24 +1428,7 @@ let serve flags =
         now () -. t0)
       !reps
   in
-  (* disk hits: a fresh in-memory state over a shared store, as after a
-     daemon restart *)
-  let dir = Filename.temp_file "hecate_bench_serve" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  ignore (compile (Plancache.create ~dir ()));
-  let warm_disk =
-    median_of
-      (fun () ->
-        let fresh = Plancache.create ~dir () in
-        let t0 = now () in
-        let e, origin = compile fresh in
-        assert (origin = Plancache.Disk);
-        assert (String.equal e.Plancache.artifact entry.Plancache.artifact);
-        now () -. t0)
-      (min !reps 50)
-  in
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
+  let warm_disk = disk_hit ~reps:(min !reps 50) ~waterline_bits:20. prog in
   (* sustained hit throughput on the long-lived cache *)
   let hits = ref 0 in
   let t0 = now () in
@@ -1363,6 +1439,10 @@ let serve flags =
   let hits_per_s = float_of_int !hits /. (now () -. t0) in
   let n = entry.Plancache.params.Paramselect.secure_n in
   let levels = entry.Plancache.params.Paramselect.chain_levels in
+  let mlp = List.find (fun (a : Apps.t) -> a.Apps.name = "MLP") (Apps.reduced_suite ()) in
+  let fig2_stages = hit_stages ~reps:!reps ~waterline_bits:20. prog in
+  let mlp_stages = hit_stages ~reps:!reps ~waterline_bits:15. mlp.Apps.prog in
+  let mlp_disk = disk_hit ~reps:(min !reps 50) ~waterline_bits:15. mlp.Apps.prog in
   let sp_mem = cold /. Float.max 1e-9 warm_mem in
   let sp_disk = cold /. Float.max 1e-9 warm_disk in
   Printf.printf "  cold compile (full exploration)  %10.3f ms\n" (cold *. 1e3);
@@ -1371,6 +1451,14 @@ let serve flags =
   Printf.printf "  warm hit, disk                   %10.3f ms  (%.0fx)\n" (warm_disk *. 1e3)
     sp_disk;
   Printf.printf "  sustained hit throughput         %10.0f hits/s\n" hits_per_s;
+  Printf.printf "\n  one memory hit by stage (ms, median of %d interleaved rounds)\n" !reps;
+  Printf.printf "  %-36s %9s %9s\n" "" "fig2" "MLP";
+  let total stages = List.fold_left (fun acc (_, _, s) -> acc +. s) 0. stages.timings in
+  let row label f m = Printf.printf "  %-36s %9.3f %9.3f\n" label (f *. 1e3) (m *. 1e3) in
+  List.iter2 (fun (_, label, f) (_, _, m) -> row label f m) fig2_stages.timings mlp_stages.timings;
+  row "total" (total fig2_stages) (total mlp_stages);
+  Printf.printf "  MLP warm hit, memory / disk          %9.3f %9.3f ms\n"
+    (hit_seconds mlp_stages *. 1e3) (mlp_disk *. 1e3);
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -1378,20 +1466,38 @@ let serve flags =
                      \"scheme\": \"HECATE\"},\n"
        !reps !cold_reps);
   Buffer.add_string buf "  \"entries\": [\n";
+  (* The first four rows pair with the speedups below; the stage rows are
+     absolute costs of one memory hit, which no speedup (and so no gate)
+     reads. *)
+  let stage_rows label (st : stages) =
+    List.map
+      (fun (key, _, seconds) -> ("hit_stage/" ^ key, label, st.n, st.levels, seconds))
+      st.timings
+    @ [ ("hit_stage/total", label, st.n, st.levels, total st) ]
+  in
+  let rows =
+    [
+      ("plan_cache_memory", "reference", n, levels, cold);
+      ("plan_cache_memory", "fast", n, levels, warm_mem);
+      ("plan_cache_disk", "reference", n, levels, cold);
+      ("plan_cache_disk", "fast", n, levels, warm_disk);
+    ]
+    @ stage_rows "fig2" fig2_stages
+    @ stage_rows "MLP" mlp_stages
+    @ [
+        ("mlp_hit_memory", "MLP", mlp_stages.n, mlp_stages.levels, hit_seconds mlp_stages);
+        ("mlp_hit_disk", "MLP", mlp_stages.n, mlp_stages.levels, mlp_disk);
+      ]
+  in
   List.iteri
-    (fun i (kernel, variant, seconds) ->
+    (fun i (kernel, variant, n, levels, seconds) ->
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"n\": %d, \"levels\": %d, \
             \"ns_per_op\": %.1f}%s\n"
            kernel variant n levels (seconds *. 1e9)
-           (if i = 3 then "" else ",")))
-    [
-      ("plan_cache_memory", "reference", cold);
-      ("plan_cache_memory", "fast", warm_mem);
-      ("plan_cache_disk", "reference", cold);
-      ("plan_cache_disk", "fast", warm_disk);
-    ];
+           (if i = List.length rows - 1 then "" else ",")))
+    rows;
   Buffer.add_string buf "  ],\n  \"speedups\": [\n";
   Buffer.add_string buf
     (Printf.sprintf

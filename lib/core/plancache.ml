@@ -40,9 +40,7 @@ let origin_name = function
    [max_epochs] is part of the key because a budget-truncated climb can
    legitimately produce a different (worse) plan than an unbounded one —
    serving it to a larger-budget client would silently degrade them. *)
-let key ?(strategy = Explore.default_strategy) ~scheme ~sf_bits ~waterline_bits
-    ~max_epochs prog =
-  let fp = Prog.fingerprint prog in
+let key_of_fingerprint ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs fp =
   (* The default strategy keeps the PR 7 key format verbatim, so every
      existing disk entry (and the daemon's committed latency baselines)
      stays addressable; other strategies can produce different winning
@@ -50,8 +48,13 @@ let key ?(strategy = Explore.default_strategy) ~scheme ~sf_bits ~waterline_bits
   let suffix = if strategy = Explore.default_strategy then "" else "|" ^ strategy in
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "plan-v1|%s|%s|%d|%h|%d%s" fp (Driver.scheme_name scheme) sf_bits
-          waterline_bits max_epochs suffix))
+       (Printf.sprintf "plan-v1|%s|%s|%d|%s|%d%s" fp (Driver.scheme_name scheme) sf_bits
+          (Hecate_ir.Hexfloat.to_string waterline_bits) max_epochs suffix))
+
+let key ?(strategy = Explore.default_strategy) ~scheme ~sf_bits ~waterline_bits
+    ~max_epochs prog =
+  key_of_fingerprint ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs
+    (Prog.fingerprint prog)
 
 (* ------------------------------------------------------------------ *)
 (* On-disk serialization                                               *)
@@ -506,10 +509,12 @@ let find_or_compute t key ~compute =
 let compile t ?pool_size ?(run_cold = fun f -> f ()) ?should_stop ?on_epoch
     ?budget_seconds ?(strategy = Explore.default_strategy) ?gate ~scheme ~sf_bits ~waterline_bits
     ?(max_epochs = 100) prog =
-  let k = key ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs prog in
+  (* A hit costs one fingerprint: the key derives from it, and the
+     structural digest only seeds a cold compile. *)
   let fingerprint = Prog.fingerprint prog in
-  let structure = Prog.structural_digest prog in
+  let k = key_of_fingerprint ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs fingerprint in
   find_or_compute t k ~compute:(fun () ->
+      let structure = Prog.structural_digest prog in
       (* A cold compile warm-starts from the plan corpus: portable plans of
          structurally similar entries seed every strategy. The seeds only
          accelerate the search — the result is the same plan a cold run

@@ -204,42 +204,85 @@ let canonicalize p =
     outputs = List.map (fun v -> order.(v)) p.outputs;
   }
 
-(* Byte-serialize a canonical program for hashing. Floats are rendered
-   with %h (exact binary representation), so the fingerprint never
-   depends on decimal rounding. *)
-let serialize_canonical buf p =
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "hecate-ir-v1;slots=%d;ops=%d;" p.slot_count (Array.length p.body);
-  Array.iter
-    (fun o ->
-      (match o.kind with
-      | Input { name } -> addf "in(%s)" name
-      | Const { value = Scalar x } -> addf "cs(%h)" x
+(* The canonical serialization, written in one walk over the canonical
+   order without building the canonical program: ops as [canonicalize]
+   numbers them, the i-th input in that order named $i. Floats go through
+   [Hexfloat] (%h: the exact binary representation), so the fingerprint
+   never depends on decimal rounding. *)
+let add_int buf n = Buffer.add_string buf (Int.to_string n)
+
+let canonical_digest ~header ~add_kind p =
+  let order, canonical_order = canonical_numbering p in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf header;
+  Buffer.add_string buf ";slots=";
+  add_int buf p.slot_count;
+  Buffer.add_string buf ";ops=";
+  add_int buf (List.length canonical_order);
+  Buffer.add_char buf ';';
+  let inputs = ref 0 in
+  List.iter
+    (fun v ->
+      let o = p.body.(v) in
+      let input = !inputs in
+      (match o.kind with Input _ -> incr inputs | _ -> ());
+      add_kind buf ~input o.kind;
+      Buffer.add_char buf '[';
+      Array.iter
+        (fun a ->
+          add_int buf order.(a);
+          Buffer.add_char buf ',')
+        o.args;
+      Buffer.add_string buf "];")
+    canonical_order;
+  Buffer.add_string buf "out=";
+  List.iter
+    (fun v ->
+      add_int buf order.(v);
+      Buffer.add_char buf ',')
+    p.outputs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let add_call buf name x =
+  Buffer.add_string buf name;
+  Buffer.add_char buf '(';
+  Hexfloat.add buf x;
+  Buffer.add_char buf ')'
+
+let fingerprint p =
+  canonical_digest ~header:"hecate-ir-v1" p ~add_kind:(fun buf ~input kind ->
+      match kind with
+      | Input _ ->
+          Buffer.add_string buf "in($";
+          add_int buf input;
+          Buffer.add_char buf ')'
+      | Const { value = Scalar x } -> add_call buf "cs" x
       | Const { value = Vector v } ->
           Buffer.add_string buf "cv(";
-          Array.iter (fun x -> addf "%h," x) v;
+          Array.iter
+            (fun x ->
+              Hexfloat.add buf x;
+              Buffer.add_char buf ',')
+            v;
           Buffer.add_char buf ')'
-      | Encode { scale; level } -> addf "enc(%h,%d)" scale level
+      | Encode { scale; level } ->
+          Buffer.add_string buf "enc(";
+          Hexfloat.add buf scale;
+          Buffer.add_char buf ',';
+          add_int buf level;
+          Buffer.add_char buf ')'
       | Add -> Buffer.add_string buf "add"
       | Sub -> Buffer.add_string buf "sub"
       | Mul -> Buffer.add_string buf "mul"
       | Negate -> Buffer.add_string buf "neg"
-      | Rotate { amount } -> addf "rot(%d)" amount
+      | Rotate { amount } ->
+          Buffer.add_string buf "rot(";
+          add_int buf amount;
+          Buffer.add_char buf ')'
       | Rescale -> Buffer.add_string buf "rs"
       | Modswitch -> Buffer.add_string buf "ms"
-      | Upscale { target_scale } -> addf "up(%h)" target_scale
-      | Downscale { waterline } -> addf "down(%h)" waterline);
-      Buffer.add_char buf '[';
-      Array.iter (fun a -> addf "%d," a) o.args;
-      Buffer.add_string buf "];")
-    p.body;
-  addf "out=";
-  List.iter (fun v -> addf "%d," v) p.outputs
-
-let fingerprint p =
-  let buf = Buffer.create 1024 in
-  serialize_canonical buf (canonicalize p);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+      | Upscale { target_scale } -> add_call buf "up" target_scale
+      | Downscale { waterline } -> add_call buf "down" waterline)
 
 (* A coarser hash than [fingerprint]: the canonical kind-skeleton with
    every attribute (constants, rotation amounts, scales) elided. Programs
@@ -248,14 +291,9 @@ let fingerprint p =
    SMU graphs are isomorphic, so a good plan for one is a credible seed
    for the other. *)
 let structural_digest p =
-  let c = canonicalize p in
-  let buf = Buffer.create 256 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "hecate-skel-v1;slots=%d;ops=%d;" c.slot_count (Array.length c.body);
-  Array.iter
-    (fun o ->
-      let tag =
-        match o.kind with
+  canonical_digest ~header:"hecate-skel-v1" p ~add_kind:(fun buf ~input:_ kind ->
+      Buffer.add_string buf
+        (match kind with
         | Input _ -> "in"
         | Const _ -> "c"
         | Encode _ -> "enc"
@@ -267,16 +305,7 @@ let structural_digest p =
         | Rescale -> "rs"
         | Modswitch -> "ms"
         | Upscale _ -> "up"
-        | Downscale _ -> "down"
-      in
-      Buffer.add_string buf tag;
-      Buffer.add_char buf '[';
-      Array.iter (fun a -> addf "%d," a) o.args;
-      Buffer.add_string buf "];")
-    c.body;
-  addf "out=";
-  List.iter (fun v -> addf "%d," v) c.outputs;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+        | Downscale _ -> "down"))
 
 module Builder = struct
   type prog = t

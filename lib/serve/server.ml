@@ -63,8 +63,9 @@ type t = {
   ready : int Queue.t;  (* round-robin over clients with work *)
   jobs : (int, job) Hashtbl.t;  (* live (queued or running) jobs *)
   finished : (int, job_state) Hashtbl.t;
-      (* final state of every finished job: its program, request and
-         connection are released as soon as it ends *)
+      (* final state of the last [finished_window] finished jobs: a job's
+         program, request and connection are released as soon as it ends *)
+  finished_order : int Queue.t;  (* the ids in [finished], oldest first *)
   stopping : bool Atomic.t;
   mutable next_job : int;
   mutable next_client : int;
@@ -75,6 +76,11 @@ type t = {
   mutable failed : int;
   mutable cancelled : int;
 }
+
+(* How many finished jobs [status] and [cancel] still name by their final
+   state. Ids are handed out in order and never reused, so a known id that
+   is neither live nor in the window finished before the window's oldest. *)
+let finished_window = 1024
 
 let log t fmt =
   if t.verbose then Printf.eprintf ("hecated: " ^^ fmt ^^ "\n%!")
@@ -89,6 +95,9 @@ let run_job t job =
     Mutex.lock t.mutex;
     Hashtbl.remove t.jobs job.id;
     Hashtbl.replace t.finished job.id state;
+    Queue.push job.id t.finished_order;
+    if Queue.length t.finished_order > finished_window then
+      Hashtbl.remove t.finished (Queue.pop t.finished_order);
     (match state with
     | Done -> t.completed <- t.completed + 1
     | Failed -> t.failed <- t.failed + 1
@@ -193,6 +202,7 @@ let create ?pool_size ?(workers = 2) ?(oracle = false) ?(verbose = false) cache 
       ready = Queue.create ();
       jobs = Hashtbl.create 64;
       finished = Hashtbl.create 64;
+      finished_order = Queue.create ();
       stopping = Atomic.make false;
       next_job = 1;
       next_client = 1;
@@ -282,6 +292,30 @@ let job_counts t =
     ("cancelled", t.cancelled);
   ]
 
+(* What [status] and [cancel] know of a job id: its state (and the job
+   while it is live), that it finished before the window, or nothing. *)
+type lookup = Tracked of job_state * job option | Untracked | Unknown
+
+let lookup t id =
+  Mutex.lock t.mutex;
+  let found =
+    match Hashtbl.find_opt t.jobs id with
+    | Some j -> Tracked (j.state, Some j)
+    | None -> (
+        match Hashtbl.find_opt t.finished id with
+        | Some st -> Tracked (st, None)
+        | None -> if id >= 1 && id < t.next_job then Untracked else Unknown)
+  in
+  Mutex.unlock t.mutex;
+  found
+
+let not_tracked id =
+  Protocol.error ~job:id
+    (Printf.sprintf "job %d finished and is no longer tracked (the server keeps the last %d)" id
+       finished_window)
+
+let unknown id = Protocol.error ~job:id (Printf.sprintf "unknown job %d" id)
+
 (* Returns [false] when the connection should close (shutdown). *)
 let handle_line t ~client ~send line =
   match Protocol.parse_request line with
@@ -292,26 +326,21 @@ let handle_line t ~client ~send line =
       submit t ~client ~send s;
       true
   | Ok (Protocol.Status id) ->
-      Mutex.lock t.mutex;
-      let state =
-        match Hashtbl.find_opt t.jobs id with
-        | Some j -> Some j.state
-        | None -> Hashtbl.find_opt t.finished id
-      in
-      Mutex.unlock t.mutex;
-      (match state with
-      | None -> send (Protocol.error ~job:id (Printf.sprintf "unknown job %d" id))
-      | Some st -> send (Protocol.status ~job:id ~state:(state_name st)));
+      send
+        (match lookup t id with
+        | Tracked (st, _) -> Protocol.status ~job:id ~state:(state_name st)
+        | Untracked -> not_tracked id
+        | Unknown -> unknown id);
       true
   | Ok (Protocol.Cancel id) ->
-      Mutex.lock t.mutex;
-      let job = Hashtbl.find_opt t.jobs id in
-      let known = Option.is_some job || Hashtbl.mem t.finished id in
-      Mutex.unlock t.mutex;
-      (* a finished job gets the same reply; its flag has nothing left to stop *)
-      Option.iter (fun j -> Atomic.set j.cancel true) job;
-      if known then send (Protocol.status ~job:id ~state:"cancelling")
-      else send (Protocol.error ~job:id (Printf.sprintf "unknown job %d" id));
+      send
+        (match lookup t id with
+        | Tracked (_, job) ->
+            (* a finished job gets the same reply; it has nothing left to stop *)
+            Option.iter (fun j -> Atomic.set j.cancel true) job;
+            Protocol.status ~job:id ~state:"cancelling"
+        | Untracked -> not_tracked id
+        | Unknown -> unknown id);
       true
   | Ok Protocol.Stats ->
       Mutex.lock t.mutex;

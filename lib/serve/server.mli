@@ -40,6 +40,12 @@ val max_request_bytes : int
     so a client that never sends a newline cannot grow the daemon's memory
     without bound. *)
 
+val finished_window : int
+(** How many finished jobs [status] and [cancel] still answer with their
+    final state (1024). A job that finished before them gets an error
+    saying it finished and is no longer tracked; an id the server never
+    handed out gets "unknown job". *)
+
 val serve : t -> socket_path:string -> unit
 (** Bind a Unix-domain stream socket at [socket_path] (replacing a stale
     socket file; refusing to clobber a non-socket), accept connections

@@ -569,6 +569,160 @@ let test_server_bounds_request_lines () =
   | Ok _ -> ()
   | Error msg -> Alcotest.fail ("the daemon stopped answering: " ^ msg)
 
+let test_server_finished_window () =
+  (* More jobs than the window: the oldest ids answer that they finished
+     and are no longer tracked, the newest still answer their state, and
+     an id never handed out stays unknown. The submissions are written
+     from a thread of their own, so the replies cannot stall them. *)
+  with_server @@ fun sock ->
+  let total = Server.finished_window + 2 in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      let line = Protocol.render_request (Protocol.Submit (submit_fig2 ())) ^ "\n" in
+      let oc = Unix.out_channel_of_descr fd in
+      let writer =
+        Thread.create
+          (fun () ->
+            for _ = 1 to total do
+              output_string oc line
+            done;
+            flush oc)
+          ()
+      in
+      let ic = Unix.in_channel_of_descr fd in
+      let rec await dones last =
+        if dones = total then last
+        else
+          match Protocol.parse_event (input_line ic) with
+          | Ok (Protocol.Done r) -> await (dones + 1) (max last r.Protocol.job)
+          | Ok (Protocol.Error { message; _ }) -> Alcotest.fail message
+          | Ok _ -> await dones last
+          | Error msg -> Alcotest.fail msg
+      in
+      let last = await 0 0 in
+      Thread.join writer;
+      check Alcotest.int "ids are dense" total last;
+      let untracked what req =
+        match request sock req with
+        | Protocol.Error { message; _ } ->
+            check Alcotest.bool (what ^ ": " ^ message) true
+              (Astring.String.is_infix ~affix:"finished and is no longer tracked" message)
+        | _ -> Alcotest.fail (what ^ ": expected an error event")
+      in
+      untracked "status of the first job" (Protocol.Status 1);
+      untracked "cancel of the second job" (Protocol.Cancel 2);
+      (match request sock (Protocol.Status (total - Server.finished_window + 1)) with
+      | Protocol.Status { state; _ } -> check Alcotest.string "oldest in the window" "done" state
+      | _ -> Alcotest.fail "expected a status event");
+      match request sock (Protocol.Status (total + 1000)) with
+      | Protocol.Error { message; _ } ->
+          check Alcotest.bool ("never handed out: " ^ message) true
+            (Astring.String.is_prefix ~affix:"unknown job" message)
+      | _ -> Alcotest.fail "an unknown job must be an error")
+
+(* ------------------------------------------------------------------ *)
+(* Byte mutations of valid inputs                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Valid request lines and .hec texts: fig2, Gen programs, and the lowered
+   matvec printed with its provenance comments. *)
+let mutation_seeds =
+  lazy
+    (let fig2_text = (submit_fig2 ()).Protocol.program in
+     let gen seed = Printer.to_string (Gen.generate ~seed ()).Gen.prog in
+     let matvec =
+       let m = Hecate_apps.Batch_apps.matvec ~rows:2 ~cols:2 () in
+       let surface = m.Hecate_apps.Batch_apps.surface in
+       match Hecate_batch.Lower.lower ~spec:Hecate_batch.Lower.Auto surface with
+       | Ok l -> Printer.to_string ~provenance:true l.Hecate_batch.Lower.prog
+       | Error d -> Alcotest.fail (Hecate_ir.Diagnostic.to_string d)
+     in
+     let texts = [ fig2_text; gen 3; gen 17; matvec ] in
+     let requests =
+       List.map
+         (fun program ->
+           Protocol.render_request (Protocol.Submit { (submit_fig2 ()) with Protocol.program }))
+         texts
+       @ List.map Protocol.render_request
+           [ Protocol.Status 12; Protocol.Cancel 3; Protocol.Stats; Protocol.Shutdown ]
+     in
+     Array.of_list (texts @ requests))
+
+(* One to four edits: a flipped bit, an overwritten byte, a deleted span,
+   inserted bytes or a truncation, with the bytes drawn toward the ones
+   the readers branch on. *)
+let mutated =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (3, char);
+        ( 2,
+          oneofl
+            [ '"'; '\\'; '%'; '{'; '}'; '['; ']'; ','; ':'; '='; '\n'; '#'; '!'; '0'; '9'; '-';
+              '+'; '.'; 'p'; 'x'; 'e'; 'u'; ' ' ] );
+      ]
+  in
+  let edit s =
+    let n = String.length s in
+    if n = 0 then map (String.make 1) byte
+    else
+      frequency
+        [
+          ( 2,
+            map2
+              (fun i bit ->
+                Bytes.to_string
+                  (let b = Bytes.of_string s in
+                   Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl bit)));
+                   b))
+              (int_bound (n - 1)) (int_bound 7) );
+          ( 2,
+            map2
+              (fun i c -> String.mapi (fun j d -> if j = i then c else d) s)
+              (int_bound (n - 1)) byte );
+          ( 2,
+            map2
+              (fun i len -> String.sub s 0 i ^ String.sub s (min n (i + len)) (n - min n (i + len)))
+              (int_bound (n - 1)) (int_range 1 8) );
+          ( 2,
+            map2
+              (fun i ins -> String.sub s 0 i ^ ins ^ String.sub s i (n - i))
+              (int_bound n)
+              (string_size ~gen:byte (int_range 1 4)) );
+          (1, map (fun i -> String.sub s 0 i) (int_bound n));
+        ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  int_bound (Array.length (Lazy.force mutation_seeds) - 1) >>= fun i ->
+  int_range 1 4 >>= fun k -> edits k (Lazy.force mutation_seeds).(i)
+
+let prop_mutated_inputs_fail_cleanly =
+  QCheck.Test.make ~name:"mutated inputs end in a value or a parse error" ~count:3000
+    (QCheck.make ~print:String.escaped mutated)
+    (fun text ->
+      let protocol =
+        match Protocol.parse_request text with
+        | Ok (Protocol.Submit s) -> (
+            match Parser.parse s.Protocol.program with
+            | _ -> true
+            | exception Parser.Parse_error _ -> true)
+        | Ok _ | Error _ -> true
+      in
+      let json = match Json.parse text with _ -> true | exception Json.Parse_error _ -> true in
+      let ir = match Parser.parse text with _ -> true | exception Parser.Parse_error _ -> true in
+      protocol && json && ir)
+
+let test_overlong_value_id () =
+  match Parser.parse "func f(%0: cipher \"x\") slots=4 {\n  return %99999999999999999999\n}\n" with
+  | _ -> Alcotest.fail "parsed an out-of-range value id"
+  | exception Parser.Parse_error { line; message } ->
+      check Alcotest.int "line" 2 line;
+      check Alcotest.string "message" "value id %99999999999999999999 out of range" message
+
 let () =
   Alcotest.run "hecate_serve"
     [
@@ -610,5 +764,11 @@ let () =
           Alcotest.test_case "oracle-gated portfolio job" `Quick test_server_oracle_portfolio;
           Alcotest.test_case "budget-truncated is transient" `Quick
             test_server_budget_is_transient;
+          Alcotest.test_case "finished jobs past the window" `Quick test_server_finished_window;
+        ] );
+      ( "mutation",
+        [
+          qtest prop_mutated_inputs_fail_cleanly;
+          Alcotest.test_case "overlong value id" `Quick test_overlong_value_id;
         ] );
     ]
