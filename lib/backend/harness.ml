@@ -44,6 +44,10 @@ let estimate_only ?(waterlines = default_waterlines) ?(sf_bits = 28) ?(max_epoch
    configurations with the same chain shape and rotation set. *)
 let context_cache : (int * int * int * int * int list, Eval.t) Hashtbl.t = Hashtbl.create 16
 
+(* held while the table is read or filled: concurrent compiles (the oracle
+   gate inside hecated) look contexts up from several domains *)
+let context_lock = Mutex.create ()
+
 let cached_context ~(params : Hecate.Paramselect.t) ~rotations =
   let min_n =
     let rec up n = if n / 2 >= params.Hecate.Paramselect.slot_count then n else up (2 * n) in
@@ -56,13 +60,17 @@ let cached_context ~(params : Hecate.Paramselect.t) ~rotations =
       params.Hecate.Paramselect.chain_levels,
       rotations )
   in
-  match Hashtbl.find_opt context_cache key with
-  | Some eval -> eval
-  | None ->
-      if Hashtbl.length context_cache > 32 then Hashtbl.reset context_cache;
-      let eval = Interp.context ~params ~rotations () in
-      Hashtbl.replace context_cache key eval;
-      eval
+  Mutex.lock context_lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock context_lock)
+    (fun () ->
+      match Hashtbl.find_opt context_cache key with
+      | Some eval -> eval
+      | None ->
+          if Hashtbl.length context_cache > 32 then Hashtbl.reset context_cache;
+          let eval = Interp.context ~params ~rotations () in
+          Hashtbl.replace context_cache key eval;
+          eval)
 
 let search ?waterlines ?(error_bound = 0x1p-8) ?(sf_bits = 28) ?(max_epochs = 100)
     ?(use_profiled_model = false) ?(feasible_target = 3) ~scheme (bench : Apps.t) =

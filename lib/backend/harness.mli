@@ -27,7 +27,10 @@ val cached_context :
   params:Hecate.Paramselect.t -> rotations:int list -> Hecate_ckks.Eval.t
 (** Evaluator contexts keyed by chain shape and rotation set: key generation
     dominates sweep time, so the harness shares contexts across
-    configurations. *)
+    configurations. Safe to call from several domains: the table is locked
+    while it is read or filled. A shared context's encryption stream moves
+    with every encryption; {!Hecate_ckks.Eval.restart_encryption} gives a
+    caller its own. *)
 
 val search :
   ?waterlines:float list ->

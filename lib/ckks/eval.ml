@@ -6,7 +6,7 @@ module Buf = Hecate_support.Buf
 
 type ciphertext = { c0 : Poly.t; c1 : Poly.t; scale : float; level : int }
 type plaintext = { poly : Poly.t; pt_scale : float; pt_level : int }
-type t = { params : Params.t; encoder : Encoder.t; keys : Keys.t; enc_rng : Prng.t }
+type t = { params : Params.t; encoder : Encoder.t; keys : Keys.t; seed : int; enc_rng : Prng.t }
 
 exception Scale_mismatch of string
 exception Level_mismatch of string
@@ -28,7 +28,9 @@ let create ?(seed = 0xCAFE) params ~rotations =
       rotations
   in
   let keys = Keys.generate ~seed params ~galois_elements in
-  { params; encoder; keys; enc_rng = Prng.create ~seed:(seed lxor 0x7E57) }
+  { params; encoder; keys; seed; enc_rng = Prng.create ~seed:(seed lxor 0x7E57) }
+
+let restart_encryption t = { t with enc_rng = Prng.create ~seed:(t.seed lxor 0x7E57) }
 
 let level_count t lvl = Chain.length t.params.Params.chain - lvl
 

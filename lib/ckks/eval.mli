@@ -26,6 +26,12 @@ val create : ?seed:int -> Params.t -> rotations:int list -> t
 (** [create params ~rotations] generates keys, including one rotation key per
     distinct slot-rotation amount in [rotations]. *)
 
+val restart_encryption : t -> t
+(** A context sharing [t]'s keys whose encryptions draw from the start of
+    [t]'s encryption stream, as a context just created from the same seed
+    would. [t]'s own stream does not move: each holder of a shared context
+    encrypts reproducibly, whatever the others encrypt. *)
+
 val params : t -> Params.t
 val encoder : t -> Encoder.t
 val keys : t -> Keys.t

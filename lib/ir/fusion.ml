@@ -30,8 +30,7 @@ let analyze (p : Prog.t) =
     | _ -> ()
   done;
   (* the first Rotate of a source with >= 2 distinct amounts heads its fan,
-     the later ones are its members *)
-  let headed = Array.make n false in
+     and empties its entry, so the later ones are its members *)
   for i = 0 to n - 1 do
     let o = body.(i) in
     match o.Prog.kind with
@@ -39,12 +38,10 @@ let analyze (p : Prog.t) =
         let src = o.Prog.args.(0) in
         match amounts.(src) with
         | _ :: _ :: _ as distinct ->
-            if headed.(src) then roles.(o.Prog.id) <- Fan_member
-            else begin
-              roles.(o.Prog.id) <- Fan_head (List.rev distinct);
-              headed.(src) <- true
-            end
-        | [ _ ] | [] -> ())
+            roles.(i) <- Fan_head (List.rev distinct);
+            amounts.(src) <- []
+        | [] -> roles.(i) <- Fan_member
+        | [ _ ] -> ())
     | _ -> ()
   done;
   roles

@@ -73,47 +73,72 @@ let kind_name = function
   | Upscale _ -> "upscale"
   | Downscale _ -> "downscale"
 
+(* [validate]'s rules, in its order of precedence. Each is a loop without
+   a closure: the pass manager's verifier and [Rewriter.finish] run it on
+   every SMSE candidate. *)
+let rec operands_precede args i k =
+  k < 0
+  ||
+  let a = Array.unsafe_get args k in
+  a >= 0 && a < i && operands_precede args i (k - 1)
+
+(* the first op breaking the id, arity or order rule, or [n] *)
+let rec first_bad_op body n i =
+  if i >= n then n
+  else
+    let o = Array.unsafe_get body i in
+    let k = Array.length o.args in
+    if o.id <> i || k <> arity o.kind || not (operands_precede o.args i (k - 1)) then i
+    else first_bad_op body n (i + 1)
+
+let rec all_in_range n = function [] -> true | v :: tl -> v >= 0 && v < n && all_in_range n tl
+
+let rec all_input_ops body n = function
+  | [] -> true
+  | v :: tl ->
+      v >= 0 && v < n
+      && (match (Array.unsafe_get body v).kind with Input _ -> true | _ -> false)
+      && all_input_ops body n tl
+
+(* marks the (in-range) inputs in [declared]; false at the first repeat *)
+let rec mark_distinct declared = function
+  | [] -> true
+  | v :: tl ->
+      Bytes.get declared v = '\000'
+      && begin
+           Bytes.set declared v '\001';
+           mark_distinct declared tl
+         end
+
+let rec first_undeclared body declared n i =
+  if i >= n then -1
+  else
+    match (Array.unsafe_get body i).kind with
+    | Input _ when Bytes.get declared i = '\000' -> i
+    | _ -> first_undeclared body declared n (i + 1)
+
 let validate p =
-  let n = Array.length p.body in
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let rec check i =
-    if i >= n then Ok ()
+  let body = p.body in
+  let n = Array.length body in
+  let i = first_bad_op body n 0 in
+  if i < n then begin
+    let o = body.(i) in
+    if o.id <> i then Error (Printf.sprintf "op at index %d has id %d" i o.id)
+    else if Array.length o.args <> arity o.kind then
+      Error
+        (Printf.sprintf "op %d (%s): expected %d operands, got %d" i (kind_name o.kind)
+           (arity o.kind) (Array.length o.args))
+    else Error (Printf.sprintf "op %d (%s): operand does not precede use" i (kind_name o.kind))
+  end
+  else if not (all_in_range n p.outputs) then Error "output id out of range"
+  else if p.outputs = [] then Error "program has no outputs"
+  else if not (all_input_ops body n p.inputs) then Error "input list does not point at input ops"
+  else
+    let declared = Bytes.make n '\000' in
+    if not (mark_distinct declared p.inputs) then Error "input list contains duplicates"
     else
-      let o = p.body.(i) in
-      if o.id <> i then err "op at index %d has id %d" i o.id
-      else if Array.length o.args <> arity o.kind then
-        err "op %d (%s): expected %d operands, got %d" i (kind_name o.kind) (arity o.kind)
-          (Array.length o.args)
-      else if Array.exists (fun a -> a < 0 || a >= i) o.args then
-        err "op %d (%s): operand does not precede use" i (kind_name o.kind)
-      else check (i + 1)
-  in
-  match check 0 with
-  | Error _ as e -> e
-  | Ok () ->
-      if List.exists (fun v -> v < 0 || v >= n) p.outputs then Error "output id out of range"
-      else if p.outputs = [] then Error "program has no outputs"
-      else if
-        List.exists
-          (fun v -> v < 0 || v >= n || (match p.body.(v).kind with Input _ -> false | _ -> true))
-          p.inputs
-      then Error "input list does not point at input ops"
-      else if List.length (List.sort_uniq compare p.inputs) <> List.length p.inputs then
-        Error "input list contains duplicates"
-      else begin
-        let declared = Array.make n false in
-        List.iter (fun v -> declared.(v) <- true) p.inputs;
-        let missing = ref None in
-        Array.iteri
-          (fun i o ->
-            match o.kind with
-            | Input _ when not declared.(i) && !missing = None -> missing := Some i
-            | _ -> ())
-          p.body;
-        match !missing with
-        | Some i -> err "input op %d is not in the input list" i
-        | None -> Ok ()
-      end
+      let i = first_undeclared body declared n 0 in
+      if i >= 0 then Error (Printf.sprintf "input op %d is not in the input list" i) else Ok ()
 
 let equal_op (a : op) (b : op) = a.id = b.id && a.kind = b.kind && a.args = b.args
 
@@ -124,9 +149,22 @@ let equal a b =
   && a.inputs = b.inputs && a.outputs = b.outputs
 
 let use_counts p =
-  let counts = Array.make (Array.length p.body) 0 in
-  iter (fun o -> Array.iter (fun a -> counts.(a) <- counts.(a) + 1) o.args) p;
-  List.iter (fun v -> counts.(v) <- counts.(v) + 1) p.outputs;
+  let body = p.body in
+  let counts = Array.make (Array.length body) 0 in
+  for i = 0 to Array.length body - 1 do
+    let args = (Array.unsafe_get body i).args in
+    for k = 0 to Array.length args - 1 do
+      let a = Array.unsafe_get args k in
+      counts.(a) <- counts.(a) + 1
+    done
+  done;
+  let rec outputs = function
+    | [] -> ()
+    | v :: tl ->
+        counts.(v) <- counts.(v) + 1;
+        outputs tl
+  in
+  outputs p.outputs;
   counts
 
 let users p =

@@ -16,8 +16,12 @@ type t =
 
 exception Parse_error of string
 
+val max_depth : int
+(** How deeply {!parse} nests objects and arrays: 512. *)
+
 val parse : string -> t
-(** @raise Parse_error on malformed input (with the offending offset). *)
+(** @raise Parse_error on malformed input (with the offending offset), and
+    on objects and arrays nested deeper than {!max_depth}. *)
 
 val member : string -> t -> t
 (** Field of an object; [Null] when absent or not an object. *)

@@ -213,6 +213,50 @@ let test_corpus_replays () =
           Alcotest.failf "%s regressed: %s" f (Oracle.describe failure))
     (corpus_files ())
 
+(* The explorer gate runs inside concurrent compiles. Gating the same
+   programs from two domains at once must give each domain the verdicts a
+   fresh gate gives one after the other: the context table is locked, and
+   each check encrypts from its own stream. The gates with tight bounds
+   fail every program with a detail quoting its measured error, so the
+   verdicts compare the decrypted outputs too. *)
+let test_gate_concurrent () =
+  let prog = (Gen.generate ~seed:7 ()).Gen.prog in
+  let programs =
+    List.filter_map
+      (fun scheme ->
+        match Driver.compile scheme ~sf_bits:28 ~waterline_bits:20. prog with
+        | c -> Some c.Driver.prog
+        | exception _ -> None)
+      Driver.all_schemes
+  in
+  let gates () =
+    [
+      Oracle.explorer_gate ~sf_bits:28 ~waterline_bits:20. prog;
+      Oracle.explorer_gate ~rmse_bound:1e-30 ~sf_bits:28 ~waterline_bits:20. prog;
+      Oracle.explorer_gate ~cross_bound:0. ~sf_bits:28 ~waterline_bits:20. prog;
+    ]
+  in
+  let verdicts gates =
+    List.concat_map
+      (fun (gate : Hecate.Explore.gate) ->
+        List.map
+          (fun p ->
+            match gate ~strategy:"hill-climb" ~plan:[||] p with
+            | Ok () -> "ok"
+            | Error f -> f.Hecate.Explore.failed_check ^ ": " ^ f.Hecate.Explore.failed_detail)
+          programs)
+      gates
+  in
+  let sequential = verdicts (gates ()) in
+  let shared = gates () in
+  let other = Domain.spawn (fun () -> verdicts shared) in
+  let here = verdicts shared in
+  let there = Domain.join other in
+  Alcotest.(check int) "programs" 4 (List.length programs);
+  Alcotest.(check bool) "some verdicts fail" true (List.exists (fun v -> v <> "ok") sequential);
+  Alcotest.(check (list string)) "this domain" sequential here;
+  Alcotest.(check (list string)) "the other domain" sequential there
+
 let () =
   Alcotest.run "hecate_fuzz"
     [
@@ -228,6 +272,7 @@ let () =
           Alcotest.test_case "smoke campaign clean" `Slow test_smoke_campaign;
           Alcotest.test_case "injected bug caught and shrunk" `Slow
             test_injected_bug_caught_and_shrunk;
+          Alcotest.test_case "gate verdicts under concurrency" `Quick test_gate_concurrent;
         ] );
       ("shrinker", [ Alcotest.test_case "reaches minimum" `Quick test_shrink_reaches_minimum ]);
       ("waterline", [ QCheck_alcotest.to_alcotest prop_waterline_always_typechecks ]);

@@ -698,6 +698,32 @@ let test_json_render_nonfinite () =
   check Alcotest.string "int form" "7" (J.render (J.int 7));
   check Alcotest.string "float form" "0.5" (J.render (J.Num 0.5))
 
+(* Nesting past the bound is the ordinary parse error, found before the
+   parser reads on: ten million '[' fail at once, in bounded memory. *)
+let test_json_depth () =
+  let nest d = String.make d '[' ^ String.make d ']' in
+  let rec depth = function J.Arr [ v ] -> 1 + depth v | J.Arr [] -> 1 | _ -> 0 in
+  check Alcotest.int "at the bound" J.max_depth (depth (J.parse (nest J.max_depth)));
+  check Alcotest.int "objects too" 3 (match J.parse {|{"a":{"b":{}}}|} with
+    | J.Obj [ ("a", J.Obj [ ("b", J.Obj []) ]) ] -> 3 | _ -> 0);
+  let fails s =
+    match J.parse s with
+    | _ -> "parsed"
+    | exception J.Parse_error m -> m
+  in
+  let deeper = Printf.sprintf "nesting deeper than %d at offset %d" J.max_depth J.max_depth in
+  check Alcotest.string "one past" deeper (fails (nest (J.max_depth + 1)));
+  (* 256 objects, each holding an array: the 513th level opens at byte 256 * 6 *)
+  check Alcotest.string "mixed"
+    (Printf.sprintf "nesting deeper than %d at offset %d" J.max_depth (256 * 6))
+    (fails (String.concat "" (List.init 300 (fun _ -> {|{"k":[|}))));
+  let words0 = Gc.minor_words () in
+  check Alcotest.string "ten million" deeper (fails (String.make 10_000_000 '['));
+  check Alcotest.bool "bounded allocation" true (Gc.minor_words () -. words0 < 100_000.);
+  (* siblings do not add up *)
+  let wide = "[" ^ String.concat "," (List.init 2000 (fun _ -> nest 10)) ^ "]" in
+  check Alcotest.int "siblings" 2000 (List.length (J.to_list (J.parse wide)))
+
 let () =
   Alcotest.run "hecate_support"
     [
@@ -782,5 +808,6 @@ let () =
         [
           Alcotest.test_case "render roundtrip" `Quick test_json_render_roundtrip;
           Alcotest.test_case "non-finite numbers" `Quick test_json_render_nonfinite;
+          Alcotest.test_case "nesting depth bound" `Quick test_json_depth;
         ] );
     ]
