@@ -572,8 +572,11 @@ let test_server_bounds_request_lines () =
 let test_server_finished_window () =
   (* More jobs than the window: the oldest ids answer that they finished
      and are no longer tracked, the newest still answer their state, and
-     an id never handed out stays unknown. The submissions are written
-     from a thread of their own, so the replies cannot stall them. *)
+     an id never handed out stays unknown. The window keeps the jobs that
+     finished last, so the first two jobs are finished before the rest are
+     submitted; two workers could otherwise finish job 2 after job 3. The
+     rest are written from a thread of their own, so the replies cannot
+     stall them. *)
   with_server @@ fun sock ->
   let total = Server.finished_window + 2 in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -583,26 +586,26 @@ let test_server_finished_window () =
       Unix.connect fd (Unix.ADDR_UNIX sock);
       let line = Protocol.render_request (Protocol.Submit (submit_fig2 ())) ^ "\n" in
       let oc = Unix.out_channel_of_descr fd in
-      let writer =
-        Thread.create
-          (fun () ->
-            for _ = 1 to total do
-              output_string oc line
-            done;
-            flush oc)
-          ()
+      let submit n =
+        for _ = 1 to n do
+          output_string oc line
+        done;
+        flush oc
       in
       let ic = Unix.in_channel_of_descr fd in
-      let rec await dones last =
-        if dones = total then last
+      let rec await n dones last =
+        if dones = n then last
         else
           match Protocol.parse_event (input_line ic) with
-          | Ok (Protocol.Done r) -> await (dones + 1) (max last r.Protocol.job)
+          | Ok (Protocol.Done r) -> await n (dones + 1) (max last r.Protocol.job)
           | Ok (Protocol.Error { message; _ }) -> Alcotest.fail message
-          | Ok _ -> await dones last
+          | Ok _ -> await n dones last
           | Error msg -> Alcotest.fail msg
       in
-      let last = await 0 0 in
+      submit 2;
+      check Alcotest.int "first two finished" 2 (await 2 0 0);
+      let writer = Thread.create submit (total - 2) in
+      let last = await (total - 2) 0 0 in
       Thread.join writer;
       check Alcotest.int "ids are dense" total last;
       let untracked what req =
