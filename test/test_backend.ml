@@ -250,7 +250,8 @@ let test_schedule_matches_reference () =
    rescale returns a product to the waterline), typed, lowered and run. *)
 let run_managed ?exec_n text ~inputs =
   let p = Hecate_ir.Parser.parse text in
-  let types = Hecate_ir.Typing.check_exn (Hecate_ir.Typing.config ~sf:25. ~waterline:25. ()) p in
+  Hecate_ir.Typing.check_exn (Hecate_ir.Typing.config ~sf:25. ~waterline:25. ()) p;
+  let types = Array.map (fun (o : Prog.op) -> o.Prog.ty) p.Prog.body in
   let params = Hecate.Paramselect.select ~sf_bits:25 ~types ~slot_count:p.Prog.slot_count () in
   let eval = Interp.context ?exec_n ~params ~rotations:(Interp.required_rotations p) () in
   let s = Schedule.lower p in

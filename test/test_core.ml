@@ -36,6 +36,11 @@ let output_ty p =
   ignore (Typing.check_exn cfg p);
   (Prog.op p (List.hd p.Prog.outputs)).Prog.ty
 
+(* the type of every op, as a successful check leaves them *)
+let checked_types cfg p =
+  Typing.check_exn cfg p;
+  Array.map (fun (o : Prog.op) -> o.Prog.ty) p.Prog.body
+
 (* ------------------------------------------------------------------ *)
 (* Code generation                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -58,7 +63,7 @@ let test_pars_fig2 () =
 
 let test_pars_lower_peak_than_eva () =
   (* PARS reaches a chain at most as long as EVA's on the running example *)
-  let types_of p = Typing.check_exn cfg p in
+  let types_of p = checked_types cfg p in
   let eva = Paramselect.select ~sf_bits:28 ~types:(types_of (Codegen.waterline cfg (fig2 ()))) ~slot_count:8 () in
   let pars = Paramselect.select ~sf_bits:28 ~types:(types_of (Codegen.pars cfg (fig2 ()))) ~slot_count:8 () in
   check Alcotest.bool "chain not longer" true
@@ -322,7 +327,7 @@ let test_cost_level_speedup_factor () =
 let test_estimate_fig2_pars_cheaper () =
   let run gen =
     let p = gen cfg ?hook:None (fig2 ()) in
-    let types = Typing.check_exn cfg p in
+    let types = checked_types cfg p in
     let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:8 () in
     Estimator.estimate ~model ~params ~n:8192 p
   in
@@ -378,7 +383,7 @@ let test_estimate_additive () =
   (* the program estimate is exactly the sum of the selected instructions'
      priced charges *)
   let p = Codegen.pars cfg (fig2 ()) in
-  let types = Typing.check_exn cfg p in
+  let types = checked_types cfg p in
   let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:8 () in
   let total = Estimator.estimate ~model ~params ~n:2048 p in
   let s = Select.select p in
@@ -395,7 +400,7 @@ let test_estimate_free_ops_cost_nothing () =
   let x = B.input b "x" in
   B.output b (B.mul b x (B.const_scalar b 0.5));
   let p = Codegen.pars cfg (B.finish b) in
-  let types = Typing.check_exn cfg p in
+  let types = checked_types cfg p in
   let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:8 () in
   let s = Select.select p in
   (* constants select no instruction; inputs and outputs are not charged *)
@@ -469,7 +474,7 @@ func c(%0: cipher "x", %1: cipher "y") slots=8 {
 
 let estimate_plan text =
   let p = Hecate_ir.Parser.parse text in
-  let types = Typing.check_exn cfg p in
+  let types = checked_types cfg p in
   let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:8 () in
   Estimator.estimate ~model ~params ~n:16384 p
 
@@ -499,7 +504,7 @@ let test_hill_climb_improves () =
   let smu = Smu.generate prog in
   let codegen ~hook = fst (Driver.finalize ~cfg (Codegen.waterline cfg ~hook prog)) in
   let evaluate p =
-    let types = Typing.check_exn cfg p in
+    let types = checked_types cfg p in
     let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:8 () in
     Estimator.estimate ~model ~params ~n:8192 p
   in
@@ -598,7 +603,7 @@ let test_hill_climb_parallel_matches_serial () =
       let smu = Smu.generate prog in
       let codegen ~hook = fst (Driver.finalize ~cfg (Codegen.waterline cfg ~hook prog)) in
       let evaluate p =
-        let types = Typing.check_exn cfg p in
+        let types = checked_types cfg p in
         let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:p.Prog.slot_count () in
         Estimator.estimate ~model ~params ~n:8192 p
       in
@@ -712,7 +717,7 @@ let test_driver_output_types_valid () =
   List.iter
     (fun scheme ->
       let c = Driver.compile scheme ~sf_bits:28 ~waterline_bits:20. (fig2 ()) in
-      let tys = Typing.check_exn cfg c.Driver.prog in
+      let tys = checked_types cfg c.Driver.prog in
       Array.iter
         (fun t ->
           match Types.scaled_of t with

@@ -54,7 +54,8 @@ let fig2_codegen_evaluate () =
   let smu = Smu.generate prog in
   let codegen ~hook = fst (Driver.finalize ~cfg (Codegen.waterline cfg ~hook prog)) in
   let evaluate p =
-    let types = Typing.check_exn cfg p in
+    Typing.check_exn cfg p;
+    let types = Array.map (fun (o : Prog.op) -> o.Prog.ty) p.Prog.body in
     let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:8 () in
     Estimator.estimate ~model ~params ~n:8192 p
   in

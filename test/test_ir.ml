@@ -277,7 +277,8 @@ let test_parse_basic () =
 
 let test_parse_typecheck () =
   let p = managed_prog () in
-  let tys = Typing.check_exn cfg p in
+  Typing.check_exn cfg p;
+  let tys = Array.map (fun (o : Prog.op) -> o.Prog.ty) p.Prog.body in
   check ty "z type" (cipher 40. 0) tys.(4);
   check ty "downscaled" (cipher 20. 1) tys.(5);
   check ty "final" (cipher 60. 1) tys.(7)
