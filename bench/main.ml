@@ -1276,22 +1276,41 @@ let check_regress flags =
 module Plancache = Hecate.Plancache
 module Protocol = Hecate_serve.Protocol
 
+(* Which requests run a stage: those that parse their text, those whose
+   text the cache has indexed, or both. *)
+type path = Parsed | Indexed | Both
+
 type stages = {
-  timings : (string * string * float) list;  (* key, label, median seconds *)
+  timings : (string * string * path * float) list;  (* key, label, path, median seconds *)
   n : int;
   levels : int;
 }
 
 (* What one memory hit costs, stage by stage, as a hecated request runs
    them: the client renders its request line, the server reads it, parses
-   the program, looks the plan up, renders the done line, and the client
+   the program and looks the plan up (or, for a text the cache has indexed,
+   looks the plan up by the text), renders the done line, and the client
    reads that. The stages are timed in interleaved rounds (one call of each
-   per round) so a slow spell of the host lands on all of them alike. *)
+   per round) so a slow spell of the host lands on all of them alike.
+
+   Exits 1 if a second request with the same text is not answered from the
+   text index: the index hit count, not a timing, says so. *)
 let hit_stages ~reps ~waterline_bits prog =
   let text = Hecate_ir.Printer.to_string prog in
   let cache = Plancache.create () in
   let compile p = Plancache.compile cache ~scheme:Driver.Hecate ~sf_bits ~waterline_bits p in
-  ignore (compile prog);
+  let compile_text () =
+    Plancache.compile_text cache ~scheme:Driver.Hecate ~sf_bits ~waterline_bits text
+  in
+  ignore (compile_text ());
+  let index_hits () = (Plancache.snapshot cache).Plancache.s_index_hits in
+  let before = index_hits () in
+  let _, origin = compile_text () in
+  if origin <> Plancache.Memory || index_hits () <> before + 1 then begin
+    Printf.eprintf "serve: a repeated %s text was not answered from the text index\n"
+      prog.Prog.name;
+    exit 1
+  end;
   let submit =
     {
       Protocol.program = text;
@@ -1311,37 +1330,47 @@ let hit_stages ~reps ~waterline_bits prog =
   let done_line = Protocol.done_ ~job:1 ~origin ~wall_seconds:1e-3 entry in
   let stages =
     [
-      ("render_request", "client: render request", fun () ->
+      ("render_request", "client: render request", Both, fun () ->
           ignore (Protocol.render_request (Protocol.Submit submit)));
-      ("parse_request", "server: parse request line", fun () ->
+      ("parse_request", "server: parse request line", Both, fun () ->
           ignore (Protocol.parse_request line));
-      ("parse_program", "server: Parser.parse", fun () -> ignore (Hecate_ir.Parser.parse text));
-      ("cache_hit", "server: Plancache.compile, memory hit", fun () ->
+      ("parse_program", "server: Parser.parse", Parsed, fun () ->
+          ignore (Hecate_ir.Parser.parse text));
+      ("cache_hit", "server: Plancache.compile, memory hit", Parsed, fun () ->
           let _, origin = compile parsed in
           assert (origin = Plancache.Memory));
-      ("render_done", "server: render done", fun () ->
+      ("index_hit", "server: Plancache.compile_text, indexed", Indexed, fun () ->
+          let _, origin = compile_text () in
+          assert (origin = Plancache.Memory));
+      ("render_done", "server: render done", Both, fun () ->
           ignore (Protocol.done_ ~job:1 ~origin ~wall_seconds:1e-3 entry));
-      ("parse_done", "client: parse done", fun () -> ignore (Protocol.parse_event done_line));
+      ("parse_done", "client: parse done", Both, fun () ->
+          ignore (Protocol.parse_event done_line));
     ]
   in
   let samples = List.map (fun _ -> Array.make reps 0.) stages in
   for r = 0 to reps - 1 do
     List.iter2
-      (fun (_, _, f) a ->
+      (fun (_, _, _, f) a ->
         let t0 = Unix.gettimeofday () in
         f ();
         a.(r) <- Unix.gettimeofday () -. t0)
       stages samples
   done;
   {
-    timings = List.map2 (fun (key, label, _) a -> (key, label, Stats.median a)) stages samples;
+    timings =
+      List.map2 (fun (key, label, path, _) a -> (key, label, path, Stats.median a)) stages samples;
     n = entry.Plancache.params.Paramselect.secure_n;
     levels = entry.Plancache.params.Paramselect.chain_levels;
   }
 
 let hit_seconds st =
-  let _, _, s = List.find (fun (key, _, _) -> key = "cache_hit") st.timings in
+  let _, _, _, s = List.find (fun (key, _, _, _) -> key = "cache_hit") st.timings in
   s
+
+(* What the stages a request on [path] runs total. *)
+let path_total path st =
+  List.fold_left (fun acc (_, _, p, s) -> if p = path || p = Both then acc +. s else acc) 0. st.timings
 
 (* Median disk hit: a fresh in-memory layer over a store holding the
    entry, as after a daemon restart, answering the stored artifact. *)
@@ -1460,12 +1489,17 @@ let serve flags =
     sp_disk;
   Printf.printf "  sustained hit throughput         %10.0f hits/s\n" hits_per_s;
   Printf.printf "\n  one memory hit by stage (ms, median of %d interleaved rounds)\n" !reps;
-  Printf.printf "  %-36s %9s %9s\n" "" "fig2" "MLP";
-  let total stages = List.fold_left (fun acc (_, _, s) -> acc +. s) 0. stages.timings in
-  let row label f m = Printf.printf "  %-36s %9.3f %9.3f\n" label (f *. 1e3) (m *. 1e3) in
-  List.iter2 (fun (_, label, f) (_, _, m) -> row label f m) fig2_stages.timings mlp_stages.timings;
-  row "total" (total fig2_stages) (total mlp_stages);
-  Printf.printf "  MLP warm hit, memory / disk          %9.3f %9.3f ms\n"
+  Printf.printf "  %-40s %9s %9s %9s %9s\n" "" "fig2" "indexed" "MLP" "indexed";
+  let cell path p s = if p = path || p = Both then Printf.sprintf "%9.3f" (s *. 1e3) else "        -" in
+  List.iter2
+    (fun (_, label, p, f) (_, _, _, m) ->
+      Printf.printf "  %-40s %s %s %s %s\n" label (cell Parsed p f) (cell Indexed p f)
+        (cell Parsed p m) (cell Indexed p m))
+    fig2_stages.timings mlp_stages.timings;
+  Printf.printf "  %-40s %9.3f %9.3f %9.3f %9.3f\n" "total"
+    (path_total Parsed fig2_stages *. 1e3) (path_total Indexed fig2_stages *. 1e3)
+    (path_total Parsed mlp_stages *. 1e3) (path_total Indexed mlp_stages *. 1e3);
+  Printf.printf "  MLP warm hit, memory / disk              %9.3f %9.3f ms\n"
     (hit_seconds mlp_stages *. 1e3) (mlp_disk *. 1e3);
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
@@ -1476,12 +1510,16 @@ let serve flags =
   Buffer.add_string buf "  \"entries\": [\n";
   (* The first four rows pair with the speedups below; the stage rows are
      absolute costs of one memory hit, which no speedup (and so no gate)
-     reads. *)
+     reads. [total] sums the stages of a request that parses its text,
+     [indexed_total] those of a request whose text is indexed. *)
   let stage_rows label (st : stages) =
     List.map
-      (fun (key, _, seconds) -> ("hit_stage/" ^ key, label, st.n, st.levels, seconds))
+      (fun (key, _, _, seconds) -> ("hit_stage/" ^ key, label, st.n, st.levels, seconds))
       st.timings
-    @ [ ("hit_stage/total", label, st.n, st.levels, total st) ]
+    @ [
+        ("hit_stage/total", label, st.n, st.levels, path_total Parsed st);
+        ("hit_stage/indexed_total", label, st.n, st.levels, path_total Indexed st);
+      ]
   in
   let rows =
     [

@@ -1,4 +1,5 @@
 module Prog = Hecate_ir.Prog
+module Parser = Hecate_ir.Parser
 module Printer = Hecate_ir.Printer
 module Json = Hecate_support.Json
 module Fileio = Hecate_support.Fileio
@@ -211,6 +212,7 @@ type stats = {
   mutable misses : int;
   mutable joins : int;
   mutable evictions : int;
+  mutable index_hits : int;
 }
 
 type stats_snapshot = {
@@ -220,6 +222,8 @@ type stats_snapshot = {
   s_joins : int;
   s_evictions : int;
   s_entries : int;
+  s_index_hits : int;
+  s_index_bytes : int;
 }
 
 type node = { entry : entry; mutable last_use : int }
@@ -241,6 +245,9 @@ type t = {
   lock : Mutex.t;
   inflight : (string, flight) Hashtbl.t;
   stats : stats;
+  index : (string, string) Hashtbl.t;  (* program text -> its fingerprint *)
+  index_order : string Queue.t;  (* the indexed texts, oldest first *)
+  mutable index_bytes : int;
 }
 
 let default_dir () =
@@ -271,7 +278,11 @@ let create ?dir ?(capacity = 128) () =
     tick = 0;
     lock = Mutex.create ();
     inflight = Hashtbl.create 8;
-    stats = { hits_memory = 0; hits_disk = 0; misses = 0; joins = 0; evictions = 0 };
+    stats =
+      { hits_memory = 0; hits_disk = 0; misses = 0; joins = 0; evictions = 0; index_hits = 0 };
+    index = Hashtbl.create 64;
+    index_order = Queue.create ();
+    index_bytes = 0;
   }
 
 let entry_path t key =
@@ -294,6 +305,8 @@ let snapshot t =
       s_joins = s.joins;
       s_evictions = s.evictions;
       s_entries = Hashtbl.length t.table;
+      s_index_hits = s.index_hits;
+      s_index_bytes = t.index_bytes;
     }
   in
   Mutex.unlock t.lock;
@@ -371,6 +384,40 @@ let find t key =
           Mutex.unlock t.lock;
           Some (entry, Disk)
       | None -> None)
+
+(* ------------------------------------------------------------------ *)
+(* Text index                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The exact program texts parsed and fingerprinted so far, each with its
+   fingerprint, so a repeated text goes straight to its key. The table
+   compares whole texts on lookup: only the same bytes share an entry. *)
+let index_budget = 16 * 1024 * 1024
+
+(* What one indexed text counts against the budget: its bytes, its
+   fingerprint's, and about 64 for the table and queue cells and headers. *)
+let index_cost text fingerprint = String.length text + String.length fingerprint + 64
+
+let indexed t text =
+  Mutex.lock t.lock;
+  let found = Hashtbl.mem t.index text in
+  Mutex.unlock t.lock;
+  found
+
+(* locked: index [text], evicting the oldest texts past the budget. A text
+   that alone exceeds it is not indexed. *)
+let index_locked t text fingerprint =
+  let cost = index_cost text fingerprint in
+  if cost <= index_budget && not (Hashtbl.mem t.index text) then begin
+    while t.index_bytes + cost > index_budget do
+      let old = Queue.pop t.index_order in
+      t.index_bytes <- t.index_bytes - index_cost old (Hashtbl.find t.index old);
+      Hashtbl.remove t.index old
+    done;
+    Hashtbl.replace t.index text fingerprint;
+    Queue.push text t.index_order;
+    t.index_bytes <- t.index_bytes + cost
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Plan corpus: warm-start seeds                                       *)
@@ -506,14 +553,15 @@ let find_or_compute t key ~compute =
 (* Compilation through the cache                                       *)
 (* ------------------------------------------------------------------ *)
 
-let compile t ?pool_size ?(run_cold = fun f -> f ()) ?should_stop ?on_epoch
-    ?budget_seconds ?(strategy = Explore.default_strategy) ?gate ~scheme ~sf_bits ~waterline_bits
-    ?(max_epochs = 100) prog =
-  (* A hit costs one fingerprint: the key derives from it, and the
-     structural digest only seeds a cold compile. *)
-  let fingerprint = Prog.fingerprint prog in
+(* One request, given its program's fingerprint: the key derives from it,
+   and [prog] (the program, parsed on demand) and the structural digest
+   only serve a cold compile. *)
+let compile_fingerprinted t ?pool_size ~run_cold ?should_stop ?on_epoch ?budget_seconds ~strategy
+    ~gate ~scheme ~sf_bits ~waterline_bits ~max_epochs ~fingerprint prog =
   let k = key_of_fingerprint ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs fingerprint in
   find_or_compute t k ~compute:(fun () ->
+      let prog = prog () in
+      let gate = Option.map (fun g -> g prog) gate in
       let structure = Prog.structural_digest prog in
       (* A cold compile warm-starts from the plan corpus: portable plans of
          structurally similar entries seed every strategy. The seeds only
@@ -572,3 +620,33 @@ let compile t ?pool_size ?(run_cold = fun f -> f ()) ?should_stop ?on_epoch
           compile_seconds;
         },
         not !stopped ))
+
+let compile t ?pool_size ?(run_cold = fun f -> f ()) ?should_stop ?on_epoch ?budget_seconds
+    ?(strategy = Explore.default_strategy) ?gate ~scheme ~sf_bits ~waterline_bits
+    ?(max_epochs = 100) prog =
+  compile_fingerprinted t ?pool_size ~run_cold ?should_stop ?on_epoch ?budget_seconds ~strategy
+    ~gate:(Option.map (fun g _ -> g) gate)
+    ~scheme ~sf_bits ~waterline_bits ~max_epochs ~fingerprint:(Prog.fingerprint prog)
+    (fun () -> prog)
+
+let compile_text t ?pool_size ?(run_cold = fun f -> f ()) ?should_stop ?on_epoch ?budget_seconds
+    ?(strategy = Explore.default_strategy) ?gate ~scheme ~sf_bits ~waterline_bits
+    ?(max_epochs = 100) ?parsed text =
+  let parse () = match parsed with Some p -> p | None -> Parser.parse text in
+  Mutex.lock t.lock;
+  let known = Hashtbl.find_opt t.index text in
+  if Option.is_some known then t.stats.index_hits <- t.stats.index_hits + 1;
+  Mutex.unlock t.lock;
+  let fingerprint, prog =
+    match known with
+    | Some fingerprint -> (fingerprint, parse)
+    | None ->
+        let p = parse () in
+        let fingerprint = Prog.fingerprint p in
+        Mutex.lock t.lock;
+        index_locked t text fingerprint;
+        Mutex.unlock t.lock;
+        (fingerprint, fun () -> p)
+  in
+  compile_fingerprinted t ?pool_size ~run_cold ?should_stop ?on_epoch ?budget_seconds ~strategy
+    ~gate ~scheme ~sf_bits ~waterline_bits ~max_epochs ~fingerprint prog

@@ -10,7 +10,7 @@
     and a warm hit returns the {e byte-identical} printed artifact of the
     cold compile without re-running exploration.
 
-    Three layers:
+    Three layers, and an index in front of them:
     - an in-memory LRU of at most [capacity] entries (near-zero-cost hits);
     - an optional on-disk store (one JSON file per key, written with
       {!Hecate_support.Fileio.write_atomic} so a crash can never leave a
@@ -19,7 +19,13 @@
       reads as a miss;
     - single-flight deduplication: N concurrent requests for the same key
       trigger {e one} exploration, the rest park until the result lands
-      and share it (origin [Joined]).
+      and share it (origin [Joined]);
+    - the text index: every program text {!compile_text}
+      has parsed and fingerprinted, with its fingerprint, so a repeated
+      text goes straight to its key without being parsed or fingerprinted
+      again. It compares whole texts, holds at most {!index_budget} bytes
+      (oldest texts leave first) and changes no answer: the key, the entry
+      and the origin are those of the parse path.
 
     All operations are thread-safe (one internal lock; compilation and
     file I/O run outside it). *)
@@ -64,6 +70,11 @@ type stats_snapshot = {
   s_joins : int;
   s_evictions : int;
   s_entries : int;  (** current in-memory entry count *)
+  s_index_hits : int;
+      (** requests whose text was found in the text index, so they were
+          neither parsed nor fingerprinted; each also counts as one of the
+          hits, misses or joins above *)
+  s_index_bytes : int;  (** what the text index holds, against {!index_budget} *)
 }
 
 type t
@@ -166,6 +177,40 @@ val compile :
     [strategy] forwards to {!Driver.compile} and is part of the key;
     [gate] re-validates every strategy winner before the entry is built.
     A cold compile warm-starts from {!warm_plans} automatically. *)
+
+val compile_text :
+  t ->
+  ?pool_size:int ->
+  ?run_cold:((unit -> Driver.compiled) -> Driver.compiled) ->
+  ?should_stop:(unit -> bool) ->
+  ?on_epoch:(strategy:string -> Explore.epoch_trace -> unit) ->
+  ?budget_seconds:float ->
+  ?strategy:string ->
+  ?gate:(Hecate_ir.Prog.t -> Explore.gate) ->
+  scheme:Driver.scheme ->
+  sf_bits:int ->
+  waterline_bits:float ->
+  ?max_epochs:int ->
+  ?parsed:Hecate_ir.Prog.t ->
+  string ->
+  entry * origin
+(** {!compile} of a program given as text, through the text index. An
+    indexed text takes its fingerprint from the index and is parsed only
+    if its plan must be compiled; any other text is parsed (or taken from
+    [parsed], which must be the text parsed), fingerprinted and indexed.
+    Either way the key, the entry and the origin are those {!compile}
+    gives for the parsed text, and the same counters move. [gate] builds
+    the gate from the parsed program, for a cold compile only.
+    @raise Hecate_ir.Parser.Parse_error if the text must be parsed and is
+    not a program. *)
+
+val indexed : t -> string -> bool
+(** Whether the text index holds this exact text. Counts nothing. *)
+
+val index_budget : int
+(** The text index's byte budget (16 MiB), counting each text, its
+    fingerprint and a fixed 64 bytes per text. A longer text is never
+    indexed. *)
 
 val memory_size : t -> int
 val snapshot : t -> stats_snapshot

@@ -184,6 +184,8 @@ let stats ~jobs ~cache:(c : Plancache.stats_snapshot) =
             ("joins", Json.int c.Plancache.s_joins);
             ("evictions", Json.int c.Plancache.s_evictions);
             ("entries", Json.int c.Plancache.s_entries);
+            ("index_hits", Json.int c.Plancache.s_index_hits);
+            ("index_bytes", Json.int c.Plancache.s_index_bytes);
           ] );
     ]
 

@@ -45,7 +45,9 @@ type job = {
   id : int;
   client : int;
   submit : Protocol.submit;
-  prog : Prog.t;
+  parsed : Prog.t option;
+      (* the program, when [submit] parsed it: a text the cache has
+         indexed is parsed only if its plan must be compiled *)
   cancel : bool Atomic.t;
   mutable state : job_state;  (* guarded by the server mutex *)
   send : string -> unit;  (* best-effort line to the owning connection *)
@@ -123,8 +125,9 @@ let run_job t job =
     let gate =
       if t.oracle then
         Some
-          (Oracle.explorer_gate ~sf_bits:s.Protocol.sf_bits
-             ~waterline_bits:s.Protocol.waterline_bits job.prog)
+          (fun prog ->
+            Oracle.explorer_gate ~sf_bits:s.Protocol.sf_bits
+              ~waterline_bits:s.Protocol.waterline_bits prog)
       else None
     in
     let run_cold =
@@ -132,12 +135,12 @@ let run_job t job =
     in
     match
       Driver.diagnose (fun () ->
-          Plancache.compile t.cache ?pool_size:t.pool_size ?run_cold
+          Plancache.compile_text t.cache ?pool_size:t.pool_size ?run_cold
             ~should_stop:(fun () -> Atomic.get job.cancel || Atomic.get t.stopping)
             ?on_epoch ?strategy:s.Protocol.strategy ?gate
             ?budget_seconds:s.Protocol.budget_seconds ~scheme:s.Protocol.scheme
             ~sf_bits:s.Protocol.sf_bits ~waterline_bits:s.Protocol.waterline_bits
-            ~max_epochs:s.Protocol.max_epochs job.prog)
+            ~max_epochs:s.Protocol.max_epochs ?parsed:job.parsed s.Protocol.program)
     with
     | Ok (entry, origin) ->
         let wall = Unix.gettimeofday () -. t0 in
@@ -237,10 +240,16 @@ let drain t =
 (* Request handling                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A text the cache has indexed parsed before; any other is parsed here,
+   so that a parse error is answered before the job is accepted. *)
 let submit t ~client ~send (s : Protocol.submit) =
-  match Driver.diagnose (fun () -> Parser.parse s.Protocol.program) with
+  let text = s.Protocol.program in
+  match
+    if Plancache.indexed t.cache text then Ok None
+    else Driver.diagnose (fun () -> Some (Parser.parse text))
+  with
   | Error d -> send (Protocol.error (Format.asprintf "%a" Diagnostic.pp d))
-  | Ok prog ->
+  | Ok parsed ->
       Mutex.lock t.mutex;
       if Atomic.get t.stopping then begin
         Mutex.unlock t.mutex;
@@ -251,7 +260,7 @@ let submit t ~client ~send (s : Protocol.submit) =
         t.next_job <- id + 1;
         t.submitted <- t.submitted + 1;
         let job =
-          { id; client; submit = s; prog; cancel = Atomic.make false; state = Queued; send }
+          { id; client; submit = s; parsed; cancel = Atomic.make false; state = Queued; send }
         in
         Hashtbl.replace t.jobs id job;
         let q =
@@ -267,9 +276,10 @@ let submit t ~client ~send (s : Protocol.submit) =
         if was_empty then Queue.push client t.ready;
         Condition.signal t.work;
         Mutex.unlock t.mutex;
-        log t "job %d accepted from client %d (%s, %d ops)" id client
+        log t "job %d accepted from client %d (%s, %d bytes%s)" id client
           (Driver.scheme_name s.Protocol.scheme)
-          (Prog.num_ops prog);
+          (String.length text)
+          (if Option.is_none parsed then ", indexed" else "");
         send (Protocol.accepted ~job:id)
       end
 

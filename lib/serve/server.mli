@@ -4,7 +4,10 @@
     worker threads, answering through a shared
     {!Hecate.Plancache.t} — so concurrent submissions of
     alpha-equivalent programs collapse into one exploration
-    (single-flight) and repeat submissions are warm cache hits.
+    (single-flight) and repeat submissions are warm cache hits. A program
+    text the cache has indexed ({!Hecate.Plancache.compile_text}) is
+    neither parsed nor fingerprinted again; any other text is parsed
+    before the job is accepted, so a parse error is answered at once.
 
     Fairness: each connection has its own FIFO; workers take jobs
     round-robin across connections, so a client that submits a large

@@ -183,10 +183,22 @@ let test_estimator_tracks_actual () =
   with
   | None -> Alcotest.fail "expected feasible config"
   | Some s ->
-      let rel =
-        Stats.relative_error ~actual:s.Harness.actual_seconds
-          ~estimate:s.Harness.estimated_seconds_exec
+      (* The search timed its pick once; a slow spell of a loaded host can
+         land on one run. Compare the median of five more runs of the
+         selected configuration instead. *)
+      let prog = s.Harness.compiled.Driver.prog in
+      let eval =
+        Harness.cached_context ~params:s.Harness.compiled.Driver.params
+          ~rotations:(Interp.required_rotations prog)
       in
+      let actual =
+        Stats.median
+          (Array.init 5 (fun _ ->
+               (Accuracy.measure eval ~waterline_bits:s.Harness.waterline_bits prog
+                  ~inputs:bench.Apps.inputs ~valid_slots:bench.Apps.valid_slots)
+                 .Accuracy.elapsed_seconds))
+      in
+      let rel = Stats.relative_error ~actual ~estimate:s.Harness.estimated_seconds_exec in
       check Alcotest.bool
         (Printf.sprintf "relative error %.1f%% within 50%%" (100. *. rel))
         true (rel < 0.5)
