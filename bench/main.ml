@@ -1327,7 +1327,7 @@ let hit_stages ~reps ~waterline_bits prog =
   let parsed = Hecate_ir.Parser.parse text in
   let entry, origin = compile parsed in
   assert (origin = Plancache.Memory);
-  let done_line = Protocol.done_ ~job:1 ~origin ~wall_seconds:1e-3 entry in
+  let done_line = Protocol.line (Protocol.done_ ~job:1 ~origin ~wall_seconds:1e-3 entry) in
   let stages =
     [
       ("render_request", "client: render request", Both, fun () ->
@@ -1343,7 +1343,7 @@ let hit_stages ~reps ~waterline_bits prog =
           let _, origin = compile_text () in
           assert (origin = Plancache.Memory));
       ("render_done", "server: render done", Both, fun () ->
-          ignore (Protocol.done_ ~job:1 ~origin ~wall_seconds:1e-3 entry));
+          ignore (Protocol.line (Protocol.done_ ~job:1 ~origin ~wall_seconds:1e-3 entry)));
       ("parse_done", "client: parse done", Both, fun () ->
           ignore (Protocol.parse_event done_line));
     ]
@@ -1392,6 +1392,59 @@ let disk_hit ~reps ~waterline_bits prog =
   in
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
   seconds
+
+(* What one memory hit costs over a real socket, around its stages:
+   [Client.compile] against a live [Server] on a temporary socket, for
+   each (program, waterline), each compiled once first. Median seconds per
+   program, from interleaved rounds (one request of each per round). The
+   client and the server share this process. *)
+let socket_round_trips ~reps progs =
+  let module Server = Hecate_serve.Server in
+  let module Client = Hecate_serve.Client in
+  let dir = Filename.temp_file "hecate_bench_serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let socket = Filename.concat dir "hecated.sock" in
+  let server = Server.create (Plancache.create ()) in
+  let th = Thread.create (fun () -> Server.serve server ~socket_path:socket) () in
+  while not (Sys.file_exists socket && Result.is_ok (Client.stats ~socket)) do
+    Thread.delay 0.001
+  done;
+  let submits =
+    List.map
+      (fun (prog, waterline_bits) ->
+        {
+          Protocol.program = Hecate_ir.Printer.to_string prog;
+          scheme = Driver.Hecate;
+          sf_bits;
+          waterline_bits;
+          max_epochs = 100;
+          budget_seconds = None;
+          strategy = None;
+          stream = false;
+        })
+      progs
+  in
+  let hit submit =
+    match Client.compile ~socket submit with
+    | Ok o -> o.Client.result.Protocol.origin
+    | Error msg -> failwith ("serve: socket round trip: " ^ msg)
+  in
+  List.iter (fun s -> ignore (hit s)) submits;
+  let samples = List.map (fun _ -> Array.make reps 0.) submits in
+  for r = 0 to reps - 1 do
+    List.iter2
+      (fun s a ->
+        let t0 = Unix.gettimeofday () in
+        let origin = hit s in
+        a.(r) <- Unix.gettimeofday () -. t0;
+        assert (origin = "memory"))
+      submits samples
+  done;
+  ignore (Client.shutdown ~socket);
+  Thread.join th;
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
+  List.map Stats.median samples
 
 (* The latency trade the daemon lives on: a cold fig2 compile pays the
    full SMSE exploration, a warm hit answers from the content-addressed
@@ -1480,6 +1533,11 @@ let serve flags =
   let fig2_stages = hit_stages ~reps:!reps ~waterline_bits:20. prog in
   let mlp_stages = hit_stages ~reps:!reps ~waterline_bits:15. mlp.Apps.prog in
   let mlp_disk = disk_hit ~reps:(min !reps 50) ~waterline_bits:15. mlp.Apps.prog in
+  let fig2_socket, mlp_socket =
+    match socket_round_trips ~reps:!reps [ (prog, 20.); (mlp.Apps.prog, 15.) ] with
+    | [ f; m ] -> (f, m)
+    | _ -> assert false
+  in
   let sp_mem = cold /. Float.max 1e-9 warm_mem in
   let sp_disk = cold /. Float.max 1e-9 warm_disk in
   Printf.printf "  cold compile (full exploration)  %10.3f ms\n" (cold *. 1e3);
@@ -1501,6 +1559,8 @@ let serve flags =
     (path_total Parsed mlp_stages *. 1e3) (path_total Indexed mlp_stages *. 1e3);
   Printf.printf "  MLP warm hit, memory / disk              %9.3f %9.3f ms\n"
     (hit_seconds mlp_stages *. 1e3) (mlp_disk *. 1e3);
+  Printf.printf "  memory hit over a socket (Client.compile)         %9.3f           %9.3f ms\n"
+    (fig2_socket *. 1e3) (mlp_socket *. 1e3);
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
@@ -1511,14 +1571,16 @@ let serve flags =
   (* The first four rows pair with the speedups below; the stage rows are
      absolute costs of one memory hit, which no speedup (and so no gate)
      reads. [total] sums the stages of a request that parses its text,
-     [indexed_total] those of a request whose text is indexed. *)
-  let stage_rows label (st : stages) =
+     [indexed_total] those of a request whose text is indexed, and
+     [socket_round_trip] is the whole indexed hit over a socket. *)
+  let stage_rows label (st : stages) socket =
     List.map
       (fun (key, _, _, seconds) -> ("hit_stage/" ^ key, label, st.n, st.levels, seconds))
       st.timings
     @ [
         ("hit_stage/total", label, st.n, st.levels, path_total Parsed st);
         ("hit_stage/indexed_total", label, st.n, st.levels, path_total Indexed st);
+        ("hit_stage/socket_round_trip", label, st.n, st.levels, socket);
       ]
   in
   let rows =
@@ -1528,8 +1590,8 @@ let serve flags =
       ("plan_cache_disk", "reference", n, levels, cold);
       ("plan_cache_disk", "fast", n, levels, warm_disk);
     ]
-    @ stage_rows "fig2" fig2_stages
-    @ stage_rows "MLP" mlp_stages
+    @ stage_rows "fig2" fig2_stages fig2_socket
+    @ stage_rows "MLP" mlp_stages mlp_socket
     @ [
         ("mlp_hit_memory", "MLP", mlp_stages.n, mlp_stages.levels, hit_seconds mlp_stages);
         ("mlp_hit_disk", "MLP", mlp_stages.n, mlp_stages.levels, mlp_disk);

@@ -363,15 +363,22 @@ let add t entry =
   Mutex.unlock t.lock;
   persist t entry
 
-let find t key =
-  Mutex.lock t.lock;
+(* locked: the entry for [key] in memory, counted as a memory hit *)
+let memory_hit_locked t key =
   match Hashtbl.find_opt t.table key with
   | Some node ->
       t.tick <- t.tick + 1;
       node.last_use <- t.tick;
       t.stats.hits_memory <- t.stats.hits_memory + 1;
+      Some node.entry
+  | None -> None
+
+let find t key =
+  Mutex.lock t.lock;
+  match memory_hit_locked t key with
+  | Some entry ->
       Mutex.unlock t.lock;
-      Some (node.entry, Memory)
+      Some (entry, Memory)
   | None -> (
       Mutex.unlock t.lock;
       (* disk probe outside the lock: file I/O must not serialize other
@@ -484,13 +491,10 @@ let preload t =
 
 let find_or_compute t key ~compute =
   Mutex.lock t.lock;
-  match Hashtbl.find_opt t.table key with
-  | Some node ->
-      t.tick <- t.tick + 1;
-      node.last_use <- t.tick;
-      t.stats.hits_memory <- t.stats.hits_memory + 1;
+  match memory_hit_locked t key with
+  | Some entry ->
       Mutex.unlock t.lock;
-      (node.entry, Memory)
+      (entry, Memory)
   | None -> (
       match Hashtbl.find_opt t.inflight key with
       | Some flight ->
@@ -553,14 +557,43 @@ let find_or_compute t key ~compute =
 (* Compilation through the cache                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One request, given its program's fingerprint: the key derives from it,
-   and [prog] (the program, parsed on demand) and the structural digest
-   only serve a cold compile. *)
-let compile_fingerprinted t ?pool_size ~run_cold ?should_stop ?on_epoch ?budget_seconds ~strategy
-    ~gate ~scheme ~sf_bits ~waterline_bits ~max_epochs ~fingerprint prog =
-  let k = key_of_fingerprint ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs fingerprint in
+(* A request the memory layer could not answer: its key, and what the rest
+   of the way needs. [prog] parses the text on demand: only a cold compile
+   reads the program. *)
+type pending = {
+  key : string;
+  fingerprint : string;
+  prog : unit -> Prog.t;
+  strategy : string;
+  scheme : Driver.scheme;
+  sf_bits : int;
+  waterline_bits : float;
+  max_epochs : int;
+}
+
+type lookup = Memory_hit of entry | Pending of pending
+
+let pending ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs ~fingerprint prog =
+  {
+    key = key_of_fingerprint ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs fingerprint;
+    fingerprint;
+    prog;
+    strategy;
+    scheme;
+    sf_bits;
+    waterline_bits;
+    max_epochs;
+  }
+
+(* The rest of a request the memory layer missed: the disk store, the
+   single flight or a cold compile, from the key the lookup derived.
+   [find_or_compute] asks the memory layer again, since a compile may
+   have landed in between; either way one counter moves per request. *)
+let complete t ?pool_size ?(run_cold = fun f -> f ()) ?should_stop ?on_epoch ?budget_seconds
+    ?gate (p : pending) =
+  let { key = k; fingerprint; strategy; scheme; sf_bits; waterline_bits; max_epochs; _ } = p in
   find_or_compute t k ~compute:(fun () ->
-      let prog = prog () in
+      let prog = p.prog () in
       let gate = Option.map (fun g -> g prog) gate in
       let structure = Prog.structural_digest prog in
       (* A cold compile warm-starts from the plan corpus: portable plans of
@@ -621,32 +654,38 @@ let compile_fingerprinted t ?pool_size ~run_cold ?should_stop ?on_epoch ?budget_
         },
         not !stopped ))
 
-let compile t ?pool_size ?(run_cold = fun f -> f ()) ?should_stop ?on_epoch ?budget_seconds
+let compile t ?pool_size ?run_cold ?should_stop ?on_epoch ?budget_seconds
     ?(strategy = Explore.default_strategy) ?gate ~scheme ~sf_bits ~waterline_bits
     ?(max_epochs = 100) prog =
-  compile_fingerprinted t ?pool_size ~run_cold ?should_stop ?on_epoch ?budget_seconds ~strategy
-    ~gate:(Option.map (fun g _ -> g) gate)
-    ~scheme ~sf_bits ~waterline_bits ~max_epochs ~fingerprint:(Prog.fingerprint prog)
-    (fun () -> prog)
+  complete t ?pool_size ?run_cold ?should_stop ?on_epoch ?budget_seconds
+    ?gate:(Option.map (fun g _ -> g) gate)
+    (pending ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs
+       ~fingerprint:(Prog.fingerprint prog) (fun () -> prog))
 
-let compile_text t ?pool_size ?(run_cold = fun f -> f ()) ?should_stop ?on_epoch ?budget_seconds
-    ?(strategy = Explore.default_strategy) ?gate ~scheme ~sf_bits ~waterline_bits
-    ?(max_epochs = 100) ?parsed text =
-  let parse () = match parsed with Some p -> p | None -> Parser.parse text in
+(* The text is hashed once: one index lookup gives the fingerprint, or the
+   text is parsed, fingerprinted and indexed. *)
+let lookup_text t ?(strategy = Explore.default_strategy) ~scheme ~sf_bits ~waterline_bits
+    ?(max_epochs = 100) text =
+  let pending = pending ~strategy ~scheme ~sf_bits ~waterline_bits ~max_epochs in
   Mutex.lock t.lock;
   let known = Hashtbl.find_opt t.index text in
   if Option.is_some known then t.stats.index_hits <- t.stats.index_hits + 1;
   Mutex.unlock t.lock;
-  let fingerprint, prog =
+  let p, fresh =
     match known with
-    | Some fingerprint -> (fingerprint, parse)
+    | Some fingerprint -> (pending ~fingerprint (fun () -> Parser.parse text), false)
     | None ->
-        let p = parse () in
-        let fingerprint = Prog.fingerprint p in
-        Mutex.lock t.lock;
-        index_locked t text fingerprint;
-        Mutex.unlock t.lock;
-        (fingerprint, fun () -> p)
+        let prog = Parser.parse text in
+        (pending ~fingerprint:(Prog.fingerprint prog) (fun () -> prog), true)
   in
-  compile_fingerprinted t ?pool_size ~run_cold ?should_stop ?on_epoch ?budget_seconds ~strategy
-    ~gate ~scheme ~sf_bits ~waterline_bits ~max_epochs ~fingerprint prog
+  Mutex.lock t.lock;
+  if fresh then index_locked t text p.fingerprint;
+  let hit = memory_hit_locked t p.key in
+  Mutex.unlock t.lock;
+  match hit with Some entry -> Memory_hit entry | None -> Pending p
+
+let compile_text t ?pool_size ?run_cold ?should_stop ?on_epoch ?budget_seconds ?strategy ?gate
+    ~scheme ~sf_bits ~waterline_bits ?max_epochs text =
+  match lookup_text t ?strategy ~scheme ~sf_bits ~waterline_bits ?max_epochs text with
+  | Memory_hit entry -> (entry, Memory)
+  | Pending p -> complete t ?pool_size ?run_cold ?should_stop ?on_epoch ?budget_seconds ?gate p

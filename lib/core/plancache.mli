@@ -27,6 +27,12 @@
       (oldest texts leave first) and changes no answer: the key, the entry
       and the origin are those of the parse path.
 
+    A request by text runs in two steps: {!lookup_text} (the index, the
+    key and the memory layer: no file, no wait) and, if memory missed,
+    {!complete} (disk, single flight, compile). [hecated] answers a
+    memory hit on the connection that asked and queues only the second
+    step.
+
     All operations are thread-safe (one internal lock; compilation and
     file I/O run outside it). *)
 
@@ -191,18 +197,58 @@ val compile_text :
   sf_bits:int ->
   waterline_bits:float ->
   ?max_epochs:int ->
-  ?parsed:Hecate_ir.Prog.t ->
   string ->
   entry * origin
-(** {!compile} of a program given as text, through the text index. An
+(** {!compile} of a program given as text, through the text index:
+    {!lookup_text}, then {!complete} if memory did not answer. An
     indexed text takes its fingerprint from the index and is parsed only
-    if its plan must be compiled; any other text is parsed (or taken from
-    [parsed], which must be the text parsed), fingerprinted and indexed.
+    if its plan must be compiled; any other text is parsed, fingerprinted
+    and indexed.
     Either way the key, the entry and the origin are those {!compile}
     gives for the parsed text, and the same counters move. [gate] builds
     the gate from the parsed program, for a cold compile only.
     @raise Hecate_ir.Parser.Parse_error if the text must be parsed and is
     not a program. *)
+
+type pending
+(** A request the memory layer could not answer: its key, its
+    configuration and its program (parsed on demand). *)
+
+type lookup =
+  | Memory_hit of entry  (** answered from memory, counted as a memory hit *)
+  | Pending of pending  (** for {!complete} *)
+
+val lookup_text :
+  t ->
+  ?strategy:string ->
+  scheme:Driver.scheme ->
+  sf_bits:int ->
+  waterline_bits:float ->
+  ?max_epochs:int ->
+  string ->
+  lookup
+(** The first step of {!compile_text}: the text index (or a parse,
+    fingerprint and index entry for a text it does not hold), the key, and
+    the memory layer. It hashes the text once, and moves [index_hits] and,
+    on a hit, [hits_memory]. It reads no file and never waits for a
+    compile.
+    @raise Hecate_ir.Parser.Parse_error if the text is not indexed and is
+    not a program. *)
+
+val complete :
+  t ->
+  ?pool_size:int ->
+  ?run_cold:((unit -> Driver.compiled) -> Driver.compiled) ->
+  ?should_stop:(unit -> bool) ->
+  ?on_epoch:(strategy:string -> Explore.epoch_trace -> unit) ->
+  ?budget_seconds:float ->
+  ?gate:(Hecate_ir.Prog.t -> Explore.gate) ->
+  pending ->
+  entry * origin
+(** The second step of {!compile_text}, from the key {!lookup_text}
+    derived: {!find_or_compute} (memory again, since a compile may have
+    landed since the lookup, then disk, single flight and the cold
+    compile). The arguments are those of {!compile_text}. *)
 
 val indexed : t -> string -> bool
 (** Whether the text index holds this exact text. Counts nothing. *)

@@ -34,8 +34,8 @@ let scheme_of_string s =
   | "hecate" -> Some Driver.Hecate
   | _ -> None
 
-let parse_request line =
-  match Json.parse line with
+let parse_request ?pos ?len line =
+  match Json.parse ?pos ?len line with
   | exception Json.Parse_error msg -> Error (Printf.sprintf "malformed request: %s" msg)
   | json -> (
       let str k = Json.to_string (Json.member k json) in
@@ -119,7 +119,9 @@ let render_request = function
 (* Server -> client events                                              *)
 (* ------------------------------------------------------------------ *)
 
-let event name fields = Json.render (Json.Obj (("event", Json.Str name) :: fields))
+type reply = Json.t
+
+let event name fields = Json.Obj (("event", Json.Str name) :: fields)
 let accepted ~job = event "accepted" [ ("job", Json.int job) ]
 
 let progress ~job ~strategy (t : Explore.epoch_trace) =
@@ -190,6 +192,11 @@ let stats ~jobs ~cache:(c : Plancache.stats_snapshot) =
     ]
 
 let bye = event "bye" []
+let line = Json.render
+
+let output oc reply =
+  Json.output oc reply;
+  output_char oc '\n'
 
 (* ------------------------------------------------------------------ *)
 (* Client-side event decoding                                           *)

@@ -44,35 +44,47 @@ type request =
 
 val scheme_of_string : string -> Hecate.Driver.scheme option
 
-val parse_request : string -> (request, string) result
-(** Decode one request line. The error string is safe to echo back to the
-    client in an [error] event. *)
+val parse_request : ?pos:int -> ?len:int -> string -> (request, string) result
+(** Decode one request line: the string, or its [len] bytes from [pos].
+    The error string is safe to echo back to the client in an [error]
+    event. *)
 
 val render_request : request -> string
 (** One line, no trailing newline. [parse_request (render_request r)]
     succeeds for every [r]. *)
 
-(** {1 Server-side event rendering} — each returns one line. *)
+(** {1 Server-side events} *)
 
-val accepted : job:int -> string
+type reply
+(** One server event, rendered only when it is written. *)
 
-val progress : job:int -> strategy:string -> Hecate.Explore.epoch_trace -> string
+val accepted : job:int -> reply
+
+val progress : job:int -> strategy:string -> Hecate.Explore.epoch_trace -> reply
 (** One exploration epoch of one racing strategy ([strategy] is the
     epoch's owner, not necessarily the eventual winner). *)
 
 val done_ :
   job:int -> origin:Hecate.Plancache.origin -> wall_seconds:float ->
-  Hecate.Plancache.entry -> string
+  Hecate.Plancache.entry -> reply
 (** [wall_seconds] is the server-side wall clock of {e this} request —
     near zero on a cache hit — as opposed to the entry's
     [compile_seconds], which is the cost of the cold compile whenever it
     happened. *)
 
-val error : ?job:int -> string -> string
-val cancelled : job:int -> string
-val status : job:int -> state:string -> string
-val stats : jobs:(string * int) list -> cache:Hecate.Plancache.stats_snapshot -> string
-val bye : string
+val error : ?job:int -> string -> reply
+val cancelled : job:int -> reply
+val status : job:int -> state:string -> reply
+val stats : jobs:(string * int) list -> cache:Hecate.Plancache.stats_snapshot -> reply
+val bye : reply
+
+val line : reply -> string
+(** The event's line, no trailing newline. *)
+
+val output : out_channel -> reply -> unit
+(** Writes the event's line and its newline into the channel, rendering
+    it there ({!Hecate_support.Json.output}) rather than as a string
+    first; does not flush. *)
 
 (** {1 Client-side event decoding} *)
 

@@ -1,9 +1,19 @@
 (* The hecated job server: accepts newline-delimited JSON requests over a
-   Unix-domain socket (or stdin/stdout), schedules compilations fairly
-   across clients, and answers through the content-addressed plan cache.
+   Unix-domain socket (or stdin/stdout), answers memory hits on the
+   connection that asked, schedules everything else fairly across
+   clients, and answers through the content-addressed plan cache.
 
    Concurrency structure:
-   - one systhread per connection, reading request lines;
+   - connection threads, each reading one connection's request lines at a
+     time. When its client closes, a connection thread waits for the next
+     connection the accept loop hands it; the accept loop starts a thread
+     only when none is waiting, so there are as many as the peak number of
+     concurrent connections. Waiting threads exit on shutdown.
+   - a submission's first step, [Plancache.lookup_text] (the text index,
+     or a parse and fingerprint; the key; the memory layer), runs on the
+     connection thread. A memory hit is answered there: [accepted] and
+     [done] in one write, no queue. Anything else gets [accepted] and
+     then joins its connection's FIFO for [Plancache.complete].
    - [workers] systhreads draining the job queues. When the process may
      use more than one CPU, each cold compile runs on a domain spawned for
      it, so compiles run in parallel with each other and never hold the
@@ -13,9 +23,15 @@
      ([pool_size]) counts that domain and spawns [pool_size - 1] more —
      threads give cheap blocking I/O concurrency, domains give the compute
      parallelism.
-   - fair admission: every client (connection) has its own FIFO; a
-     round-robin ready list picks the next client, so one client
-     submitting 100 jobs cannot starve another submitting 1.
+   - fair admission: every client (connection) has its own FIFO, of at
+     most [max_queued_jobs] jobs; a round-robin ready list picks the next
+     client, so one client submitting 100 jobs cannot starve another
+     submitting 1. Memory hits bypass the FIFOs, so one connection's jobs
+     may complete out of submission order.
+
+   Replies are rendered straight into the connection's channel, and
+   request lines are read into a buffer the connection thread keeps and
+   decoded in place.
 
    Cancellation is cooperative and "anytime": cancelling a queued job
    drops it; cancelling a running job stops the exploration at the next
@@ -25,7 +41,6 @@
    drain, and joins the workers. *)
 
 module Prog = Hecate_ir.Prog
-module Parser = Hecate_ir.Parser
 module Diagnostic = Hecate_ir.Diagnostic
 module Driver = Hecate.Driver
 module Plancache = Hecate.Plancache
@@ -45,12 +60,13 @@ type job = {
   id : int;
   client : int;
   submit : Protocol.submit;
-  parsed : Prog.t option;
-      (* the program, when [submit] parsed it: a text the cache has
+  pending : Plancache.pending;
+      (* the key the lookup derived, and the program: a text the cache has
          indexed is parsed only if its plan must be compiled *)
+  lookup_seconds : float;  (* the lookup on the connection thread, part of [wall_seconds] *)
   cancel : bool Atomic.t;
   mutable state : job_state;  (* guarded by the server mutex *)
-  send : string -> unit;  (* best-effort line to the owning connection *)
+  send : Protocol.reply list -> unit;  (* best-effort lines to the owning connection *)
 }
 
 type t = {
@@ -61,7 +77,7 @@ type t = {
   verbose : bool;
   mutex : Mutex.t;
   work : Condition.t;
-  queues : (int, job Queue.t) Hashtbl.t;  (* client id -> its FIFO *)
+  queues : (int, job Queue.t) Hashtbl.t;  (* client id -> its FIFO, while it is non-empty *)
   ready : int Queue.t;  (* round-robin over clients with work *)
   jobs : (int, job) Hashtbl.t;  (* live (queued or running) jobs *)
   finished : (int, job_state) Hashtbl.t;
@@ -69,6 +85,12 @@ type t = {
          program, request and connection are released as soon as it ends *)
   finished_order : int Queue.t;  (* the ids in [finished], oldest first *)
   stopping : bool Atomic.t;
+  mutable admitting : int;
+      (* jobs accepted but not yet queued: a stopping worker waits for them *)
+  handoff : Unix.file_descr Queue.t;  (* accepted connections for waiting threads *)
+  handoff_ready : Condition.t;
+  mutable waiting : int;  (* connection threads waiting for a connection *)
+  waiters_gone : Condition.t;
   mutable next_job : int;
   mutable next_client : int;
   mutable workers : Thread.t list;
@@ -84,9 +106,31 @@ type t = {
    is neither live nor in the window finished before the window's oldest. *)
 let finished_window = 1024
 
+(* The most jobs one connection may have queued and not yet started. *)
+let max_queued_jobs = 256
+
 let log t fmt =
   if t.verbose then Printf.eprintf ("hecated: " ^^ fmt ^^ "\n%!")
   else Printf.ifprintf stderr fmt
+
+(* Under t.mutex: a new job id. *)
+let new_job_locked t =
+  let id = t.next_job in
+  t.next_job <- id + 1;
+  t.submitted <- t.submitted + 1;
+  id
+
+(* Under t.mutex: job [id] ended in [state]. *)
+let finished_locked t id state =
+  Hashtbl.replace t.finished id state;
+  Queue.push id t.finished_order;
+  if Queue.length t.finished_order > finished_window then
+    Hashtbl.remove t.finished (Queue.pop t.finished_order);
+  match state with
+  | Done -> t.completed <- t.completed + 1
+  | Failed -> t.failed <- t.failed + 1
+  | Cancelled -> t.cancelled <- t.cancelled + 1
+  | Queued | Running -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Job execution                                                        *)
@@ -96,20 +140,12 @@ let run_job t job =
   let finish state =
     Mutex.lock t.mutex;
     Hashtbl.remove t.jobs job.id;
-    Hashtbl.replace t.finished job.id state;
-    Queue.push job.id t.finished_order;
-    if Queue.length t.finished_order > finished_window then
-      Hashtbl.remove t.finished (Queue.pop t.finished_order);
-    (match state with
-    | Done -> t.completed <- t.completed + 1
-    | Failed -> t.failed <- t.failed + 1
-    | Cancelled -> t.cancelled <- t.cancelled + 1
-    | Queued | Running -> ());
+    finished_locked t job.id state;
     Mutex.unlock t.mutex
   in
   if Atomic.get job.cancel then begin
     finish Cancelled;
-    job.send (Protocol.cancelled ~job:job.id)
+    job.send [ Protocol.cancelled ~job:job.id ]
   end
   else begin
     Mutex.lock t.mutex;
@@ -119,7 +155,7 @@ let run_job t job =
     let t0 = Unix.gettimeofday () in
     let on_epoch =
       if s.Protocol.stream then
-        Some (fun ~strategy tr -> job.send (Protocol.progress ~job:job.id ~strategy tr))
+        Some (fun ~strategy tr -> job.send [ Protocol.progress ~job:job.id ~strategy tr ])
       else None
     in
     let gate =
@@ -135,24 +171,21 @@ let run_job t job =
     in
     match
       Driver.diagnose (fun () ->
-          Plancache.compile_text t.cache ?pool_size:t.pool_size ?run_cold
+          Plancache.complete t.cache ?pool_size:t.pool_size ?run_cold
             ~should_stop:(fun () -> Atomic.get job.cancel || Atomic.get t.stopping)
-            ?on_epoch ?strategy:s.Protocol.strategy ?gate
-            ?budget_seconds:s.Protocol.budget_seconds ~scheme:s.Protocol.scheme
-            ~sf_bits:s.Protocol.sf_bits ~waterline_bits:s.Protocol.waterline_bits
-            ~max_epochs:s.Protocol.max_epochs ?parsed:job.parsed s.Protocol.program)
+            ?on_epoch ?gate ?budget_seconds:s.Protocol.budget_seconds job.pending)
     with
     | Ok (entry, origin) ->
-        let wall = Unix.gettimeofday () -. t0 in
+        let wall = job.lookup_seconds +. (Unix.gettimeofday () -. t0) in
         finish Done;
         log t "job %d done (%s, %.4f s)" job.id (Plancache.origin_name origin) wall;
-        job.send (Protocol.done_ ~job:job.id ~origin ~wall_seconds:wall entry)
+        job.send [ Protocol.done_ ~job:job.id ~origin ~wall_seconds:wall entry ]
     | exception Explore.Cancelled ->
         finish Cancelled;
-        job.send (Protocol.cancelled ~job:job.id)
+        job.send [ Protocol.cancelled ~job:job.id ]
     | Error d ->
         finish Failed;
-        job.send (Protocol.error ~job:job.id (Format.asprintf "%a" Diagnostic.pp d))
+        job.send [ Protocol.error ~job:job.id (Format.asprintf "%a" Diagnostic.pp d) ]
   end
 
 let worker_loop t =
@@ -160,7 +193,7 @@ let worker_loop t =
     Mutex.lock t.mutex;
     let rec wait () =
       if Queue.is_empty t.ready then
-        if Atomic.get t.stopping then begin
+        if Atomic.get t.stopping && t.admitting = 0 then begin
           Mutex.unlock t.mutex;
           None
         end
@@ -170,10 +203,11 @@ let worker_loop t =
         end
       else begin
         let client = Queue.pop t.ready in
-        (* invariant: a client is in [ready] iff its queue is non-empty *)
+        (* invariant: a client is in [ready] iff it has a queue, and it
+           has one iff that queue is non-empty *)
         let q = Hashtbl.find t.queues client in
         let job = Queue.pop q in
-        if not (Queue.is_empty q) then Queue.push client t.ready;
+        if Queue.is_empty q then Hashtbl.remove t.queues client else Queue.push client t.ready;
         Mutex.unlock t.mutex;
         Some job
       end
@@ -207,6 +241,11 @@ let create ?pool_size ?(workers = 2) ?(oracle = false) ?(verbose = false) cache 
       finished = Hashtbl.create 64;
       finished_order = Queue.create ();
       stopping = Atomic.make false;
+      admitting = 0;
+      handoff = Queue.create ();
+      handoff_ready = Condition.create ();
+      waiting = 0;
+      waiters_gone = Condition.create ();
       next_job = 1;
       next_client = 1;
       workers = [];
@@ -224,6 +263,7 @@ let request_shutdown t =
   if not (Atomic.exchange t.stopping true) then begin
     Mutex.lock t.mutex;
     Condition.broadcast t.work;
+    Condition.broadcast t.handoff_ready;
     Mutex.unlock t.mutex;
     (* unblock the accept loop, if one is running *)
     match t.listen_fd with
@@ -234,54 +274,103 @@ let request_shutdown t =
 let drain t =
   request_shutdown t;
   List.iter Thread.join t.workers;
-  t.workers <- []
+  t.workers <- [];
+  Mutex.lock t.mutex;
+  while t.waiting > 0 do
+    Condition.wait t.waiters_gone t.mutex
+  done;
+  Mutex.unlock t.mutex
+
+let idle_connection_threads t =
+  Mutex.lock t.mutex;
+  let n = t.waiting in
+  Mutex.unlock t.mutex;
+  n
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A text the cache has indexed parsed before; any other is parsed here,
-   so that a parse error is answered before the job is accepted. *)
+let shutting_down = "server is shutting down; submission rejected"
+
+(* The lookup runs here, on the connection's thread: a memory hit is
+   answered at once, with [accepted] and [done] in one write. Any other
+   request is answered [accepted] before any worker can see it, so that
+   [accepted] precedes its [done], and then joins the connection's FIFO.
+   A text the cache has not indexed is parsed here, so that a parse error
+   is answered before the job is accepted. *)
 let submit t ~client ~send (s : Protocol.submit) =
-  let text = s.Protocol.program in
-  match
-    if Plancache.indexed t.cache text then Ok None
-    else Driver.diagnose (fun () -> Some (Parser.parse text))
-  with
-  | Error d -> send (Protocol.error (Format.asprintf "%a" Diagnostic.pp d))
-  | Ok parsed ->
-      Mutex.lock t.mutex;
-      if Atomic.get t.stopping then begin
-        Mutex.unlock t.mutex;
-        send (Protocol.error "server is shutting down; submission rejected")
-      end
-      else begin
-        let id = t.next_job in
-        t.next_job <- id + 1;
-        t.submitted <- t.submitted + 1;
-        let job =
-          { id; client; submit = s; parsed; cancel = Atomic.make false; state = Queued; send }
-        in
-        Hashtbl.replace t.jobs id job;
-        let q =
-          match Hashtbl.find_opt t.queues client with
-          | Some q -> q
-          | None ->
-              let q = Queue.create () in
-              Hashtbl.replace t.queues client q;
-              q
-        in
-        let was_empty = Queue.is_empty q in
-        Queue.push job q;
-        if was_empty then Queue.push client t.ready;
-        Condition.signal t.work;
-        Mutex.unlock t.mutex;
-        log t "job %d accepted from client %d (%s, %d bytes%s)" id client
-          (Driver.scheme_name s.Protocol.scheme)
-          (String.length text)
-          (if Option.is_none parsed then ", indexed" else "");
-        send (Protocol.accepted ~job:id)
-      end
+  let reject message = send [ Protocol.error message ] in
+  let t0 = Unix.gettimeofday () in
+  let queued () =
+    match Hashtbl.find_opt t.queues client with Some q -> Queue.length q | None -> 0
+  in
+  if Atomic.get t.stopping then reject shutting_down
+  else
+    match
+      Driver.diagnose (fun () ->
+          Plancache.lookup_text t.cache ?strategy:s.Protocol.strategy ~scheme:s.Protocol.scheme
+            ~sf_bits:s.Protocol.sf_bits ~waterline_bits:s.Protocol.waterline_bits
+            ~max_epochs:s.Protocol.max_epochs s.Protocol.program)
+    with
+    | Error d -> reject (Format.asprintf "%a" Diagnostic.pp d)
+    | Ok lookup -> (
+        Mutex.lock t.mutex;
+        match lookup with
+        | _ when Atomic.get t.stopping ->
+            Mutex.unlock t.mutex;
+            reject shutting_down
+        | Plancache.Memory_hit entry ->
+            let id = new_job_locked t in
+            finished_locked t id Done;
+            Mutex.unlock t.mutex;
+            let wall = Unix.gettimeofday () -. t0 in
+            log t "job %d from client %d answered from memory (%.4f s)" id client wall;
+            send
+              [
+                Protocol.accepted ~job:id;
+                Protocol.done_ ~job:id ~origin:Plancache.Memory ~wall_seconds:wall entry;
+              ]
+        | Plancache.Pending _ when queued () >= max_queued_jobs ->
+            Mutex.unlock t.mutex;
+            reject
+              (Printf.sprintf
+                 "this connection already has %d jobs queued, the most one connection may \
+                  queue; submission rejected"
+                 max_queued_jobs)
+        | Plancache.Pending pending ->
+            let id = new_job_locked t in
+            let job =
+              {
+                id;
+                client;
+                submit = s;
+                pending;
+                lookup_seconds = Unix.gettimeofday () -. t0;
+                cancel = Atomic.make false;
+                state = Queued;
+                send;
+              }
+            in
+            Hashtbl.replace t.jobs id job;
+            t.admitting <- t.admitting + 1;
+            Mutex.unlock t.mutex;
+            send [ Protocol.accepted ~job:id ];
+            Mutex.lock t.mutex;
+            t.admitting <- t.admitting - 1;
+            (match Hashtbl.find_opt t.queues client with
+            | Some q -> Queue.push job q
+            | None ->
+                let q = Queue.create () in
+                Queue.push job q;
+                Hashtbl.replace t.queues client q;
+                Queue.push client t.ready);
+            (* a stopping worker may be waiting for this admission *)
+            if Atomic.get t.stopping then Condition.broadcast t.work else Condition.signal t.work;
+            Mutex.unlock t.mutex;
+            log t "job %d accepted from client %d (%s, %d bytes)" id client
+              (Driver.scheme_name s.Protocol.scheme)
+              (String.length s.Protocol.program))
 
 let job_counts t =
   (* under t.mutex; finished jobs have left [t.jobs] *)
@@ -326,40 +415,45 @@ let not_tracked id =
 
 let unknown id = Protocol.error ~job:id (Printf.sprintf "unknown job %d" id)
 
-(* Returns [false] when the connection should close (shutdown). *)
-let handle_line t ~client ~send line =
-  match Protocol.parse_request line with
+(* Handles the request line [line.[pos .. pos + len - 1]]. Returns [false]
+   when the connection should close (shutdown). *)
+let handle_line t ~client ~send line pos len =
+  match Protocol.parse_request ~pos ~len line with
   | Error msg ->
-      send (Protocol.error msg);
+      send [ Protocol.error msg ];
       true
   | Ok (Protocol.Submit s) ->
       submit t ~client ~send s;
       true
   | Ok (Protocol.Status id) ->
       send
-        (match lookup t id with
-        | Tracked (st, _) -> Protocol.status ~job:id ~state:(state_name st)
-        | Untracked -> not_tracked id
-        | Unknown -> unknown id);
+        [
+          (match lookup t id with
+          | Tracked (st, _) -> Protocol.status ~job:id ~state:(state_name st)
+          | Untracked -> not_tracked id
+          | Unknown -> unknown id);
+        ];
       true
   | Ok (Protocol.Cancel id) ->
       send
-        (match lookup t id with
-        | Tracked (_, job) ->
-            (* a finished job gets the same reply; it has nothing left to stop *)
-            Option.iter (fun j -> Atomic.set j.cancel true) job;
-            Protocol.status ~job:id ~state:"cancelling"
-        | Untracked -> not_tracked id
-        | Unknown -> unknown id);
+        [
+          (match lookup t id with
+          | Tracked (_, job) ->
+              (* a finished job gets the same reply; it has nothing left to stop *)
+              Option.iter (fun j -> Atomic.set j.cancel true) job;
+              Protocol.status ~job:id ~state:"cancelling"
+          | Untracked -> not_tracked id
+          | Unknown -> unknown id);
+        ];
       true
   | Ok Protocol.Stats ->
       Mutex.lock t.mutex;
       let jobs = job_counts t in
       Mutex.unlock t.mutex;
-      send (Protocol.stats ~jobs ~cache:(Plancache.snapshot t.cache));
+      send [ Protocol.stats ~jobs ~cache:(Plancache.snapshot t.cache) ];
       true
   | Ok Protocol.Shutdown ->
-      send Protocol.bye;
+      send [ Protocol.bye ];
       request_shutdown t;
       false
 
@@ -383,16 +477,24 @@ let fresh_client t =
 (* Transports                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let line_sender oc =
-  let m = Mutex.create () in
-  fun line ->
-    Mutex.lock m;
-    (try
-       output_string oc line;
-       output_char oc '\n';
-       flush oc
-     with Sys_error _ | Sys_blocked_io -> ());
-    Mutex.unlock m
+(* A connection's reply channel. Workers reply on it after the connection
+   thread may have moved on, so it is closed under the same lock: a reply
+   to a closed connection then fails as a write to a closed channel, and
+   cannot reach a later connection given the same descriptor. *)
+type conn = { oc : out_channel; lock : Mutex.t }
+
+let send conn replies =
+  Mutex.lock conn.lock;
+  (try
+     List.iter (Protocol.output conn.oc) replies;
+     flush conn.oc
+   with Sys_error _ | Sys_blocked_io -> ());
+  Mutex.unlock conn.lock
+
+let close conn =
+  Mutex.lock conn.lock;
+  close_out_noerr conn.oc;
+  Mutex.unlock conn.lock
 
 (* The longest request line a session reads, far above any real program
    (the paper-size MLP is 9.4 MB of text). *)
@@ -400,64 +502,151 @@ let max_request_bytes = 32 * 1024 * 1024
 
 exception Line_too_long
 
-(* [input_line] with a bound: reads [ic] in chunks and keeps what follows a
-   newline for the next call, so a client that never sends one costs at
-   most [max_request_bytes] of memory. The chunk and the line start small
-   enough for the minor heap: every request opens a connection. *)
-let line_reader ic =
-  let chunk = Bytes.create 1024 and pos = ref 0 and len = ref 0 in
-  let line = Buffer.create 1024 in
-  let rec next () =
-    if !pos >= !len then begin
-      pos := 0;
-      len := input ic chunk 0 (Bytes.length chunk)
-    end;
-    let start = !pos in
-    let rec scan i = if i < !len && Bytes.unsafe_get chunk i <> '\n' then scan (i + 1) else i in
-    let stop = scan start in
-    if !len = 0 && Buffer.length line = 0 then raise End_of_file
-    else if Buffer.length line + (stop - start) > max_request_bytes then raise Line_too_long
+(* A connection thread's request reader, kept across its connections: the
+   bytes read and not yet returned are [buf.[pos .. len - 1]]. *)
+type reader = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
+
+let reader_bytes = 65536
+let new_reader () = { buf = Bytes.create reader_bytes; pos = 0; len = 0 }
+
+(* A new connection starts with nothing read, and without the room a
+   line of over a MiB made. *)
+let reset r =
+  r.pos <- 0;
+  r.len <- 0;
+  if Bytes.length r.buf > 16 * reader_bytes then r.buf <- Bytes.create reader_bytes
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* The first newline in [b.[i .. stop - 1]], or [stop]. Eight bytes per
+   step, as [Json] scans strings: [w - ones] and [lnot w] share a set top
+   bit in some byte exactly when [w] has a zero byte, and a byte of
+   [w xor 0x0a...] is zero where [b] has a newline. *)
+let newline b i stop =
+  let i = ref i in
+  while
+    !i + 8 <= stop
+    &&
+    let w = Int64.logxor (get64u b !i) 0x0a0a0a0a0a0a0a0aL in
+    let zeros =
+      Int64.logand
+        (Int64.logand (Int64.sub w 0x0101010101010101L) (Int64.lognot w))
+        0x8080808080808080L
+    in
+    Int64.to_int (Int64.shift_right_logical zeros 1) = 0
+  do
+    i := !i + 8
+  done;
+  while !i < stop && Bytes.unsafe_get b !i <> '\n' do
+    incr i
+  done;
+  !i
+
+let rec read fd b pos len =
+  try Unix.read fd b pos len with Unix.Unix_error (Unix.EINTR, _, _) -> read fd b pos len
+
+(* The next line from [fd], without its newline, as its start and length
+   in [r.buf], valid until the next read; at end of input, what is left. A
+   client that never sends a newline costs at most [max_request_bytes] of
+   memory: past that many bytes of one line, and as soon as they have
+   arrived, [Line_too_long]. *)
+let read_line r fd =
+  let rec scan from =
+    let nl = newline r.buf from r.len in
+    if nl - r.pos > max_request_bytes then raise Line_too_long
+    else if nl < r.len then begin
+      let start = r.pos in
+      r.pos <- nl + 1;
+      (start, nl - start)
+    end
     else begin
-      Buffer.add_subbytes line chunk start (stop - start);
-      pos := stop + 1;
-      if stop < !len || !len = 0 then (
-        let s = Buffer.contents line in
-        Buffer.clear line;
-        s)
-      else next ()
+      (* no newline yet: move the line to the front, make room after it,
+         and read what has arrived *)
+      if r.pos > 0 then begin
+        Bytes.blit r.buf r.pos r.buf 0 (r.len - r.pos);
+        r.len <- r.len - r.pos;
+        r.pos <- 0
+      end;
+      if r.len = Bytes.length r.buf then begin
+        let b = Bytes.create (min (2 * r.len) (max_request_bytes + 1)) in
+        Bytes.blit r.buf 0 b 0 r.len;
+        r.buf <- b
+      end;
+      let scanned = r.len in
+      match read fd r.buf r.len (Bytes.length r.buf - r.len) with
+      | 0 ->
+          if r.len = 0 then raise End_of_file
+          else begin
+            r.pos <- r.len;
+            (0, r.len)
+          end
+      | n ->
+          r.len <- r.len + n;
+          scan scanned
     end
   in
-  next
+  scan r.pos
 
-let session t ~ic ~send =
+let session t ~reader ~fd ~send =
   let client = fresh_client t in
-  let read = line_reader ic in
   let rec loop () =
-    match read () with
-    | exception (End_of_file | Sys_error _) -> ()
+    match read_line reader fd with
+    | exception (End_of_file | Unix.Unix_error _) -> ()
     | exception Line_too_long ->
         send
-          (Protocol.error
-             (Format.asprintf "%a" Diagnostic.pp
-                (Diagnostic.v ~code:Diagnostic.Parse_error
-                   ~hint:"send one JSON request per line; the connection is closed"
-                   (Printf.sprintf "request line longer than %d bytes" max_request_bytes))))
-    | line ->
-        let keep = try handle_line t ~client ~send line with _ -> true in
+          [
+            Protocol.error
+              (Format.asprintf "%a" Diagnostic.pp
+                 (Diagnostic.v ~code:Diagnostic.Parse_error
+                    ~hint:"send one JSON request per line; the connection is closed"
+                    (Printf.sprintf "request line longer than %d bytes" max_request_bytes)));
+          ]
+    | start, len ->
+        (* the request is decoded before the next read can overwrite it *)
+        let line = Bytes.unsafe_to_string reader.buf in
+        let keep = try handle_line t ~client ~send line start len with _ -> true in
         if keep && not (Atomic.get t.stopping) then loop ()
   in
   loop ();
   forget_client t client
 
 let serve_stdio t =
-  session t ~ic:stdin ~send:(line_sender stdout);
+  session t ~reader:(new_reader ()) ~fd:Unix.stdin
+    ~send:(send { oc = stdout; lock = Mutex.create () });
   drain t
 
-let handle_connection t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let send = line_sender (Unix.out_channel_of_descr fd) in
-  session t ~ic ~send;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+let handle_connection t reader fd =
+  let conn = { oc = Unix.out_channel_of_descr fd; lock = Mutex.create () } in
+  reset reader;
+  session t ~reader ~fd ~send:(send conn);
+  (* closes [fd] too *)
+  close conn
+
+(* Serves [fd], then each connection the accept loop hands this thread,
+   until shutdown. *)
+let rec connection_thread t reader fd =
+  handle_connection t reader fd;
+  Mutex.lock t.mutex;
+  t.waiting <- t.waiting + 1;
+  while Queue.is_empty t.handoff && not (Atomic.get t.stopping) do
+    Condition.wait t.handoff_ready t.mutex
+  done;
+  t.waiting <- t.waiting - 1;
+  let next = Queue.take_opt t.handoff in
+  if t.waiting = 0 then Condition.broadcast t.waiters_gone;
+  Mutex.unlock t.mutex;
+  match next with Some fd -> connection_thread t reader fd | None -> ()
+
+(* Hands [fd] to a waiting connection thread, or starts one. *)
+let dispatch t fd =
+  Mutex.lock t.mutex;
+  let handed = t.waiting > Queue.length t.handoff in
+  if handed then begin
+    Queue.push fd t.handoff;
+    Condition.signal t.handoff_ready
+  end;
+  Mutex.unlock t.mutex;
+  if not handed then ignore (Thread.create (connection_thread t (new_reader ())) fd)
 
 let serve t ~socket_path =
   (match Unix.lstat socket_path with
@@ -476,7 +665,7 @@ let serve t ~socket_path =
   let rec accept_loop () =
     match Unix.accept fd with
     | conn, _ ->
-        ignore (Thread.create (fun () -> handle_connection t conn) ());
+        dispatch t conn;
         if not (Atomic.get t.stopping) then accept_loop ()
     | exception Unix.Unix_error ((Unix.EINVAL | Unix.EBADF | Unix.ECONNABORTED), _, _) ->
         if not (Atomic.get t.stopping) then accept_loop ()

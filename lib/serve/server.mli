@@ -4,14 +4,24 @@
     worker threads, answering through a shared
     {!Hecate.Plancache.t} — so concurrent submissions of
     alpha-equivalent programs collapse into one exploration
-    (single-flight) and repeat submissions are warm cache hits. A program
-    text the cache has indexed ({!Hecate.Plancache.compile_text}) is
-    neither parsed nor fingerprinted again; any other text is parsed
-    before the job is accepted, so a parse error is answered at once.
+    (single-flight) and repeat submissions are warm cache hits. Each
+    submission's {!Hecate.Plancache.lookup_text} runs on the thread of
+    the connection that sent it: a memory hit is answered there, with
+    [accepted] and [done] in one write, and only the rest is queued for
+    a worker. A program text the cache has indexed is neither parsed nor
+    fingerprinted again; any other text is parsed before the job is
+    accepted, so a parse error is answered at once. [accepted] always
+    precedes the job's [done].
 
-    Fairness: each connection has its own FIFO; workers take jobs
-    round-robin across connections, so a client that submits a large
-    batch cannot starve an interactive one.
+    Fairness: each connection has its own FIFO (at most
+    {!max_queued_jobs} jobs); workers take jobs round-robin across
+    connections, so a client that submits a large batch cannot starve an
+    interactive one. Memory hits bypass the FIFOs, so one connection's
+    jobs may complete out of submission order.
+
+    Connection threads are reused: when its client closes, a thread
+    waits for the next connection, and the accept loop starts a thread
+    only when none is waiting.
 
     Cancellation is cooperative and "anytime": a queued job is dropped;
     a running job stops at the next exploration epoch and returns its
@@ -67,5 +77,16 @@ val request_shutdown : t -> unit
     handler. Running jobs finish as truncated "anytime" results. *)
 
 val drain : t -> unit
-(** {!request_shutdown} and join the worker threads (waits for queued
-    and running jobs to settle). Idempotent. *)
+(** {!request_shutdown}, join the worker threads (waits for queued and
+    running jobs to settle), and wait until no connection thread is
+    waiting for a connection. Idempotent. *)
+
+val max_queued_jobs : int
+(** How many jobs one connection may have queued and not yet started
+    (256). A submission past it is answered with an [error] naming the
+    cap, and nothing is queued. Memory hits never queue, so they never
+    count against it. *)
+
+val idle_connection_threads : t -> int
+(** Connection threads waiting for the accept loop to hand them a
+    connection: 0 after {!drain}. *)

@@ -34,10 +34,9 @@ let below_space w = Int64.logand (Int64.logand (Int64.sub w 0x2020202020202020L)
 (* 1 for the bytes a string must escape: '"', '\\' and control characters. *)
 let must_escape = String.init 256 (fun i -> if i < 0x20 || i = 34 || i = 92 then '\001' else '\000')
 
-(* The first index from [i] whose byte is '"' or '\\', or, with [controls],
-   any byte a string must escape; [String.length s] when there is none. *)
-let plain_run ~controls s i =
-  let n = String.length s in
+(* The first index from [i] below [n] whose byte is '"' or '\\', or, with
+   [controls], any byte a string must escape; [n] when there is none. *)
+let plain_run ~controls s i n =
   let i = ref i in
   while
     !i + 8 <= n
@@ -68,10 +67,11 @@ let plain_run ~controls s i =
    shallow enough that the recursion stays in bounded stack and memory. *)
 let max_depth = 512
 
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
+let parse ?(pos = 0) ?len s =
+  let start = pos in
+  let n = match len with Some len -> pos + len | None -> String.length s in
+  let pos = ref pos in
+  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg (!pos - start))) in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
   let skip_ws () =
@@ -92,18 +92,27 @@ let parse s =
     else fail ("expected " ^ word)
   in
   (* Runs of plain characters are copied whole; only escapes are decoded
-     one at a time. The buffer starts at the string's length in the input
-     (escapes included, so never short), found by a first scan. *)
+     one at a time. A first scan steps over the runs and escapes as the
+     decoding does, so the string is allocated once, at its length (and a
+     malformed escape fails before anything past it is written). *)
   let parse_string () =
     expect '"';
-    let i = ref (plain_run ~controls:false s !pos) in
+    let i = ref (plain_run ~controls:false s !pos n) in
+    let len = ref (!i - !pos) in
     while !i < n && String.unsafe_get s !i = '\\' do
-      i := plain_run ~controls:false s (!i + 2)
+      let next = min n (if !i + 1 < n && String.unsafe_get s (!i + 1) = 'u' then !i + 6 else !i + 2) in
+      i := plain_run ~controls:false s next n;
+      len := !len + 1 + (!i - next)
     done;
-    let b = Buffer.create (max 16 (!i - !pos)) in
+    let b = Bytes.create !len and j = ref 0 in
+    let add c =
+      Bytes.set b !j c;
+      incr j
+    in
     let rec go () =
-      let i = plain_run ~controls:false s !pos in
-      Buffer.add_substring b s !pos (i - !pos);
+      let i = plain_run ~controls:false s !pos n in
+      Bytes.blit_string s !pos b !j (i - !pos);
+      j := !j + (i - !pos);
       pos := i;
       if !pos >= n then fail "unterminated string";
       match s.[!pos] with
@@ -112,14 +121,14 @@ let parse s =
           advance ();
           if !pos >= n then fail "unterminated escape";
           (match s.[!pos] with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
+          | '"' -> add '"'
+          | '\\' -> add '\\'
+          | '/' -> add '/'
+          | 'n' -> add '\n'
+          | 't' -> add '\t'
+          | 'r' -> add '\r'
+          | 'b' -> add '\b'
+          | 'f' -> add '\012'
           | 'u' ->
               if !pos + 4 >= n then fail "truncated \\u escape";
               let hex = String.sub s (!pos + 1) 4 in
@@ -128,14 +137,14 @@ let parse s =
               in
               (* ASCII passthrough; anything wider is replaced — our own
                  artifacts never emit non-ASCII *)
-              Buffer.add_char b (if code < 128 then Char.chr code else '?');
+              add (if code < 128 then Char.chr code else '?');
               pos := !pos + 4
           | c -> fail (Printf.sprintf "bad escape '\\%c'" c));
           advance ();
           go ()
     in
     go ();
-    Buffer.contents b
+    Bytes.unsafe_to_string b
   in
   let parse_number () =
     let start = !pos in
@@ -240,62 +249,75 @@ let to_bool = function Bool b -> Some b | _ -> None
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Where [render_to] writes: a buffer for [render], or a channel for
+   [output], so that a long value goes into the channel's buffer without
+   first being built as a string. *)
+type sink = Buf of Buffer.t | Chan of out_channel
+
+let add_char sink c = match sink with Buf b -> Buffer.add_char b c | Chan oc -> output_char oc c
+
+let add_string sink s =
+  match sink with Buf b -> Buffer.add_string b s | Chan oc -> output_string oc s
+
+let add_substring sink s pos len =
+  match sink with
+  | Buf b -> Buffer.add_substring b s pos len
+  | Chan oc -> output_substring oc s pos len
+
 (* Runs of characters that need no escape are copied whole. *)
-let escape_to buf s =
-  Buffer.add_char buf '"';
+let escape_to sink s =
+  add_char sink '"';
   let rec go start =
-    let i = plain_run ~controls:true s start in
-    Buffer.add_substring buf s start (i - start);
+    let i = plain_run ~controls:true s start (String.length s) in
+    add_substring sink s start (i - start);
     if i < String.length s then begin
       (match String.unsafe_get s i with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      | '"' -> add_string sink "\\\""
+      | '\\' -> add_string sink "\\\\"
+      | '\n' -> add_string sink "\\n"
+      | '\t' -> add_string sink "\\t"
+      | '\r' -> add_string sink "\\r"
+      | '\b' -> add_string sink "\\b"
+      | '\012' -> add_string sink "\\f"
+      | c -> add_string sink (Printf.sprintf "\\u%04x" (Char.code c)));
       go (i + 1)
     end
   in
   go 0;
-  Buffer.add_char buf '"'
+  add_char sink '"'
 
 (* Numbers render as the shortest float representation that round-trips;
    integral values drop the trailing ".". The output is a single line, so
    rendered values can travel over the newline-delimited protocol as-is. *)
-let render_number buf f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" f)
-  else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+let render_number sink f =
+  if Float.is_integer f && Float.abs f < 1e15 then add_string sink (Printf.sprintf "%.0f" f)
+  else add_string sink (Printf.sprintf "%.17g" f)
 
-let rec render_to buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+let rec render_to sink = function
+  | Null -> add_string sink "null"
+  | Bool b -> add_string sink (if b then "true" else "false")
   | Num f ->
-      if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
-        Buffer.add_string buf "null"
-      else render_number buf f
-  | Str s -> escape_to buf s
+      if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then add_string sink "null"
+      else render_number sink f
+  | Str s -> escape_to sink s
   | Arr items ->
-      Buffer.add_char buf '[';
+      add_char sink '[';
       List.iteri
         (fun i v ->
-          if i > 0 then Buffer.add_char buf ',';
-          render_to buf v)
+          if i > 0 then add_char sink ',';
+          render_to sink v)
         items;
-      Buffer.add_char buf ']'
+      add_char sink ']'
   | Obj kvs ->
-      Buffer.add_char buf '{';
+      add_char sink '{';
       List.iteri
         (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape_to buf k;
-          Buffer.add_char buf ':';
-          render_to buf v)
+          if i > 0 then add_char sink ',';
+          escape_to sink k;
+          add_char sink ':';
+          render_to sink v)
         kvs;
-      Buffer.add_char buf '}'
+      add_char sink '}'
 
 (* Bytes [render] is likely to write, so that a long string (a program, an
    artifact) fills one buffer rather than doubling into it: each string's
@@ -309,7 +331,9 @@ let rec size_hint = function
 
 let render v =
   let buf = Buffer.create (size_hint v) in
-  render_to buf v;
+  render_to (Buf buf) v;
   Buffer.contents buf
+
+let output oc v = render_to (Chan oc) v
 
 let int i = Num (float_of_int i)

@@ -19,9 +19,11 @@ exception Parse_error of string
 val max_depth : int
 (** How deeply {!parse} nests objects and arrays: 512. *)
 
-val parse : string -> t
-(** @raise Parse_error on malformed input (with the offending offset), and
-    on objects and arrays nested deeper than {!max_depth}. *)
+val parse : ?pos:int -> ?len:int -> string -> t
+(** Parses [s], or its [len] bytes from [pos] (default: all of it).
+    @raise Parse_error on malformed input (with the offending offset,
+    counted from [pos]), and on objects and arrays nested deeper than
+    {!max_depth}. *)
 
 val member : string -> t -> t
 (** Field of an object; [Null] when absent or not an object. *)
@@ -35,6 +37,10 @@ val to_bool : t -> bool option
 val render : t -> string
 (** Compact single-line rendering; [parse (render v)] is [v] up to float
     formatting. *)
+
+val output : out_channel -> t -> unit
+(** Writes what {!render} returns into the channel, without building it
+    as a string first; no newline, no flush. *)
 
 val int : int -> t
 (** [Num] of an integer. *)

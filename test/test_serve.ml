@@ -322,7 +322,7 @@ let lowered_matvec ?rows ?cols () =
    need not share. *)
 let settled (e : Plancache.entry) = { e with Plancache.compile_seconds = 0. }
 
-let done_line (e, origin) = Protocol.done_ ~job:1 ~origin ~wall_seconds:1e-3 (settled e)
+let done_line (e, origin) = Protocol.line (Protocol.done_ ~job:1 ~origin ~wall_seconds:1e-3 (settled e))
 
 let replace_all ~sub ~by s = String.concat by (Astring.String.cuts ~sep:sub s)
 
@@ -576,7 +576,7 @@ let test_protocol_request_errors () =
 let test_protocol_done_event () =
   let seed_cache = Plancache.create () in
   let entry, _ = compile_cached seed_cache Driver.Hecate (fig2 ()) in
-  let line = Protocol.done_ ~job:3 ~origin:Plancache.Memory ~wall_seconds:0.25 entry in
+  let line = Protocol.line (Protocol.done_ ~job:3 ~origin:Plancache.Memory ~wall_seconds:0.25 entry) in
   match Protocol.parse_event line with
   | Ok (Protocol.Done r) ->
       check Alcotest.int "job" 3 r.Protocol.job;
@@ -593,9 +593,9 @@ let test_protocol_done_event () =
 (* End-to-end daemon session                                           *)
 (* ------------------------------------------------------------------ *)
 
-let submit_fig2 ?budget_seconds ?(scheme = Driver.Hecate) () =
+let submit_text ?budget_seconds ?(scheme = Driver.Hecate) program =
   {
-    Protocol.program = read_file "../examples/fig2.hec";
+    Protocol.program;
     scheme;
     sf_bits = 28;
     waterline_bits = 20.;
@@ -605,10 +605,14 @@ let submit_fig2 ?budget_seconds ?(scheme = Driver.Hecate) () =
     stream = false;
   }
 
-let with_server ?(oracle = false) f =
+let submit_fig2 ?budget_seconds ?scheme () =
+  submit_text ?budget_seconds ?scheme (read_file "../examples/fig2.hec")
+
+(* A live server on a temporary socket, over [cache]. After it has
+   drained, no connection thread may still be waiting for a connection. *)
+let serving ?(oracle = false) ?(cache = Plancache.create ()) f =
   with_temp_dir @@ fun dir ->
   let sock = Filename.concat dir "hecated.sock" in
-  let cache = Plancache.create () in
   let server = Server.create ~workers:2 ~oracle cache in
   let th = Thread.create (fun () -> Server.serve server ~socket_path:sock) () in
   let rec await n =
@@ -620,11 +624,18 @@ let with_server ?(oracle = false) f =
     end
   in
   await 500;
-  Fun.protect
-    ~finally:(fun () ->
-      ignore (Client.shutdown ~socket:sock);
-      Thread.join th)
-    (fun () -> f sock)
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        ignore (Client.shutdown ~socket:sock);
+        Thread.join th)
+      (fun () -> f server sock)
+  in
+  check Alcotest.int "no connection thread waits after drain" 0
+    (Server.idle_connection_threads server);
+  r
+
+let with_server ?oracle f = serving ?oracle (fun _ sock -> f sock)
 
 let test_server_end_to_end () =
   with_server @@ fun sock ->
@@ -841,6 +852,390 @@ let test_server_finished_window () =
       | _ -> Alcotest.fail "an unknown job must be an error")
 
 (* ------------------------------------------------------------------ *)
+(* Answers on the connection's thread                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Polls [ready] for up to ten seconds. *)
+let await what ready =
+  let rec go n =
+    if not (ready ()) then
+      if n = 0 then Alcotest.fail ("timed out waiting: " ^ what)
+      else begin
+        Thread.delay 0.005;
+        go (n - 1)
+      end
+  in
+  go 2000
+
+(* Takes the single flight of [text]'s key in [cache] and holds it until
+   the returned function is called, which lands [entry] (the answer for
+   that key) and stores it. The server's requests for the key meanwhile
+   join the flight: they are neither memory hits nor compiled, and they
+   keep the workers that took them busy. *)
+let hold_flight cache ~scheme text entry =
+  let key = Plancache.key ~scheme ~sf_bits:28 ~waterline_bits:20. ~max_epochs:100 (Parser.parse text) in
+  let misses () = (Plancache.snapshot cache).Plancache.s_misses in
+  let before = misses () and released = Atomic.make false in
+  let th =
+    Thread.create
+      (fun () ->
+        ignore
+          (Plancache.find_or_compute cache key ~compute:(fun () ->
+               while not (Atomic.get released) do
+                 Thread.delay 0.001
+               done;
+               (entry, true))))
+      ()
+  in
+  await "the held flight" (fun () -> misses () = before + 1);
+  fun () -> if not (Atomic.exchange released true) then Thread.join th
+
+(* [f release] with the flight held as by [hold_flight], released at the
+   latest when [f] returns or fails: a server cannot drain while its
+   workers wait for the flight. *)
+let holding_flight cache ~scheme text entry f =
+  let release = hold_flight cache ~scheme text entry in
+  Fun.protect ~finally:release (fun () -> f release)
+
+let joins cache = (Plancache.snapshot cache).Plancache.s_joins
+
+let connect sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+
+let send_request oc req =
+  output_string oc (Protocol.render_request req ^ "\n");
+  flush oc
+
+let event line =
+  match Protocol.parse_event line with Ok ev -> ev | Error msg -> Alcotest.fail msg
+
+(* Submits on a fresh connection; the lines up to the job's last one. *)
+let submit_lines sock submit =
+  let fd, ic, oc = connect sock in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      send_request oc (Protocol.Submit submit);
+      let rec go acc =
+        let line = input_line ic in
+        match event line with
+        | Protocol.Accepted _ | Protocol.Progress _ -> go (line :: acc)
+        | _ -> List.rev (line :: acc)
+      in
+      go [])
+
+let stats_of sock =
+  match Client.stats ~socket:sock with Ok json -> json | Error msg -> Alcotest.fail msg
+
+let stat json group field =
+  Option.value ~default:(-1) (Json.to_int (Json.member field (Json.member group json)))
+
+(* A done line with the named fields zeroed. *)
+let zeroed fields line =
+  match Json.parse line with
+  | Json.Obj kvs ->
+      Json.render
+        (Json.Obj (List.map (fun (k, v) -> if List.mem k fields then (k, Json.Num 0.) else (k, v)) kvs))
+  | _ -> line
+
+(* A fixed mix of requests, one at a time, against a server whose cache
+   keeps two entries in memory and the rest on disk: memory hits by the
+   text and by an alpha variant, texts seen for the first time, misses,
+   disk hits after eviction, two joins, a parse error, and [status] and
+   [cancel] of ids answered inline. Every answer must be [accepted] then
+   the line [Plancache.compile_text] on a separate cache of the same
+   shape gives, but for [wall_seconds] (and the cold compile's own
+   [compile_seconds]); every answer for one key must carry that key's
+   stored entry; and [stats] must report the counters the server reported
+   before memory hits were answered on the connection's thread. *)
+let test_server_inline_differential () =
+  with_temp_dir @@ fun server_dir ->
+  with_temp_dir @@ fun reference_dir ->
+  let cache = Plancache.create ~dir:server_dir ~capacity:2 () in
+  let reference = Plancache.create ~dir:reference_dir ~capacity:2 () in
+  serving ~cache @@ fun _ sock ->
+  let fig2 = read_file "../examples/fig2.hec" in
+  let fig2' = alpha_variant "_v" fig2 in
+  let gen seed = Printer.to_string (Gen.generate ~seed ()).Gen.prog in
+  let g1 = gen 11 and g2 = gen 12 and g3 = gen 13 in
+  let g3' = alpha_variant "_v" g3 in
+  let compile text =
+    Plancache.compile_text reference ~scheme:Driver.Hecate ~sf_bits:28 ~waterline_bits:20. text
+  in
+  let stored = Hashtbl.create 8 in
+  (* checks one answer against the reference; returns its job id *)
+  let answered what lines (entry, origin) =
+    match List.map event lines, lines with
+    | [ Protocol.Accepted id; Protocol.Done r ], [ _; line ] ->
+        check Alcotest.int (what ^ ": accepted names the job") id r.Protocol.job;
+        check Alcotest.string (what ^ ": done line")
+          (zeroed [ "wall_seconds"; "compile_seconds" ]
+             (Protocol.line (Protocol.done_ ~job:id ~origin ~wall_seconds:0. entry)))
+          (zeroed [ "wall_seconds"; "compile_seconds" ] line);
+        (match Hashtbl.find_opt stored r.Protocol.fingerprint with
+        | None -> Hashtbl.replace stored r.Protocol.fingerprint (zeroed [ "wall_seconds"; "job"; "origin" ] line)
+        | Some first ->
+            check Alcotest.string (what ^ ": the key's stored entry") first
+              (zeroed [ "wall_seconds"; "job"; "origin" ] line));
+        id
+    | _ -> Alcotest.failf "%s: expected accepted then done, got %s" what (String.concat " | " lines)
+  in
+  let ask what text = answered what (submit_lines sock (submit_text text)) (compile text) in
+  let cold = ask "fig2, cold" fig2 in
+  let hit = ask "fig2, memory hit" fig2 in
+  let variant = ask "alpha variant, first seen" fig2' in
+  ignore (ask "alpha variant, memory hit" fig2');
+  (match submit_lines sock (submit_text "this is not a program") with
+  | [ line ] ->
+      let expected =
+        match
+          Driver.diagnose (fun () ->
+              Plancache.compile_text reference ~scheme:Driver.Hecate ~sf_bits:28
+                ~waterline_bits:20. "this is not a program")
+        with
+        | Error d -> Protocol.line (Protocol.error (Format.asprintf "%a" Hecate_ir.Diagnostic.pp d))
+        | Ok _ -> Alcotest.fail "the reference parsed a non-program"
+      in
+      check Alcotest.string "parse error" expected line
+  | lines -> Alcotest.failf "parse error: got %s" (String.concat " | " lines));
+  ignore (ask "g1, cold" g1);
+  ignore (ask "g2, cold, evicts fig2" g2);
+  let disk = ask "fig2, disk" fig2 in
+  ignore (ask "g1, disk" g1);
+  (* g3 and its variant join a flight the test holds *)
+  let g3_entry, _ = compile g3 in
+  holding_flight cache ~scheme:Driver.Hecate g3 g3_entry (fun release ->
+  let before = joins cache in
+  let joiners =
+    List.map
+      (fun text ->
+        let lines = ref [] in
+        (text, lines, Thread.create (fun () -> lines := submit_lines sock (submit_text text)) ()))
+      [ g3; g3' ]
+  in
+  await "two joins" (fun () -> joins cache = before + 2);
+  release ();
+  List.iter
+    (fun (text, lines, th) ->
+      Thread.join th;
+      ignore (answered "joined" !lines (g3_entry, Plancache.Joined));
+      check Alcotest.bool "joined text" true (text = g3 || text = g3'))
+    joiners);
+  ignore (ask "g3, memory hit" g3);
+  let state id =
+    match request sock (Protocol.Status id) with
+    | Protocol.Status { state; _ } -> state
+    | _ -> Alcotest.fail "expected a status event"
+  in
+  check Alcotest.string "status of an inline hit" "done" (state hit);
+  check Alcotest.string "status of a cold job" "done" (state cold);
+  check Alcotest.string "status of a disk hit" "done" (state disk);
+  (match request sock (Protocol.Cancel variant) with
+  | Protocol.Status { state; _ } -> check Alcotest.string "cancel of an inline hit" "cancelling" state
+  | _ -> Alcotest.fail "expected a status event");
+  let json = stats_of sock in
+  let index_bytes =
+    List.fold_left
+      (fun acc text -> acc + String.length text + String.length (Prog.fingerprint (Parser.parse text)) + 64)
+      0 [ fig2; fig2'; g1; g2; g3; g3' ]
+  in
+  check
+    Alcotest.(list (pair string int))
+    "counters"
+    [
+      ("submitted", 11); ("queued", 0); ("running", 0); ("completed", 11); ("failed", 0);
+      ("cancelled", 0); ("hits_memory", 4); ("hits_disk", 2); ("misses", 4); ("joins", 2);
+      ("evictions", 4); ("entries", 2); ("index_hits", 5); ("index_bytes", index_bytes);
+    ]
+    (List.map (fun f -> (f, stat json "jobs" f))
+       [ "submitted"; "queued"; "running"; "completed"; "failed"; "cancelled" ]
+    @ List.map (fun f -> (f, stat json "cache" f))
+        [ "hits_memory"; "hits_disk"; "misses"; "joins"; "evictions"; "entries"; "index_hits"; "index_bytes" ])
+
+(* Two raw-socket clients pipeline 1,000 requests each, memory hits and
+   misses mixed; every job's [accepted] must precede its [done]. *)
+let test_server_accepted_before_done () =
+  with_server @@ fun sock ->
+  let fig2 = read_file "../examples/fig2.hec" in
+  ignore (submit_lines sock (submit_text fig2));
+  let variant = alpha_variant "_v" fig2 in
+  let failures = ref [] and lock = Mutex.create () in
+  let fail msg =
+    Mutex.lock lock;
+    failures := msg :: !failures;
+    Mutex.unlock lock
+  in
+  let client cid () =
+    let fd, ic, oc = connect sock in
+    let n = 1000 in
+    let writer =
+      Thread.create
+        (fun () ->
+          for i = 0 to n - 1 do
+            let program =
+              if i mod 10 = 0 then Printer.to_string (Gen.generate ~seed:((cid * n) + i) ()).Gen.prog
+              else if i mod 10 = 5 then variant
+              else fig2
+            in
+            let scheme = if i mod 10 = 0 then Driver.Eva else Driver.Hecate in
+            output_string oc (Protocol.render_request (Protocol.Submit (submit_text ~scheme program)) ^ "\n")
+          done;
+          flush oc)
+        ()
+    in
+    let accepted = Hashtbl.create n in
+    let rec read finished =
+      if finished < n then
+        match event (input_line ic) with
+        | Protocol.Accepted id ->
+            Hashtbl.replace accepted id ();
+            read finished
+        | Protocol.Done r ->
+            if not (Hashtbl.mem accepted r.Protocol.job) then
+              fail (Printf.sprintf "client %d: job %d done before accepted" cid r.Protocol.job);
+            read (finished + 1)
+        | Protocol.Error { message; _ } ->
+            fail (Printf.sprintf "client %d: %s" cid message);
+            read (finished + 1)
+        | _ -> read finished
+    in
+    (try read 0 with e -> fail (Printexc.to_string e));
+    Thread.join writer;
+    Unix.close fd
+  in
+  List.iter Thread.join (List.init 2 (fun cid -> Thread.create (client cid) ()));
+  check Alcotest.(list string) "accepted precedes done" [] !failures
+
+(* Past [max_queued_jobs] queued jobs a submission is refused with an
+   error naming the cap, and nothing is queued; a memory hit is answered
+   all the same. The workers are kept busy by requests that join a
+   flight the test holds. *)
+let test_server_queue_cap () =
+  let cache = Plancache.create () in
+  serving ~cache @@ fun _ sock ->
+  let fig2 = read_file "../examples/fig2.hec" in
+  ignore (submit_lines sock (submit_text fig2));
+  let text = Printer.to_string (Gen.generate ~seed:21 ()).Gen.prog in
+  let entry, _ =
+    Plancache.compile_text (Plancache.create ()) ~scheme:Driver.Eva ~sf_bits:28 ~waterline_bits:20. text
+  in
+  holding_flight cache ~scheme:Driver.Eva text entry (fun release ->
+  let before = joins cache in
+  let busy =
+    List.init 2 (fun _ -> Thread.create (fun () -> ignore (submit_lines sock (submit_text ~scheme:Driver.Eva text))) ())
+  in
+  await "both workers joined" (fun () -> joins cache = before + 2);
+  let fd, ic, oc = connect sock in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let cap = Server.max_queued_jobs in
+      for _ = 0 to cap do
+        send_request oc (Protocol.Submit (submit_text ~scheme:Driver.Eva text))
+      done;
+      send_request oc (Protocol.Submit (submit_text fig2));
+      for i = 1 to cap do
+        match event (input_line ic) with
+        | Protocol.Accepted _ -> ()
+        | _ -> Alcotest.failf "submission %d: expected accepted" i
+      done;
+      (match event (input_line ic) with
+      | Protocol.Error { job = None; message } ->
+          check Alcotest.bool ("names the cap: " ^ message) true
+            (Astring.String.is_infix ~affix:(Printf.sprintf "%d jobs queued" cap) message)
+      | _ -> Alcotest.fail "the submission past the cap: expected an error");
+      let accepted = input_line ic in
+      (match List.map event [ accepted; input_line ic ] with
+      | [ Protocol.Accepted id; Protocol.Done r ] ->
+          check Alcotest.int "the hit's job" id r.Protocol.job;
+          check Alcotest.string "a memory hit past the cap" "memory" r.Protocol.origin
+      | _ -> Alcotest.fail "the memory hit: expected accepted then done");
+      let json = stats_of sock in
+      check Alcotest.int "queued: the cap, not one more" cap (stat json "jobs" "queued");
+      release ();
+      List.iter Thread.join busy;
+      for _ = 1 to cap do
+        match event (input_line ic) with
+        | Protocol.Done _ -> ()
+        | _ -> Alcotest.fail "expected the queued jobs' done"
+      done));
+  let json = stats_of sock in
+  check Alcotest.int "nothing queued" 0 (stat json "jobs" "queued");
+  check Alcotest.int "submitted" (Server.max_queued_jobs + 4) (stat json "jobs" "submitted")
+
+(* No job queued or running, once the server has settled. *)
+let await_idle sock =
+  await "no job queued or running" (fun () ->
+      let json = stats_of sock in
+      stat json "jobs" "queued" = 0 && stat json "jobs" "running" = 0)
+
+(* Clients that close right after [accepted] of an MLP memory hit, whose
+   [done] is a large write to a closed socket: the server keeps answering,
+   leaves no job behind, and reuses the connection threads. *)
+let test_server_client_closes_after_accepted () =
+  serving @@ fun server sock ->
+  let mlp =
+    Printer.to_string
+      (List.find (fun (a : Hecate_apps.Apps.t) -> a.Hecate_apps.Apps.name = "MLP")
+         (Hecate_apps.Apps.reduced_suite ()))
+        .Hecate_apps.Apps.prog
+  in
+  let submit = submit_text ~scheme:Driver.Eva mlp in
+  (match submit_lines sock submit with
+  | [ _; line ] -> check Alcotest.bool "compiled" true (Astring.String.is_infix ~affix:"\"cold\"" line)
+  | _ -> Alcotest.fail "the MLP compile");
+  for _ = 1 to 20 do
+    let fd, ic, oc = connect sock in
+    send_request oc (Protocol.Submit submit);
+    (match event (input_line ic) with
+    | Protocol.Accepted _ -> ()
+    | _ -> Alcotest.fail "expected accepted");
+    Unix.close fd
+  done;
+  await_idle sock;
+  let json = stats_of sock in
+  check Alcotest.int "every hit completed" 21 (stat json "jobs" "completed");
+  (match Client.compile ~socket:sock (submit_fig2 ()) with
+  | Ok o -> check Alcotest.string "still answering" "cold" o.Client.result.Protocol.origin
+  | Error msg -> Alcotest.fail msg);
+  await "a connection thread waits for the next connection" (fun () ->
+      Server.idle_connection_threads server >= 1)
+
+(* A client that disconnects with a miss still queued: the job is
+   cancelled rather than compiled, nothing stays queued or running, and
+   the server keeps answering. *)
+let test_server_client_leaves_queued_miss () =
+  let cache = Plancache.create () in
+  serving ~cache @@ fun _ sock ->
+  let held = Printer.to_string (Gen.generate ~seed:31 ()).Gen.prog in
+  let entry, _ =
+    Plancache.compile_text (Plancache.create ()) ~scheme:Driver.Eva ~sf_bits:28 ~waterline_bits:20. held
+  in
+  holding_flight cache ~scheme:Driver.Eva held entry (fun release ->
+  let before = joins cache in
+  let busy =
+    List.init 2 (fun _ -> Thread.create (fun () -> ignore (submit_lines sock (submit_text ~scheme:Driver.Eva held))) ())
+  in
+  await "both workers joined" (fun () -> joins cache = before + 2);
+  let fd, ic, oc = connect sock in
+  send_request oc (Protocol.Submit (submit_text ~scheme:Driver.Eva (Printer.to_string (Gen.generate ~seed:32 ()).Gen.prog)));
+  (match event (input_line ic) with
+  | Protocol.Accepted _ -> ()
+  | _ -> Alcotest.fail "expected accepted");
+  Unix.close fd;
+  release ();
+  List.iter Thread.join busy);
+  await_idle sock;
+  let json = stats_of sock in
+  check Alcotest.int "the queued miss was cancelled" 1 (stat json "jobs" "cancelled");
+  check Alcotest.int "and not compiled" 1 (stat json "cache" "misses");
+  match Client.compile ~socket:sock (submit_fig2 ()) with
+  | Ok o -> check Alcotest.string "still answering" "cold" o.Client.result.Protocol.origin
+  | Error msg -> Alcotest.fail msg
+
+(* ------------------------------------------------------------------ *)
 (* Byte mutations of valid inputs                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -926,6 +1321,21 @@ let prop_mutated_inputs_fail_cleanly =
       let ir = match Parser.parse text with _ -> true | exception Parser.Parse_error _ -> true in
       protocol && json && ir)
 
+(* The server decodes a request line where it was read, among the bytes
+   around it: the same request as the line alone, or the same error at the
+   same offset. *)
+let prop_request_in_place =
+  QCheck.Test.make ~name:"a request decoded in place reads as the line alone" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(triple String.escaped String.escaped String.escaped)
+       QCheck.Gen.(
+         triple (mutated mutation_seeds) (string_size (int_bound 8)) (string_size (int_bound 8))))
+    (fun (line, before, after) ->
+      compare
+        (Protocol.parse_request ~pos:(String.length before) ~len:(String.length line)
+           (before ^ line ^ after))
+        (Protocol.parse_request line)
+      = 0)
+
 (* .bhec texts: examples/matvec.bhec and the printed matvec surface. *)
 let bhec_seeds =
   lazy
@@ -1004,10 +1414,22 @@ let () =
             test_server_budget_is_transient;
           Alcotest.test_case "finished jobs past the window" `Quick test_server_finished_window;
         ] );
+      ( "inline",
+        [
+          Alcotest.test_case "answers = compile_text, counters as before" `Quick
+            test_server_inline_differential;
+          Alcotest.test_case "accepted precedes done" `Quick test_server_accepted_before_done;
+          Alcotest.test_case "queued jobs per connection are capped" `Quick test_server_queue_cap;
+          Alcotest.test_case "client closes after accepted" `Quick
+            test_server_client_closes_after_accepted;
+          Alcotest.test_case "client leaves a queued miss" `Quick
+            test_server_client_leaves_queued_miss;
+        ] );
       ( "mutation",
         [
           qtest prop_mutated_inputs_fail_cleanly;
           qtest prop_mutated_bhec_fail_cleanly;
+          qtest prop_request_in_place;
           Alcotest.test_case "overlong value id" `Quick test_overlong_value_id;
         ] );
     ]
