@@ -1013,7 +1013,8 @@ let kernels flags =
   let module Ntt = Hecate_support.Ntt in
   let module Pr = Hecate_support.Primes in
   let module Prng = Hecate_support.Prng in
-  let module K = Hecate_support.Kernels in
+  let module NR = Kernel_ref.Ntt_ref in
+  let module ER = Kernel_ref.Eval_ref in
   let module Buf = Hecate_support.Buf in
   let module PoolK = Hecate_support.Pool.Kernel in
   let module E = Hecate_ckks.Eval in
@@ -1072,18 +1073,17 @@ let kernels flags =
   let g = Prng.create ~seed:0xBA44E77 in
   (* modmul: element-wise modular product of two length-m residue vectors,
      measured through Ntt.pointwise_mul — the loop the kernels actually live
-     in — so the reference, which calls [Modarith.mul] per element, is
-     compared with the fast loop's hardware [mod] written in [Ntt]. *)
+     in — against the reference's Ntt_ref.pointwise_mul, which calls
+     [Modarith.mul] per element. *)
   let m = 4096 in
   let q = List.hd (Pr.ntt_primes ~bits:30 ~n:m ~count:1) in
   let mm_tbl = Ntt.make_table ~p:q ~n:m in
   let xs = Buf.init m (fun _ -> Prng.uniform_mod g q) in
   let ys = Buf.init m (fun _ -> Prng.uniform_mod g q) in
   let dst = Buf.create m in
-  let t_ref = K.with_naive true (fun () -> time (fun () -> Ntt.pointwise_mul mm_tbl dst xs ys)) in
-  let t_fast =
-    K.with_naive false (fun () -> time (fun () -> Ntt.pointwise_mul mm_tbl dst xs ys))
-  in
+  let mm_ref = NR.make_table ~p:q ~n:m in
+  let t_ref = time (fun () -> NR.pointwise_mul mm_ref dst xs ys) in
+  let t_fast = time (fun () -> Ntt.pointwise_mul mm_tbl dst xs ys) in
   record "modmul" "reference" ~n:m ~levels:0 (t_ref /. float_of_int m *. 1e9);
   record "modmul" "fast" ~n:m ~levels:0 (t_fast /. float_of_int m *. 1e9);
   (* (n, levels, big): the big-ring config exists to measure the hoisted
@@ -1100,9 +1100,9 @@ let kernels flags =
     (fun (n, levels, big) ->
       (* NTT forward transform: division-based reference vs Shoup butterflies *)
       let p = List.hd (Pr.ntt_primes ~bits:30 ~n ~count:1) in
-      let tbl = Ntt.make_table ~p ~n in
+      let tbl = Ntt.make_table ~p ~n and ref_tbl = NR.make_table ~p ~n in
       let a = Buf.init n (fun _ -> Prng.uniform_mod g p) in
-      record "ntt_forward" "reference" ~n ~levels:1 (time (fun () -> Ntt.forward_naive tbl a) *. 1e9);
+      record "ntt_forward" "reference" ~n ~levels:1 (time (fun () -> NR.forward ref_tbl a) *. 1e9);
       record "ntt_forward" "fast" ~n ~levels:1 (time (fun () -> Ntt.forward tbl a) *. 1e9);
       (* evaluator-level kernels at this ring degree and chain length *)
       let params = Hecate_ckks.Params.create ~n ~q0_bits:30 ~sf_bits:28 ~levels () in
@@ -1113,14 +1113,22 @@ let kernels flags =
       if not big then begin
         let d = Poly.to_coeff (ct : E.ciphertext).E.c1 in
         let relin = (E.keys eval : Hecate_ckks.Keys.t).Hecate_ckks.Keys.relin in
-        let bench_pair kernel f =
-          record kernel "reference" ~n ~levels:lc (K.with_naive true (fun () -> time f) *. 1e9);
-          record kernel "fast" ~n ~levels:lc (K.with_naive false (fun () -> time f) *. 1e9)
+        let rct = ER.of_eval ct in
+        let bench_pair kernel reference fast =
+          record kernel "reference" ~n ~levels:lc (time reference *. 1e9);
+          record kernel "fast" ~n ~levels:lc (time fast *. 1e9)
         in
-        bench_pair "keyswitch" (fun () -> ignore (E.keyswitch eval ~lc d relin));
-        bench_pair "cipher_mul" (fun () -> ignore (E.mul eval ct ct));
+        bench_pair "keyswitch"
+          (fun () -> ignore (ER.keyswitch eval ~lc d relin))
+          (fun () -> ignore (E.keyswitch eval ~lc d relin));
+        bench_pair "cipher_mul"
+          (fun () -> ignore (ER.mul eval rct rct))
+          (fun () -> ignore (E.mul eval ct ct));
         let sq = E.mul eval ct ct in
-        bench_pair "rescale" (fun () -> ignore (E.rescale eval sq))
+        let rsq = ER.of_eval sq in
+        bench_pair "rescale"
+          (fun () -> ignore (ER.rescale eval rsq))
+          (fun () -> ignore (E.rescale eval sq))
       end;
       (* algorithmic pairs: both variants run on the fast kernels; the
          "reference" leg is the per-rotation / unfused algorithm, the

@@ -1,7 +1,6 @@
 module Poly = Hecate_rns.Poly
 module Chain = Hecate_rns.Chain
 module Prng = Hecate_support.Prng
-module Kernels = Hecate_support.Kernels
 module Buf = Hecate_support.Buf
 
 type ciphertext = { c0 : Poly.t; c1 : Poly.t; scale : float; level : int }
@@ -131,34 +130,15 @@ let sub_plain _t ct pt =
    secret payload s', produce (p0, p1) over the same basis with
    p0 + p1*s ≈ d*s'. *)
 
-(* Reference implementation: allocates fresh polynomials for every digit
-   (lift, NTT, level-restricted key copies, products, accumulator sums).
-   Kept both as executable documentation and as the pre-optimization
-   baseline the bench and equivalence tests compare against. *)
-let keyswitch_reference t ~lc d (key : Keys.switch_key) =
-  let chain = t.params.Params.chain in
-  let acc0 = ref (Poly.zero chain ~level_count:lc ~with_special:true Poly.Eval) in
-  let acc1 = ref (Poly.zero chain ~level_count:lc ~with_special:true Poly.Eval) in
-  for i = 0 to lc - 1 do
-    let dig = Poly.to_eval (Poly.lift_digit d ~digit:i ~with_special:true) in
-    let k0 = Poly.restrict_levels key.Keys.k0.(i) ~level_count:lc in
-    let k1 = Poly.restrict_levels key.Keys.k1.(i) ~level_count:lc in
-    acc0 := Poly.add !acc0 (Poly.mul dig k0);
-    acc1 := Poly.add !acc1 (Poly.mul dig k1)
-  done;
-  let p0 = Poly.mod_down_special (Poly.to_coeff !acc0) in
-  let p1 = Poly.mod_down_special (Poly.to_coeff !acc1) in
-  (Poly.to_eval p0, Poly.to_eval p1)
-
-(* Fast path. [switch_sums] sums the digits against the full-level key
-   material (key_switch_add reads the key's matching components) with lazy
+(* [switch_sums] sums the digits against the full-level key material
+   (key_switch_add reads the key's matching components) with lazy
    reduction; [digit i] returns the Eval-domain digit [i] of the switched
    polynomial before the automorphism [galois] (1 for none). [mod_down]
    divides in Eval domain: per accumulator one inverse transform of the
-   special component and [lc] forward transforms of its lift, where the
-   Coeff round trip took [lc + 1] and [lc]. Every step is exact arithmetic
-   on canonical residues, so the pair is bit-identical to
-   [keyswitch_reference]. *)
+   special component and [lc] forward transforms of its lift, where a
+   Coeff round trip takes [lc + 1] and [lc]. Every step is exact arithmetic
+   on canonical residues, so the pair is bit-identical to summing reduced
+   products and dividing in Coeff domain. *)
 let switch_sums t ~lc ~galois digit (key : Keys.switch_key) =
   let chain = t.params.Params.chain in
   let acc0 = Poly.zero chain ~level_count:lc ~with_special:true Poly.Eval in
@@ -180,10 +160,9 @@ let scratch_digits t ~lc d =
     Poly.to_eval_inplace dig
 
 let keyswitch t ~lc d (key : Keys.switch_key) =
-  if Kernels.use_naive () then keyswitch_reference t ~lc d key
-  else mod_down (switch_sums t ~lc ~galois:1 (scratch_digits t ~lc d) key)
+  mod_down (switch_sums t ~lc ~galois:1 (scratch_digits t ~lc d) key)
 
-(* The fast product's parts before the relinearization mod-down:
+(* The product's parts before the relinearization mod-down:
    [d0 = a0 b0], [d1 = a0 b1 + a1 b0] and the extended-basis key-switch
    sums of [d2 = a1 b1]. *)
 let mul_parts t ~lc a b =
@@ -196,20 +175,11 @@ let mul_parts t ~lc a b =
 let mul t a b =
   check_binop "mul" a b;
   let lc = level_count t a.level in
-  if Kernels.use_naive () then begin
-    let d0 = Poly.mul a.c0 b.c0 in
-    let d1 = Poly.add (Poly.mul a.c0 b.c1) (Poly.mul a.c1 b.c0) in
-    let d2 = Poly.mul a.c1 b.c1 in
-    let p0, p1 = keyswitch t ~lc (Poly.to_coeff d2) t.keys.Keys.relin in
-    { c0 = Poly.add d0 p0; c1 = Poly.add d1 p1; scale = a.scale *. b.scale; level = a.level }
-  end
-  else begin
-    let d0, d1, sums = mul_parts t ~lc a b in
-    let p0, p1 = mod_down sums in
-    Poly.add_into ~dst:d0 d0 p0;
-    Poly.add_into ~dst:d1 d1 p1;
-    { c0 = d0; c1 = d1; scale = a.scale *. b.scale; level = a.level }
-  end
+  let d0, d1, sums = mul_parts t ~lc a b in
+  let p0, p1 = mod_down sums in
+  Poly.add_into ~dst:d0 d0 p0;
+  Poly.add_into ~dst:d1 d1 p1;
+  { c0 = d0; c1 = d1; scale = a.scale *. b.scale; level = a.level }
 
 let mul_plain _t ct pt =
   check_plain "mul_plain" ct pt;
@@ -220,21 +190,17 @@ let mul_plain _t ct pt =
     scale = ct.scale *. pt.pt_scale;
   }
 
-(* The fast path rescales in Eval domain (Poly.rescale_last): one inverse
-   and [lc - 1] forward transforms per polynomial instead of [lc] and
-   [lc - 1], bit-identical to the Coeff round trip the reference takes. *)
+(* Rescales in Eval domain (Poly.rescale_last): one inverse and [lc - 1]
+   forward transforms per polynomial instead of [lc] and [lc - 1],
+   bit-identical to a Coeff round trip. *)
 let rescale t ct =
   if ct.level >= max_level t then
     raise (Level_mismatch "Eval.rescale: no rescaling prime remains");
   let lc = level_count t ct.level in
   let dropped_prime = Chain.prime t.params.Params.chain (lc - 1) in
-  let rescale_poly p =
-    if Kernels.use_naive () then Poly.to_eval_inplace (Poly.rescale_last (Poly.to_coeff p))
-    else Poly.rescale_last p
-  in
   {
-    c0 = rescale_poly ct.c0;
-    c1 = rescale_poly ct.c1;
+    c0 = Poly.rescale_last ct.c0;
+    c1 = Poly.rescale_last ct.c1;
     scale = ct.scale /. float_of_int dropped_prime;
     level = ct.level + 1;
   }
@@ -244,25 +210,20 @@ let rescale t ct =
    forward transform of a lift per kept modulus. Poly.mod_down_rescale
    adds the two lifts before transforming them, so the pair costs one
    forward transform per kept modulus instead of two: [2 lc] fewer
-   transforms than [rescale t (mul t a b)], to which it is bit-identical.
-   That composition remains the reference (and the naive-kernel
-   branch). *)
+   transforms than [rescale t (mul t a b)], to which it is bit-identical. *)
 let mul_rescale t a b =
   check_binop "mul_rescale" a b;
   if a.level >= max_level t then
     raise (Level_mismatch "Eval.mul_rescale: no rescaling prime remains");
-  if Kernels.use_naive () then rescale t (mul t a b)
-  else begin
-    let lc = level_count t a.level in
-    let d0, d1, (acc0, acc1) = mul_parts t ~lc a b in
-    let dropped_prime = Chain.prime t.params.Params.chain (lc - 1) in
-    {
-      c0 = Poly.mod_down_rescale acc0 ~plus:d0;
-      c1 = Poly.mod_down_rescale acc1 ~plus:d1;
-      scale = a.scale *. b.scale /. float_of_int dropped_prime;
-      level = a.level + 1;
-    }
-  end
+  let lc = level_count t a.level in
+  let d0, d1, (acc0, acc1) = mul_parts t ~lc a b in
+  let dropped_prime = Chain.prime t.params.Params.chain (lc - 1) in
+  {
+    c0 = Poly.mod_down_rescale acc0 ~plus:d0;
+    c1 = Poly.mod_down_rescale acc1 ~plus:d1;
+    scale = a.scale *. b.scale /. float_of_int dropped_prime;
+    level = a.level + 1;
+  }
 
 let mod_switch t ct =
   if ct.level >= max_level t then
@@ -304,8 +265,8 @@ let rotated t ct ~lc ~galois digit =
    lift), and on Eval-domain vectors the automorphism is the pure slot
    permutation {!Poly.automorphism_eval}. [c0] is permuted in Eval domain
    too, so a rotation pays no Coeff round trip beyond the digit
-   decomposition of [c1]. Bit-identical to the reference, which
-   key-switches the Coeff-domain automorphism of [c1]. *)
+   decomposition of [c1]. Bit-identical to key-switching the Coeff-domain
+   automorphism of [c1]. *)
 let rotate t ct r =
   let half = t.params.Params.n / 2 in
   let r = ((r mod half) + half) mod half in
@@ -313,14 +274,7 @@ let rotate t ct r =
   else begin
     let g = Encoder.galois_element t.encoder ~rotation:r in
     let lc = level_count t ct.level in
-    if Kernels.use_naive () then begin
-      let key = Keys.galois_key t.keys g in
-      let c0r = Poly.automorphism (Poly.to_coeff ct.c0) ~galois:g in
-      let c1r = Poly.automorphism (Poly.to_coeff ct.c1) ~galois:g in
-      let p0, p1 = keyswitch_reference t ~lc c1r key in
-      { ct with c0 = Poly.add (Poly.to_eval c0r) p0; c1 = p1 }
-    end
-    else rotated t ct ~lc ~galois:g (scratch_digits t ~lc (Poly.to_coeff ct.c1))
+    rotated t ct ~lc ~galois:g (scratch_digits t ~lc (Poly.to_coeff ct.c1))
   end
 
 (* Hoisted rotation fan (Halevi–Shoup hoisting): every rotation of the same
@@ -330,12 +284,12 @@ let rotate t ct r =
    not depend on the rotation amount. So: decompose once, then per rotation
    read the cached Eval-domain digits through that rotation's permutation.
    The digit sums run in the same order as {!rotate}'s, so every output
-   residue is bit-identical to the per-rotation path — [rotate] stays the
-   reference oracle, and the naive-kernel branch simply calls it. *)
+   residue is bit-identical to the per-rotation path, which fans of fewer
+   than two non-trivial amounts take. *)
 let rotate_many t ct rs =
   let half = t.params.Params.n / 2 in
   let norm r = ((r mod half) + half) mod half in
-  if Kernels.use_naive () || List.length (List.filter (fun r -> norm r <> 0) rs) < 2 then
+  if List.length (List.filter (fun r -> norm r <> 0) rs) < 2 then
     List.map (rotate t ct) rs
   else begin
     let lc = level_count t ct.level in

@@ -72,8 +72,7 @@ val mul_rescale : t -> ciphertext -> ciphertext -> ciphertext
     fuses the relinearization mod-down with the rescale
     ({!Hecate_rns.Poly.mod_down_rescale}): both divisions share one forward
     transform per kept modulus, saving [2 lc] transforms per ciphertext
-    multiplication at [lc] chain primes. Under naive kernels it runs the
-    unfused reference sequence.
+    multiplication at [lc] chain primes.
     @raise Level_mismatch when no rescaling prime remains. *)
 
 val mod_switch : t -> ciphertext -> ciphertext
@@ -106,8 +105,8 @@ val rotate_many : t -> ciphertext -> int list -> ciphertext list
     [ct] and shared by all rotations, each of which only permutes the
     cached Eval-domain digits (read through each rotation's slot
     permutation, not copied). Every result is bit-identical to the
-    corresponding [rotate t ct r]; with naive kernels (or fewer than two
-    non-trivial amounts) it simply maps {!rotate}. *)
+    corresponding [rotate t ct r]; with fewer than two non-trivial amounts
+    it simply maps {!rotate}. *)
 
 val keyswitch :
   t ->
@@ -118,8 +117,8 @@ val keyswitch :
 (** [keyswitch t ~lc d key]: hybrid key switching of the [Coeff]-domain
     polynomial [d] (over the first [lc] chain primes) against [key],
     returning [(p0, p1)] in [Eval] domain with [p0 + p1*s ≈ d*s'] where
-    [s'] is the key's secret payload. The fast path sums the digit
-    products with lazy reduction and divides by the special prime in
-    [Eval] domain; both are bit-identical to the reference kernels' Coeff
-    round trip. Exposed for the kernel microbenchmarks; [mul] and
+    [s'] is the key's secret payload. It sums the digit products with
+    lazy reduction and divides by the special prime in [Eval] domain;
+    both are bit-identical to reducing every product and dividing in
+    [Coeff] domain. Exposed for the kernel microbenchmarks; [mul] and
     [rotate] share its code. *)

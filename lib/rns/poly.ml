@@ -1,7 +1,6 @@
 module M = Hecate_support.Modarith
 module Ntt = Hecate_support.Ntt
 module Bigint = Hecate_support.Bigint
-module Kernels = Hecate_support.Kernels
 module Pool = Hecate_support.Pool
 module Buf = Hecate_support.Buf
 
@@ -31,16 +30,12 @@ let table_at p i =
 
 (* Independent per-RNS-component loops fan out over the shared kernel pool
    when it is enabled and the ring is large enough that a component's work
-   dwarfs the dispatch cost; below the threshold (or in reference-kernel
-   mode) they stay serial. Either way the output is bit-identical. *)
+   dwarfs the dispatch cost; below the threshold they stay serial. Either
+   way the output is bit-identical. *)
 let parallel_min_degree = 4096
 
 let kernel_par comps degree f =
-  if
-    comps > 1 && degree >= parallel_min_degree
-    && (not (Kernels.use_naive ()))
-    && Pool.Kernel.jobs () > 1
-  then Pool.Kernel.parallel_for comps f
+  if comps > 1 && degree >= parallel_min_degree && Pool.Kernel.jobs () > 1 then Pool.Kernel.parallel_for comps f
   else
     for i = 0 to comps - 1 do
       f i
@@ -135,12 +130,7 @@ let neg a =
       done);
   out
 
-let mul_loop_naive q da db dst =
-  for t = 0 to Buf.length da - 1 do
-    Buf.set dst t (M.mul ~q (Buf.get da t) (Buf.get db t))
-  done
-
-(* Fast loops use unchecked accesses: every residue view of a polynomial
+(* Element loops use unchecked accesses: every residue view of a polynomial
    has length [Chain.degree] by construction, and [check_compatible] has
    already matched the operands' chains. They reduce with a hardware [mod]
    written here rather than a call into [Modarith]: dune's default profile
@@ -161,13 +151,8 @@ let mul a b =
   check_eval "mul" a b;
   check_compatible "mul" a b;
   let out = alloc_like a in
-  if Kernels.use_naive () then
-    for i = 0 to component_count a - 1 do
-      mul_loop_naive (modulus_at a i) a.data.(i) b.data.(i) out.data.(i)
-    done
-  else
-    kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
-        mul_loop (modulus_at a i) a.data.(i) b.data.(i) out.data.(i));
+  kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
+      mul_loop (modulus_at a i) a.data.(i) b.data.(i) out.data.(i));
   out
 
 let mul_into ~dst a b =
@@ -239,20 +224,11 @@ let key_switch_add ~acc0 ~acc1 dig ~k0 ~k1 ~galois ~term ~terms =
         done)
 
 let scalar_mul_loop p i k out =
-  if Kernels.use_naive () then begin
-    let q = modulus_at p i in
-    let dst = out.data.(i) and src = p.data.(i) in
-    for t = 0 to Buf.length src - 1 do
-      Buf.set dst t (M.mul ~q (Buf.get src t) k)
-    done
-  end
-  else begin
-    let q = modulus_at p i in
-    let dst = out.data.(i) and src = p.data.(i) in
-    for t = 0 to Buf.length src - 1 do
-      Buf.unsafe_set dst t (Buf.unsafe_get src t * k mod q)
-    done
-  end
+  let q = modulus_at p i in
+  let dst = out.data.(i) and src = p.data.(i) in
+  for t = 0 to Buf.length src - 1 do
+    Buf.unsafe_set dst t (Buf.unsafe_get src t * k mod q)
+  done
 
 let mul_scalar a c =
   if c < 0 then invalid_arg "Poly.mul_scalar: negative scalar";
@@ -356,11 +332,6 @@ let lift_loop ~q_from ~q src dst =
       Buf.unsafe_set dst t (r + (r asr 62 land q))
     done
 
-let lift_loop_naive ~q_from ~q src dst =
-  for t = 0 to Buf.length src - 1 do
-    Buf.set dst t (M.reduce ~q (M.to_centered ~q:q_from (Buf.get src t)))
-  done
-
 (* Divide by the modulus of component [count] with centered rounding and
    drop it (and everything above it):
 
@@ -386,22 +357,15 @@ let divide_last p ~count ~inv =
         b
   in
   let out = zero p.chain ~level_count:count ~with_special:false p.domain in
-  let naive = Kernels.use_naive () in
   kernel_par count n (fun i ->
       let q = Chain.prime p.chain i and inv = inv i in
       let src = p.data.(i) and dst = out.data.(i) in
-      if naive then lift_loop_naive ~q_from:q_last ~q last dst
-      else lift_loop ~q_from:q_last ~q last dst;
+      lift_loop ~q_from:q_last ~q last dst;
       if p.domain = Eval then Ntt.forward (Chain.table p.chain i) dst;
-      if naive then
-        for t = 0 to n - 1 do
-          Buf.set dst t (M.mul ~q (M.sub ~q (Buf.get src t) (Buf.get dst t)) inv)
-        done
-      else
-        for t = 0 to n - 1 do
-          let d = Buf.unsafe_get src t - Buf.unsafe_get dst t in
-          Buf.unsafe_set dst t ((d + (d asr 62 land q)) * inv mod q)
-        done);
+      for t = 0 to n - 1 do
+        let d = Buf.unsafe_get src t - Buf.unsafe_get dst t in
+        Buf.unsafe_set dst t ((d + (d asr 62 land q)) * inv mod q)
+      done);
   out
 
 let rescale_last p =
@@ -482,9 +446,8 @@ let mod_down_rescale acc ~plus:d =
 let lift_digit_loop ~dst p ~digit =
   let q_from = Chain.prime p.chain digit in
   let src = p.data.(digit) in
-  let loop = if Kernels.use_naive () then lift_loop_naive else lift_loop in
   kernel_par (component_count dst) (Chain.degree p.chain) (fun i ->
-      loop ~q_from ~q:(modulus_at dst i) src dst.data.(i))
+      lift_loop ~q_from ~q:(modulus_at dst i) src dst.data.(i))
 
 let check_lift name p ~digit =
   if p.domain <> Coeff then invalid_arg ("Poly." ^ name ^ ": operand must be in Coeff domain");
@@ -524,21 +487,15 @@ let crt_reconstruct_centered p =
   let q_prod = Chain.modulus_product p.chain ~upto:k in
   let out = Array.make n 0. in
   let digits = Array.make k 0 in
-  let naive = Kernels.use_naive () in
   for t = 0 to n - 1 do
     (* Garner mixed-radix digits *)
     for i = 0 to k - 1 do
       let q = Chain.prime p.chain i in
       let u = ref (Buf.get p.data.(i) t) in
-      if naive then
-        for j = 0 to i - 1 do
-          u := M.mul ~q (M.sub ~q !u (M.reduce ~q digits.(j))) (Chain.garner_inv p.chain i j)
-        done
-      else
-        for j = 0 to i - 1 do
-          let d = !u - (digits.(j) mod q) in
-          u := (d + (d asr 62 land q)) * Chain.garner_inv p.chain i j mod q
-        done;
+      for j = 0 to i - 1 do
+        let d = !u - (digits.(j) mod q) in
+        u := (d + (d asr 62 land q)) * Chain.garner_inv p.chain i j mod q
+      done;
       digits.(i) <- !u
     done;
     (* Horner accumulation from most significant digit *)

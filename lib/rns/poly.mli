@@ -157,9 +157,7 @@ val mod_down_rescale : t -> plus:t -> t
     [>= 2]), bit for bit, with the two divisions sharing their forward
     transforms: one forward transform per kept modulus and two inverse
     transforms, against [2 level_count - 1] forward and two inverse for
-    the composition. The tail of a fused multiply-and-rescale. Uses the
-    fast kernels whatever {!Hecate_support.Kernels.use_naive} says; the
-    composition is the reference. *)
+    the composition. The tail of a fused multiply-and-rescale. *)
 
 val lift_digit : t -> digit:int -> with_special:bool -> t
 (** [lift_digit p ~digit:i ~with_special] extracts the RNS digit [i] (the

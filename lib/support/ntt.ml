@@ -54,11 +54,10 @@ let make_table ~p ~n =
 
 (* Longa–Naehrig iterative negacyclic NTT (CT butterflies, decimation in
    time), with the psi powers folded into the twiddles so no pre/post scaling
-   by psi^i is needed. The [*_naive] variants reduce with hardware division
-   and are kept as the validation/benchmark reference; the default paths use
-   Shoup twiddle multiplication, whose estimated quotient leaves the product
-   in [0, 2p) (see docs/PERFORMANCE.md) — one conditional subtraction
-   canonicalizes, so the butterflies contain no division instruction.
+   by psi^i is needed. The butterflies use Shoup twiddle multiplication,
+   whose estimated quotient leaves the product in [0, 2p) (see
+   docs/PERFORMANCE.md) — one conditional subtraction canonicalizes, so
+   they contain no division instruction.
 
    Residue vectors are [Buf.t] (unboxed Bigarray storage, see buf.mli):
    the GC never scans the coefficient payload, and [Buf.unsafe_get]/
@@ -68,55 +67,10 @@ let make_table ~p ~n =
 let check_length name t a =
   if Buf.length a <> t.n then invalid_arg ("Ntt." ^ name ^ ": wrong length")
 
-let forward_naive t a =
-  let p = t.p and n = t.n in
-  check_length "forward" t a;
-  let tlen = ref n and m = ref 1 in
-  while !m < n do
-    tlen := !tlen / 2;
-    for i = 0 to !m - 1 do
-      let j1 = 2 * i * !tlen in
-      let j2 = j1 + !tlen - 1 in
-      let s = t.psi_rev.(!m + i) in
-      for j = j1 to j2 do
-        let u = Buf.get a j in
-        let v = Modarith.mul ~q:p (Buf.get a (j + !tlen)) s in
-        Buf.set a j (Modarith.add ~q:p u v);
-        Buf.set a (j + !tlen) (Modarith.sub ~q:p u v)
-      done
-    done;
-    m := !m * 2
-  done
-
-let inverse_naive t a =
-  let p = t.p and n = t.n in
-  check_length "inverse" t a;
-  let tlen = ref 1 and m = ref n in
-  while !m > 1 do
-    let j1 = ref 0 in
-    let h = !m / 2 in
-    for i = 0 to h - 1 do
-      let j2 = !j1 + !tlen - 1 in
-      let s = t.psi_inv_rev.(h + i) in
-      for j = !j1 to j2 do
-        let u = Buf.get a j in
-        let v = Buf.get a (j + !tlen) in
-        Buf.set a j (Modarith.add ~q:p u v);
-        Buf.set a (j + !tlen) (Modarith.mul ~q:p (Modarith.sub ~q:p u v) s)
-      done;
-      j1 := !j1 + (2 * !tlen)
-    done;
-    tlen := !tlen * 2;
-    m := h
-  done;
-  for i = 0 to n - 1 do
-    Buf.set a i (Modarith.mul ~q:p (Buf.get a i) t.n_inv)
-  done
-
-(* The fast paths use unchecked accesses: every index is bounded by the loop
+(* The transforms use unchecked accesses: every index is bounded by the loop
    structure once [check_length] has validated the input, and the
    butterflies are branch-light enough that bounds checks would dominate. *)
-let forward_fast t a =
+let forward t a =
   let p = t.p and n = t.n in
   check_length "forward" t a;
   let psi = t.psi_rev and psi' = t.psi_rev_shoup in
@@ -143,7 +97,7 @@ let forward_fast t a =
     m := !m * 2
   done
 
-let inverse_fast t a =
+let inverse t a =
   let p = t.p and n = t.n in
   check_length "inverse" t a;
   let psi = t.psi_inv_rev and psi' = t.psi_inv_rev_shoup in
@@ -178,32 +132,12 @@ let inverse_fast t a =
     Buf.unsafe_set a i (w + (w asr 62 land p))
   done
 
-let forward t a = if Kernels.use_naive () then forward_naive t a else forward_fast t a
-let inverse t a = if Kernels.use_naive () then inverse_naive t a else inverse_fast t a
-
+(* a hardware [mod] in this module: no call per element (see Poly) *)
 let pointwise_mul t dst a b =
-  if Kernels.use_naive () then begin
-    let p = t.p in
-    for i = 0 to t.n - 1 do
-      Buf.set dst i (Modarith.mul ~q:p (Buf.get a i) (Buf.get b i))
-    done
-  end
-  else begin
-    (* a hardware [mod] in this module: no call per element (see Poly) *)
-    let p = t.p in
-    for i = 0 to t.n - 1 do
-      Buf.unsafe_set dst i (Buf.unsafe_get a i * Buf.unsafe_get b i mod p)
-    done
-  end
-
-let negacyclic_mul t a b =
-  let fa = Buf.copy a and fb = Buf.copy b in
-  forward t fa;
-  forward t fb;
-  let dst = Buf.create t.n in
-  pointwise_mul t dst fa fb;
-  inverse t dst;
-  dst
+  let p = t.p in
+  for i = 0 to t.n - 1 do
+    Buf.unsafe_set dst i (Buf.unsafe_get a i * Buf.unsafe_get b i mod p)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation-domain Galois permutations                               *)
@@ -243,7 +177,7 @@ let slot_exponents t =
       done;
       let x = Buf.create n in
       if n > 1 then Buf.set x 1 1 else Buf.set x 0 1;
-      forward_naive t x;
+      forward t x;
       let e =
         Array.init n (fun j ->
             match Hashtbl.find_opt dlog (Buf.get x j) with

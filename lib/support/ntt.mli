@@ -9,12 +9,8 @@
     Residue vectors are {!Buf.t} — unboxed Bigarray storage the GC never
     scans (see buf.mli); transforms mutate them in place.
 
-    The default {!forward}/{!inverse} butterflies use Shoup multiplication
-    and contain no division instruction; the [*_naive] entry points are the
-    division-based reference used for validation and the [bench kernels]
-    before/after comparison. Both produce bit-identical canonical output.
-    When {!Kernels.use_naive} is set, {!forward}/{!inverse} dispatch to the
-    reference path. *)
+    The {!forward}/{!inverse} butterflies use Shoup multiplication and
+    contain no division instruction. *)
 
 type table
 (** Precomputed twiddle factors for one (prime, degree) pair. *)
@@ -34,21 +30,9 @@ val forward : table -> Buf.t -> unit
 val inverse : table -> Buf.t -> unit
 (** In-place inverse transform; [inverse t (forward t a) = a]. *)
 
-val forward_naive : table -> Buf.t -> unit
-(** Division-based reference forward transform (bit-identical to
-    {!forward}). *)
-
-val inverse_naive : table -> Buf.t -> unit
-(** Division-based reference inverse transform (bit-identical to
-    {!inverse}). *)
-
 val pointwise_mul : table -> Buf.t -> Buf.t -> Buf.t -> unit
 (** [pointwise_mul t dst a b] sets [dst.(i) <- a.(i) * b.(i) mod p]. [dst]
     may alias [a] or [b]. *)
-
-val negacyclic_mul : table -> Buf.t -> Buf.t -> Buf.t
-(** Reference entry point: full negacyclic polynomial product of two
-    coefficient vectors (allocates; transforms copies). *)
 
 val galois_perm : table -> galois:int -> int array
 (** [galois_perm t ~galois:g] is the slot permutation the automorphism

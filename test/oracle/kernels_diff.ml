@@ -19,7 +19,7 @@ let () =
           let t0 = Unix.gettimeofday () in
           match Kernel_check.check_program ~seed Hecate.Driver.Pars name with
           | Ok outputs ->
-              Printf.printf "%-10s seed %-6d %2d outputs: same bits under both kernels %6.1f s\n%!"
+              Printf.printf "%-10s seed %-6d %2d outputs: same bits as the reference kernels %6.1f s\n%!"
                 name seed outputs
                 (Unix.gettimeofday () -. t0)
           | Error msg ->

@@ -76,7 +76,7 @@ let check_eval ?(encryptions = 3) ~seed ~rotations eval =
           let v = Array.init (Params.slots params) (fun _ -> Random.State.float draws 2. -. 1.) in
           let pt = Eval.encode eval ~level:0 ~scale:(2. ** float_of_int params.Params.sf_bits) v in
           let ct = Eval.encrypt eval pt in
-          let c0, c1 = Keygen_ref.encrypt (Eval.keys eval) rng pt in
+          let c0, c1 = Keygen_ref.encrypt (Eval.keys eval) rng pt.Eval.poly in
           if not (Poly.equal c0 ct.Eval.c0 && Poly.equal c1 ct.Eval.c1) then
             Error (Printf.sprintf "seed %d: ciphertext %d differs" seed i)
           else go (i + 1)

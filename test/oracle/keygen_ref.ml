@@ -1,16 +1,18 @@
 (* Key generation and encryption as they were before the sampler and the
    switch keys were rebuilt for speed: every draw goes through [Prng_ref]
    (the old boxed-state generator, kept verbatim) and every key is
-   assembled from allocating [Poly] operations. Kept as the differential
-   oracle for [Keys.generate] and [Eval.encrypt], which must produce
-   byte-identical key material and ciphertexts from the same seeds. *)
+   assembled from allocating [Poly] operations, with the products and
+   transforms of the reference kernels ([Poly_ref]). Kept as the
+   differential oracle for [Keys.generate] and [Eval.encrypt], which must
+   produce byte-identical key material and ciphertexts from the same
+   seeds. *)
 
 module Poly = Hecate_rns.Poly
 module Chain = Hecate_rns.Chain
 module Params = Hecate_ckks.Params
 module Keys = Hecate_ckks.Keys
-module Eval = Hecate_ckks.Eval
 module Prng = Prng_ref
+module R = Kernel_ref.Poly_ref
 
 type switch_key = { k0 : Poly.t array; k1 : Poly.t array }
 
@@ -45,7 +47,7 @@ let error_poly g params chain ~level_count ~with_special =
   let coeffs =
     Array.init n (fun _ -> Prng.centered_binomial g ~eta:params.Params.error_sigma_eta)
   in
-  Poly.to_eval_inplace (Poly.of_centered_coeffs chain ~level_count ~with_special coeffs)
+  R.to_eval (Poly.of_centered_coeffs chain ~level_count ~with_special coeffs)
 
 let ternary_coeffs g n = Array.init n (fun _ -> Prng.ternary g)
 
@@ -64,8 +66,8 @@ let make_switch_key g params ~s_full_sp ~payload =
           Hecate_support.Modarith.mul ~q:m (sp mod m)
             (Chain.gadget_weight chain ~digit:i ~modulus_index:j))
     in
-    let gadget = Poly.mul_component_scalars payload factors in
-    let b = Poly.add (Poly.add (Poly.neg (Poly.mul a s_full_sp)) e) gadget in
+    let gadget = R.mul_component_scalars payload factors in
+    let b = Poly.add (Poly.add (Poly.neg (R.mul a s_full_sp)) e) gadget in
     k0.(i) <- b;
     k1.(i) <- a
   done;
@@ -78,19 +80,19 @@ let generate ?(seed = 0x5EC4E7) params ~galois_elements =
   let g = Prng.create ~seed in
   let secret_coeffs = ternary_coeffs g n in
   let s_full =
-    Poly.to_eval_inplace
+    R.to_eval
       (Poly.of_centered_coeffs chain ~level_count:l ~with_special:false secret_coeffs)
   in
   let s_full_sp =
-    Poly.to_eval_inplace
+    R.to_eval
       (Poly.of_centered_coeffs chain ~level_count:l ~with_special:true secret_coeffs)
   in
   (* public key *)
   let a = uniform_poly g chain ~level_count:l ~with_special:false in
   let e = error_poly g params chain ~level_count:l ~with_special:false in
-  let public0 = Poly.add (Poly.neg (Poly.mul a s_full)) e in
+  let public0 = Poly.add (Poly.neg (R.mul a s_full)) e in
   (* relinearization key encrypts P * w_i * s^2 *)
-  let s_squared = Poly.mul s_full_sp s_full_sp in
+  let s_squared = R.mul s_full_sp s_full_sp in
   let relin = make_switch_key g params ~s_full_sp ~payload:s_squared in
   (* rotation keys encrypt P * w_i * sigma_g(s) *)
   let galois = Hashtbl.create 8 in
@@ -98,7 +100,7 @@ let generate ?(seed = 0x5EC4E7) params ~galois_elements =
     (fun elt ->
       if not (Hashtbl.mem galois elt) then begin
         let s_rot =
-          Poly.to_eval_inplace
+          R.to_eval
             (Poly.automorphism
                (Poly.of_centered_coeffs chain ~level_count:l ~with_special:true secret_coeffs)
                ~galois:elt)
@@ -114,7 +116,7 @@ let generate ?(seed = 0x5EC4E7) params ~galois_elements =
 
 let ternary_poly g chain ~level_count =
   let coeffs = Array.init (Chain.degree chain) (fun _ -> Prng.ternary g) in
-  Poly.to_eval_inplace (Poly.of_centered_coeffs chain ~level_count ~with_special:false coeffs)
+  R.to_eval (Poly.of_centered_coeffs chain ~level_count ~with_special:false coeffs)
 
 let error_poly_eval (params : Params.t) g ~level_count =
   let chain = params.Params.chain in
@@ -122,17 +124,18 @@ let error_poly_eval (params : Params.t) g ~level_count =
     Array.init (Chain.degree chain) (fun _ ->
         Prng.centered_binomial g ~eta:params.Params.error_sigma_eta)
   in
-  Poly.to_eval_inplace (Poly.of_centered_coeffs chain ~level_count ~with_special:false coeffs)
+  R.to_eval (Poly.of_centered_coeffs chain ~level_count ~with_special:false coeffs)
 
-(* [Eval.encrypt] with the context's encryption generator passed in: an
-   evaluator made by [Eval.create ~seed] draws from
-   [Prng_ref.create ~seed:(seed lxor 0x7E57)]. Returns [(c0, c1)]. *)
-let encrypt (keys : Keys.t) enc_rng (pt : Eval.plaintext) =
+(* [Eval.encrypt] of the Eval-domain plaintext polynomial [pt] with the
+   context's encryption generator passed in: an evaluator made by
+   [Eval.create ~seed] draws from [Prng_ref.create ~seed:(seed lxor
+   0x7E57)]. Returns [(c0, c1)]. *)
+let encrypt (keys : Keys.t) enc_rng pt =
   let params = keys.Keys.params in
   let lc = Chain.length params.Params.chain in
   let u = ternary_poly enc_rng params.Params.chain ~level_count:lc in
   let e0 = error_poly_eval params enc_rng ~level_count:lc in
   let e1 = error_poly_eval params enc_rng ~level_count:lc in
-  let c0 = Poly.add (Poly.add (Poly.mul keys.Keys.public0 u) e0) pt.Eval.poly in
-  let c1 = Poly.add (Poly.mul keys.Keys.public1 u) e1 in
+  let c0 = Poly.add (Poly.add (R.mul keys.Keys.public0 u) e0) pt in
+  let c1 = Poly.add (R.mul keys.Keys.public1 u) e1 in
   (c0, c1)

@@ -1,8 +1,9 @@
 (* Whole-program differential test of the fast kernels: the one-shot
    programs (SF, HCD, MLP and the lowered batch matvec) at their HECATE
-   plans, executed from the same seed under fast and under reference
-   kernels, decrypt to the same bits. LeNet-r's and PR E2's PARS plans
-   take longer; the nightly CI job runs them through kernels_diff.exe. *)
+   plans, executed through [Interp] and through the reference kernels
+   from the same seed, decrypt to the same bits. LeNet-r's and PR E2's
+   PARS plans take longer; the nightly CI job runs them through
+   kernels_diff.exe. *)
 
 let test_oneshot_programs () =
   List.iter
@@ -15,6 +16,20 @@ let test_oneshot_programs () =
         [ 1; 0x5EED ])
     [ "SF"; "HCD"; "MLP"; "matvec" ]
 
+(* The harness can fail: a reference side that encrypts from another seed
+   decrypts to other bits, and the check must say so. *)
+let test_perturbed_reference_reported () =
+  match Kernel_check.check_program ~reference_seed:2 ~seed:1 Hecate.Driver.Hecate "SF" with
+  | Ok _ -> Alcotest.fail "a reference encrypting from another seed passed the check"
+  | Error msg -> Alcotest.(check string) "first difference" "SF seed 1: output 0 differs" msg
+
 let () =
   Alcotest.run "fast_kernels"
-    [ ("whole program", [ Alcotest.test_case "oneshot programs" `Quick test_oneshot_programs ]) ]
+    [
+      ( "whole program",
+        [
+          Alcotest.test_case "oneshot programs" `Quick test_oneshot_programs;
+          Alcotest.test_case "perturbed reference reported" `Quick
+            test_perturbed_reference_reported;
+        ] );
+    ]

@@ -8,6 +8,7 @@ module Poly = Hecate_rns.Poly
 module Chain = Hecate_rns.Chain
 module Prng = Hecate_support.Prng
 module Stats = Hecate_support.Stats
+module Ref = Kernel_ref.Eval_ref
 
 let check = Alcotest.check
 
@@ -319,38 +320,38 @@ let test_mul_faster_at_higher_level () =
 (* Fast kernels vs naive reference                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* [reference] (a reference-kernel result) and [fast] hold the same
+   residues and scale. *)
+let same_ct name (reference : Ref.ciphertext) (fast : Eval.ciphertext) =
+  check Alcotest.bool (name ^ " c0") true (Poly.equal reference.Ref.c0 fast.Eval.c0);
+  check Alcotest.bool (name ^ " c1") true (Poly.equal reference.Ref.c1 fast.Eval.c1);
+  check (Alcotest.float 0.) (name ^ " scale") reference.Ref.scale fast.Eval.scale
+
 (* The fast (Shoup, lazily reduced, Eval-domain) evaluator paths must be
-   bit-identical to the naive division-based reference on the same inputs.
-   All the ops below are deterministic given the ciphertext, so we can run
-   each twice under the kernel toggle and compare residue-for-residue. *)
-let test_eval_fast_matches_naive () =
-  let module K = Hecate_support.Kernels in
+   bit-identical to the division-based reference kernels (Eval_ref in
+   test/oracle) on the same inputs, residue for residue. *)
+let test_eval_fast_matches_reference () =
   let t = Lazy.force ctx in
   let a = random_vector 131 512 and b = random_vector 137 512 in
   let ca = Eval.encrypt_vector t ~scale:scale20 a in
   let cb = Eval.encrypt_vector t ~scale:scale20 b in
-  let ct_equal name x y =
-    check Alcotest.bool (name ^ " c0") true (Poly.equal x.Eval.c0 y.Eval.c0);
-    check Alcotest.bool (name ^ " c1") true (Poly.equal x.Eval.c1 y.Eval.c1)
-  in
-  let pair f = (K.with_naive true f, K.with_naive false f) in
-  let mul_naive, mul_fast = pair (fun () -> Eval.mul t ca cb) in
-  ct_equal "mul" mul_naive mul_fast;
-  let rs_naive, rs_fast = pair (fun () -> Eval.rescale t mul_naive) in
-  ct_equal "rescale" rs_naive rs_fast;
-  let rot_naive, rot_fast = pair (fun () -> Eval.rotate t ca 3) in
-  ct_equal "rotate" rot_naive rot_fast;
+  let ra = Ref.of_eval ca and rb = Ref.of_eval cb in
+  let mul_ref = Ref.mul t ra rb and mul_fast = Eval.mul t ca cb in
+  same_ct "mul" mul_ref mul_fast;
+  let rs_fast = Eval.rescale t mul_fast in
+  same_ct "rescale" (Ref.rescale t mul_ref) rs_fast;
+  same_ct "rotate" (Ref.rotate t ra 3) (Eval.rotate t ca 3);
   (* raw keyswitch on the c1 component against the relinearization key *)
   let p = Lazy.force params in
   let lc = Chain.length p.Params.chain in
   let d = Poly.to_coeff ca.Eval.c1 in
   let relin = (Eval.keys t).Hecate_ckks.Keys.relin in
-  let ks_naive, ks_fast = pair (fun () -> Eval.keyswitch t ~lc d relin) in
-  check Alcotest.bool "keyswitch fst" true (Poly.equal (fst ks_naive) (fst ks_fast));
-  check Alcotest.bool "keyswitch snd" true (Poly.equal (snd ks_naive) (snd ks_fast));
+  let ks_ref = Ref.keyswitch t ~lc d relin and ks_fast = Eval.keyswitch t ~lc d relin in
+  check Alcotest.bool "keyswitch fst" true (Poly.equal (fst ks_ref) (fst ks_fast));
+  check Alcotest.bool "keyswitch snd" true (Poly.equal (snd ks_ref) (snd ks_fast));
   (* and the decrypted values agree end to end *)
-  let dec_naive, dec_fast = pair (fun () -> Eval.decrypt t rs_fast) in
-  check Alcotest.bool "decrypt" true (Stats.max_abs_diff dec_naive dec_fast = 0.)
+  let dec_ref = Ref.decrypt t (Ref.of_eval rs_fast) and dec_fast = Eval.decrypt t rs_fast in
+  check Alcotest.bool "decrypt" true (Stats.max_abs_diff dec_ref dec_fast = 0.)
 
 (* Hoisting shares one digit decomposition across a rotation fan; the
    result must nevertheless be bit-identical to repeated single-rotation
@@ -370,22 +371,16 @@ let test_rotate_many_matches_rotate () =
       check Alcotest.bool (name ^ " c1") true (Poly.equal h.Eval.c1 s.Eval.c1))
     (List.combine hoisted single)
 
-(* ... and the fast hoisted path must match the naive-kernel oracle,
-   which takes the unhoisted per-rotation route. *)
-let test_rotate_many_matches_naive () =
-  let module K = Hecate_support.Kernels in
+(* ... and the fast hoisted path must match the reference kernels, which
+   take the unhoisted per-rotation route. *)
+let test_rotate_many_matches_reference () =
   let t = Lazy.force ctx in
   let a = random_vector 149 512 in
   let ca = Eval.encrypt_vector t ~scale:scale20 a in
   let rs = [ 3; -2; 511 ] in
-  let fast = K.with_naive false (fun () -> Eval.rotate_many t ca rs) in
-  let naive = K.with_naive true (fun () -> Eval.rotate_many t ca rs) in
   List.iteri
-    (fun i (f, n) ->
-      let name = Printf.sprintf "rotate %d" (List.nth rs i) in
-      check Alcotest.bool (name ^ " c0") true (Poly.equal f.Eval.c0 n.Eval.c0);
-      check Alcotest.bool (name ^ " c1") true (Poly.equal f.Eval.c1 n.Eval.c1))
-    (List.combine fast naive)
+    (fun i (r, f) -> same_ct (Printf.sprintf "rotate %d" (List.nth rs i)) r f)
+    (List.combine (Ref.rotate_many t (Ref.of_eval ca) rs) (Eval.rotate_many t ca rs))
 
 let test_mul_rescale_matches_composition () =
   (* the fused path drops one NTT round-trip but must stay bit-identical
@@ -412,30 +407,28 @@ let deep_ctx =
        (Params.create ~n:512 ~q0_bits:30 ~sf_bits:30 ~levels:7 ())
        ~rotations:[ 1; 5; -3 ])
 
-let test_deep_chain_matches_naive () =
-  let module K = Hecate_support.Kernels in
+let test_deep_chain_matches_reference () =
   let t = Lazy.force deep_ctx in
   let slots = Params.slots (Eval.params t) in
   let ca = Eval.encrypt_vector t ~scale:0x1p26 (random_vector 163 slots) in
   let cb = Eval.encrypt_vector t ~scale:0x1p26 (random_vector 167 slots) in
-  let pair f = (K.with_naive true f, K.with_naive false f) in
-  let same name (naive, fast) =
-    check Alcotest.bool (name ^ " c0") true (Poly.equal naive.Eval.c0 fast.Eval.c0);
-    check Alcotest.bool (name ^ " c1") true (Poly.equal naive.Eval.c1 fast.Eval.c1)
-  in
   let at_level name a b =
+    let ra = Ref.of_eval a and rb = Ref.of_eval b in
     let lc = Chain.length (Eval.params t).Params.chain - Eval.level a in
     let relin = (Eval.keys t).Hecate_ckks.Keys.relin in
-    let ks_naive, ks_fast = pair (fun () -> Eval.keyswitch t ~lc (Poly.to_coeff a.Eval.c1) relin) in
-    check Alcotest.bool (name ^ "keyswitch p0") true (Poly.equal (fst ks_naive) (fst ks_fast));
-    check Alcotest.bool (name ^ "keyswitch p1") true (Poly.equal (snd ks_naive) (snd ks_fast));
-    let ((prod, _) as products) = pair (fun () -> Eval.mul t a b) in
-    same (name ^ "mul") products;
-    same (name ^ "rescale") (pair (fun () -> Eval.rescale t prod));
-    same (name ^ "mul_rescale") (pair (fun () -> Eval.mul_rescale t a b));
-    same (name ^ "rotate") (pair (fun () -> Eval.rotate t a 5));
-    let fans = pair (fun () -> Eval.rotate_many t a [ 1; 5; -3 ]) in
-    List.iter2 (fun n f -> same (name ^ "rotate_many") (n, f)) (fst fans) (snd fans)
+    let d = Poly.to_coeff a.Eval.c1 in
+    let ks_ref = Ref.keyswitch t ~lc d relin and ks_fast = Eval.keyswitch t ~lc d relin in
+    check Alcotest.bool (name ^ "keyswitch p0") true (Poly.equal (fst ks_ref) (fst ks_fast));
+    check Alcotest.bool (name ^ "keyswitch p1") true (Poly.equal (snd ks_ref) (snd ks_fast));
+    let prod = Ref.mul t ra rb in
+    same_ct (name ^ "mul") prod (Eval.mul t a b);
+    same_ct (name ^ "rescale") (Ref.rescale t prod) (Eval.rescale t (Eval.mul t a b));
+    same_ct (name ^ "mul_rescale") (Ref.mul_rescale t ra rb) (Eval.mul_rescale t a b);
+    same_ct (name ^ "rotate") (Ref.rotate t ra 5) (Eval.rotate t a 5);
+    List.iter2
+      (same_ct (name ^ "rotate_many"))
+      (Ref.rotate_many t ra [ 1; 5; -3 ])
+      (Eval.rotate_many t a [ 1; 5; -3 ])
   in
   at_level "" ca cb;
   let down ct = Eval.rescale t (Eval.mul_plain t ct (Eval.encode_constant t ~level:0 ~scale:0x1p30 1.)) in
@@ -684,12 +677,12 @@ let () =
         ] );
       ( "kernels",
         [
-          Alcotest.test_case "fast matches naive" `Quick test_eval_fast_matches_naive;
+          Alcotest.test_case "fast matches naive" `Quick test_eval_fast_matches_reference;
           Alcotest.test_case "rotate_many matches rotate" `Quick test_rotate_many_matches_rotate;
-          Alcotest.test_case "rotate_many matches naive" `Quick test_rotate_many_matches_naive;
+          Alcotest.test_case "rotate_many matches naive" `Quick test_rotate_many_matches_reference;
           Alcotest.test_case "mul_rescale matches composition" `Quick
             test_mul_rescale_matches_composition;
-          Alcotest.test_case "deep chain matches naive" `Quick test_deep_chain_matches_naive;
+          Alcotest.test_case "deep chain matches naive" `Quick test_deep_chain_matches_reference;
         ] );
       ( "properties",
         [

@@ -8,7 +8,7 @@ module M = Hecate_support.Modarith
 module Chain = Hecate_rns.Chain
 module Poly = Hecate_rns.Poly
 module Buf = Hecate_support.Buf
-module K = Hecate_support.Kernels
+module R = Kernel_ref.Poly_ref
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -448,21 +448,16 @@ let prop_eval_division_matches_coeff =
       let lc = 2 + Prng.int_below g (Chain.length c - 1) in
       let acc = extreme_poly g c ~level_count:lc ~with_special:true in
       let d = extreme_poly g c ~level_count:lc ~with_special:false in
-      let reference f = K.with_naive true (fun () -> Poly.to_eval (f (Poly.to_coeff acc))) in
-      Poly.equal
-        (K.with_naive false (fun () -> Poly.mod_down_special acc))
-        (reference Poly.mod_down_special)
+      let reference f = R.to_eval (f (R.to_coeff acc)) in
+      Poly.equal (Poly.mod_down_special acc) (reference R.mod_down_special)
+      && Poly.equal (Poly.rescale_last d) (R.to_eval (R.rescale_last (R.to_coeff d)))
       && Poly.equal
-           (K.with_naive false (fun () -> Poly.rescale_last d))
-           (K.with_naive true (fun () -> Poly.to_eval (Poly.rescale_last (Poly.to_coeff d))))
-      && Poly.equal
-           (K.with_naive false (fun () -> Poly.mod_down_rescale acc ~plus:d))
-           (reference (fun a ->
-                Poly.rescale_last (Poly.add (Poly.to_coeff d) (Poly.mod_down_special a)))))
+           (Poly.mod_down_rescale acc ~plus:d)
+           (reference (fun a -> R.rescale_last (Poly.add (R.to_coeff d) (R.mod_down_special a)))))
 
 (* The Coeff-domain fast loops (digit lift, mod-down, rescale) read the
    boundary residues directly. *)
-let prop_coeff_division_matches_naive =
+let prop_coeff_division_matches_reference =
   QCheck.Test.make ~name:"coeff lift/mod-down/rescale = naive" ~count:40 QCheck.small_nat
     (fun seed ->
       let c = Lazy.force deep_chain in
@@ -471,10 +466,11 @@ let prop_coeff_division_matches_naive =
       let p = extreme_poly ~domain:Poly.Coeff g c ~level_count:lc ~with_special:true in
       let r = extreme_poly ~domain:Poly.Coeff g c ~level_count:lc ~with_special:false in
       let digit = Prng.int_below g lc in
-      let both f = Poly.equal (K.with_naive false f) (K.with_naive true f) in
-      both (fun () -> Poly.lift_digit p ~digit ~with_special:true)
-      && both (fun () -> Poly.mod_down_special p)
-      && both (fun () -> Poly.rescale_last r))
+      Poly.equal
+        (Poly.lift_digit p ~digit ~with_special:true)
+        (R.lift_digit p ~digit ~with_special:true)
+      && Poly.equal (Poly.mod_down_special p) (R.mod_down_special p)
+      && Poly.equal (Poly.rescale_last r) (R.rescale_last r))
 
 let prop_lazy_key_switch_sum =
   QCheck.Test.make ~name:"lazy key-switch sum = reduced sum" ~count:40 QCheck.small_nat
@@ -491,13 +487,11 @@ let prop_lazy_key_switch_sum =
         let dig = extreme_poly g c ~level_count:lc ~with_special:true in
         let k0 = extreme_poly g c ~level_count:full ~with_special:true in
         let k1 = extreme_poly g c ~level_count:full ~with_special:true in
-        K.with_naive false (fun () ->
-            Poly.key_switch_add ~acc0 ~acc1 dig ~k0 ~k1 ~galois ~term ~terms:lc);
-        K.with_naive true (fun () ->
-            let rot = Poly.automorphism_eval dig ~galois in
-            let plus acc k = Poly.add acc (Poly.mul rot (Poly.restrict_levels k ~level_count:lc)) in
-            ref0 := plus !ref0 k0;
-            ref1 := plus !ref1 k1)
+        Poly.key_switch_add ~acc0 ~acc1 dig ~k0 ~k1 ~galois ~term ~terms:lc;
+        let rot = Poly.automorphism_eval dig ~galois in
+        let plus acc k = Poly.add acc (R.mul rot (Poly.restrict_levels k ~level_count:lc)) in
+        ref0 := plus !ref0 k0;
+        ref1 := plus !ref1 k1
       done;
       Poly.equal acc0 !ref0 && Poly.equal acc1 !ref1)
 
@@ -548,7 +542,7 @@ let () =
           Alcotest.test_case "lift_digit_into" `Quick test_poly_lift_digit_into;
           Alcotest.test_case "parallel matches serial" `Quick test_poly_parallel_matches_serial;
           qtest prop_eval_division_matches_coeff;
-          qtest prop_coeff_division_matches_naive;
+          qtest prop_coeff_division_matches_reference;
           qtest prop_lazy_key_switch_sum;
         ] );
     ]

@@ -5,6 +5,7 @@ module P = Hecate_support.Prng
 module F = Hecate_support.Fft
 module Pr = Hecate_support.Primes
 module N = Hecate_support.Ntt
+module NR = Kernel_ref.Ntt_ref
 module S = Hecate_support.Stats
 module B = Hecate_support.Buf
 
@@ -367,39 +368,33 @@ let test_ntt_roundtrip () =
       check Alcotest.(array int) (Printf.sprintf "roundtrip n=%d" n) a (B.to_array b))
     [ 8; 64; 512; 1024 ]
 
-let test_ntt_fast_vs_naive () =
+let test_ntt_fast_vs_reference () =
   (* the Shoup transforms must agree bit-for-bit with the
      division-based reference on identical inputs *)
   List.iter
     (fun n ->
       let t = ntt_table n in
+      let r = NR.make_table ~p:(N.prime t) ~n in
       let g = P.create ~seed:41 in
       let a = Array.init n (fun _ -> P.uniform_mod g (N.prime t)) in
-      let fwd_fast = B.of_array a and fwd_naive = B.of_array a in
+      let fwd_fast = B.of_array a and fwd_ref = B.of_array a in
       N.forward t fwd_fast;
-      N.forward_naive t fwd_naive;
+      NR.forward r fwd_ref;
       check Alcotest.(array int)
         (Printf.sprintf "forward n=%d" n)
-        (B.to_array fwd_naive) (B.to_array fwd_fast);
-      let inv_fast = B.copy fwd_fast and inv_naive = B.copy fwd_fast in
+        (B.to_array fwd_ref) (B.to_array fwd_fast);
+      let inv_fast = B.copy fwd_fast and inv_ref = B.copy fwd_fast in
       N.inverse t inv_fast;
-      N.inverse_naive t inv_naive;
+      NR.inverse r inv_ref;
       check Alcotest.(array int)
         (Printf.sprintf "inverse n=%d" n)
-        (B.to_array inv_naive) (B.to_array inv_fast);
+        (B.to_array inv_ref) (B.to_array inv_fast);
       check Alcotest.(array int) (Printf.sprintf "roundtrip n=%d" n) a (B.to_array inv_fast))
     [ 8; 64; 1024 ]
 
-let test_kernels_toggle () =
-  let k = Hecate_support.Kernels.use_naive () in
-  Hecate_support.Kernels.with_naive true (fun () ->
-      check Alcotest.bool "naive inside" true (Hecate_support.Kernels.use_naive ()));
-  check Alcotest.bool "restored" k (Hecate_support.Kernels.use_naive ());
-  (* with_naive restores the flag even when the thunk raises *)
-  (try
-     Hecate_support.Kernels.with_naive true (fun () -> failwith "boom")
-   with Failure _ -> ());
-  check Alcotest.bool "restored after raise" k (Hecate_support.Kernels.use_naive ())
+(* The reference transform's products, checked against the schoolbook
+   product; the fast transform is checked against the reference above. *)
+let ref_table n = NR.make_table ~p:(N.prime (ntt_table n)) ~n
 
 (* Schoolbook negacyclic product for cross-validation. *)
 let schoolbook_negacyclic ~q a b =
@@ -417,25 +412,25 @@ let schoolbook_negacyclic ~q a b =
 
 let test_ntt_vs_schoolbook () =
   let n = 64 in
-  let t = ntt_table n in
-  let q = N.prime t in
+  let t = ref_table n in
+  let q = t.NR.p in
   let g = P.create ~seed:37 in
   for _ = 1 to 5 do
     let a = Array.init n (fun _ -> P.uniform_mod g q) in
     let b = Array.init n (fun _ -> P.uniform_mod g q) in
     check Alcotest.(array int) "matches schoolbook" (schoolbook_negacyclic ~q a b)
-      (B.to_array (N.negacyclic_mul t (B.of_array a) (B.of_array b)))
+      (B.to_array (NR.negacyclic_mul t (B.of_array a) (B.of_array b)))
   done
 
 let test_ntt_negacyclic_wrap () =
   (* X^(n-1) * X = X^n = -1 in the ring. *)
   let n = 32 in
-  let t = ntt_table n in
-  let q = N.prime t in
+  let t = ref_table n in
+  let q = t.NR.p in
   let a = B.create n and b = B.create n in
   B.set a (n - 1) 1;
   B.set b 1 1;
-  let r = N.negacyclic_mul t a b in
+  let r = NR.negacyclic_mul t a b in
   check Alcotest.int "constant term is -1" (q - 1) (B.get r 0);
   for i = 1 to n - 1 do
     check Alcotest.int "other terms zero" 0 (B.get r i)
@@ -449,13 +444,13 @@ let prop_ntt_convolution_linear =
         (list_of_size (Gen.return 16) (int_bound 1000)))
     (fun (la, lb) ->
       let n = 16 in
-      let t = ntt_table n in
-      let q = N.prime t in
+      let t = ref_table n in
+      let q = t.NR.p in
       let a = B.of_array (Array.of_list la) and b = B.of_array (Array.of_list lb) in
       let c = B.init n (fun i -> i * 7 mod q) in
-      let ab = N.negacyclic_mul t a b and ac = N.negacyclic_mul t a c in
+      let ab = NR.negacyclic_mul t a b and ac = NR.negacyclic_mul t a c in
       let b_plus_c = B.init n (fun i -> M.add ~q (B.get b i) (B.get c i)) in
-      let lhs = N.negacyclic_mul t a b_plus_c in
+      let lhs = NR.negacyclic_mul t a b_plus_c in
       let rhs = B.init n (fun i -> M.add ~q (B.get ab i) (B.get ac i)) in
       B.equal lhs rhs)
 
@@ -773,8 +768,7 @@ let () =
       ( "ntt",
         [
           Alcotest.test_case "roundtrip" `Quick test_ntt_roundtrip;
-          Alcotest.test_case "fast vs naive" `Quick test_ntt_fast_vs_naive;
-          Alcotest.test_case "kernel mode toggle" `Quick test_kernels_toggle;
+          Alcotest.test_case "fast vs naive" `Quick test_ntt_fast_vs_reference;
           Alcotest.test_case "vs schoolbook" `Quick test_ntt_vs_schoolbook;
           Alcotest.test_case "negacyclic wraparound" `Quick test_ntt_negacyclic_wrap;
           qtest prop_ntt_convolution_linear;
