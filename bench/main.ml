@@ -1018,7 +1018,7 @@ let kernels flags =
   let module Buf = Hecate_support.Buf in
   let module PoolK = Hecate_support.Pool.Kernel in
   let module E = Hecate_ckks.Eval in
-  let module Poly = Hecate_rns.Poly in
+  let module PR = Kernel_ref.Poly_ref in
   let quick = ref false in
   let reps = ref 5 in
   let warmup = ref 1 in
@@ -1072,9 +1072,15 @@ let kernels flags =
   in
   let g = Prng.create ~seed:0xBA44E77 in
   (* modmul: element-wise modular product of two length-m residue vectors,
-     measured through Ntt.pointwise_mul — the loop the kernels actually live
-     in — against the reference's Ntt_ref.pointwise_mul, which calls
-     [Modarith.mul] per element. *)
+     an in-module hardware [mod] as the Poly loops write it, against the
+     reference's Ntt_ref.pointwise_mul, which calls [Modarith.mul] per
+     element. *)
+  let pointwise_mul t dst a b =
+    let p = Ntt.prime t in
+    for i = 0 to Ntt.degree t - 1 do
+      Buf.unsafe_set dst i (Buf.unsafe_get a i * Buf.unsafe_get b i mod p)
+    done
+  in
   let m = 4096 in
   let q = List.hd (Pr.ntt_primes ~bits:30 ~n:m ~count:1) in
   let mm_tbl = Ntt.make_table ~p:q ~n:m in
@@ -1083,7 +1089,7 @@ let kernels flags =
   let dst = Buf.create m in
   let mm_ref = NR.make_table ~p:q ~n:m in
   let t_ref = time (fun () -> NR.pointwise_mul mm_ref dst xs ys) in
-  let t_fast = time (fun () -> Ntt.pointwise_mul mm_tbl dst xs ys) in
+  let t_fast = time (fun () -> pointwise_mul mm_tbl dst xs ys) in
   record "modmul" "reference" ~n:m ~levels:0 (t_ref /. float_of_int m *. 1e9);
   record "modmul" "fast" ~n:m ~levels:0 (t_fast /. float_of_int m *. 1e9);
   (* (n, levels, big): the big-ring config exists to measure the hoisted
@@ -1098,12 +1104,14 @@ let kernels flags =
   let fan_amounts = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   List.iter
     (fun (n, levels, big) ->
-      (* NTT forward transform: division-based reference vs Shoup butterflies *)
+      (* NTT transforms: division-based reference vs Shoup butterflies *)
       let p = List.hd (Pr.ntt_primes ~bits:30 ~n ~count:1) in
       let tbl = Ntt.make_table ~p ~n and ref_tbl = NR.make_table ~p ~n in
       let a = Buf.init n (fun _ -> Prng.uniform_mod g p) in
       record "ntt_forward" "reference" ~n ~levels:1 (time (fun () -> NR.forward ref_tbl a) *. 1e9);
       record "ntt_forward" "fast" ~n ~levels:1 (time (fun () -> Ntt.forward tbl a) *. 1e9);
+      record "ntt_inverse" "reference" ~n ~levels:1 (time (fun () -> NR.inverse ref_tbl a) *. 1e9);
+      record "ntt_inverse" "fast" ~n ~levels:1 (time (fun () -> Ntt.inverse tbl a) *. 1e9);
       (* evaluator-level kernels at this ring degree and chain length *)
       let params = Hecate_ckks.Params.create ~n ~q0_bits:30 ~sf_bits:28 ~levels () in
       let eval = E.create ~seed:0xFA57 params ~rotations:fan_amounts in
@@ -1111,15 +1119,16 @@ let kernels flags =
       let ct = E.encrypt_vector eval ~scale:0x1p20 v in
       let lc = levels + 1 in
       if not big then begin
-        let d = Poly.to_coeff (ct : E.ciphertext).E.c1 in
+        let d = (ct : E.ciphertext).E.c1 in
         let relin = (E.keys eval : Hecate_ckks.Keys.t).Hecate_ckks.Keys.relin in
         let rct = ER.of_eval ct in
         let bench_pair kernel reference fast =
           record kernel "reference" ~n ~levels:lc (time reference *. 1e9);
           record kernel "fast" ~n ~levels:lc (time fast *. 1e9)
         in
+        (* both legs start from the Eval form, as mul and rotate do *)
         bench_pair "keyswitch"
-          (fun () -> ignore (ER.keyswitch eval ~lc d relin))
+          (fun () -> ignore (ER.keyswitch eval ~lc (PR.to_coeff d) relin))
           (fun () -> ignore (E.keyswitch eval ~lc d relin));
         bench_pair "cipher_mul"
           (fun () -> ignore (ER.mul eval rct rct))

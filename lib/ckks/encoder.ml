@@ -64,14 +64,17 @@ let encode enc chain ~level_count ~scale v =
   done;
   Poly.of_centered_coeffs chain ~level_count ~with_special:false coeffs
 
-let encode_constant enc chain ~level_count ~scale c =
-  let n = enc.n in
-  if Chain.degree chain <> n then invalid_arg "Encoder.encode_constant: chain degree mismatch";
+let scaled_constant ~scale c =
   let scaled = Float.round (c *. scale) in
   if Float.abs scaled >= coeff_limit then
     invalid_arg "Encoder.encode_constant: scaled constant overflows the native integer range";
+  int_of_float scaled
+
+let encode_constant enc chain ~level_count ~scale c =
+  let n = enc.n in
+  if Chain.degree chain <> n then invalid_arg "Encoder.encode_constant: chain degree mismatch";
   let coeffs = Array.make n 0 in
-  coeffs.(0) <- int_of_float scaled;
+  coeffs.(0) <- scaled_constant ~scale c;
   Poly.of_centered_coeffs chain ~level_count ~with_special:false coeffs
 
 let decode enc ~scale coeffs =

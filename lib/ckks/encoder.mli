@@ -26,7 +26,15 @@ val encode_constant :
   t -> Hecate_rns.Chain.t -> level_count:int -> scale:float -> float -> Hecate_rns.Poly.t
 (** [encode_constant enc chain ~level_count ~scale c] encodes the constant
     vector [c, c, ..., c] exactly (a degree-0 polynomial with coefficient
-    [round (c * scale)]), bypassing the FFT. *)
+    [round (c * scale)]), bypassing the FFT.
+    @raise Invalid_argument if that coefficient would overflow the native
+    integer range. *)
+
+val scaled_constant : scale:float -> float -> int
+(** [scaled_constant ~scale c] is the coefficient [round (c * scale)] that
+    {!encode_constant} embeds; the Eval form of that encoding holds its
+    residue in every slot.
+    @raise Invalid_argument as {!encode_constant} does. *)
 
 val decode : t -> scale:float -> float array -> float array
 (** [decode enc ~scale coeffs] maps centered real coefficients (length [N])

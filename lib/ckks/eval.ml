@@ -43,13 +43,18 @@ let encode t ~level:lvl ~scale v =
   in
   { poly = Poly.to_eval p; pt_scale = scale; pt_level = lvl }
 
+(* A constant polynomial takes its value at every evaluation point, so
+   its Eval form is the constant's residue in every slot: no transform. *)
 let encode_constant t ~level:lvl ~scale c =
   check_level "encode_constant" t lvl;
-  let p =
-    Encoder.encode_constant t.encoder t.params.Params.chain ~level_count:(level_count t lvl)
-      ~scale c
+  let k = Encoder.scaled_constant ~scale c in
+  let poly =
+    Poly.zero t.params.Params.chain ~level_count:(level_count t lvl) ~with_special:false Poly.Eval
   in
-  { poly = Poly.to_eval p; pt_scale = scale; pt_level = lvl }
+  Array.iteri
+    (fun i dst -> Buf.fill dst (Hecate_support.Modarith.reduce ~q:(Poly.modulus_at poly i) k))
+    poly.Poly.data;
+  { poly; pt_scale = scale; pt_level = lvl }
 
 (* c0 = pk0 u + e0 + m and c1 = pk1 u + e1, assembled over the fresh error
    polynomials. Each sum of one residue product and at most two residues
@@ -81,10 +86,10 @@ let encrypt t pt =
 
 let encrypt_vector t ~scale v = encrypt t (encode t ~level:0 ~scale v)
 
+(* [c0 + c1 s], reading the stored full-chain secret's first components. *)
 let decrypt t ct =
-  let lc = level_count t ct.level in
-  let s = Keys.secret_at t.keys ~level_count:lc in
-  let m = Poly.add ct.c0 (Poly.mul ct.c1 s) in
+  let m = Poly.copy ct.c0 in
+  Poly.mul_add_into ~acc:m ct.c1 t.keys.Keys.secret_eval;
   let coeffs = Poly.crt_reconstruct_centered (Poly.to_coeff_inplace m) in
   Encoder.decode t.encoder ~scale:ct.scale coeffs
 
@@ -126,7 +131,7 @@ let sub_plain _t ct pt =
     raise (Scale_mismatch (Printf.sprintf "Eval.sub_plain: scales %.3e vs %.3e" ct.scale pt.pt_scale));
   { ct with c0 = Poly.sub ct.c0 pt.poly }
 
-(* Key switching: given d in Coeff domain over lc chain primes and a key for
+(* Key switching: given d in Eval domain over lc chain primes and a key for
    secret payload s', produce (p0, p1) over the same basis with
    p0 + p1*s ≈ d*s'. *)
 
@@ -151,13 +156,16 @@ let switch_sums t ~lc ~galois digit (key : Keys.switch_key) =
 
 let mod_down (acc0, acc1) = (Poly.mod_down_special acc0, Poly.mod_down_special acc1)
 
-(* Digits of [d] (Coeff domain) lifted one at a time into a single scratch
-   buffer and transformed there: each is consumed before the next. *)
+(* Digits of the Eval-domain [d] lifted one at a time into a single
+   scratch buffer and transformed there: each is consumed before the next.
+   Digit [i]'s component [i] is [d]'s own, copied (Poly.lift_digit_into),
+   so the [lc] digits take [lc] inverse and [lc^2] forward transforms. *)
 let scratch_digits t ~lc d =
-  let dig = Poly.zero t.params.Params.chain ~level_count:lc ~with_special:true Poly.Coeff in
+  let coeffs = Poly.to_coeff d in
+  let dig = Poly.zero t.params.Params.chain ~level_count:lc ~with_special:true Poly.Eval in
   fun i ->
-    Poly.lift_digit_into ~dst:dig d ~digit:i;
-    Poly.to_eval_inplace dig
+    Poly.lift_digit_into ~dst:dig coeffs ~eval:d ~digit:i;
+    dig
 
 let keyswitch t ~lc d (key : Keys.switch_key) =
   mod_down (switch_sums t ~lc ~galois:1 (scratch_digits t ~lc d) key)
@@ -169,7 +177,7 @@ let mul_parts t ~lc a b =
   let d0 = Poly.mul a.c0 b.c0 in
   let d1 = Poly.mul a.c0 b.c1 in
   Poly.mul_add_into ~acc:d1 a.c1 b.c0;
-  let d2 = Poly.to_coeff_inplace (Poly.mul a.c1 b.c1) in
+  let d2 = Poly.mul a.c1 b.c1 in
   (d0, d1, switch_sums t ~lc ~galois:1 (scratch_digits t ~lc d2) t.keys.Keys.relin)
 
 let mul t a b =
@@ -265,8 +273,9 @@ let rotated t ct ~lc ~galois digit =
    lift), and on Eval-domain vectors the automorphism is the pure slot
    permutation {!Poly.automorphism_eval}. [c0] is permuted in Eval domain
    too, so a rotation pays no Coeff round trip beyond the digit
-   decomposition of [c1]. Bit-identical to key-switching the Coeff-domain
-   automorphism of [c1]. *)
+   decomposition of [c1], whose identity components come from [c1]
+   itself. Bit-identical to key-switching the Coeff-domain automorphism
+   of [c1]. *)
 let rotate t ct r =
   let half = t.params.Params.n / 2 in
   let r = ((r mod half) + half) mod half in
@@ -274,14 +283,14 @@ let rotate t ct r =
   else begin
     let g = Encoder.galois_element t.encoder ~rotation:r in
     let lc = level_count t ct.level in
-    rotated t ct ~lc ~galois:g (scratch_digits t ~lc (Poly.to_coeff ct.c1))
+    rotated t ct ~lc ~galois:g (scratch_digits t ~lc ct.c1)
   end
 
 (* Hoisted rotation fan (Halevi–Shoup hoisting): every rotation of the same
    ciphertext key-switches an automorphism of the same [c1], and the
    expensive part of key switching — lifting each RNS digit and
-   forward-transforming it over the extended basis, lc * (lc+1) NTTs — does
-   not depend on the rotation amount. So: decompose once, then per rotation
+   forward-transforming it over the extended basis, lc^2 NTTs — does not
+   depend on the rotation amount. So: decompose once, then per rotation
    read the cached Eval-domain digits through that rotation's permutation.
    The digit sums run in the same order as {!rotate}'s, so every output
    residue is bit-identical to the per-rotation path, which fans of fewer
@@ -293,9 +302,12 @@ let rotate_many t ct rs =
     List.map (rotate t ct) rs
   else begin
     let lc = level_count t ct.level in
-    let d = Poly.to_coeff ct.c1 in
+    let coeffs = Poly.to_coeff ct.c1 in
     let digits =
-      Array.init lc (fun i -> Poly.to_eval_inplace (Poly.lift_digit d ~digit:i ~with_special:true))
+      Array.init lc (fun i ->
+          let dig = Poly.zero t.params.Params.chain ~level_count:lc ~with_special:true Poly.Eval in
+          Poly.lift_digit_into ~dst:dig coeffs ~eval:ct.c1 ~digit:i;
+          dig)
     in
     List.map
       (fun r ->

@@ -114,11 +114,13 @@ val keyswitch :
   Hecate_rns.Poly.t ->
   Keys.switch_key ->
   Hecate_rns.Poly.t * Hecate_rns.Poly.t
-(** [keyswitch t ~lc d key]: hybrid key switching of the [Coeff]-domain
+(** [keyswitch t ~lc d key]: hybrid key switching of the [Eval]-domain
     polynomial [d] (over the first [lc] chain primes) against [key],
     returning [(p0, p1)] in [Eval] domain with [p0 + p1*s ≈ d*s'] where
-    [s'] is the key's secret payload. It sums the digit products with
-    lazy reduction and divides by the special prime in [Eval] domain;
-    both are bit-identical to reducing every product and dividing in
-    [Coeff] domain. Exposed for the kernel microbenchmarks; [mul] and
-    [rotate] share its code. *)
+    [s'] is the key's secret payload. It takes each digit's own component
+    from [d] instead of transforming it, sums the digit products with
+    lazy reduction and divides by the special prime in [Eval] domain; all
+    of it is bit-identical to key-switching [to_coeff d] with every digit
+    transformed, every product reduced and the division in [Coeff]
+    domain. Exposed for the kernel microbenchmarks; [mul] and [rotate]
+    share its code. *)

@@ -89,11 +89,6 @@ let make_switch_key g params ~s_full_sp ~payload =
   done;
   { k0; k1 }
 
-let secret_at t ~level_count =
-  Poly.to_eval_inplace
-    (Poly.of_centered_coeffs t.params.Params.chain ~level_count ~with_special:false
-       t.secret_coeffs)
-
 let generate ?(seed = 0x5EC4E7) params ~galois_elements =
   let chain = params.Params.chain in
   let l = Chain.length chain in

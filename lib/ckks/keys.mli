@@ -12,7 +12,7 @@ type switch_key = private {
 
 type t = private {
   params : Params.t;
-  secret_coeffs : int array; (** centered ternary secret, kept for decryption *)
+  secret_coeffs : int array; (** centered ternary secret *)
   secret_eval : Hecate_rns.Poly.t; (** [s] in [Eval] over the full chain (no special) *)
   public0 : Hecate_rns.Poly.t; (** [-(a s) + e], [Eval], full chain *)
   public1 : Hecate_rns.Poly.t; (** [a] *)
@@ -38,6 +38,3 @@ val ternary_poly : Hecate_support.Prng.t -> Params.t -> level_count:int -> Hecat
 val galois_key : t -> int -> switch_key
 (** @raise Not_found if no key was generated for that element. *)
 
-val secret_at : t -> level_count:int -> Hecate_rns.Poly.t
-(** The secret key in [Eval] domain over the first [level_count] chain
-    primes (used by decryption). *)

@@ -332,6 +332,16 @@ let lift_loop ~q_from ~q src dst =
       Buf.unsafe_set dst t (r + (r asr 62 land q))
     done
 
+(* [x * w mod q] for a canonical [x] and a fixed multiplier [w] with
+   [w' = M.shoup ~q w]: Shoup's estimated quotient leaves the product in
+   [0, 2q), and one branchless subtraction canonicalizes it, with no
+   division (docs/PERFORMANCE.md, "Shoup multiplication"). It repeats
+   [M.mulmod_shoup] here because a call across modules is never inlined
+   under dune's [-opaque]. *)
+let[@inline] mul_shoup ~q x w w' =
+  let r = (x * w) - (((x * w') lsr 31) * q) - q in
+  r + (r asr 62 land q)
+
 (* Divide by the modulus of component [count] with centered rounding and
    drop it (and everything above it):
 
@@ -343,7 +353,8 @@ let lift_loop ~q_from ~q src dst =
    each q_i and subtracted slot by slot. The NTT is linear and every step
    is exact modular arithmetic on canonical residues, so the result equals
    [to_eval (divide (to_coeff p))] bit for bit, at [count] forward and one
-   inverse transform instead of [2 count + 1]. *)
+   inverse transform instead of [2 count + 1]. The fixed multiplier
+   [inv i] is applied by Shoup multiplication. *)
 let divide_last p ~count ~inv =
   let n = Chain.degree p.chain in
   let tbl = table_at p count in
@@ -359,12 +370,13 @@ let divide_last p ~count ~inv =
   let out = zero p.chain ~level_count:count ~with_special:false p.domain in
   kernel_par count n (fun i ->
       let q = Chain.prime p.chain i and inv = inv i in
+      let inv' = M.shoup ~q inv in
       let src = p.data.(i) and dst = out.data.(i) in
       lift_loop ~q_from:q_last ~q last dst;
       if p.domain = Eval then Ntt.forward (Chain.table p.chain i) dst;
       for t = 0 to n - 1 do
         let d = Buf.unsafe_get src t - Buf.unsafe_get dst t in
-        Buf.unsafe_set dst t ((d + (d asr 62 land q)) * inv mod q)
+        Buf.unsafe_set dst t (mul_shoup ~q (d + (d asr 62 land q)) inv inv')
       done);
   out
 
@@ -395,9 +407,10 @@ let mod_down_special p =
      out_i = (v_i - NTT([x]_{q_i} * P^-1 + [c]_{q_i})) * q_last^-1
 
    so each kept modulus pays one forward transform where the composition
-   pays two, and the last one only an inverse transform. All of it is
-   exact arithmetic on canonical residues: bit-identical to the
-   composition. *)
+   pays two, and the last one only an inverse transform. The fixed
+   multipliers [P^-1] and [q_last^-1] are applied by Shoup multiplication.
+   All of it is exact arithmetic on canonical residues: bit-identical to
+   the composition. *)
 let mod_down_rescale acc ~plus:d =
   if acc.domain <> Eval || d.domain <> Eval then
     invalid_arg "Poly.mod_down_rescale: operands must be in Eval domain";
@@ -410,18 +423,21 @@ let mod_down_rescale acc ~plus:d =
   let sp = Chain.special_prime chain and q_last = Chain.prime chain last in
   let x = Buf.copy acc.data.(last + 1) in
   Ntt.inverse (Chain.special_table chain) x;
-  let sum_loop ~q ~pinv da dacc dst =
+  (* [dst <- (da + dacc * P^-1) mod q]: both terms canonical *)
+  let sum_loop ~q ~pinv ~pinv' da dacc dst =
     for t = 0 to n - 1 do
-      Buf.unsafe_set dst t ((Buf.unsafe_get da t + (Buf.unsafe_get dacc t * pinv)) mod q)
+      let r = Buf.unsafe_get da t + mul_shoup ~q (Buf.unsafe_get dacc t) pinv pinv' - q in
+      Buf.unsafe_set dst t (r + (r asr 62 land q))
     done
   in
   let c = Buf.create n and xl = Buf.create n in
   let pinv = Chain.special_inv chain last in
-  sum_loop ~q:q_last ~pinv d.data.(last) acc.data.(last) c;
+  let pinv' = M.shoup ~q:q_last pinv in
+  sum_loop ~q:q_last ~pinv ~pinv' d.data.(last) acc.data.(last) c;
   Ntt.inverse (Chain.table chain last) c;
   lift_loop ~q_from:sp ~q:q_last x xl;
   for t = 0 to n - 1 do
-    let r = Buf.unsafe_get c t - (Buf.unsafe_get xl t * pinv mod q_last) in
+    let r = Buf.unsafe_get c t - mul_shoup ~q:q_last (Buf.unsafe_get xl t) pinv pinv' in
     Buf.unsafe_set c t (r + (r asr 62 land q_last))
   done;
   let out = zero chain ~level_count:last ~with_special:false Eval in
@@ -429,41 +445,43 @@ let mod_down_rescale acc ~plus:d =
   kernel_par last n (fun i ->
       let q = Chain.prime chain i in
       let pinv = Chain.special_inv chain i and rinv = Chain.rescale_inv chain ~dropped:last i in
+      let pinv' = M.shoup ~q pinv and rinv' = M.shoup ~q rinv in
       let dst = out.data.(i) and cl = Buf.sub scratch (i * n) n in
       lift_loop ~q_from:sp ~q x dst;
       lift_loop ~q_from:q_last ~q c cl;
       for t = 0 to n - 1 do
-        Buf.unsafe_set dst t ((Buf.unsafe_get dst t * pinv + Buf.unsafe_get cl t) mod q)
+        let r = mul_shoup ~q (Buf.unsafe_get dst t) pinv pinv' + Buf.unsafe_get cl t - q in
+        Buf.unsafe_set dst t (r + (r asr 62 land q))
       done;
       Ntt.forward (Chain.table chain i) dst;
-      sum_loop ~q ~pinv d.data.(i) acc.data.(i) cl;
+      sum_loop ~q ~pinv ~pinv' d.data.(i) acc.data.(i) cl;
       for t = 0 to n - 1 do
         let r = Buf.unsafe_get cl t - Buf.unsafe_get dst t in
-        Buf.unsafe_set dst t ((r + (r asr 62 land q)) * rinv mod q)
+        Buf.unsafe_set dst t (mul_shoup ~q (r + (r asr 62 land q)) rinv rinv')
       done);
   out
 
-let lift_digit_loop ~dst p ~digit =
+(* The lift of digit [i] to [q_i] is the centered value of a residue
+   modulo [q_i] reduced modulo [q_i] again: the residue itself. So
+   component [digit] of the transformed lift is [eval]'s own component,
+   copied, and only the other components pay a lift and a transform. *)
+let lift_digit_into ~dst p ~eval ~digit =
+  if p.domain <> Coeff then invalid_arg "Poly.lift_digit_into: operand must be in Coeff domain";
+  if digit < 0 || digit >= p.level_count then invalid_arg "Poly.lift_digit_into: bad digit index";
+  if dst.chain != p.chain || dst.domain <> Eval || dst.level_count <> p.level_count then
+    invalid_arg "Poly.lift_digit_into: incompatible destination";
+  if eval.chain != p.chain || eval.domain <> Eval || eval.level_count <> p.level_count
+     || eval.with_special <> p.with_special
+  then invalid_arg "Poly.lift_digit_into: eval is not the operand's basis in Eval domain";
   let q_from = Chain.prime p.chain digit in
   let src = p.data.(digit) in
   kernel_par (component_count dst) (Chain.degree p.chain) (fun i ->
-      lift_loop ~q_from ~q:(modulus_at dst i) src dst.data.(i))
-
-let check_lift name p ~digit =
-  if p.domain <> Coeff then invalid_arg ("Poly." ^ name ^ ": operand must be in Coeff domain");
-  if digit < 0 || digit >= p.level_count then invalid_arg ("Poly." ^ name ^ ": bad digit index")
-
-let lift_digit p ~digit ~with_special =
-  check_lift "lift_digit" p ~digit;
-  let out = zero p.chain ~level_count:p.level_count ~with_special Coeff in
-  lift_digit_loop ~dst:out p ~digit;
-  out
-
-let lift_digit_into ~dst p ~digit =
-  check_lift "lift_digit_into" p ~digit;
-  if dst.chain != p.chain || dst.domain <> Coeff then
-    invalid_arg "Poly.lift_digit_into: incompatible destination";
-  lift_digit_loop ~dst p ~digit
+      let d = dst.data.(i) in
+      if i = digit then Buf.blit ~src:eval.data.(digit) ~dst:d
+      else begin
+        lift_loop ~q_from ~q:(modulus_at dst i) src d;
+        Ntt.forward (table_at dst i) d
+      end)
 
 let restrict_levels p ~level_count =
   if level_count < 1 || level_count > p.level_count then

@@ -86,10 +86,16 @@ val key_switch_add :
     residues after term [terms - 1], equal to a sum reduced at every
     term. *)
 
-val lift_digit_into : dst:t -> t -> digit:int -> unit
-(** [lift_digit_into ~dst p ~digit] is {!lift_digit} writing into the
-    existing [Coeff]-domain polynomial [dst] (same chain as [p]; any
-    [level_count] / [with_special]). *)
+val lift_digit_into : dst:t -> t -> eval:t -> digit:int -> unit
+(** [lift_digit_into ~dst p ~eval ~digit:i] extracts the RNS digit [i] of
+    the [Coeff]-domain [p] (its residues modulo [q_i]), lifts each
+    coefficient to its centered representative, reduces it modulo every
+    modulus of [dst] and writes the forward transform of the result into
+    the [Eval]-domain [dst] (same chain and level count as [p], with or
+    without the special prime). [eval] is [to_eval p]. Digit [i] lifted
+    to [q_i] is [p]'s own residue [i], so component [i] is copied from
+    [eval] instead of transformed: a key switch over [l] digits pays [l]
+    fewer forward transforms. *)
 
 val mul_scalar : t -> int -> t
 (** Multiply every residue by a non-negative integer constant (reduced per
@@ -158,13 +164,6 @@ val mod_down_rescale : t -> plus:t -> t
     transforms: one forward transform per kept modulus and two inverse
     transforms, against [2 level_count - 1] forward and two inverse for
     the composition. The tail of a fused multiply-and-rescale. *)
-
-val lift_digit : t -> digit:int -> with_special:bool -> t
-(** [lift_digit p ~digit:i ~with_special] extracts the RNS digit [i] (the
-    residues modulo [q_i]), lifts each coefficient to its centered
-    representative, and re-reduces modulo every modulus of [p]'s chain-prime
-    basis (optionally extended by the special prime). Requires [Coeff]
-    domain. The result is in [Coeff] domain. *)
 
 val restrict_levels : t -> level_count:int -> t
 (** Keep only the first [level_count] chain components (and the special

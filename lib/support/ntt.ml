@@ -7,6 +7,9 @@ type table = {
   psi_inv_rev_shoup : int array;
   n_inv : int;
   n_inv_shoup : int;
+  last_inv : int; (* psi^{-bitrev(1)} * n^{-1}, the last inverse stage's twiddle *)
+  last_inv_shoup : int;
+  lazy_butterflies : bool; (* 2p <= 2^31 and n >= 4: see [forward_lazy] *)
 }
 
 let prime t = t.p
@@ -20,12 +23,11 @@ let bitrev i bits =
   done;
   !r
 
+let rec log2 acc v = if v = 1 then acc else log2 (acc + 1) (v lsr 1)
+
 let make_table ~p ~n =
   if n land (n - 1) <> 0 || n <= 0 then invalid_arg "Ntt.make_table: n must be a power of two";
-  let bits =
-    let rec log2 acc v = if v = 1 then acc else log2 (acc + 1) (v lsr 1) in
-    log2 0 n
-  in
+  let bits = log2 0 n in
   let psi = Primes.primitive_root_2n ~p ~n in
   let psi_inv = Modarith.inv ~q:p psi in
   let pow_table root =
@@ -41,6 +43,7 @@ let make_table ~p ~n =
   in
   let psi_rev = pow_table psi and psi_inv_rev = pow_table psi_inv in
   let n_inv = Modarith.inv ~q:p n in
+  let last_inv = if n > 1 then Modarith.mul ~q:p psi_inv_rev.(1) n_inv else n_inv in
   {
     p;
     n;
@@ -50,6 +53,9 @@ let make_table ~p ~n =
     psi_inv_rev_shoup = Array.map (Modarith.shoup ~q:p) psi_inv_rev;
     n_inv;
     n_inv_shoup = Modarith.shoup ~q:p n_inv;
+    last_inv;
+    last_inv_shoup = Modarith.shoup ~q:p last_inv;
+    lazy_butterflies = 2 * p <= 1 lsl 31 && n >= 4;
   }
 
 (* Longa–Naehrig iterative negacyclic NTT (CT butterflies, decimation in
@@ -70,9 +76,10 @@ let check_length name t a =
 (* The transforms use unchecked accesses: every index is bounded by the loop
    structure once [check_length] has validated the input, and the
    butterflies are branch-light enough that bounds checks would dominate. *)
-let forward t a =
+
+(* Strict butterflies: canonical residues in and out of every stage. *)
+let forward_strict t a =
   let p = t.p and n = t.n in
-  check_length "forward" t a;
   let psi = t.psi_rev and psi' = t.psi_rev_shoup in
   let tlen = ref n and m = ref 1 in
   while !m < n do
@@ -97,12 +104,145 @@ let forward t a =
     m := !m * 2
   done
 
-let inverse t a =
+(* Lazy radix-4 butterflies (Harvey's lazy reduction, as SEAL does).
+   Between stages residues stay in [0, 2p): the Shoup product of a value
+   below 2p <= 2^31 lies in [0, 2p) without a correction, and the sum and
+   difference of two such values return to [0, 2p) with one conditional
+   subtraction of 2p each, two per butterfly against the strict
+   butterfly's three. Each pass runs two stages on four values held in
+   registers, halving the loads and stores; when log2 n is odd one
+   radix-2 pass goes first. The last pass canonicalizes its outputs, so
+   the result equals [forward_strict]'s bit for bit. Needs 2p <= 2^31
+   (the Shoup operand bound) and n >= 4. *)
+let forward_lazy t a =
   let p = t.p and n = t.n in
-  check_length "inverse" t a;
+  let p2 = 2 * p in
+  let psi = t.psi_rev and psi' = t.psi_rev_shoup in
+  let groups = ref 1 and tl = ref (n / 2) in
+  (* radix-2 pass: m = 1, distance n/2 *)
+  if log2 0 n land 1 = 1 then begin
+    let s = Array.unsafe_get psi 1 and s' = Array.unsafe_get psi' 1 in
+    let h = n / 2 in
+    for j = 0 to h - 1 do
+      let x = Buf.unsafe_get a j and y = Buf.unsafe_get a (j + h) in
+      let v = (y * s) - (((y * s') lsr 31) * p) in
+      let r = x + v - p2 in
+      Buf.unsafe_set a j (r + (r asr 62 land p2));
+      let d = x - v in
+      Buf.unsafe_set a (j + h) (d + (d asr 62 land p2))
+    done;
+    groups := 2;
+    tl := n / 4
+  end;
+  (* radix-4 passes: stage (m, distance t) then stage (2m, distance t/2) *)
+  while !tl > 2 do
+    let m = !groups and t = !tl in
+    let h = t / 2 in
+    for i = 0 to m - 1 do
+      let j1 = 2 * i * t in
+      let s = Array.unsafe_get psi (m + i) and s' = Array.unsafe_get psi' (m + i) in
+      let k = (2 * m) + (2 * i) in
+      let s1 = Array.unsafe_get psi k and s1' = Array.unsafe_get psi' k in
+      let s2 = Array.unsafe_get psi (k + 1) and s2' = Array.unsafe_get psi' (k + 1) in
+      for j = j1 to j1 + h - 1 do
+        let x0 = Buf.unsafe_get a j and x1 = Buf.unsafe_get a (j + h) in
+        let x2 = Buf.unsafe_get a (j + t) and x3 = Buf.unsafe_get a (j + t + h) in
+        let v = (x2 * s) - (((x2 * s') lsr 31) * p) in
+        let r = x0 + v - p2 in
+        let y0 = r + (r asr 62 land p2) in
+        let d = x0 - v in
+        let y2 = d + (d asr 62 land p2) in
+        let v = (x3 * s) - (((x3 * s') lsr 31) * p) in
+        let r = x1 + v - p2 in
+        let y1 = r + (r asr 62 land p2) in
+        let d = x1 - v in
+        let y3 = d + (d asr 62 land p2) in
+        let v = (y1 * s1) - (((y1 * s1') lsr 31) * p) in
+        let r = y0 + v - p2 in
+        Buf.unsafe_set a j (r + (r asr 62 land p2));
+        let d = y0 - v in
+        Buf.unsafe_set a (j + h) (d + (d asr 62 land p2));
+        let v = (y3 * s2) - (((y3 * s2') lsr 31) * p) in
+        let r = y2 + v - p2 in
+        Buf.unsafe_set a (j + t) (r + (r asr 62 land p2));
+        let d = y2 - v in
+        Buf.unsafe_set a (j + t + h) (d + (d asr 62 land p2))
+      done
+    done;
+    tl := t / 4;
+    groups := 4 * m
+  done;
+  (* last radix-4 pass (distances 2 and 1), canonical outputs *)
+  let m = !groups in
+  for i = 0 to m - 1 do
+    let j = 4 * i in
+    let s = Array.unsafe_get psi (m + i) and s' = Array.unsafe_get psi' (m + i) in
+    let k = (2 * m) + (2 * i) in
+    let s1 = Array.unsafe_get psi k and s1' = Array.unsafe_get psi' k in
+    let s2 = Array.unsafe_get psi (k + 1) and s2' = Array.unsafe_get psi' (k + 1) in
+    let x0 = Buf.unsafe_get a j and x1 = Buf.unsafe_get a (j + 1) in
+    let x2 = Buf.unsafe_get a (j + 2) and x3 = Buf.unsafe_get a (j + 3) in
+    let v = (x2 * s) - (((x2 * s') lsr 31) * p) in
+    let r = x0 + v - p2 in
+    let y0 = r + (r asr 62 land p2) in
+    let d = x0 - v in
+    let y2 = d + (d asr 62 land p2) in
+    let v = (x3 * s) - (((x3 * s') lsr 31) * p) in
+    let r = x1 + v - p2 in
+    let y1 = r + (r asr 62 land p2) in
+    let d = x1 - v in
+    let y3 = d + (d asr 62 land p2) in
+    (* [0, 2p) sums and differences, then one conditional subtraction of p *)
+    let v = (y1 * s1) - (((y1 * s1') lsr 31) * p) in
+    let r = y0 + v - p2 in
+    let r = r + (r asr 62 land p2) - p in
+    Buf.unsafe_set a j (r + (r asr 62 land p));
+    let d = y0 - v in
+    let d = d + (d asr 62 land p2) - p in
+    Buf.unsafe_set a (j + 1) (d + (d asr 62 land p));
+    let v = (y3 * s2) - (((y3 * s2') lsr 31) * p) in
+    let r = y2 + v - p2 in
+    let r = r + (r asr 62 land p2) - p in
+    Buf.unsafe_set a (j + 2) (r + (r asr 62 land p));
+    let d = y2 - v in
+    let d = d + (d asr 62 land p2) - p in
+    Buf.unsafe_set a (j + 3) (d + (d asr 62 land p))
+  done
+
+let forward t a =
+  check_length "forward" t a;
+  if t.lazy_butterflies then forward_lazy t a else forward_strict t a
+
+(* The inverse's last Gentleman–Sande stage (one group, distance n/2)
+   multiplies its sums by [n^-1] and its differences by
+   [psi^{-bitrev(1)} * n^-1], so no separate pass scales by [n^-1]. Inputs
+   lie in [0, b) for [b] = p (strict) or 2p (lazy); a sum or difference
+   is brought back below [b <= 2^31] before its Shoup product, and the
+   outputs are canonical. n = 1 needs no stage: n^-1 = 1. *)
+let inverse_last_stage t a ~b =
+  let p = t.p and h = t.n / 2 in
+  let ni = t.n_inv and ni' = t.n_inv_shoup in
+  let s = t.last_inv and s' = t.last_inv_shoup in
+  for j = 0 to h - 1 do
+    let u = Buf.unsafe_get a j in
+    let v = Buf.unsafe_get a (j + h) in
+    let su = u + v - b in
+    let su = su + (su asr 62 land b) in
+    let w = (su * ni) - (((su * ni') lsr 31) * p) - p in
+    Buf.unsafe_set a j (w + (w asr 62 land p));
+    let d = u - v in
+    let d = d + (d asr 62 land b) in
+    let w = (d * s) - (((d * s') lsr 31) * p) - p in
+    Buf.unsafe_set a (j + h) (w + (w asr 62 land p))
+  done
+
+(* Gentleman–Sande butterflies, strict: canonical residues in and out of
+   every stage. *)
+let inverse_strict t a =
+  let p = t.p and n = t.n in
   let psi = t.psi_inv_rev and psi' = t.psi_inv_rev_shoup in
   let tlen = ref 1 and m = ref n in
-  while !m > 1 do
+  while !m > 2 do
     let j1 = ref 0 in
     let h = !m / 2 in
     for i = 0 to h - 1 do
@@ -124,20 +264,77 @@ let inverse t a =
     tlen := !tlen * 2;
     m := h
   done;
-  let ni = t.n_inv and ni' = t.n_inv_shoup in
-  for i = 0 to n - 1 do
-    let x = Buf.unsafe_get a i in
-    let w = (x * ni) - (((x * ni') lsr 31) * p) in
-    let w = w - p in
-    Buf.unsafe_set a i (w + (w asr 62 land p))
-  done
+  inverse_last_stage t a ~b:p
 
-(* a hardware [mod] in this module: no call per element (see Poly) *)
-let pointwise_mul t dst a b =
-  let p = t.p in
-  for i = 0 to t.n - 1 do
-    Buf.unsafe_set dst i (Buf.unsafe_get a i * Buf.unsafe_get b i mod p)
-  done
+(* Lazy radix-4 Gentleman–Sande butterflies, under the same bound as
+   [forward_lazy]: the sum of two values in [0, 2p) and their difference
+   return to [0, 2p) with one conditional correction each, and the
+   difference's Shoup product lies in [0, 2p) without one. Each pass runs
+   two stages (distances t and 2t) on four values; when the number of
+   stages before the last is odd, one radix-2 pass goes first. *)
+let inverse_lazy t a =
+  let p = t.p and n = t.n in
+  let p2 = 2 * p in
+  let psi = t.psi_inv_rev and psi' = t.psi_inv_rev_shoup in
+  let tl = ref 1 and groups = ref (n / 2) in
+  (* radix-2 pass: n/2 groups, distance 1 *)
+  if log2 0 n land 1 = 0 then begin
+    let h = n / 2 in
+    for i = 0 to h - 1 do
+      let j = 2 * i in
+      let s = Array.unsafe_get psi (h + i) and s' = Array.unsafe_get psi' (h + i) in
+      let u = Buf.unsafe_get a j and v = Buf.unsafe_get a (j + 1) in
+      let r = u + v - p2 in
+      Buf.unsafe_set a j (r + (r asr 62 land p2));
+      let d = u - v in
+      let d = d + (d asr 62 land p2) in
+      Buf.unsafe_set a (j + 1) ((d * s) - (((d * s') lsr 31) * p))
+    done;
+    tl := 2;
+    groups := n / 4
+  end;
+  (* radix-4 passes: stage (h groups, distance t) then (h/2, distance 2t) *)
+  while !groups > 1 do
+    let h = !groups and t = !tl in
+    for i = 0 to (h / 2) - 1 do
+      let base = 4 * i * t in
+      let k = h + (2 * i) in
+      let s1 = Array.unsafe_get psi k and s1' = Array.unsafe_get psi' k in
+      let s2 = Array.unsafe_get psi (k + 1) and s2' = Array.unsafe_get psi' (k + 1) in
+      let s = Array.unsafe_get psi ((h / 2) + i) and s' = Array.unsafe_get psi' ((h / 2) + i) in
+      for j = base to base + t - 1 do
+        let x0 = Buf.unsafe_get a j and x1 = Buf.unsafe_get a (j + t) in
+        let x2 = Buf.unsafe_get a (j + (2 * t)) and x3 = Buf.unsafe_get a (j + (3 * t)) in
+        let r = x0 + x1 - p2 in
+        let y0 = r + (r asr 62 land p2) in
+        let d = x0 - x1 in
+        let d = d + (d asr 62 land p2) in
+        let y1 = (d * s1) - (((d * s1') lsr 31) * p) in
+        let r = x2 + x3 - p2 in
+        let y2 = r + (r asr 62 land p2) in
+        let d = x2 - x3 in
+        let d = d + (d asr 62 land p2) in
+        let y3 = (d * s2) - (((d * s2') lsr 31) * p) in
+        let r = y0 + y2 - p2 in
+        Buf.unsafe_set a j (r + (r asr 62 land p2));
+        let d = y0 - y2 in
+        let d = d + (d asr 62 land p2) in
+        Buf.unsafe_set a (j + (2 * t)) ((d * s) - (((d * s') lsr 31) * p));
+        let r = y1 + y3 - p2 in
+        Buf.unsafe_set a (j + t) (r + (r asr 62 land p2));
+        let d = y1 - y3 in
+        let d = d + (d asr 62 land p2) in
+        Buf.unsafe_set a (j + (3 * t)) ((d * s) - (((d * s') lsr 31) * p))
+      done
+    done;
+    tl := 4 * t;
+    groups := h / 4
+  done;
+  inverse_last_stage t a ~b:p2
+
+let inverse t a =
+  check_length "inverse" t a;
+  if t.lazy_butterflies then inverse_lazy t a else inverse_strict t a
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation-domain Galois permutations                               *)

@@ -25,14 +25,16 @@ val degree : table -> int
 val forward : table -> Buf.t -> unit
 (** In-place forward negacyclic NTT. Input and output are canonical residues.
     The output ordering is an internal (bit-reversed) one; it is consistent
-    between {!forward} and {!inverse} and suitable for point-wise products. *)
+    between {!forward} and {!inverse} and suitable for point-wise products.
+    Primes with [2p <= 2^31] (and [n >= 4]) take lazy radix-4 butterflies
+    that keep intermediate values in [\[0, 2p)]; wider primes take strict
+    radix-2 butterflies. Both give the same output. *)
 
 val inverse : table -> Buf.t -> unit
-(** In-place inverse transform; [inverse t (forward t a) = a]. *)
-
-val pointwise_mul : table -> Buf.t -> Buf.t -> Buf.t -> unit
-(** [pointwise_mul t dst a b] sets [dst.(i) <- a.(i) * b.(i) mod p]. [dst]
-    may alias [a] or [b]. *)
+(** In-place inverse transform; [inverse t (forward t a) = a]. It takes
+    lazy radix-4 or strict butterflies under the same condition as
+    {!forward}, and folds the scaling by [n^-1] into the last stage's
+    multipliers. *)
 
 val galois_perm : table -> galois:int -> int array
 (** [galois_perm t ~galois:g] is the slot permutation the automorphism

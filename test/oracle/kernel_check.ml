@@ -5,7 +5,9 @@
    lowered instruction stream on [Eval_ref] and encrypts with [Keygen_ref]
    from the same seed. The decrypted outputs must be equal bit for bit, so
    every encryption, key switch, rescale and rotation the program runs
-   agrees in every residue. Key generation is checked by test_keygen. *)
+   agrees in every residue. Key generation is checked by test_keygen.
+   [check_key_switching] compares the key-switching operations one
+   ciphertext at a time at both ends of a chain. *)
 
 module Driver = Hecate.Driver
 module Interp = Hecate_backend.Interp
@@ -14,6 +16,8 @@ module Select = Hecate.Select
 module Prog = Hecate_ir.Prog
 module Params = Hecate_ckks.Params
 module Chain = Hecate_rns.Chain
+module Poly = Hecate_rns.Poly
+module Prng = Hecate_support.Prng
 module Eval = Hecate_ckks.Eval
 module E = Kernel_ref.Eval_ref
 module Apps = Hecate_apps.Apps
@@ -137,3 +141,56 @@ let check_program ?reference_seed ~seed scheme name =
     with
     | None -> Ok (List.length fast)
     | Some i -> Error (Printf.sprintf "%s seed %d: output %d differs" name seed i)
+
+(* Key switching residue for residue at both ends of the chain: [rotate],
+   [rotate_many], [mul] and, where a prime remains to drop, [mul_rescale],
+   on two ciphertexts at level 0 (every digit) and modulus-switched to the
+   last level (one chain prime, where the identity digit is the only one).
+   Two chains: a 30-bit base prime with a 31-bit special prime (the
+   special prime's transforms take the strict butterflies) and 28-bit
+   primes throughout (a 29-bit special prime, lazy butterflies). [Error]
+   names the first operation whose fast and reference ciphertexts
+   differ. *)
+let check_key_switching ~seed =
+  let rotations = [ 1; 3; -2 ] in
+  let check_chain ~q0_bits =
+    let params = Params.create ~n:512 ~q0_bits ~sf_bits:28 ~levels:3 () in
+    let eval = Eval.create ~seed params ~rotations in
+    let g = Prng.create ~seed in
+    let fresh () =
+      Eval.encrypt_vector eval ~scale:0x1p24
+        (Array.init (Params.slots params) (fun _ -> (2. *. Prng.float01 g) -. 1.))
+    in
+    let a0 = fresh () and b0 = fresh () in
+    let rec down ct level = if Eval.level ct = level then ct else down (Eval.mod_switch eval ct) level in
+    let same (r : E.ciphertext) (f : Eval.ciphertext) =
+      Poly.equal r.E.c0 f.Eval.c0 && Poly.equal r.E.c1 f.Eval.c1
+    in
+    let cases level =
+      let a = down a0 level and b = down b0 level in
+      let ra = E.of_eval a and rb = E.of_eval b in
+      [
+        ("rotate", [ E.rotate eval ra 3 ], [ Eval.rotate eval a 3 ]);
+        ("rotate_many", E.rotate_many eval ra rotations, Eval.rotate_many eval a rotations);
+        ("mul", [ E.mul eval ra rb ], [ Eval.mul eval a b ]);
+      ]
+      @
+      if level < Eval.max_level eval then
+        [ ("mul_rescale", [ E.mul_rescale eval ra rb ], [ Eval.mul_rescale eval a b ]) ]
+      else []
+    in
+    List.find_map
+      (fun level ->
+        List.find_map
+          (fun (name, reference, fast) ->
+            if List.for_all2 same reference fast then None
+            else
+              Some
+                (Printf.sprintf "q0 %d bits, seed %d: %s at level %d differs" q0_bits seed name
+                   level))
+          (cases level))
+      [ 0; Eval.max_level eval ]
+  in
+  match List.find_map (fun q0_bits -> check_chain ~q0_bits) [ 30; 28 ] with
+  | None -> Ok ()
+  | Some msg -> Error msg

@@ -16,6 +16,17 @@ let test_oneshot_programs () =
         [ 1; 0x5EED ])
     [ "SF"; "HCD"; "MLP"; "matvec" ]
 
+(* The identity digit taken from the Eval input, the lazy forward
+   transform and the division-free mod-down, checked ciphertext by
+   ciphertext where key switching has one digit and where it has all. *)
+let test_key_switching_ends () =
+  List.iter
+    (fun seed ->
+      match Kernel_check.check_key_switching ~seed with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg)
+    [ 1; 0x5EED ]
+
 (* The harness can fail: a reference side that encrypts from another seed
    decrypts to other bits, and the check must say so. *)
 let test_perturbed_reference_reported () =
@@ -32,4 +43,6 @@ let () =
           Alcotest.test_case "perturbed reference reported" `Quick
             test_perturbed_reference_reported;
         ] );
+      ( "key switching",
+        [ Alcotest.test_case "one digit and every digit" `Quick test_key_switching_ends ] );
     ]

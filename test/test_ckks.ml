@@ -93,6 +93,39 @@ let test_encode_overflow_rejected () =
   | _ -> Alcotest.fail "expected overflow rejection"
   | exception Invalid_argument _ -> ()
 
+(* [Eval.encode_constant] fills the constant's residue into every slot
+   instead of transforming the degree-0 encoding: the two must agree bit
+   for bit at every level, for negative constants, zero and constants whose
+   scaled value is next to the overflow limit, and the overflow must be
+   rejected with the encoder's error. *)
+let test_encode_constant_eval_form () =
+  let t = Lazy.force ctx in
+  let p = Lazy.force params in
+  let enc = Encoder.create ~n:p.Params.n in
+  let chain = p.Params.chain in
+  List.iter
+    (fun (c, scale) ->
+      for level = 0 to Eval.max_level t do
+        let expect =
+          Poly.to_eval
+            (Encoder.encode_constant enc chain ~level_count:(Chain.length chain - level) ~scale c)
+        in
+        let pt = Eval.encode_constant t ~level ~scale c in
+        check Alcotest.bool
+          (Printf.sprintf "%h at scale %h, level %d" c scale level)
+          true
+          (Poly.equal expect pt.Eval.poly);
+        check Alcotest.bool "= reference" true
+          (Poly.equal (Ref.encode_constant t ~level ~scale c).Ref.poly pt.Eval.poly)
+      done)
+    [
+      (1., scale20); (-1., scale20); (0., scale20); (-0.37, 0x1p30); (2.5, 0x1p40);
+      (-1., 0x1p61 -. 0x1p8); (1., 0x1p61 -. 0x1p8); (-3.25, 1.);
+    ];
+  Alcotest.check_raises "overflow"
+    (Invalid_argument "Encoder.encode_constant: scaled constant overflows the native integer range")
+    (fun () -> ignore (Eval.encode_constant t ~level:0 ~scale:0x1p62 (-1.)))
+
 let test_galois_elements () =
   let enc = Encoder.create ~n:1024 in
   check Alcotest.int "rotation 0" 1 (Encoder.galois_element enc ~rotation:0);
@@ -344,9 +377,10 @@ let test_eval_fast_matches_reference () =
   (* raw keyswitch on the c1 component against the relinearization key *)
   let p = Lazy.force params in
   let lc = Chain.length p.Params.chain in
-  let d = Poly.to_coeff ca.Eval.c1 in
+  let d = ca.Eval.c1 in
   let relin = (Eval.keys t).Hecate_ckks.Keys.relin in
-  let ks_ref = Ref.keyswitch t ~lc d relin and ks_fast = Eval.keyswitch t ~lc d relin in
+  let ks_ref = Ref.keyswitch t ~lc (Poly.to_coeff d) relin
+  and ks_fast = Eval.keyswitch t ~lc d relin in
   check Alcotest.bool "keyswitch fst" true (Poly.equal (fst ks_ref) (fst ks_fast));
   check Alcotest.bool "keyswitch snd" true (Poly.equal (snd ks_ref) (snd ks_fast));
   (* and the decrypted values agree end to end *)
@@ -416,8 +450,9 @@ let test_deep_chain_matches_reference () =
     let ra = Ref.of_eval a and rb = Ref.of_eval b in
     let lc = Chain.length (Eval.params t).Params.chain - Eval.level a in
     let relin = (Eval.keys t).Hecate_ckks.Keys.relin in
-    let d = Poly.to_coeff a.Eval.c1 in
-    let ks_ref = Ref.keyswitch t ~lc d relin and ks_fast = Eval.keyswitch t ~lc d relin in
+    let d = a.Eval.c1 in
+    let ks_ref = Ref.keyswitch t ~lc (Poly.to_coeff d) relin
+    and ks_fast = Eval.keyswitch t ~lc d relin in
     check Alcotest.bool (name ^ "keyswitch p0") true (Poly.equal (fst ks_ref) (fst ks_fast));
     check Alcotest.bool (name ^ "keyswitch p1") true (Poly.equal (snd ks_ref) (snd ks_fast));
     let prod = Ref.mul t ra rb in
@@ -646,6 +681,7 @@ let () =
           Alcotest.test_case "constant exact" `Quick test_encode_constant_exact;
           Alcotest.test_case "partial vector" `Quick test_encode_partial_vector;
           Alcotest.test_case "overflow rejected" `Quick test_encode_overflow_rejected;
+          Alcotest.test_case "constant in Eval form" `Quick test_encode_constant_eval_form;
           Alcotest.test_case "galois elements" `Quick test_galois_elements;
         ] );
       ( "encrypt",

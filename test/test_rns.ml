@@ -256,16 +256,19 @@ let test_poly_automorphism_eval_inverse_roundtrip () =
     (Poly.equal pe (Poly.automorphism_eval rot ~galois:g_inv))
 
 let test_poly_lift_digit () =
-  (* gadget identity: sum_i lift(digit_i) * w_i = p (mod every chain prime) *)
+  (* gadget identity: sum_i lift(digit_i) * w_i = p (mod every chain
+     prime), in Eval domain *)
   let c = Lazy.force chain in
   let p, _ = random_poly 13 in
-  let acc = ref (Poly.zero c ~level_count:4 ~with_special:false Poly.Coeff) in
+  let eval = Poly.to_eval p in
+  let acc = ref (Poly.zero c ~level_count:4 ~with_special:false Poly.Eval) in
+  let dig = Poly.zero c ~level_count:4 ~with_special:false Poly.Eval in
   for i = 0 to 3 do
-    let dig = Poly.lift_digit p ~digit:i ~with_special:false in
+    Poly.lift_digit_into ~dst:dig p ~eval ~digit:i;
     let weights = Array.init 4 (fun j -> Chain.gadget_weight c ~digit:i ~modulus_index:j) in
     acc := Poly.add !acc (Poly.mul_component_scalars dig weights)
   done;
-  check Alcotest.bool "gadget reconstruction" true (Poly.equal !acc p)
+  check Alcotest.bool "gadget reconstruction" true (Poly.equal !acc eval)
 
 let test_poly_restrict_levels () =
   let p, _ = random_poly ~with_special:true 14 in
@@ -336,20 +339,28 @@ let test_poly_inplace_transforms () =
   let back = Poly.to_coeff_inplace (Poly.copy e) in
   check Alcotest.bool "to_coeff_inplace = to_coeff" true (Poly.equal p back)
 
+(* The Eval-domain lift copies the identity component from the operand's
+   Eval form: it must equal the reference kernels' lift, transformed
+   whole, with the destination reused across digits. *)
 let test_poly_lift_digit_into () =
   let c = Lazy.force chain in
   let p, _ = random_poly 29 in
+  let eval = Poly.to_eval p in
   List.iter
     (fun with_special ->
+      let dst = Poly.zero c ~level_count:4 ~with_special Poly.Eval in
       for digit = 0 to 3 do
-        let expect = Poly.lift_digit p ~digit ~with_special in
-        let dst = Poly.zero c ~level_count:4 ~with_special Poly.Coeff in
-        Poly.lift_digit_into ~dst p ~digit;
+        Poly.lift_digit_into ~dst p ~eval ~digit;
         check Alcotest.bool
           (Printf.sprintf "lift_digit_into digit %d special=%b" digit with_special)
-          true (Poly.equal dst expect)
+          true
+          (Poly.equal dst (R.to_eval (R.lift_digit p ~digit ~with_special)))
       done)
-    [ false; true ]
+    [ false; true ];
+  let wrong = Poly.zero c ~level_count:3 ~with_special:true Poly.Eval in
+  Alcotest.check_raises "destination of another level count"
+    (Invalid_argument "Poly.lift_digit_into: incompatible destination") (fun () ->
+      Poly.lift_digit_into ~dst:wrong p ~eval ~digit:0)
 
 (* Parallel kernels only engage at degree >= 4096; use a full-size chain so
    the jobs > 1 paths are actually exercised. *)
@@ -455,7 +466,7 @@ let prop_eval_division_matches_coeff =
            (Poly.mod_down_rescale acc ~plus:d)
            (reference (fun a -> R.rescale_last (Poly.add (R.to_coeff d) (R.mod_down_special a)))))
 
-(* The Coeff-domain fast loops (digit lift, mod-down, rescale) read the
+(* The fast loops (digit lift, Coeff-domain mod-down and rescale) read the
    boundary residues directly. *)
 let prop_coeff_division_matches_reference =
   QCheck.Test.make ~name:"coeff lift/mod-down/rescale = naive" ~count:40 QCheck.small_nat
@@ -466,9 +477,9 @@ let prop_coeff_division_matches_reference =
       let p = extreme_poly ~domain:Poly.Coeff g c ~level_count:lc ~with_special:true in
       let r = extreme_poly ~domain:Poly.Coeff g c ~level_count:lc ~with_special:false in
       let digit = Prng.int_below g lc in
-      Poly.equal
-        (Poly.lift_digit p ~digit ~with_special:true)
-        (R.lift_digit p ~digit ~with_special:true)
+      let dig = Poly.zero c ~level_count:lc ~with_special:true Poly.Eval in
+      Poly.lift_digit_into ~dst:dig p ~eval:(R.to_eval p) ~digit;
+      Poly.equal dig (R.to_eval (R.lift_digit p ~digit ~with_special:true))
       && Poly.equal (Poly.mod_down_special p) (R.mod_down_special p)
       && Poly.equal (Poly.rescale_last r) (R.rescale_last r))
 

@@ -392,6 +392,60 @@ let test_ntt_fast_vs_reference () =
       check Alcotest.(array int) (Printf.sprintf "roundtrip n=%d" n) a (B.to_array inv_fast))
     [ 8; 64; 1024 ]
 
+(* The forward transform keeps residues in [0, 2p) between stages when
+   2p <= 2^31 and the special prime's takes the strict butterflies; the
+   inverse folds n^-1 into its last stage. Both must agree with the
+   reference bit for bit at the edges of those bounds: inputs all p - 1
+   (every sum near its bound), all zero, and random, for the largest NTT
+   primes below 2^28, 2^29 and 2^30 (lazy) and below 2^31 (strict), at
+   every degree 8 .. 4096. Each prime is 1 mod 8192, so it serves every
+   degree. *)
+let bound_primes =
+  lazy (List.map (fun bits -> List.hd (Pr.ntt_primes ~bits ~n:4096 ~count:1)) [ 28; 29; 30; 31 ])
+
+(* [None] when the fast and reference transforms agree on [a], forward
+   and inverse; otherwise which one differs. *)
+let ntt_bound_mismatch ~p ~n a =
+  let t = N.make_table ~p ~n and r = NR.table ~p ~n in
+  let fast = B.copy a and reference = B.copy a in
+  N.forward t fast;
+  NR.forward r reference;
+  if not (B.equal fast reference) then Some "forward"
+  else begin
+    let fast = B.copy a and reference = B.copy a in
+    N.inverse t fast;
+    NR.inverse r reference;
+    if B.equal fast reference then None else Some "inverse"
+  end
+
+let bound_input ~p ~n ~seed = function
+  | 0 -> B.init n (fun _ -> p - 1)
+  | 1 -> B.create n
+  | _ ->
+      let g = P.create ~seed in
+      B.init n (fun _ -> P.uniform_mod g p)
+
+let test_ntt_bounds_every_case () =
+  List.iter
+    (fun p ->
+      for log_n = 3 to 12 do
+        let n = 1 lsl log_n in
+        List.iter
+          (fun (kind, name) ->
+            match ntt_bound_mismatch ~p ~n (bound_input ~p ~n ~seed:log_n kind) with
+            | None -> ()
+            | Some which -> Alcotest.failf "%s p=%d n=%d %s input differs" which p n name)
+          [ (0, "p-1"); (1, "zero"); (2, "random") ]
+      done)
+    (Lazy.force bound_primes)
+
+let prop_ntt_bounds =
+  QCheck.Test.make ~name:"forward/inverse = reference at the lazy bounds" ~count:200
+    QCheck.(quad (int_range 3 12) (int_bound 3) (int_bound 2) small_nat)
+    (fun (log_n, prime, kind, seed) ->
+      let p = List.nth (Lazy.force bound_primes) prime and n = 1 lsl log_n in
+      ntt_bound_mismatch ~p ~n (bound_input ~p ~n ~seed kind) = None)
+
 (* The reference transform's products, checked against the schoolbook
    product; the fast transform is checked against the reference above. *)
 let ref_table n = NR.make_table ~p:(N.prime (ntt_table n)) ~n
@@ -769,6 +823,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_ntt_roundtrip;
           Alcotest.test_case "fast vs naive" `Quick test_ntt_fast_vs_reference;
+          Alcotest.test_case "lazy bounds, every case" `Quick test_ntt_bounds_every_case;
+          qtest prop_ntt_bounds;
           Alcotest.test_case "vs schoolbook" `Quick test_ntt_vs_schoolbook;
           Alcotest.test_case "negacyclic wraparound" `Quick test_ntt_negacyclic_wrap;
           qtest prop_ntt_convolution_linear;
