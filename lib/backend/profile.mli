@@ -10,8 +10,9 @@
 val measure :
   ?reps:int -> Hecate_ckks.Eval.t -> (Hecate.Costmodel.op_class * int * int, float) Hashtbl.t
 (** [measure eval] times every operation class at every level of [eval]'s
-    chain. Keys are [(class, num_primes, n)]; values are seconds per
-    operation. *)
+    chain, each in the destination form {!Hecate_backend.Schedule.run}
+    executes, writing into storage made once. Keys are
+    [(class, num_primes, n)]; values are seconds per operation. *)
 
 val model_for : ?reps:int -> Hecate_ckks.Eval.t -> Hecate.Costmodel.t
 (** Table-backed model with the analytic model as shape-preserving

@@ -40,34 +40,53 @@ let map_regs ~read ~write = function
   | Downscale r -> Downscale { r with src = read r.src; dst = write r.dst }
   | Output r -> Output { r with src = read r.src }
 
-let regs i =
+(* Rewrite the plaintext slots an instruction reads through [read] and
+   those it writes through [write]. *)
+let map_slots ~read ~write = function
+  | Encode_imm r -> Encode_imm { r with plain_id = write r.plain_id }
+  | Modswitch_plain { plain; dst_plain } ->
+      Modswitch_plain { plain = read plain; dst_plain = write dst_plain }
+  | Add_plain r -> Add_plain { r with plain = read r.plain }
+  | Sub_plain r -> Sub_plain { r with plain = read r.plain }
+  | Mul_plain r -> Mul_plain { r with plain = read r.plain }
+  | ( Encrypt_input _ | Add _ | Sub _ | Mul _ | Mul_rescale _ | Negate _ | Rotate _ | Rotate_fan _
+    | Rescale _ | Modswitch _ | Upscale _ | Downscale _ | Output _ ) as i ->
+      i
+
+let accesses map i =
   let reads = ref [] and writes = ref [] in
   let note acc r =
     acc := r :: !acc;
     r
   in
-  ignore (map_regs ~read:(note reads) ~write:(note writes) i);
+  ignore (map ~read:(note reads) ~write:(note writes) i);
   (List.rev !reads, List.rev !writes)
 
-(* Selection's virtual registers are packed into the buffer pool by linear
-   scan over the stream itself. IR-level liveness would be wrong here: a
-   fan defines its later members' values at its head, and a fused multiply
-   reads its operands at the Rescale. *)
+let regs = accesses map_regs
+
+(* [Liveness.plan] over the stream for the values [map] names, and the
+   stream renamed to the planned buffers. *)
+let pack map ~values stream =
+  let acc = Array.map (accesses map) stream in
+  let live =
+    Liveness.plan ~num_values:values ~reads:(Array.map fst acc) ~writes:(Array.map snd acc)
+  in
+  let buffer v = live.Liveness.buffer_of.(v) in
+  (Array.map (map ~read:buffer ~write:buffer) stream, max 1 live.Liveness.buffer_count)
+
+(* Selection's virtual registers and plaintext slots are each packed into
+   a pool of buffers by linear scan over the stream itself. IR-level
+   liveness would be wrong here: a fan defines its later members' values
+   at its head, and a fused multiply reads its operands at the Rescale. *)
 let lower (p : Prog.t) =
   let s = Select.select p in
-  let stream = s.Select.instructions in
-  let live =
-    Liveness.plan ~num_values:s.Select.registers
-      ~reads:(Array.map (fun i -> fst (regs i)) stream)
-      ~writes:(Array.map (fun i -> snd (regs i)) stream)
-  in
+  let stream, cipher_buffers = pack map_regs ~values:s.Select.registers s.Select.instructions in
+  let instructions, plain_slots = pack map_slots ~values:s.Select.plaintexts stream in
   {
-    instructions =
-      (let buffer r = live.Liveness.buffer_of.(r) in
-       Array.map (map_regs ~read:buffer ~write:buffer) stream);
+    instructions;
     levels = s.Select.levels;
-    cipher_buffers = max 1 live.Liveness.buffer_count;
-    plain_slots = max 1 s.Select.plaintexts;
+    cipher_buffers;
+    plain_slots;
     output_count = List.length p.Prog.outputs;
     source_ops = Prog.num_ops p;
     slot_count = p.Prog.slot_count;
@@ -87,10 +106,21 @@ type report = {
   peak_live : int;
 }
 
+(* The run owns its storage: one register per ciphertext buffer and one
+   slot per plaintext buffer, at the top level's width, and one scratch
+   for key switching and the divisions, all allocated here and written in
+   place by every instruction. A ciphertext is a view of its buffer's
+   register; [Liveness.plan] never lets a step's result share a buffer with
+   its operands, so no instruction overwrites what it reads. *)
 let run eval ~waterline_bits t ~inputs =
   let params = Eval.params eval in
   let chain = params.Params.chain in
   let phys = Params.slots params in
+  let registers = Array.init t.cipher_buffers (fun _ -> Eval.register eval ~level:0) in
+  let slots = Array.init t.plain_slots (fun _ -> Eval.slot eval ~level:0) in
+  let scratch = Eval.scratch eval ~level:0 in
+  (* a downscale's upscaled operand, before its rescale *)
+  let between = lazy (Eval.register eval ~level:0) in
   let cts : Eval.ciphertext option array = Array.make t.cipher_buffers None in
   let pts : Eval.plaintext option array = Array.make t.plain_slots None in
   let outputs = Array.make t.output_count [||] in
@@ -106,6 +136,8 @@ let run eval ~waterline_bits t ~inputs =
     end;
     cts.(b) <- Some c
   in
+  (* [set b (f ~dst)] for buffer [b]'s register [dst] *)
+  let write b f = set b (f ~dst:registers.(b)) in
   (* The logical vector is replicated across the physical register: when the
      execution degree offers more slots than the program declares, rotation
      must still be cyclic in [slot_count], and replication makes the Galois
@@ -119,47 +151,57 @@ let run eval ~waterline_bits t ~inputs =
         let j = i mod t.slot_count in
         if j < len then v.(j) else 0.)
   in
-  (* SEAL-style scale alignment before additive operations. *)
+  (* SEAL-style scale alignment before additive operations: a relabelled
+     operand, read in place *)
   let align a target =
     if Float.abs (Eval.scale a -. target) /. target < 1e-9 then a else Eval.set_scale eval a target
   in
   let step = function
     | Encrypt_input { name; dst } -> (
         match List.assoc_opt name inputs with
-        | Some v -> set dst (Eval.encrypt_vector eval ~scale:(Float.exp2 waterline_bits) (replicate v))
+        | Some v ->
+            write dst
+              (Eval.encrypt_vector_into eval ~scratch ~scale:(Float.exp2 waterline_bits)
+                 (replicate v))
         | None -> invalid_arg ("Schedule.run: missing input " ^ name))
     | Encode_imm { value; scale_bits; level; plain_id } ->
         let v = match value with Prog.Scalar x -> Array.make phys x | Prog.Vector v -> replicate v in
-        pts.(plain_id) <- Some (Eval.encode eval ~level ~scale:(Float.exp2 scale_bits) v)
+        pts.(plain_id) <-
+          Some (Eval.encode_into eval ~dst:slots.(plain_id) ~level ~scale:(Float.exp2 scale_bits) v)
     | Add { lhs; rhs; dst } ->
         let a = ct lhs in
-        set dst (Eval.add eval a (align (ct rhs) (Eval.scale a)))
+        write dst (Eval.add_into eval a (align (ct rhs) (Eval.scale a)))
     | Sub { lhs; rhs; dst } ->
         let a = ct lhs in
-        set dst (Eval.sub eval a (align (ct rhs) (Eval.scale a)))
+        write dst (Eval.sub_into eval a (align (ct rhs) (Eval.scale a)))
     | Add_plain { lhs; plain; dst } ->
         let p = pt plain in
-        set dst (Eval.add_plain eval (align (ct lhs) p.Eval.pt_scale) p)
+        write dst (Eval.add_plain_into eval (align (ct lhs) p.Eval.pt_scale) p)
     | Sub_plain { lhs; plain; dst; reversed } ->
         let p = pt plain in
-        let d = Eval.sub_plain eval (align (ct lhs) p.Eval.pt_scale) p in
-        set dst (if reversed then Eval.negate eval d else d)
-    | Mul { lhs; rhs; dst } -> set dst (Eval.mul eval (ct lhs) (ct rhs))
-    | Mul_plain { lhs; plain; dst } -> set dst (Eval.mul_plain eval (ct lhs) (pt plain))
-    | Mul_rescale { lhs; rhs; dst } -> set dst (Eval.mul_rescale eval (ct lhs) (ct rhs))
-    | Negate { src; dst } -> set dst (Eval.negate eval (ct src))
-    | Rotate { src; amount; dst } -> set dst (Eval.rotate eval (ct src) amount)
+        let d = Eval.sub_plain_into eval ~dst:registers.(dst) (align (ct lhs) p.Eval.pt_scale) p in
+        (* negating in place: element-wise, so the register may be both *)
+        set dst (if reversed then Eval.negate_into eval ~dst:registers.(dst) d else d)
+    | Mul { lhs; rhs; dst } -> write dst (Eval.mul_into eval ~scratch (ct lhs) (ct rhs))
+    | Mul_plain { lhs; plain; dst } -> write dst (Eval.mul_plain_into eval (ct lhs) (pt plain))
+    | Mul_rescale { lhs; rhs; dst } ->
+        write dst (Eval.mul_rescale_into eval ~scratch (ct lhs) (ct rhs))
+    | Negate { src; dst } -> write dst (Eval.negate_into eval (ct src))
+    | Rotate { src; amount; dst } -> write dst (Eval.rotate_into eval ~scratch (ct src) amount)
     | Rotate_fan { src; amounts; dsts } ->
-        List.iter2 set dsts (Eval.rotate_many eval (ct src) amounts)
-    | Rescale { src; dst } -> set dst (Eval.rescale eval (ct src))
-    | Modswitch { src; dst } -> set dst (Eval.mod_switch eval (ct src))
+        let dsts' = List.map (fun b -> registers.(b)) dsts in
+        List.iter2 set dsts (Eval.rotate_many_into eval ~scratch ~dsts:dsts' (ct src) amounts)
+    | Rescale { src; dst } -> write dst (Eval.rescale_into eval ~scratch (ct src))
+    | Modswitch { src; dst } -> write dst (Eval.mod_switch_into eval (ct src))
     | Modswitch_plain { plain; dst_plain } ->
-        pts.(dst_plain) <- Some (Eval.mod_switch_plain eval (pt plain))
+        pts.(dst_plain) <- Some (Eval.mod_switch_plain_into eval ~dst:slots.(dst_plain) (pt plain))
     | Upscale { src; target_scale_bits; dst } ->
         let c = ct src in
         let target = Float.exp2 target_scale_bits in
         let factor = target /. Eval.scale c in
-        set dst (if factor < 1.5 then Eval.set_scale eval c target else Eval.upscale eval c ~factor)
+        write dst
+          (if factor < 1.5 then fun ~dst -> Eval.set_scale_into eval ~dst c target
+           else Eval.upscale_into eval c ~factor)
     | Downscale { src; waterline_bits; dst } ->
         let c = ct src in
         let lc = Chain.length chain - Eval.level c in
@@ -168,7 +210,8 @@ let run eval ~waterline_bits t ~inputs =
            rescale: the result lands on the waterline up to the rounding of
            the integer multiplier (see DESIGN.md on small-S_f precision) *)
         let factor = q_drop *. Float.exp2 waterline_bits /. Eval.scale c in
-        set dst (Eval.rescale eval (Eval.upscale eval c ~factor))
+        let up = Eval.upscale_into eval ~dst:(Lazy.force between) c ~factor in
+        write dst (Eval.rescale_into eval ~scratch up)
     | Output { src; index } -> outputs.(index) <- Eval.decrypt eval (ct src)
   in
   let add cls count seconds =

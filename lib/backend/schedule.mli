@@ -14,7 +14,7 @@ type t = {
   instructions : instruction array;
   levels : int array; (** the level each instruction runs at ({!Hecate.Select.t}) *)
   cipher_buffers : int; (** ciphertext pool size (= peak liveness of the stream) *)
-  plain_slots : int; (** plaintext pool size *)
+  plain_slots : int; (** plaintext pool size (= peak liveness of the stream's plaintexts) *)
   output_count : int;
   source_ops : int; (** IR operations lowered *)
   slot_count : int; (** the program's logical slot count *)
@@ -22,8 +22,8 @@ type t = {
 
 val lower : Hecate_ir.Prog.t -> t
 (** Lower a typed, scale-managed program: {!Hecate.Select.select}, then
-    buffers allocated by {!Hecate_ir.Liveness.plan} over the selected
-    stream. Rotations, constants and types must already be legal (run the
+    ciphertext buffers and plaintext slots each allocated by
+    {!Hecate_ir.Liveness.plan} over the selected stream. Rotations, constants and types must already be legal (run the
     driver first).
     @raise Invalid_argument on free-typed homomorphic operands. *)
 
@@ -52,7 +52,13 @@ val run :
   inputs:(string * float array) list ->
   report
 (** Encrypt the inputs at the waterline scale, run the instructions in
-    order, decrypt the outputs. Inputs and constants are replicated across
+    order, decrypt the outputs. The run allocates its register file once
+    (one {!Hecate_ckks.Eval.register} per ciphertext buffer, one
+    {!Hecate_ckks.Eval.slot} per plaintext slot, one
+    {!Hecate_ckks.Eval.scratch}) and executes every instruction in place
+    through the evaluator's destination forms. It keeps no storage in
+    [eval], so runs on one evaluator may overlap when each encrypts from
+    a stream of its own ({!Hecate_ckks.Eval.restart_encryption}). Inputs and constants are replicated across
     the physical register, so rotations stay cyclic in the program's slot
     count when the ring offers more slots (found by the differential fuzzer
     — see test/corpus/ and docs/TESTING.md). Every instruction but

@@ -34,10 +34,10 @@ let slots enc = enc.n / 2
 (* Coefficients can reach 2^62 at most; reject anything that would wrap. *)
 let coeff_limit = 0x1p61
 
-let encode enc chain ~level_count ~scale v =
+let encode_into enc ~dst ~scale v =
   let n = enc.n in
   if Array.length v > n / 2 then invalid_arg "Encoder.encode: too many slots";
-  if Chain.degree chain <> n then invalid_arg "Encoder.encode: chain degree mismatch";
+  if Chain.degree dst.Poly.chain <> n then invalid_arg "Encoder.encode: chain degree mismatch";
   let buf = Fft.make_buffer n in
   Array.iteri
     (fun j x ->
@@ -62,7 +62,12 @@ let encode enc chain ~level_count ~scale v =
       invalid_arg "Encoder.encode: scaled coefficient overflows the native integer range";
     coeffs.(k) <- int_of_float scaled
   done;
-  Poly.of_centered_coeffs chain ~level_count ~with_special:false coeffs
+  Poly.of_centered_coeffs_into ~dst coeffs
+
+let encode enc chain ~level_count ~scale v =
+  let dst = Poly.zero chain ~level_count ~with_special:false Poly.Coeff in
+  encode_into enc ~dst ~scale v;
+  dst
 
 let scaled_constant ~scale c =
   let scaled = Float.round (c *. scale) in

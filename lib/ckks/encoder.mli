@@ -22,6 +22,10 @@ val encode :
     @raise Invalid_argument if a rounded coefficient would overflow the
     native integer range (scale too large for the message). *)
 
+val encode_into : t -> dst:Hecate_rns.Poly.t -> scale:float -> float array -> unit
+(** {!encode} into the [Coeff]-domain [dst] (its chain and level count,
+    no special component). *)
+
 val encode_constant :
   t -> Hecate_rns.Chain.t -> level_count:int -> scale:float -> float -> Hecate_rns.Poly.t
 (** [encode_constant enc chain ~level_count ~scale c] encodes the constant

@@ -24,33 +24,42 @@ let uniform_poly g chain ~level_count ~with_special =
   p
 
 (* The polynomial with centered coefficients [coeffs], all of magnitude at
-   most [bound], in Eval domain. Below every modulus a coefficient's
-   residue is [c] or [c + q], so no reduction is needed. *)
-let small_poly chain ~level_count ~with_special ~bound coeffs =
-  let p = Poly.zero chain ~level_count ~with_special Poly.Coeff in
+   most [bound], written into [dst] (Coeff-labelled) and transformed there
+   to Eval domain. Below every modulus a coefficient's residue is [c] or
+   [c + q], so no reduction is needed. *)
+let small_poly_into ~dst ~bound coeffs =
   Array.iteri
-    (fun i dst ->
-      let q = Poly.modulus_at p i in
+    (fun i d ->
+      let q = Poly.modulus_at dst i in
       if bound >= q then invalid_arg "Keys: sampled coefficients exceed a modulus";
       for t = 0 to Array.length coeffs - 1 do
         let c = Array.unsafe_get coeffs t in
-        Buf.unsafe_set dst t (if c < 0 then c + q else c)
+        Buf.unsafe_set d t (if c < 0 then c + q else c)
       done)
-    p.Poly.data;
-  Poly.to_eval_inplace p
+    dst.Poly.data;
+  Poly.to_eval_inplace dst
+
+let small_poly chain ~level_count ~with_special ~bound coeffs =
+  small_poly_into ~dst:(Poly.zero chain ~level_count ~with_special Poly.Coeff) ~bound coeffs
+
+let error_poly_into g params ~dst =
+  let eta = params.Params.error_sigma_eta in
+  let n = Chain.degree params.Params.chain in
+  let coeffs = Array.init n (fun _ -> Prng.centered_binomial g ~eta) in
+  small_poly_into ~dst ~bound:eta coeffs
 
 let error_poly g params ~level_count ~with_special =
-  let eta = params.Params.error_sigma_eta in
-  let chain = params.Params.chain in
-  let coeffs = Array.init (Chain.degree chain) (fun _ -> Prng.centered_binomial g ~eta) in
-  small_poly chain ~level_count ~with_special ~bound:eta coeffs
+  error_poly_into g params
+    ~dst:(Poly.zero params.Params.chain ~level_count ~with_special Poly.Coeff)
 
 let ternary_coeffs g n = Array.init n (fun _ -> Prng.ternary g)
 
+let ternary_poly_into g params ~dst =
+  small_poly_into ~dst ~bound:1 (ternary_coeffs g (Chain.degree params.Params.chain))
+
 let ternary_poly g params ~level_count =
-  let chain = params.Params.chain in
-  small_poly chain ~level_count ~with_special:false ~bound:1
-    (ternary_coeffs g (Chain.degree chain))
+  ternary_poly_into g params
+    ~dst:(Poly.zero params.Params.chain ~level_count ~with_special:false Poly.Coeff)
 
 (* [e <- e - a s + f_j m] on every component [j] of [e], in place: the
    body of a key whose fresh error polynomial is [e]. [s] and [m] may carry

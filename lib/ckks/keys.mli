@@ -35,6 +35,16 @@ val ternary_poly : Hecate_support.Prng.t -> Params.t -> level_count:int -> Hecat
 (** A fresh uniform ternary polynomial in [Eval] domain over the first
     [level_count] chain primes (the encryption mask [u]). *)
 
+val error_poly_into :
+  Hecate_support.Prng.t -> Params.t -> dst:Hecate_rns.Poly.t -> Hecate_rns.Poly.t
+(** {!error_poly} over [dst]'s basis, written into the [Coeff]-labelled
+    [dst] and transformed there; returns [dst]'s [Eval] view. Draws what
+    {!error_poly} draws. *)
+
+val ternary_poly_into :
+  Hecate_support.Prng.t -> Params.t -> dst:Hecate_rns.Poly.t -> Hecate_rns.Poly.t
+(** {!ternary_poly} into [dst], as {!error_poly_into}. *)
+
 val galois_key : t -> int -> switch_key
 (** @raise Not_found if no key was generated for that element. *)
 

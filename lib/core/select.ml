@@ -38,7 +38,9 @@ let charges = function
       [ (Costmodel.Rotate, 1); (Costmodel.Rotate_hoisted, List.length amounts - 1) ]
   | Rescale _ -> [ (Costmodel.Rescale, 1) ]
   | Modswitch _ | Modswitch_plain _ -> [ (Costmodel.Modswitch, 1) ]
-  (* [Eval.upscale] encodes its constant on every call *)
+  (* [Eval.upscale] multiplies by its constant's residue per modulus and
+     encodes nothing; the Encode charge is what it once cost, kept so that
+     estimates, and the plans chosen by them, stay as they are *)
   | Upscale _ -> [ (Costmodel.Encode, 1); (Costmodel.Plain_mul, 1) ]
   | Downscale _ -> [ (Costmodel.Encode, 1); (Costmodel.Plain_mul, 1); (Costmodel.Rescale, 1) ]
 

@@ -56,10 +56,20 @@ let alloc_like p =
   let n = Chain.degree p.chain in
   { p with data = views comps n (Buf.create (comps * n)) }
 
-let copy p =
-  let out = alloc_like p in
-  Array.iteri (fun i src -> Buf.blit ~src ~dst:out.data.(i)) p.data;
-  out
+(* [p]'s first [level_count] chain components, and its special one when
+   it has it, labelled [domain]: a destination over [p]'s storage. Only the
+   small array of component views is new. *)
+let view p ~level_count ~domain =
+  if level_count < 1 || level_count > p.level_count then invalid_arg "Poly.view: bad level count";
+  if level_count = p.level_count && domain = p.domain then p
+  else
+    let data =
+      if not p.with_special then Array.sub p.data 0 level_count
+      else
+        Array.init (level_count + 1) (fun i ->
+            if i = level_count then p.data.(p.level_count) else p.data.(i))
+    in
+    { p with level_count; domain; data }
 
 let check_compatible name a b =
   if
@@ -67,17 +77,36 @@ let check_compatible name a b =
     || a.domain <> b.domain
   then invalid_arg ("Poly." ^ name ^ ": incompatible operands")
 
-let of_centered_coeffs chain ~level_count ~with_special coeffs =
-  let n = Chain.degree chain in
+let check_shape name ~dst p =
+  if
+    dst.chain != p.chain || dst.level_count <> p.level_count
+    || dst.with_special <> p.with_special
+  then invalid_arg ("Poly." ^ name ^ ": incompatible destination")
+
+let copy_into ~dst p =
+  check_compatible "copy_into" dst p;
+  Array.iteri (fun i src -> Buf.blit ~src ~dst:dst.data.(i)) p.data
+
+let copy p =
+  let out = alloc_like p in
+  copy_into ~dst:out p;
+  out
+
+let of_centered_coeffs_into ~dst coeffs =
+  let n = Chain.degree dst.chain in
   if Array.length coeffs <> n then invalid_arg "Poly.of_centered_coeffs: wrong length";
-  let p = zero chain ~level_count ~with_special Coeff in
-  for i = 0 to component_count p - 1 do
-    let q = modulus_at p i in
-    let dst = p.data.(i) in
+  if dst.domain <> Coeff then invalid_arg "Poly.of_centered_coeffs_into: destination must be Coeff";
+  for i = 0 to component_count dst - 1 do
+    let q = modulus_at dst i in
+    let d = dst.data.(i) in
     for t = 0 to n - 1 do
-      Buf.set dst t (M.reduce ~q coeffs.(t))
+      Buf.set d t (M.reduce ~q coeffs.(t))
     done
-  done;
+  done
+
+let of_centered_coeffs chain ~level_count ~with_special coeffs =
+  let p = zero chain ~level_count ~with_special Coeff in
+  of_centered_coeffs_into ~dst:p coeffs;
   p
 
 (* ------------------------------------------------------------------ *)
@@ -105,30 +134,27 @@ let binop_into name loop ~dst a b =
 let add_into ~dst a b = binop_into "add_into" add_loop ~dst a b
 let sub_into ~dst a b = binop_into "sub_into" sub_loop ~dst a b
 
-let add a b =
-  check_compatible "add" a b;
+(* The allocating forms: a fresh destination shaped like [a], then the
+   destination form. *)
+let fresh_like f a =
   let out = alloc_like a in
-  kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
-      add_loop (modulus_at a i) a.data.(i) b.data.(i) out.data.(i));
+  f ~dst:out;
   out
 
-let sub a b =
-  check_compatible "sub" a b;
-  let out = alloc_like a in
-  kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
-      sub_loop (modulus_at a i) a.data.(i) b.data.(i) out.data.(i));
-  out
+let add a b = fresh_like (fun ~dst -> binop_into "add" add_loop ~dst a b) a
+let sub a b = fresh_like (fun ~dst -> binop_into "sub" sub_loop ~dst a b) a
 
-let neg a =
-  let out = alloc_like a in
+let neg_into ~dst a =
+  check_compatible "neg_into" dst a;
   kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
       let q = modulus_at a i in
-      let src = a.data.(i) and dst = out.data.(i) in
+      let src = a.data.(i) and dst = dst.data.(i) in
       for t = 0 to Buf.length src - 1 do
         let x = Buf.unsafe_get src t in
         Buf.unsafe_set dst t (if x = 0 then 0 else q - x)
-      done);
-  out
+      done)
+
+let neg a = fresh_like (fun ~dst -> neg_into ~dst a) a
 
 (* Element loops use unchecked accesses: every residue view of a polynomial
    has length [Chain.degree] by construction, and [check_compatible] has
@@ -147,20 +173,12 @@ let check_eval name a b =
   if a.domain <> Eval || b.domain <> Eval then
     invalid_arg ("Poly." ^ name ^ ": operands must be in Eval domain")
 
-let mul a b =
-  check_eval "mul" a b;
-  check_compatible "mul" a b;
-  let out = alloc_like a in
-  kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
-      mul_loop (modulus_at a i) a.data.(i) b.data.(i) out.data.(i));
-  out
+let mul_named name ~dst a b =
+  check_eval name a b;
+  binop_into name mul_loop ~dst a b
 
-let mul_into ~dst a b =
-  check_eval "mul_into" a b;
-  check_compatible "mul_into" a b;
-  check_compatible "mul_into" dst a;
-  kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
-      mul_loop (modulus_at a i) a.data.(i) b.data.(i) dst.data.(i))
+let mul_into ~dst a b = mul_named "mul_into" ~dst a b
+let mul a b = fresh_like (fun ~dst -> mul_named "mul" ~dst a b) a
 
 (* [b] may carry a deeper chain basis than [acc]/[a] (full-level key
    material): component [i < level_count] of [b] is used directly and [b]'s
@@ -193,8 +211,10 @@ let mul_add_into ~acc a b =
    most [(q-1)^2], so a canonical accumulator takes [budget q] of them
    before the sum can pass [max_int]: every 64 terms for 28-bit moduli,
    every term for a 31-bit one. The loop reduces only on the terms that
-   exhaust the budget and on the last one. The digit is read through the
-   Galois permutation, so rotations reuse one digit without copying it. *)
+   exhaust the budget and on the last one. Term 0 writes the products
+   instead of adding them, so the accumulators need no clearing. The
+   digit is read through the Galois permutation, so rotations reuse one
+   digit without copying it. *)
 let lazy_budget q = (max_int - q) / ((q - 1) * (q - 1))
 
 let key_switch_add ~acc0 ~acc1 dig ~k0 ~k1 ~galois ~term ~terms =
@@ -210,7 +230,21 @@ let key_switch_add ~acc0 ~acc1 dig ~k0 ~k1 ~galois ~term ~terms =
       let q = modulus_at dig i in
       let d = dig.data.(i) and a0 = acc0.data.(i) and a1 = acc1.data.(i) in
       let b0 = multiplier_component dig k0 i and b1 = multiplier_component dig k1 i in
-      if (term + 1) mod lazy_budget q = 0 || term = terms - 1 then
+      let reduce = (term + 1) mod lazy_budget q = 0 || term = terms - 1 in
+      (* term 0 starts the sums: it writes, where the others add *)
+      if term = 0 && reduce then
+        for t = 0 to n - 1 do
+          let x = Buf.unsafe_get d (Array.unsafe_get perm t) in
+          Buf.unsafe_set a0 t (x * Buf.unsafe_get b0 t mod q);
+          Buf.unsafe_set a1 t (x * Buf.unsafe_get b1 t mod q)
+        done
+      else if term = 0 then
+        for t = 0 to n - 1 do
+          let x = Buf.unsafe_get d (Array.unsafe_get perm t) in
+          Buf.unsafe_set a0 t (x * Buf.unsafe_get b0 t);
+          Buf.unsafe_set a1 t (x * Buf.unsafe_get b1 t)
+        done
+      else if reduce then
         for t = 0 to n - 1 do
           let x = Buf.unsafe_get d (Array.unsafe_get perm t) in
           Buf.unsafe_set a0 t ((Buf.unsafe_get a0 t + (x * Buf.unsafe_get b0 t)) mod q);
@@ -230,14 +264,8 @@ let scalar_mul_loop p i k out =
     Buf.unsafe_set dst t (Buf.unsafe_get src t * k mod q)
   done
 
-let mul_scalar a c =
-  if c < 0 then invalid_arg "Poly.mul_scalar: negative scalar";
-  let out = alloc_like a in
-  kernel_par (component_count a) (Chain.degree a.chain) (fun i ->
-      scalar_mul_loop a i (c mod modulus_at a i) out);
-  out
-
-let mul_component_scalars a ks =
+let mul_component_scalars_into ~dst a ks =
+  check_compatible "mul_component_scalars_into" dst a;
   if Array.length ks <> component_count a then
     invalid_arg "Poly.mul_component_scalars: wrong scalar count";
   Array.iteri
@@ -245,9 +273,13 @@ let mul_component_scalars a ks =
       if k < 0 || k >= modulus_at a i then
         invalid_arg "Poly.mul_component_scalars: scalar not reduced")
     ks;
-  let out = alloc_like a in
-  kernel_par (component_count a) (Chain.degree a.chain) (fun i -> scalar_mul_loop a i ks.(i) out);
-  out
+  kernel_par (component_count a) (Chain.degree a.chain) (fun i -> scalar_mul_loop a i ks.(i) dst)
+
+let mul_component_scalars a ks = fresh_like (fun ~dst -> mul_component_scalars_into ~dst a ks) a
+
+let mul_scalar a c =
+  if c < 0 then invalid_arg "Poly.mul_scalar: negative scalar";
+  mul_component_scalars a (Array.init (component_count a) (fun i -> c mod modulus_at a i))
 
 (* ------------------------------------------------------------------ *)
 (* Domain conversions                                                  *)
@@ -269,8 +301,18 @@ let to_coeff_inplace p =
           Ntt.inverse (table_at p i) p.data.(i));
       { p with domain = Coeff }
 
+let to_coeff_into ~dst p =
+  check_shape "to_coeff_into" ~dst p;
+  if dst.domain <> Coeff then invalid_arg "Poly.to_coeff_into: destination must be Coeff";
+  Array.iteri (fun i src -> Buf.blit ~src ~dst:dst.data.(i)) p.data;
+  if p.domain = Eval then ignore (to_coeff_inplace { dst with domain = Eval })
+
 let to_eval p = match p.domain with Eval -> p | Coeff -> to_eval_inplace (copy p)
-let to_coeff p = match p.domain with Coeff -> p | Eval -> to_coeff_inplace (copy p)
+
+let to_coeff p =
+  match p.domain with
+  | Coeff -> p
+  | Eval -> fresh_like (fun ~dst -> to_coeff_into ~dst p) { p with domain = Coeff }
 
 (* ------------------------------------------------------------------ *)
 (* Structure-changing operations                                       *)
@@ -299,19 +341,20 @@ let automorphism p ~galois =
    [to_eval (automorphism (to_coeff p) ~galois)] because the NTT is an exact
    ring isomorphism; hoisted rotation key switching depends on that to reuse
    one digit decomposition across every rotation of a ciphertext. *)
-let automorphism_eval p ~galois =
+let automorphism_eval_into ~dst p ~galois =
   if p.domain <> Eval then invalid_arg "Poly.automorphism_eval: operand must be in Eval domain";
   if galois land 1 = 0 then invalid_arg "Poly.automorphism_eval: galois element must be odd";
-  let out = alloc_like p in
+  check_compatible "automorphism_eval_into" dst p;
   let n = Chain.degree p.chain in
   (* resolve (and cache) the permutation before fanning out over components *)
   let perm = Ntt.galois_perm (Chain.table p.chain 0) ~galois in
   kernel_par (component_count p) n (fun i ->
-      let src = p.data.(i) and d = out.data.(i) in
+      let src = p.data.(i) and d = dst.data.(i) in
       for j = 0 to n - 1 do
         Buf.unsafe_set d j (Buf.unsafe_get src (Array.unsafe_get perm j))
-      done);
-  out
+      done)
+
+let automorphism_eval p ~galois = fresh_like (fun ~dst -> automorphism_eval_into ~dst p ~galois) p
 
 (* [dst <- src] read as centered residues modulo [q_from] and reduced
    modulo [q]. The centered value lies in [(-q_from/2, q_from/2]]; when
@@ -342,6 +385,28 @@ let[@inline] mul_shoup ~q x w w' =
   let r = (x * w) - (((x * w') lsr 31) * q) - q in
   r + (r asr 62 land q)
 
+(* Scratch residue vectors for the divisions, one ring degree each, made
+   on first need and kept. *)
+type temp = { degree : int; mutable vectors : Buf.t array }
+
+let temp chain = { degree = Chain.degree chain; vectors = [||] }
+
+(* [temp]'s first [need] vectors, for operands over [chain] *)
+let temp_vectors name temp chain ~need =
+  let n = temp.degree in
+  if n <> Chain.degree chain then invalid_arg ("Poly." ^ name ^ ": temporaries of another degree");
+  let have = Array.length temp.vectors in
+  if have < need then
+    temp.vectors <-
+      Array.append temp.vectors (views (need - have) n (Buf.create ((need - have) * n)));
+  temp.vectors
+
+(* A division's destination: [count] chain components over [p]'s chain,
+   no special one, in [domain]. *)
+let check_quotient name ~dst p ~count ~domain =
+  if dst.chain != p.chain || dst.level_count <> count || dst.with_special || dst.domain <> domain
+  then invalid_arg ("Poly." ^ name ^ ": incompatible destination")
+
 (* Divide by the modulus of component [count] with centered rounding and
    drop it (and everything above it):
 
@@ -349,13 +414,17 @@ let[@inline] mul_shoup ~q x w w' =
 
    where [x]_{q_i} is the centered lift of the dropped residue. The lift is
    the only step that needs coefficients. In Eval domain only the dropped
-   component is inverse-transformed; its lift is forward-transformed modulo
-   each q_i and subtracted slot by slot. The NTT is linear and every step
-   is exact modular arithmetic on canonical residues, so the result equals
-   [to_eval (divide (to_coeff p))] bit for bit, at [count] forward and one
-   inverse transform instead of [2 count + 1]. The fixed multiplier
-   [inv i] is applied by Shoup multiplication. *)
-let divide_last p ~count ~inv =
+   component is inverse-transformed, in [temp.(0)]; its lift is
+   forward-transformed modulo each q_i and subtracted slot by slot. The NTT
+   is linear and every step is exact modular arithmetic on canonical
+   residues, so the result equals [to_eval (divide (to_coeff p))] bit for
+   bit, at [count] forward and one inverse transform instead of
+   [2 count + 1]. The fixed multiplier [inv i] is applied by Shoup
+   multiplication. [dst] is written before [p] is read, so they must not
+   share storage. *)
+let divide_last_into name ~temp ~dst p ~count ~inv =
+  check_quotient name ~dst p ~count ~domain:p.domain;
+  let temp = temp_vectors name temp p.chain ~need:1 in
   let n = Chain.degree p.chain in
   let tbl = table_at p count in
   let q_last = Ntt.prime tbl in
@@ -363,40 +432,60 @@ let divide_last p ~count ~inv =
     match p.domain with
     | Coeff -> p.data.(count)
     | Eval ->
-        let b = Buf.copy p.data.(count) in
+        let b = temp.(0) in
+        Buf.blit ~src:p.data.(count) ~dst:b;
         Ntt.inverse tbl b;
         b
   in
-  let out = zero p.chain ~level_count:count ~with_special:false p.domain in
   kernel_par count n (fun i ->
       let q = Chain.prime p.chain i and inv = inv i in
       let inv' = M.shoup ~q inv in
-      let src = p.data.(i) and dst = out.data.(i) in
+      let src = p.data.(i) and dst = dst.data.(i) in
       lift_loop ~q_from:q_last ~q last dst;
       if p.domain = Eval then Ntt.forward (Chain.table p.chain i) dst;
       for t = 0 to n - 1 do
         let d = Buf.unsafe_get src t - Buf.unsafe_get dst t in
         Buf.unsafe_set dst t (mul_shoup ~q (d + (d asr 62 land q)) inv inv')
-      done);
-  out
+      done)
 
-let rescale_last p =
+(* The allocating form of a division: a destination of [count] chain
+   components in [p]'s domain, and temporaries of its own. *)
+let divided p ~count f =
+  let dst = zero p.chain ~level_count:count ~with_special:false p.domain in
+  f ~temp:(temp p.chain) ~dst;
+  dst
+
+let rescale_last_into ~temp ~dst p =
   if p.with_special then invalid_arg "Poly.rescale_last: special component present";
   if p.level_count < 2 then invalid_arg "Poly.rescale_last: nothing to drop";
   let dropped = p.level_count - 1 in
-  divide_last p ~count:dropped ~inv:(Chain.rescale_inv p.chain ~dropped)
+  divide_last_into "rescale_last" ~temp ~dst p ~count:dropped
+    ~inv:(Chain.rescale_inv p.chain ~dropped)
 
-let drop_last p =
+let rescale_last p =
+  if p.level_count < 2 then invalid_arg "Poly.rescale_last: nothing to drop";
+  divided p ~count:(p.level_count - 1) (fun ~temp ~dst -> rescale_last_into ~temp ~dst p)
+
+let drop_last_into ~dst p =
   if p.with_special then invalid_arg "Poly.drop_last: special component present";
   if p.level_count < 2 then invalid_arg "Poly.drop_last: nothing to drop";
-  let out = { p with level_count = p.level_count - 1; data = [||] } in
-  let out = alloc_like out in
-  Array.iteri (fun i dst -> Buf.blit ~src:p.data.(i) ~dst) out.data;
-  out
+  check_quotient "drop_last_into" ~dst p ~count:(p.level_count - 1) ~domain:p.domain;
+  Array.iteri (fun i dst -> Buf.blit ~src:p.data.(i) ~dst) dst.data
+
+let drop_last p =
+  if p.level_count < 2 then invalid_arg "Poly.drop_last: nothing to drop";
+  let dst = zero p.chain ~level_count:(p.level_count - 1) ~with_special:false p.domain in
+  drop_last_into ~dst p;
+  dst
+
+let mod_down_special_into ~temp ~dst p =
+  if not p.with_special then invalid_arg "Poly.mod_down_special: no special component";
+  divide_last_into "mod_down_special" ~temp ~dst p ~count:p.level_count
+    ~inv:(Chain.special_inv p.chain)
 
 let mod_down_special p =
   if not p.with_special then invalid_arg "Poly.mod_down_special: no special component";
-  divide_last p ~count:p.level_count ~inv:(Chain.special_inv p.chain)
+  divided p ~count:p.level_count (fun ~temp ~dst -> mod_down_special_into ~temp ~dst p)
 
 (* [rescale_last (add d (mod_down_special acc))] in Eval domain, with the
    two divisions sharing their forward transforms. Write [x] for the
@@ -410,8 +499,9 @@ let mod_down_special p =
    pays two, and the last one only an inverse transform. The fixed
    multipliers [P^-1] and [q_last^-1] are applied by Shoup multiplication.
    All of it is exact arithmetic on canonical residues: bit-identical to
-   the composition. *)
-let mod_down_rescale acc ~plus:d =
+   the composition. [x], [c] and the lift of [x] take [temp.(0..2)], and
+   kept modulus [i] the vector [temp.(3 + i)]. *)
+let mod_down_rescale_into ~temp ~dst acc ~plus:d =
   if acc.domain <> Eval || d.domain <> Eval then
     invalid_arg "Poly.mod_down_rescale: operands must be in Eval domain";
   if (not acc.with_special) || d.with_special || d.chain != acc.chain
@@ -420,8 +510,11 @@ let mod_down_rescale acc ~plus:d =
   if d.level_count < 2 then invalid_arg "Poly.mod_down_rescale: nothing to drop";
   let chain = acc.chain and n = Chain.degree acc.chain in
   let last = d.level_count - 1 in
+  check_quotient "mod_down_rescale_into" ~dst acc ~count:last ~domain:Eval;
+  let temp = temp_vectors "mod_down_rescale" temp chain ~need:(last + 3) in
   let sp = Chain.special_prime chain and q_last = Chain.prime chain last in
-  let x = Buf.copy acc.data.(last + 1) in
+  let x = temp.(0) and c = temp.(1) and xl = temp.(2) in
+  Buf.blit ~src:acc.data.(last + 1) ~dst:x;
   Ntt.inverse (Chain.special_table chain) x;
   (* [dst <- (da + dacc * P^-1) mod q]: both terms canonical *)
   let sum_loop ~q ~pinv ~pinv' da dacc dst =
@@ -430,7 +523,6 @@ let mod_down_rescale acc ~plus:d =
       Buf.unsafe_set dst t (r + (r asr 62 land q))
     done
   in
-  let c = Buf.create n and xl = Buf.create n in
   let pinv = Chain.special_inv chain last in
   let pinv' = M.shoup ~q:q_last pinv in
   sum_loop ~q:q_last ~pinv ~pinv' d.data.(last) acc.data.(last) c;
@@ -440,13 +532,11 @@ let mod_down_rescale acc ~plus:d =
     let r = Buf.unsafe_get c t - mul_shoup ~q:q_last (Buf.unsafe_get xl t) pinv pinv' in
     Buf.unsafe_set c t (r + (r asr 62 land q_last))
   done;
-  let out = zero chain ~level_count:last ~with_special:false Eval in
-  let scratch = Buf.create (last * n) in
   kernel_par last n (fun i ->
       let q = Chain.prime chain i in
       let pinv = Chain.special_inv chain i and rinv = Chain.rescale_inv chain ~dropped:last i in
       let pinv' = M.shoup ~q pinv and rinv' = M.shoup ~q rinv in
-      let dst = out.data.(i) and cl = Buf.sub scratch (i * n) n in
+      let dst = dst.data.(i) and cl = temp.(3 + i) in
       lift_loop ~q_from:sp ~q x dst;
       lift_loop ~q_from:q_last ~q c cl;
       for t = 0 to n - 1 do
@@ -458,8 +548,14 @@ let mod_down_rescale acc ~plus:d =
       for t = 0 to n - 1 do
         let r = Buf.unsafe_get cl t - Buf.unsafe_get dst t in
         Buf.unsafe_set dst t (mul_shoup ~q (r + (r asr 62 land q)) rinv rinv')
-      done);
-  out
+      done)
+
+let mod_down_rescale acc ~plus:d =
+  if d.level_count < 2 then invalid_arg "Poly.mod_down_rescale: nothing to drop";
+  let last = d.level_count - 1 in
+  let dst = zero acc.chain ~level_count:last ~with_special:false Eval in
+  mod_down_rescale_into ~temp:(temp acc.chain) ~dst acc ~plus:d;
+  dst
 
 (* The lift of digit [i] to [q_i] is the centered value of a residue
    modulo [q_i] reduced modulo [q_i] again: the residue itself. So

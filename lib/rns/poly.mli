@@ -23,6 +23,19 @@ type t = private {
 val zero : Chain.t -> level_count:int -> with_special:bool -> domain -> t
 val copy : t -> t
 
+val view : t -> level_count:int -> domain:domain -> t
+(** [view p ~level_count ~domain] is [p]'s first [level_count] chain
+    components, and its special component when it has one, labelled
+    [domain]. It shares [p]'s residue storage: only a small array of
+    component views is allocated. A ciphertext register holds storage for
+    its widest level, and the destination forms below write through views
+    of it at the level of each result. The label is a claim about the
+    residues: a view is meant as a destination, which the writer fills.
+    [level_count] must lie in [1 .. p.level_count]. *)
+
+val copy_into : dst:t -> t -> unit
+(** [copy_into ~dst p] sets [dst <- p]; same basis and domain. *)
+
 val component_count : t -> int
 (** [level_count + (1 if with_special)]. *)
 
@@ -33,6 +46,9 @@ val modulus_at : t -> int -> int
 val of_centered_coeffs : Chain.t -> level_count:int -> with_special:bool -> int array -> t
 (** Build a [Coeff]-domain polynomial from centered integer coefficients
     (each in [(-2^62, 2^62)]), reducing modulo every active modulus. *)
+
+val of_centered_coeffs_into : dst:t -> int array -> unit
+(** {!of_centered_coeffs} into the [Coeff]-domain [dst]. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -46,9 +62,11 @@ val mul : t -> t -> t
     The [_into] variants write into an existing polynomial instead of
     allocating a result, eliminating the per-operation allocation churn in
     hot paths (key switching accumulates into two buffers across all
-    digits). The destination must share the operands' basis and domain.
-    All of them are element-wise, so the destination may alias either
-    operand. *)
+    digits). Every allocating operation of this module is its destination
+    form applied to a fresh polynomial. The destination must share the
+    operands' basis and domain. The forms in this group are element-wise,
+    so the destination may alias either operand; the structure-changing
+    forms further down may not. *)
 
 val add_into : dst:t -> t -> t -> unit
 (** [add_into ~dst a b] sets [dst <- a + b]. *)
@@ -59,6 +77,12 @@ val sub_into : dst:t -> t -> t -> unit
 val mul_into : dst:t -> t -> t -> unit
 (** [mul_into ~dst a b] sets [dst <- a * b] point-wise; all three must be
     in [Eval] domain. *)
+
+val neg_into : dst:t -> t -> unit
+(** [neg_into ~dst a] sets [dst <- -a]. *)
+
+val mul_component_scalars_into : dst:t -> t -> int array -> unit
+(** {!mul_component_scalars} into [dst]. *)
 
 val mul_add_into : acc:t -> t -> t -> unit
 (** [mul_add_into ~acc a b] sets [acc <- acc + a * b] point-wise ([Eval]
@@ -81,10 +105,10 @@ val key_switch_add :
 
     The sum is reduced lazily: per modulus [q], only the terms that would
     let it pass [max_int] ([(max_int - q) / (q - 1)^2] products after a
-    reduction) and the last term reduce. So [acc0] and [acc1] must be zero
-    before term 0, hold unreduced sums between terms, and hold canonical
-    residues after term [terms - 1], equal to a sum reduced at every
-    term. *)
+    reduction) and the last term reduce. Term 0 overwrites [acc0] and
+    [acc1] with its products, so they need not be cleared first; between
+    terms they hold unreduced sums, and after term [terms - 1] canonical
+    residues, equal to a sum reduced at every term. *)
 
 val lift_digit_into : dst:t -> t -> eval:t -> digit:int -> unit
 (** [lift_digit_into ~dst p ~eval ~digit:i] extracts the RNS digit [i] of
@@ -126,6 +150,11 @@ val to_coeff_inplace : t -> t
 (** Destructive {!to_coeff}; same ownership contract as
     {!to_eval_inplace}. *)
 
+val to_coeff_into : dst:t -> t -> unit
+(** [to_coeff_into ~dst p] writes the [Coeff] form of [p] into the
+    [Coeff]-labelled [dst] (same basis): a copy, inverse-transformed in
+    place when [p] is in [Eval] domain. *)
+
 val automorphism : t -> galois:int -> t
 (** [automorphism p ~galois:g] applies [X -> X^g] ([g] odd). Operand must be
     in [Coeff] domain. *)
@@ -138,6 +167,24 @@ val automorphism_eval : t -> galois:int -> t
     [c0] with it; key switching reads its digits through the same
     permutation ({!key_switch_add}). *)
 
+val automorphism_eval_into : dst:t -> t -> galois:int -> unit
+(** {!automorphism_eval} into [dst], which must not share storage with
+    the operand. *)
+
+(** {2 Divisions}
+
+    The destination forms of the divisions take their scratch vectors from
+    a {!temp}, so a run that keeps one allocates nothing per call. Their
+    destination must not share storage with the operands. *)
+
+type temp
+(** Scratch residue vectors of one ring degree, owned by one caller at a
+    time. A division makes the vectors it needs beyond those the [temp]
+    holds, and the [temp] keeps them for the next call. *)
+
+val temp : Chain.t -> temp
+(** No vectors yet, for operands over the chain's ring degree. *)
+
 val rescale_last : t -> t
 (** Exact RNS rescale: divide by the last chain prime with centered rounding
     and drop it. Requires no special component and [level_count >= 2].
@@ -145,9 +192,15 @@ val rescale_last : t -> t
     only the dropped component is inverse-transformed, and the result is
     bit-identical to [to_eval (rescale_last (to_coeff p))]. *)
 
+val rescale_last_into : temp:temp -> dst:t -> t -> unit
+(** {!rescale_last} into [dst] (one chain component fewer, same domain). *)
+
 val drop_last : t -> t
 (** Drop the last chain prime without dividing (modswitch). Domain-agnostic.
     Requires no special component and [level_count >= 2]. *)
+
+val drop_last_into : dst:t -> t -> unit
+(** {!drop_last} into [dst]: a copy of the kept components. *)
 
 val mod_down_special : t -> t
 (** Divide by the special prime with centered rounding and drop it (the
@@ -155,6 +208,9 @@ val mod_down_special : t -> t
     {!rescale_last}: in [Eval] domain only the special component is
     inverse-transformed, bit-identical to
     [to_eval (mod_down_special (to_coeff p))]. *)
+
+val mod_down_special_into : temp:temp -> dst:t -> t -> unit
+(** {!mod_down_special} into [dst] (the chain components only). *)
 
 val mod_down_rescale : t -> plus:t -> t
 (** [mod_down_rescale acc ~plus:d] is
@@ -164,6 +220,9 @@ val mod_down_rescale : t -> plus:t -> t
     transforms: one forward transform per kept modulus and two inverse
     transforms, against [2 level_count - 1] forward and two inverse for
     the composition. The tail of a fused multiply-and-rescale. *)
+
+val mod_down_rescale_into : temp:temp -> dst:t -> t -> plus:t -> unit
+(** {!mod_down_rescale} into [dst]. *)
 
 val restrict_levels : t -> level_count:int -> t
 (** Keep only the first [level_count] chain components (and the special

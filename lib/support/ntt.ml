@@ -25,8 +25,7 @@ let bitrev i bits =
 
 let rec log2 acc v = if v = 1 then acc else log2 (acc + 1) (v lsr 1)
 
-let make_table ~p ~n =
-  if n land (n - 1) <> 0 || n <= 0 then invalid_arg "Ntt.make_table: n must be a power of two";
+let build_table ~p ~n =
   let bits = log2 0 n in
   let psi = Primes.primitive_root_2n ~p ~n in
   let psi_inv = Modarith.inv ~q:p psi in
@@ -57,6 +56,23 @@ let make_table ~p ~n =
     last_inv_shoup = Modarith.shoup ~q:p last_inv;
     lazy_butterflies = 2 * p <= 1 lsl 31 && n >= 4;
   }
+
+(* Tables are immutable and depend only on (p, n), so every chain over a
+   prime shares one: a context built per request finds its tables here
+   instead of recomputing twiddles. Held while the table is read or
+   filled, as [galois_lock] below. *)
+let table_cache : (int * int, table) Hashtbl.t = Hashtbl.create 16
+let table_lock = Mutex.create ()
+
+let make_table ~p ~n =
+  if n land (n - 1) <> 0 || n <= 0 then invalid_arg "Ntt.make_table: n must be a power of two";
+  Mutex.protect table_lock (fun () ->
+      match Hashtbl.find_opt table_cache (p, n) with
+      | Some t -> t
+      | None ->
+          let t = build_table ~p ~n in
+          Hashtbl.replace table_cache (p, n) t;
+          t)
 
 (* Longa–Naehrig iterative negacyclic NTT (CT butterflies, decimation in
    time), with the psi powers folded into the twiddles so no pre/post scaling

@@ -17,7 +17,9 @@ type table
 
 val make_table : p:int -> n:int -> table
 (** [make_table ~p ~n] builds tables for degree [n] (a power of two) and
-    prime [p ≡ 1 (mod 2n)]. *)
+    prime [p ≡ 1 (mod 2n)]. Tables are immutable and memoised per
+    [(p, n)] process-wide: a second call returns the first call's table.
+    Safe to call from multiple domains. *)
 
 val prime : table -> int
 val degree : table -> int

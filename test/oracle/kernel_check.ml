@@ -117,30 +117,33 @@ let same_bits a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
 
-(* [Error] names the first output whose fast and reference values differ.
+(* [Error] names the first output whose fast and reference values differ,
+   under [label]. [prog] is a typed, scale-managed program for [params].
    [reference_seed] (default [seed]) seeds the reference side's
    encryptions. *)
-let check_program ?reference_seed ~seed scheme name =
-  let t = Modswitch_sweep.standard name in
-  let c = compiled scheme t in
-  let inputs = inputs name in
-  let waterline_bits = t.Modswitch_sweep.waterline in
-  let rotations = Interp.required_rotations c.Driver.prog in
-  let eval = Interp.context ~seed ~params:c.Driver.params ~rotations () in
-  let fast = (Interp.execute eval ~waterline_bits c.Driver.prog ~inputs).Interp.outputs in
+let check_managed ?reference_seed ~seed ~label ~params ~waterline_bits prog ~inputs =
+  let rotations = Interp.required_rotations prog in
+  let eval = Interp.context ~seed ~params ~rotations () in
+  let fast = (Interp.execute eval ~waterline_bits prog ~inputs).Interp.outputs in
   let reference =
     run eval
       ~seed:(Option.value reference_seed ~default:seed)
-      ~waterline_bits (Schedule.lower c.Driver.prog) ~inputs
+      ~waterline_bits (Schedule.lower prog) ~inputs
   in
   if List.length fast <> List.length reference then
-    Error (Printf.sprintf "%s seed %d: output counts differ" name seed)
+    Error (Printf.sprintf "%s seed %d: output counts differ" label seed)
   else
     match
       List.find_index (fun (f, r) -> not (same_bits f r)) (List.combine fast reference)
     with
     | None -> Ok (List.length fast)
-    | Some i -> Error (Printf.sprintf "%s seed %d: output %d differs" name seed i)
+    | Some i -> Error (Printf.sprintf "%s seed %d: output %d differs" label seed i)
+
+let check_program ?reference_seed ~seed scheme name =
+  let t = Modswitch_sweep.standard name in
+  let c = compiled scheme t in
+  check_managed ?reference_seed ~seed ~label:name ~params:c.Driver.params
+    ~waterline_bits:t.Modswitch_sweep.waterline c.Driver.prog ~inputs:(inputs name)
 
 (* Key switching residue for residue at both ends of the chain: [rotate],
    [rotate_many], [mul] and, where a prime remains to drop, [mul_rescale],

@@ -16,6 +16,31 @@ let test_oneshot_programs () =
         [ 1; 0x5EED ])
     [ "SF"; "HCD"; "MLP"; "matvec" ]
 
+(* The scale-managed program in test/corpus whose lowered stream reads
+   values in the buffers the in-place executor reuses (see the file's
+   header): its outputs decrypt to the reference kernels' bits. *)
+let test_inplace_hazards () =
+  let path = "../corpus/inplace_hazards.ir" in
+  let prog =
+    In_channel.with_open_bin path In_channel.input_all |> Hecate_ir.Parser.parse
+  in
+  (match Hecate_ir.Typing.check (Hecate_ir.Typing.config ~sf:28. ~waterline:30. ()) prog with
+  | Ok () -> ()
+  | Error d -> Alcotest.fail (Hecate_ir.Diagnostic.to_string d));
+  let params = Hecate.Paramselect.of_prog ~sf_bits:28 prog in
+  let g = Hecate_support.Prng.create ~seed:0x1A7E in
+  let input () = Array.init 8 (fun _ -> Hecate_support.Prng.float01 g -. 0.5) in
+  let inputs = [ ("x", input ()); ("y", input ()) ] in
+  List.iter
+    (fun seed ->
+      match
+        Kernel_check.check_managed ~seed ~label:"inplace_hazards" ~params ~waterline_bits:30.
+          prog ~inputs
+      with
+      | Ok outputs -> Alcotest.(check int) "outputs" 6 outputs
+      | Error msg -> Alcotest.fail msg)
+    [ 1; 0x5EED ]
+
 (* The identity digit taken from the Eval input, the lazy forward
    transform and the division-free mod-down, checked ciphertext by
    ciphertext where key switching has one digit and where it has all. *)
@@ -42,6 +67,7 @@ let () =
           Alcotest.test_case "oneshot programs" `Quick test_oneshot_programs;
           Alcotest.test_case "perturbed reference reported" `Quick
             test_perturbed_reference_reported;
+          Alcotest.test_case "in-place hazards" `Quick test_inplace_hazards;
         ] );
       ( "key switching",
         [ Alcotest.test_case "one digit and every digit" `Quick test_key_switching_ends ] );

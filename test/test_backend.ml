@@ -433,6 +433,43 @@ let test_schedule_buffer_reuse () =
   let s = Schedule.lower c.Driver.prog in
   check Alcotest.bool "constant-size pool" true (s.Schedule.cipher_buffers <= 4)
 
+(* Plaintext slots are planned like ciphertext buffers: MLP's plaintext
+   multiplies each read an immediate once, so a handful of slots serve
+   every one of them. *)
+let test_schedule_plaintext_pool () =
+  let app = List.find (fun (a : Apps.t) -> a.Apps.name = "MLP") (Apps.reduced_suite ()) in
+  let c = Driver.compile Driver.Hecate ~sf_bits:28 ~waterline_bits:15. app.Apps.prog in
+  let selected = (Hecate.Select.select c.Driver.prog).Hecate.Select.plaintexts in
+  let s = Schedule.lower c.Driver.prog in
+  check Alcotest.bool
+    (Printf.sprintf "%d slots for %d plaintexts" s.Schedule.plain_slots selected)
+    true
+    (selected > 10 && s.Schedule.plain_slots <= 2)
+
+(* One evaluator, two domains executing at once: each run owns its
+   registers and scratch, and each encrypts from its own stream
+   ([Eval.restart_encryption]), so both decrypt to the bits of the
+   sequential runs. HCD runs key switching and rotation fans. *)
+let test_schedule_shared_evaluator () =
+  let app = List.find (fun (a : Apps.t) -> a.Apps.name = "HCD") (Apps.reduced_suite ()) in
+  let c = Driver.compile Driver.Hecate ~sf_bits:28 ~waterline_bits:22. app.Apps.prog in
+  let rotations = Interp.required_rotations c.Driver.prog in
+  let eval = Interp.context ~params:c.Driver.params ~rotations () in
+  let run () =
+    (Interp.execute (Hecate_ckks.Eval.restart_encryption eval) ~waterline_bits:22. c.Driver.prog
+       ~inputs:app.Apps.inputs)
+      .Interp.outputs
+  in
+  let bits outputs = List.map (Array.map Int64.bits_of_float) outputs in
+  let sequential = bits (run ()) in
+  check Alcotest.bool "sequential runs agree" true (bits (run ()) = sequential);
+  for _ = 1 to 3 do
+    let other = Domain.spawn (fun () -> bits (run ())) in
+    let here = bits (run ()) in
+    check Alcotest.bool "this domain" true (here = sequential);
+    check Alcotest.bool "the other domain" true (Domain.join other = sequential)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Noise model                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -693,6 +730,8 @@ let () =
           Alcotest.test_case "replicates inputs" `Quick test_schedule_replicates_inputs;
           Alcotest.test_case "reports what ran" `Quick test_schedule_reports_what_ran;
           Alcotest.test_case "estimate counts what runs" `Quick test_estimate_counts_what_runs;
+          Alcotest.test_case "plaintext pool" `Quick test_schedule_plaintext_pool;
+          Alcotest.test_case "shared evaluator, two domains" `Quick test_schedule_shared_evaluator;
         ] );
       ( "noise",
         [
