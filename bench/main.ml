@@ -79,6 +79,7 @@ module Diagnostic = Hecate_ir.Diagnostic
 module Pass_manager = Hecate_ir.Pass_manager
 module Harness = Hecate_backend.Harness
 module Interp = Hecate_backend.Interp
+module Schedule = Hecate_backend.Schedule
 module Accuracy = Hecate_backend.Accuracy
 module Profile = Hecate_backend.Profile
 module Stats = Hecate_support.Stats
@@ -89,6 +90,35 @@ let schemes = Driver.all_schemes
 
 let heading title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+(* A subcommand's flags: a switch, or a flag that takes the next argument
+   (named in the usage line by its metavariable). An unknown flag, or one
+   missing its value, lists the accepted flags and exits 2. *)
+type flag = Switch of (unit -> unit) | Value of string * (string -> unit)
+
+let parse_flags cmd specs flags =
+  let rec go = function
+    | [] -> ()
+    | flag :: rest -> (
+        match (List.assoc_opt flag specs, rest) with
+        | Some (Switch f), _ ->
+            f ();
+            go rest
+        | Some (Value (_, f)), v :: rest ->
+            f v;
+            go rest
+        | _ ->
+            let usage = function f, Switch _ -> f | f, Value (m, _) -> f ^ " " ^ m in
+            Printf.eprintf "%s: unknown flag %s (%s)\n" cmd flag
+              (String.concat " | " (List.map usage specs));
+            exit 2)
+  in
+  go flags
+
+(* JSON rows, one a line, as the BENCH artifacts list them. *)
+let json_rows render = function
+  | [] -> ""
+  | rows -> String.concat ",\n" (List.map render rows) ^ "\n"
 
 (* per-benchmark search budgets: LeNet dominates both compilation (SMSE hill
    climbing over a ~1.7k-op program) and execution, so it gets a coarser
@@ -253,19 +283,9 @@ let fig7_paper () = ignore (fig7_paper_measure ())
 let fig7_cmd flags =
   let quick = ref false in
   let out = ref "BENCH_fig7.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | other :: _ ->
-        Printf.eprintf "fig7: unknown flag %s (--quick | --out FILE)\n" other;
-        exit 2
-  in
-  parse flags;
+  parse_flags "fig7"
+    [ ("--quick", Switch (fun () -> quick := true)); ("--out", Value ("FILE", ( := ) out)) ]
+    flags;
   let suite =
     if !quick then
       (* the two cheapest searches; enough overlap with the committed full
@@ -279,59 +299,40 @@ let fig7_cmd flags =
   let paper_rows, paper_gm =
     if !quick then ([], nan) else fig7_paper_measure ()
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"config\": {\"quick\": %b, \"sf_bits\": %d, \"error_bound_bits\": 8},\n"
-       !quick sf_bits);
-  Buffer.add_string buf "  \"measured\": [\n";
-  let nrows = List.length rows in
-  List.iteri
-    (fun i r ->
-      let base =
-        Printf.sprintf "    {\"bench\": \"%s\", \"scheme\": \"%s\", \"feasible\": %b"
-          r.f7_bench (Driver.scheme_name r.f7_scheme) (r.f7_selection <> None)
-      in
-      Buffer.add_string buf base;
+  let measured r =
+    Printf.sprintf "    {\"bench\": \"%s\", \"scheme\": \"%s\", \"feasible\": %b%s%s}" r.f7_bench
+      (Driver.scheme_name r.f7_scheme) (r.f7_selection <> None)
       (match r.f7_selection with
       | Some s ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               ", \"waterline_bits\": %.0f, \"actual_seconds\": %.6f, \"rmse\": %.3e, \
-                \"max_abs_error\": %.3e, \"exec_n\": %d"
-               s.Harness.waterline_bits s.Harness.actual_seconds s.Harness.rmse
-               s.Harness.max_abs_error s.Harness.exec_n)
-      | None -> ());
+          Printf.sprintf
+            ", \"waterline_bits\": %.0f, \"actual_seconds\": %.6f, \"rmse\": %.3e, \
+             \"max_abs_error\": %.3e, \"exec_n\": %d"
+            s.Harness.waterline_bits s.Harness.actual_seconds s.Harness.rmse s.Harness.max_abs_error
+            s.Harness.exec_n
+      | None -> "")
       (match r.f7_speedup_vs_eva with
-      | Some sp -> Buffer.add_string buf (Printf.sprintf ", \"speedup_vs_eva\": %.4f" sp)
-      | None -> ());
-      Buffer.add_string buf (Printf.sprintf "}%s\n" (if i = nrows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n  \"geomean_speedup_vs_eva\": {";
-  List.iteri
-    (fun i (scheme, gm) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\"%s\": %.4f"
-           (if i = 0 then "" else ", ")
-           (Driver.scheme_name scheme) gm))
-    geomeans;
-  Buffer.add_string buf "},\n  \"paper_estimates\": [\n";
-  let nprows = List.length paper_rows in
-  List.iteri
-    (fun i (bench, scheme, est, secure_n, wl) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"bench\": \"%s\", \"scheme\": \"%s\", \"waterline_bits\": %.0f, \
-            \"estimated_seconds\": %.4f, \"secure_n\": %d}%s\n"
-           bench (Driver.scheme_name scheme) wl est secure_n
-           (if i = nprows - 1 then "" else ",")))
-    paper_rows;
-  Buffer.add_string buf "  ]";
-  if not !quick then
-    Buffer.add_string buf
-      (Printf.sprintf ",\n  \"paper_geomean_hecate_vs_eva\": %.4f" paper_gm);
-  Buffer.add_string buf "\n}\n";
-  Hecate_support.Fileio.write_atomic ~path:!out (Buffer.contents buf);
+      | Some sp -> Printf.sprintf ", \"speedup_vs_eva\": %.4f" sp
+      | None -> "")
+  in
+  let paper (bench, scheme, est, secure_n, wl) =
+    Printf.sprintf
+      "    {\"bench\": \"%s\", \"scheme\": \"%s\", \"waterline_bits\": %.0f, \
+       \"estimated_seconds\": %.4f, \"secure_n\": %d}"
+      bench (Driver.scheme_name scheme) wl est secure_n
+  in
+  Hecate_support.Fileio.write_atomic ~path:!out
+    (Printf.sprintf
+       "{\n  \"config\": {\"quick\": %b, \"sf_bits\": %d, \"error_bound_bits\": 8},\n\
+       \  \"measured\": [\n%s  ],\n  \"geomean_speedup_vs_eva\": {%s},\n\
+       \  \"paper_estimates\": [\n%s  ]%s\n}\n"
+       !quick sf_bits (json_rows measured rows)
+       (String.concat ", "
+          (List.map
+             (fun (scheme, gm) -> Printf.sprintf "\"%s\": %.4f" (Driver.scheme_name scheme) gm)
+             geomeans))
+       (json_rows paper paper_rows)
+       (if !quick then ""
+        else Printf.sprintf ",\n  \"paper_geomean_hecate_vs_eva\": %.4f" paper_gm));
   Printf.printf "\nwrote %s\n" !out
 
 let table2 () =
@@ -550,22 +551,13 @@ let explore_cmd flags =
   let quick = ref false in
   let oracle = ref false in
   let out = ref "BENCH_explore.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--oracle" :: rest ->
-        oracle := true;
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | other :: _ ->
-        Printf.eprintf "explore: unknown flag %s (--quick | --oracle | --out FILE)\n" other;
-        exit 2
-  in
-  parse flags;
+  parse_flags "explore"
+    [
+      ("--quick", Switch (fun () -> quick := true));
+      ("--oracle", Switch (fun () -> oracle := true));
+      ("--out", Value ("FILE", ( := ) out));
+    ]
+    flags;
   heading
     "Exploration portfolio -- strategy race and estimator drift (HECATE scheme, waterline 20)";
   Printf.printf
@@ -738,39 +730,25 @@ let explore_cmd flags =
   | None -> ()
   | exception _ -> ());
   (* Persist the trajectory. *)
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
+  Hecate_support.Fileio.write_atomic ~path:!out
     (Printf.sprintf
-       "  \"config\": {\"quick\": %b, \"oracle\": %b, \"sf_bits\": %d, \
-        \"waterline_bits\": 20},\n"
-       !quick !oracle sf_bits);
-  Buffer.add_string buf "  \"drift\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"bench\": \"%s\", \"strategy\": \"%s\", \"winner\": \"%s\", \
-            \"estimated_seconds\": %.6f, \"epochs\": %d, \"plans\": %d%s}%s\n"
-           r.x_bench r.x_strategy r.x_winner r.x_est r.x_epochs r.x_plans
-           (match r.x_drift with
-           | Some d -> Printf.sprintf ", \"drift\": %.4f" d
-           | None -> "")
-           (if i = n - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n  \"speedups\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"kernel\": \"explore/%s/%s\", \"n\": %d, \"levels\": %d, \"speedup\": \
-            %.4f}%s\n"
-           r.x_bench r.x_strategy r.x_secure_n r.x_levels r.x_speedup
-           (if i = n - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Hecate_support.Fileio.write_atomic ~path:!out (Buffer.contents buf);
+       "{\n  \"config\": {\"quick\": %b, \"oracle\": %b, \"sf_bits\": %d, \
+        \"waterline_bits\": 20},\n  \"drift\": [\n%s  ],\n  \"speedups\": [\n%s  ]\n}\n"
+       !quick !oracle sf_bits
+       (json_rows
+          (fun r ->
+            Printf.sprintf
+              "    {\"bench\": \"%s\", \"strategy\": \"%s\", \"winner\": \"%s\", \
+               \"estimated_seconds\": %.6f, \"epochs\": %d, \"plans\": %d%s}"
+              r.x_bench r.x_strategy r.x_winner r.x_est r.x_epochs r.x_plans
+              (match r.x_drift with Some d -> Printf.sprintf ", \"drift\": %.4f" d | None -> ""))
+          rows)
+       (json_rows
+          (fun r ->
+            Printf.sprintf
+              "    {\"kernel\": \"explore/%s/%s\", \"n\": %d, \"levels\": %d, \"speedup\": %.4f}"
+              r.x_bench r.x_strategy r.x_secure_n r.x_levels r.x_speedup)
+          rows));
   Printf.printf "\nwrote %s\n" !out;
   if !rejections > 0 then begin
     Printf.printf "FAIL: the oracle rejected %d strategy winner(s)\n" !rejections;
@@ -1032,6 +1010,27 @@ let ops () =
 (* RNS kernel microbenchmarks: fast vs reference paths                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The schema the kernels, serve and batch artifacts share, which
+   check-regress reads: [config] holds a JSON object's fields, [entries]
+   are (kernel, variant, n, levels, ns_per_op) rows and [speedups]
+   (kernel, n, levels, speedup) rows. *)
+let write_artifact ~out ~config entries speedups =
+  Hecate_support.Fileio.write_atomic ~path:out
+    (Printf.sprintf
+       "{\n  \"config\": {%s},\n  \"entries\": [\n%s  ],\n  \"speedups\": [\n%s  ]\n}\n" config
+       (json_rows
+          (fun (k, v, n, l, ns) ->
+            Printf.sprintf
+              "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"n\": %d, \"levels\": %d, \
+               \"ns_per_op\": %.1f}"
+              k v n l ns)
+          entries)
+       (json_rows
+          (fun (k, n, l, sp) ->
+            Printf.sprintf "    {\"kernel\": \"%s\", \"n\": %d, \"levels\": %d, \"speedup\": %.2f}"
+              k n l sp)
+          speedups))
+
 let kernels flags =
   let module Ntt = Hecate_support.Ntt in
   let module Pr = Hecate_support.Primes in
@@ -1046,52 +1045,37 @@ let kernels flags =
   let reps = ref 5 in
   let warmup = ref 1 in
   let out = ref "BENCH_kernels.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--reps" :: v :: rest ->
-        reps := int_of_string v;
-        parse rest
-    | "--warmup" :: v :: rest ->
-        warmup := int_of_string v;
-        parse rest
-    | "--jobs" :: v :: rest ->
-        PoolK.set_jobs (int_of_string v);
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | other :: _ ->
-        Printf.eprintf
-          "kernels: unknown flag %s (--quick | --reps N | --warmup N | --jobs J | --out FILE)\n"
-          other;
-        exit 2
-  in
-  parse flags;
+  parse_flags "kernels"
+    [
+      ("--quick", Switch (fun () -> quick := true));
+      ("--reps", Value ("N", fun v -> reps := int_of_string v));
+      ("--warmup", Value ("N", fun v -> warmup := int_of_string v));
+      ("--jobs", Value ("J", fun v -> PoolK.set_jobs (int_of_string v)));
+      ("--out", Value ("FILE", ( := ) out));
+    ]
+    flags;
   if !reps < 1 then begin
     Printf.eprintf "kernels: --reps must be >= 1\n";
     exit 2
   end;
   heading "RNS kernel microbenchmarks -- fast kernels vs reference paths";
-  Printf.printf "median of %d reps (%d warmup), jobs=%d%s\n\n" !reps !warmup (PoolK.jobs ())
-    (if !quick then " [quick]" else "");
-  let time f = Stats.time_median ~warmup:!warmup ~min_sample_s:1e-3 ~reps:!reps f in
-  let entries = ref [] in
-  let record kernel variant ~n ~levels ns =
-    entries := (kernel, variant, n, levels, ns) :: !entries;
-    Printf.printf "  %-12s %-9s n=%-5d levels=%-2d %14.1f ns/op\n%!" kernel variant n levels ns
-  in
-  let speedup kernel ~n ~levels =
-    let find v =
-      List.find_map
-        (fun (k, var, n', l', ns) -> if k = kernel && var = v && n' = n && l' = levels then Some ns else None)
-        !entries
+  Printf.printf "median of %d interleaved rounds (%d warm-up), jobs=%d%s\n\n" !reps !warmup
+    (PoolK.jobs ()) (if !quick then " [quick]" else "");
+  let entries = ref [] and speedups = ref [] in
+  (* both legs of a pair run in the same rounds; [per] is the operations
+     one call makes, so rows read in ns per operation *)
+  let pair ?(per = 1) kernel ~n ~levels reference fast =
+    let t =
+      Stats.interleave ~warmup:!warmup ~min_sample_s:1e-3 ~rounds:!reps
+        [| Stats.calls reference; Stats.calls fast |]
     in
-    match (find "reference", find "fast") with
-    | Some slow, Some fast when fast > 0. -> Some (slow /. fast)
-    | _ -> None
+    List.iteri
+      (fun i variant ->
+        let ns = t.Stats.median.(i) /. float_of_int per *. 1e9 in
+        entries := (kernel, variant, n, levels, ns) :: !entries;
+        Printf.printf "  %-12s %-9s n=%-5d levels=%-2d %14.1f ns/op\n%!" kernel variant n levels ns)
+      [ "reference"; "fast" ];
+    speedups := (kernel, n, levels, t.Stats.speedup.(1)) :: !speedups
   in
   let g = Prng.create ~seed:0xBA44E77 in
   (* modmul: element-wise modular product of two length-m residue vectors,
@@ -1111,10 +1095,9 @@ let kernels flags =
   let ys = Buf.init m (fun _ -> Prng.uniform_mod g q) in
   let dst = Buf.create m in
   let mm_ref = NR.make_table ~p:q ~n:m in
-  let t_ref = time (fun () -> NR.pointwise_mul mm_ref dst xs ys) in
-  let t_fast = time (fun () -> pointwise_mul mm_tbl dst xs ys) in
-  record "modmul" "reference" ~n:m ~levels:0 (t_ref /. float_of_int m *. 1e9);
-  record "modmul" "fast" ~n:m ~levels:0 (t_fast /. float_of_int m *. 1e9);
+  pair "modmul" ~per:m ~n:m ~levels:0
+    (fun () -> NR.pointwise_mul mm_ref dst xs ys)
+    (fun () -> pointwise_mul mm_tbl dst xs ys);
   (* (n, levels, big): the big-ring config exists to measure the hoisted
      rotation fan and fused mul+rescale at the production degree N=2^15;
      the division-based evaluator references are skipped there (a naive
@@ -1131,10 +1114,12 @@ let kernels flags =
       let p = List.hd (Pr.ntt_primes ~bits:30 ~n ~count:1) in
       let tbl = Ntt.make_table ~p ~n and ref_tbl = NR.make_table ~p ~n in
       let a = Buf.init n (fun _ -> Prng.uniform_mod g p) in
-      record "ntt_forward" "reference" ~n ~levels:1 (time (fun () -> NR.forward ref_tbl a) *. 1e9);
-      record "ntt_forward" "fast" ~n ~levels:1 (time (fun () -> Ntt.forward tbl a) *. 1e9);
-      record "ntt_inverse" "reference" ~n ~levels:1 (time (fun () -> NR.inverse ref_tbl a) *. 1e9);
-      record "ntt_inverse" "fast" ~n ~levels:1 (time (fun () -> Ntt.inverse tbl a) *. 1e9);
+      pair "ntt_forward" ~n ~levels:1
+        (fun () -> NR.forward ref_tbl a)
+        (fun () -> Ntt.forward tbl a);
+      pair "ntt_inverse" ~n ~levels:1
+        (fun () -> NR.inverse ref_tbl a)
+        (fun () -> Ntt.inverse tbl a);
       (* evaluator-level kernels at this ring degree and chain length *)
       let params = Hecate_ckks.Params.create ~n ~q0_bits:30 ~sf_bits:28 ~levels () in
       let eval = E.create ~seed:0xFA57 params ~rotations:fan_amounts in
@@ -1145,20 +1130,16 @@ let kernels flags =
         let d = (ct : E.ciphertext).E.c1 in
         let relin = (E.keys eval : Hecate_ckks.Keys.t).Hecate_ckks.Keys.relin in
         let rct = ER.of_eval ct in
-        let bench_pair kernel reference fast =
-          record kernel "reference" ~n ~levels:lc (time reference *. 1e9);
-          record kernel "fast" ~n ~levels:lc (time fast *. 1e9)
-        in
         (* both legs start from the Eval form, as mul and rotate do *)
-        bench_pair "keyswitch"
+        pair "keyswitch" ~n ~levels:lc
           (fun () -> ignore (ER.keyswitch eval ~lc (PR.to_coeff d) relin))
           (fun () -> ignore (E.keyswitch eval ~lc d relin));
-        bench_pair "cipher_mul"
+        pair "cipher_mul" ~n ~levels:lc
           (fun () -> ignore (ER.mul eval rct rct))
           (fun () -> ignore (E.mul eval ct ct));
         let sq = E.mul eval ct ct in
         let rsq = ER.of_eval sq in
-        bench_pair "rescale"
+        pair "rescale" ~n ~levels:lc
           (fun () -> ignore (ER.rescale eval rsq))
           (fun () -> ignore (E.rescale eval sq))
       end;
@@ -1166,50 +1147,19 @@ let kernels flags =
          "reference" leg is the per-rotation / unfused algorithm, the
          "fast" leg the hoisted / fused one, so the speedup column isolates
          the structural win rather than fast-vs-reference arithmetic *)
-      record "rotate_fan8" "reference" ~n ~levels:lc
-        (time (fun () -> List.iter (fun r -> ignore (E.rotate eval ct r)) fan_amounts) *. 1e9);
-      record "rotate_fan8" "fast" ~n ~levels:lc
-        (time (fun () -> ignore (E.rotate_many eval ct fan_amounts)) *. 1e9);
-      record "mul_rescale" "reference" ~n ~levels:lc
-        (time (fun () -> ignore (E.rescale eval (E.mul eval ct ct))) *. 1e9);
-      record "mul_rescale" "fast" ~n ~levels:lc
-        (time (fun () -> ignore (E.mul_rescale eval ct ct)) *. 1e9))
+      pair "rotate_fan8" ~n ~levels:lc
+        (fun () -> List.iter (fun r -> ignore (E.rotate eval ct r)) fan_amounts)
+        (fun () -> ignore (E.rotate_many eval ct fan_amounts));
+      pair "mul_rescale" ~n ~levels:lc
+        (fun () -> ignore (E.rescale eval (E.mul eval ct ct)))
+        (fun () -> ignore (E.mul_rescale eval ct ct)))
     configs;
-  (* machine-readable results *)
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"config\": {\"reps\": %d, \"warmup\": %d, \"jobs\": %d, \"quick\": %b},\n"
-       !reps !warmup (PoolK.jobs ()) !quick);
-  Buffer.add_string buf "  \"entries\": [\n";
-  let ordered = List.rev !entries in
-  List.iteri
-    (fun i (kernel, variant, n, levels, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"n\": %d, \"levels\": %d, \
-            \"ns_per_op\": %.1f}%s\n"
-           kernel variant n levels ns
-           (if i = List.length ordered - 1 then "" else ",")))
-    ordered;
-  Buffer.add_string buf "  ],\n  \"speedups\": [\n";
-  let keys =
-    List.sort_uniq compare (List.map (fun (k, _, n, l, _) -> (k, n, l)) !entries)
-  in
-  let sps =
-    List.filter_map
-      (fun (k, n, l) -> Option.map (fun s -> (k, n, l, s)) (speedup k ~n ~levels:l))
-      keys
-  in
-  List.iteri
-    (fun i (k, n, l, s) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"kernel\": \"%s\", \"n\": %d, \"levels\": %d, \"speedup\": %.2f}%s\n"
-           k n l s
-           (if i = List.length sps - 1 then "" else ",")))
-    sps;
-  Buffer.add_string buf "  ]\n}\n";
-  Hecate_support.Fileio.write_atomic ~path:!out (Buffer.contents buf);
+  let sps = List.sort compare !speedups in
+  write_artifact ~out:!out
+    ~config:
+      (Printf.sprintf "\"reps\": %d, \"warmup\": %d, \"jobs\": %d, \"quick\": %b" !reps !warmup
+         (PoolK.jobs ()) !quick)
+    (List.rev !entries) sps;
   Printf.printf "\nspeedups (reference / fast):\n";
   List.iter
     (fun (k, n, l, s) -> Printf.printf "  %-12s n=%-5d levels=%-2d %6.2fx\n" k n l s)
@@ -1228,24 +1178,13 @@ let check_regress flags =
   let baseline = ref "BENCH_kernels.json" in
   let current = ref "" in
   let tolerance = ref 0.25 in
-  let rec parse = function
-    | [] -> ()
-    | "--baseline" :: v :: rest ->
-        baseline := v;
-        parse rest
-    | "--current" :: v :: rest ->
-        current := v;
-        parse rest
-    | "--tolerance" :: v :: rest ->
-        tolerance := float_of_string v;
-        parse rest
-    | other :: _ ->
-        Printf.eprintf
-          "check-regress: unknown flag %s (--baseline FILE | --current FILE | --tolerance X)\n"
-          other;
-        exit 2
-  in
-  parse flags;
+  parse_flags "check-regress"
+    [
+      ("--baseline", Value ("FILE", ( := ) baseline));
+      ("--current", Value ("FILE", ( := ) current));
+      ("--tolerance", Value ("X", fun v -> tolerance := float_of_string v));
+    ]
+    flags;
   if !current = "" then begin
     Printf.eprintf "check-regress: --current FILE is required\n";
     exit 2
@@ -1291,6 +1230,12 @@ let check_regress flags =
             (if ok then "ok" else "REGRESSED");
           if not ok then regressions := (k, n, l, s_base, s_cur) :: !regressions)
     base;
+  List.iter
+    (fun ((k, n, l), s_cur) ->
+      if not (List.mem_assoc (k, n, l) base) then
+        Printf.printf "  %-12s n=%-5d levels=%-2d %17s current %6.2fx ungated (no baseline)\n" k
+          n l "" s_cur)
+    cur;
   if !compared = 0 then begin
     Printf.eprintf
       "\ncheck-regress: no overlapping speedup entries between %s and %s -- \
@@ -1388,18 +1333,12 @@ let hit_stages ~reps ~waterline_bits prog =
           ignore (Protocol.parse_event done_line));
     ]
   in
-  let samples = List.map (fun _ -> Array.make reps 0.) stages in
-  for r = 0 to reps - 1 do
-    List.iter2
-      (fun (_, _, _, f) a ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        a.(r) <- Unix.gettimeofday () -. t0)
-      stages samples
-  done;
+  let t =
+    Stats.interleave ~rounds:reps
+      (Array.of_list (List.map (fun (_, _, _, f) -> Stats.calls f) stages))
+  in
   {
-    timings =
-      List.map2 (fun (key, label, path, _) a -> (key, label, path, Stats.median a)) stages samples;
+    timings = List.mapi (fun i (k, label, p, _) -> (k, label, p, t.Stats.median.(i))) stages;
     n = entry.Plancache.params.Paramselect.secure_n;
     levels = entry.Plancache.params.Paramselect.chain_levels;
   }
@@ -1412,26 +1351,27 @@ let hit_seconds st =
 let path_total path st =
   List.fold_left (fun acc (_, _, p, s) -> if p = path || p = Both then acc +. s else acc) 0. st.timings
 
-(* Median disk hit: a fresh in-memory layer over a store holding the
-   entry, as after a daemon restart, answering the stored artifact. *)
-let disk_hit ~reps ~waterline_bits prog =
+(* [f dir] on a fresh temporary directory, removed afterwards. *)
+let with_temp_dir f =
   let dir = Filename.temp_file "hecate_bench_serve" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () -> f dir)
+
+(* A disk hit: a fresh in-memory layer over the store in [dir], as after a
+   daemon restart, answering the stored artifact. The fresh layer is each
+   call's set-up. *)
+let disk_hit ~dir ~waterline_bits prog =
   let compile cache = Plancache.compile cache ~scheme:Driver.Hecate ~sf_bits ~waterline_bits prog in
   let stored, _ = compile (Plancache.create ~dir ()) in
-  let seconds =
-    Stats.median
-      (Array.init reps (fun _ ->
-           let fresh = Plancache.create ~dir () in
-           let t0 = Unix.gettimeofday () in
-           let e, origin = compile fresh in
-           assert (origin = Plancache.Disk);
-           assert (String.equal e.Plancache.artifact stored.Plancache.artifact);
-           Unix.gettimeofday () -. t0))
-  in
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
-  seconds
+  Stats.staged (fun () ->
+      let fresh = Plancache.create ~dir () in
+      fun () ->
+        let e, origin = compile fresh in
+        assert (origin = Plancache.Disk);
+        assert (String.equal e.Plancache.artifact stored.Plancache.artifact))
 
 (* What one memory hit costs over a real socket, around its stages:
    [Client.compile] against a live [Server] on a temporary socket, for
@@ -1441,9 +1381,7 @@ let disk_hit ~reps ~waterline_bits prog =
 let socket_round_trips ~reps progs =
   let module Server = Hecate_serve.Server in
   let module Client = Hecate_serve.Client in
-  let dir = Filename.temp_file "hecate_bench_serve" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  with_temp_dir @@ fun dir ->
   let socket = Filename.concat dir "hecated.sock" in
   let server = Server.create (Plancache.create ()) in
   let th = Thread.create (fun () -> Server.serve server ~socket_path:socket) () in
@@ -1471,20 +1409,19 @@ let socket_round_trips ~reps progs =
     | Error msg -> failwith ("serve: socket round trip: " ^ msg)
   in
   List.iter (fun s -> ignore (hit s)) submits;
-  let samples = List.map (fun _ -> Array.make reps 0.) submits in
-  for r = 0 to reps - 1 do
-    List.iter2
-      (fun s a ->
-        let t0 = Unix.gettimeofday () in
-        let origin = hit s in
-        a.(r) <- Unix.gettimeofday () -. t0;
-        assert (origin = "memory"))
-      submits samples
-  done;
+  let t =
+    Stats.interleave ~rounds:reps
+      (Array.of_list
+         (List.map
+            (fun s ->
+              Stats.calls (fun () ->
+                  let origin = hit s in
+                  assert (origin = "memory")))
+            submits))
+  in
   ignore (Client.shutdown ~socket);
   Thread.join th;
-  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
-  List.map Stats.median samples
+  Array.to_list t.Stats.median
 
 (* The latency trade the daemon lives on: a cold fig2 compile pays the
    full SMSE exploration, a warm hit answers from the content-addressed
@@ -1497,27 +1434,18 @@ let serve flags =
   let out = ref "BENCH_serve.json" in
   let reps = ref 200 in
   let cold_reps = ref 7 in
-  let rec parse = function
-    | [] -> ()
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | "--reps" :: v :: rest ->
-        reps := int_of_string v;
-        parse rest
-    | "--cold-reps" :: v :: rest ->
-        cold_reps := int_of_string v;
-        parse rest
-    | "--quick" :: rest ->
-        reps := 50;
-        cold_reps := 3;
-        parse rest
-    | other :: _ ->
-        Printf.eprintf
-          "serve: unknown flag %s (--out FILE | --reps N | --cold-reps N | --quick)\n" other;
-        exit 2
-  in
-  parse flags;
+  parse_flags "serve"
+    [
+      ("--out", Value ("FILE", ( := ) out));
+      ("--reps", Value ("N", fun v -> reps := int_of_string v));
+      ("--cold-reps", Value ("N", fun v -> cold_reps := int_of_string v));
+      ( "--quick",
+        Switch
+          (fun () ->
+            reps := 50;
+            cold_reps := 3) );
+    ]
+    flags;
   heading "Plan-cache serving latencies (fig2, HECATE scheme)";
   let prog =
     let b = Prog.Builder.create ~name:"fig2" ~slot_count:64 () in
@@ -1530,35 +1458,32 @@ let serve flags =
   let compile cache =
     Plancache.compile cache ~scheme:Driver.Hecate ~sf_bits ~waterline_bits:20. prog
   in
-  let median_of f k =
-    Stats.median (Array.init k (fun _ -> f ()))
-  in
-  let now = Unix.gettimeofday in
-  (* cold: a fresh cache per measurement, so every compile explores *)
-  let cold =
-    median_of
-      (fun () ->
-        let cache = Plancache.create () in
-        let t0 = now () in
-        let _, origin = compile cache in
-        assert (origin = Plancache.Cold);
-        now () -. t0)
-      !cold_reps
-  in
-  (* warm memory hits against one long-lived cache *)
   let cache = Plancache.create () in
   let entry, _ = compile cache in
-  let warm_mem =
-    median_of
-      (fun () ->
-        let t0 = now () in
-        let e, origin = compile cache in
-        assert (origin = Plancache.Memory);
-        assert (String.equal e.Plancache.artifact entry.Plancache.artifact);
-        now () -. t0)
-      !reps
+  let mlp = List.find (fun (a : Apps.t) -> a.Apps.name = "MLP") (Apps.reduced_suite ()) in
+  (* cold compiles (a fresh cache each, so every compile explores), warm
+     memory hits against one long-lived cache, and disk hits, in the same
+     rounds; a sample batches hits up to a millisecond *)
+  let t =
+    with_temp_dir @@ fun dir ->
+    Stats.interleave ~min_sample_s:1e-3 ~rounds:!cold_reps
+      [|
+        Stats.staged (fun () ->
+            let fresh = Plancache.create () in
+            fun () ->
+              let _, origin = compile fresh in
+              assert (origin = Plancache.Cold));
+        Stats.calls (fun () ->
+            let e, origin = compile cache in
+            assert (origin = Plancache.Memory);
+            assert (String.equal e.Plancache.artifact entry.Plancache.artifact));
+        disk_hit ~dir ~waterline_bits:20. prog;
+        disk_hit ~dir ~waterline_bits:15. mlp.Apps.prog;
+      |]
   in
-  let warm_disk = disk_hit ~reps:(min !reps 50) ~waterline_bits:20. prog in
+  let cold = t.Stats.median.(0) and warm_mem = t.Stats.median.(1) in
+  let warm_disk = t.Stats.median.(2) and mlp_disk = t.Stats.median.(3) in
+  let now = Unix.gettimeofday in
   (* sustained hit throughput on the long-lived cache *)
   let hits = ref 0 in
   let t0 = now () in
@@ -1569,17 +1494,14 @@ let serve flags =
   let hits_per_s = float_of_int !hits /. (now () -. t0) in
   let n = entry.Plancache.params.Paramselect.secure_n in
   let levels = entry.Plancache.params.Paramselect.chain_levels in
-  let mlp = List.find (fun (a : Apps.t) -> a.Apps.name = "MLP") (Apps.reduced_suite ()) in
   let fig2_stages = hit_stages ~reps:!reps ~waterline_bits:20. prog in
   let mlp_stages = hit_stages ~reps:!reps ~waterline_bits:15. mlp.Apps.prog in
-  let mlp_disk = disk_hit ~reps:(min !reps 50) ~waterline_bits:15. mlp.Apps.prog in
   let fig2_socket, mlp_socket =
     match socket_round_trips ~reps:!reps [ (prog, 20.); (mlp.Apps.prog, 15.) ] with
     | [ f; m ] -> (f, m)
     | _ -> assert false
   in
-  let sp_mem = cold /. Float.max 1e-9 warm_mem in
-  let sp_disk = cold /. Float.max 1e-9 warm_disk in
+  let sp_mem = t.Stats.speedup.(1) and sp_disk = t.Stats.speedup.(2) in
   Printf.printf "  cold compile (full exploration)  %10.3f ms\n" (cold *. 1e3);
   Printf.printf "  warm hit, memory                 %10.3f ms  (%.0fx)\n" (warm_mem *. 1e3)
     sp_mem;
@@ -1601,13 +1523,6 @@ let serve flags =
     (hit_seconds mlp_stages *. 1e3) (mlp_disk *. 1e3);
   Printf.printf "  memory hit over a socket (Client.compile)         %9.3f           %9.3f ms\n"
     (fig2_socket *. 1e3) (mlp_socket *. 1e3);
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"config\": {\"reps\": %d, \"cold_reps\": %d, \"benchmark\": \"fig2\", \
-                     \"scheme\": \"HECATE\"},\n"
-       !reps !cold_reps);
-  Buffer.add_string buf "  \"entries\": [\n";
   (* The first four rows pair with the speedups below; the stage rows are
      absolute costs of one memory hit, which no speedup (and so no gate)
      reads. [total] sums the stages of a request that parses its text,
@@ -1637,26 +1552,13 @@ let serve flags =
         ("mlp_hit_disk", "MLP", mlp_stages.n, mlp_stages.levels, mlp_disk);
       ]
   in
-  List.iteri
-    (fun i (kernel, variant, n, levels, seconds) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"n\": %d, \"levels\": %d, \
-            \"ns_per_op\": %.1f}%s\n"
-           kernel variant n levels (seconds *. 1e9)
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n  \"speedups\": [\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    {\"kernel\": \"plan_cache_memory\", \"n\": %d, \"levels\": %d, \"speedup\": %.2f},\n"
-       n levels sp_mem);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    {\"kernel\": \"plan_cache_disk\", \"n\": %d, \"levels\": %d, \"speedup\": %.2f}\n"
-       n levels sp_disk);
-  Buffer.add_string buf "  ]\n}\n";
-  Hecate_support.Fileio.write_atomic ~path:!out (Buffer.contents buf);
+  write_artifact ~out:!out
+    ~config:
+      (Printf.sprintf
+         "\"reps\": %d, \"cold_reps\": %d, \"benchmark\": \"fig2\", \"scheme\": \"HECATE\"" !reps
+         !cold_reps)
+    (List.map (fun (k, v, n, l, seconds) -> (k, v, n, l, seconds *. 1e9)) rows)
+    [ ("plan_cache_memory", n, levels, sp_mem); ("plan_cache_disk", n, levels, sp_disk) ];
   Printf.printf "\nwrote %s\n" !out;
   if sp_mem < 10. then begin
     Printf.eprintf
@@ -1681,23 +1583,17 @@ let batch flags =
   let quick = ref false in
   let reps = ref 7 in
   let out = ref "BENCH_batch.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        reps := 3;
-        parse rest
-    | "--reps" :: v :: rest ->
-        reps := int_of_string v;
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | other :: _ ->
-        Printf.eprintf "batch: unknown flag %s (--quick | --reps N | --out FILE)\n" other;
-        exit 2
-  in
-  parse flags;
+  parse_flags "batch"
+    [
+      ( "--quick",
+        Switch
+          (fun () ->
+            quick := true;
+            reps := 3) );
+      ("--reps", Value ("N", fun v -> reps := int_of_string v));
+      ("--out", Value ("FILE", ( := ) out));
+    ]
+    flags;
   heading "SIMD batching -- layout-assigned lowering vs one-slot naive baseline";
   Printf.printf
     "HECATE scheme, waterline 20; latency is the median of %d backend runs%s.\n\n" !reps
@@ -1714,7 +1610,9 @@ let batch flags =
               (Hecate_ir.Diagnostic.to_string d);
             exit 1
       in
-      let measure (l : Lower.lowered) =
+      (* compile, lower and make the context outside the timer; the
+         sampler times whole runs, encryption and decryption included *)
+      let prepare (l : Lower.lowered) =
         let c =
           Driver.compile ~passes:(Pass_manager.parse_exn Lower.pipeline) Driver.Hecate
             ~sf_bits ~waterline_bits:20. l.Lower.prog
@@ -1726,16 +1624,16 @@ let batch flags =
           Interp.context ~params:c.Driver.params
             ~rotations:(Interp.required_rotations c.Driver.prog) ()
         in
-        let seconds =
-          Stats.time_median ~warmup:1 ~min_sample_s:1e-4 ~reps:!reps (fun () ->
-              ignore (Interp.execute eval ~waterline_bits:20. c.Driver.prog ~inputs))
-        in
-        let exec_n = (Hecate_ckks.Eval.params eval).Hecate_ckks.Params.n in
-        (Lower.count_rotations c.Driver.prog, seconds, exec_n,
-         c.Driver.params.Paramselect.chain_levels)
+        let schedule = Schedule.lower c.Driver.prog in
+        ( Lower.count_rotations c.Driver.prog,
+          Stats.calls (fun () -> ignore (Schedule.run eval ~waterline_bits:20. schedule ~inputs)),
+          (Hecate_ckks.Eval.params eval).Hecate_ckks.Params.n,
+          c.Driver.params.Paramselect.chain_levels )
       in
-      let nv_rot, nv_s, exec_n, levels = measure (lower Lower.Naive) in
-      let au_rot, au_s, _, _ = measure (lower Lower.Auto) in
+      let nv_rot, naive, exec_n, levels = prepare (lower Lower.Naive) in
+      let au_rot, auto, _, _ = prepare (lower Lower.Auto) in
+      let t = Stats.interleave ~min_sample_s:1e-4 ~rounds:!reps [| naive; auto |] in
+      let nv_s = t.Stats.median.(0) and au_s = t.Stats.median.(1) in
       let name = app.Batch_apps.name in
       let record kernel variant value =
         entries := (kernel, variant, exec_n, levels, value) :: !entries
@@ -1745,7 +1643,7 @@ let batch flags =
       record (name ^ "/latency") "reference" (nv_s *. 1e9);
       record (name ^ "/latency") "fast" (au_s *. 1e9);
       let rot_sp = float_of_int nv_rot /. float_of_int (max 1 au_rot) in
-      let lat_sp = nv_s /. Float.max 1e-9 au_s in
+      let lat_sp = t.Stats.speedup.(1) in
       speedups :=
         ((name ^ "/latency", exec_n, levels), lat_sp)
         :: ((name ^ "/rotations", exec_n, levels), rot_sp)
@@ -1765,35 +1663,14 @@ let batch flags =
       Printf.eprintf "batch: matvec rotation reduction %.2fx < 2x -- layout pass regressed\n" s;
       exit 1
   | _ -> ());
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"config\": {\"reps\": %d, \"quick\": %b, \"scheme\": \"HECATE\", \
-        \"waterline_bits\": 20, \"note\": \"rotations entries are op counts, not times\"},\n"
-       !reps !quick);
-  Buffer.add_string buf "  \"entries\": [\n";
-  let ordered = List.rev !entries in
-  List.iteri
-    (fun i (kernel, variant, n, levels, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"n\": %d, \"levels\": %d, \
-            \"ns_per_op\": %.1f}%s\n"
-           kernel variant n levels v
-           (if i = List.length ordered - 1 then "" else ",")))
-    ordered;
-  Buffer.add_string buf "  ],\n  \"speedups\": [\n";
-  let sps = List.rev !speedups in
-  List.iteri
-    (fun i ((k, n, l), s) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"kernel\": \"%s\", \"n\": %d, \"levels\": %d, \"speedup\": %.2f}%s\n" k n l s
-           (if i = List.length sps - 1 then "" else ",")))
-    sps;
-  Buffer.add_string buf "  ]\n}\n";
-  Hecate_support.Fileio.write_atomic ~path:!out (Buffer.contents buf);
+  write_artifact ~out:!out
+    ~config:
+      (Printf.sprintf
+         "\"reps\": %d, \"quick\": %b, \"scheme\": \"HECATE\", \"waterline_bits\": 20, \"note\": \
+          \"rotations entries are op counts, not times\""
+         !reps !quick)
+    (List.rev !entries)
+    (List.rev_map (fun ((k, n, l), s) -> (k, n, l, s)) !speedups);
   Printf.printf "\nwrote %s\n" !out
 
 (* ------------------------------------------------------------------ *)
@@ -1808,30 +1685,15 @@ let fuzz flags =
   let max_depth = ref Gen.default_config.Gen.max_depth in
   let max_ops = ref Gen.default_config.Gen.max_ops in
   let out = ref "test/corpus" in
-  let rec parse = function
-    | [] -> ()
-    | "--seed" :: v :: rest ->
-        seed := int_of_string v;
-        parse rest
-    | "--count" :: v :: rest ->
-        count := int_of_string v;
-        parse rest
-    | "--max-depth" :: v :: rest ->
-        max_depth := int_of_string v;
-        parse rest
-    | "--max-ops" :: v :: rest ->
-        max_ops := int_of_string v;
-        parse rest
-    | "--out" :: v :: rest ->
-        out := v;
-        parse rest
-    | other :: _ ->
-        Printf.eprintf
-          "fuzz: unknown flag %s (--seed N | --count N | --max-depth N | --max-ops N | --out DIR)\n"
-          other;
-        exit 2
-  in
-  parse flags;
+  parse_flags "fuzz"
+    [
+      ("--seed", Value ("N", fun v -> seed := int_of_string v));
+      ("--count", Value ("N", fun v -> count := int_of_string v));
+      ("--max-depth", Value ("N", fun v -> max_depth := int_of_string v));
+      ("--max-ops", Value ("N", fun v -> max_ops := int_of_string v));
+      ("--out", Value ("DIR", ( := ) out));
+    ]
+    flags;
   heading "Differential fuzzing -- 4 schemes x random programs vs plaintext reference";
   Printf.printf
     "seed %d, %d cases, max depth %d, max ops %d; failures are shrunk and written to %s/\n\

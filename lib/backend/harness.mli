@@ -17,7 +17,7 @@ type selection = {
   compiled : Hecate.Driver.compiled;
   rmse : float;
   max_abs_error : float;
-  actual_seconds : float; (** wall-clock on the in-repo backend *)
+  actual_seconds : float; (** median {!execution} on the in-repo backend *)
   estimated_seconds_exec : float; (** estimate at the executed ring degree *)
   exec_n : int;
   configs_executed : int; (** how many waterlines had to be run *)
@@ -32,6 +32,16 @@ val cached_context :
     with every encryption; {!Hecate_ckks.Eval.restart_encryption} gives a
     caller its own. *)
 
+val execution :
+  Hecate_ckks.Eval.t ->
+  waterline_bits:float ->
+  Hecate_ir.Prog.t ->
+  inputs:(string * float array) list ->
+  Hecate_support.Stats.sampler
+(** Runs of [prog], lowered once, each contributing its
+    {!Schedule.report} [elapsed_seconds]: what the estimator prices,
+    without encryption and decryption. *)
+
 val search :
   ?waterlines:float list ->
   ?error_bound:float ->
@@ -44,8 +54,9 @@ val search :
   selection option
 (** [search ~scheme bench] returns [None] when no waterline meets the error
     bound. Configurations are executed fastest-estimated first until
-    [feasible_target] (default 3) feasible ones are found; the fastest
-    measured of those is returned. Infeasible configurations (compile- or
+    [feasible_target] (default 3) feasible ones are found; those are then
+    timed in 5 interleaved rounds ({!execution}) and the one with the
+    smallest median is returned. Infeasible configurations (compile- or
     run-time scale failures) are skipped, like overflowing configurations
     in the paper's sweep. *)
 

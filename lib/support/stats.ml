@@ -58,32 +58,6 @@ let monotonic_now_s () =
   in
   clamp ()
 
-let time_median ?(warmup = 1) ?(min_sample_s = 0.) ~reps f =
-  if reps < 1 then invalid_arg "Stats.time_median: reps must be >= 1";
-  if warmup < 0 then invalid_arg "Stats.time_median: negative warmup";
-  for _ = 1 to warmup do
-    f ()
-  done;
-  (* Batch enough calls per sample that one sample is measurable. *)
-  let batch =
-    if min_sample_s <= 0. then 1
-    else begin
-      let t0 = monotonic_now_s () in
-      f ();
-      let once = monotonic_now_s () -. t0 in
-      if once >= min_sample_s then 1
-      else max 1 (int_of_float (ceil (min_sample_s /. Float.max once 1e-9)))
-    end
-  in
-  let sample () =
-    let t0 = monotonic_now_s () in
-    for _ = 1 to batch do
-      f ()
-    done;
-    (monotonic_now_s () -. t0) /. float_of_int batch
-  in
-  median (Array.init reps (fun _ -> sample ()))
-
 let percentile xs p =
   check_nonempty "percentile" xs;
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
@@ -92,3 +66,55 @@ let percentile xs p =
   let n = Array.length sorted in
   let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
   sorted.(max 0 (min (n - 1) (rank - 1)))
+
+type sampler = int -> float
+
+let calls f k =
+  let t0 = monotonic_now_s () in
+  for _ = 1 to k do
+    f ()
+  done;
+  monotonic_now_s () -. t0
+
+let staged prepare k =
+  let fs = Array.init k (fun _ -> prepare ()) in
+  let t0 = monotonic_now_s () in
+  Array.iter (fun f -> f ()) fs;
+  monotonic_now_s () -. t0
+
+type timing = {
+  samples : float array array;
+  median : float array;
+  q1 : float array;
+  q3 : float array;
+  speedup : float array;
+}
+
+let interleave ?(warmup = 1) ?(min_sample_s = 0.) ~rounds variants =
+  if rounds < 1 then invalid_arg "Stats.interleave: rounds must be >= 1";
+  if warmup < 0 then invalid_arg "Stats.interleave: negative warmup";
+  check_nonempty "interleave" variants;
+  for _ = 1 to warmup do
+    Array.iter (fun v -> ignore (v 1)) variants
+  done;
+  (* Double each variant's batch until one batch spans [min_sample_s], so
+     that one sample is measurable; the cap stops a sampler that reports
+     no time. *)
+  let batch v =
+    let rec grow b =
+      if min_sample_s <= 0. || b >= 1 lsl 24 || v b >= min_sample_s then b else grow (2 * b)
+    in
+    grow 1
+  in
+  let batches = Array.map batch variants in
+  let samples = Array.map (fun _ -> Array.make rounds 0.) variants in
+  for r = 0 to rounds - 1 do
+    Array.iteri (fun i v -> samples.(i).(r) <- v batches.(i) /. float_of_int batches.(i)) variants
+  done;
+  {
+    samples;
+    median = Array.map median samples;
+    q1 = Array.map (fun s -> percentile s 25.) samples;
+    q3 = Array.map (fun s -> percentile s 75.) samples;
+    speedup = Array.map (fun s -> median (Array.mapi (fun r x -> samples.(0).(r) /. x) s)) samples;
+  }

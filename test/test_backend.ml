@@ -139,6 +139,13 @@ let test_profile_cache_reused () =
   let m2 = Profile.cached_model ~reps:2 ~n:512 ~levels:2 ~q0_bits:30 ~sf_bits:28 () in
   check Alcotest.bool "same model object" true (m1 == m2)
 
+let test_profile_cache_two_domains () =
+  (* a shape no other test asks for, so the two domains race to fill it *)
+  let ask () = Profile.cached_model ~reps:1 ~n:256 ~levels:1 ~q0_bits:30 ~sf_bits:28 () in
+  let d1 = Domain.spawn ask and d2 = Domain.spawn ask in
+  let m1 = Domain.join d1 and m2 = Domain.join d2 in
+  check Alcotest.bool "same model object" true (m1 == m2)
+
 (* ------------------------------------------------------------------ *)
 (* Harness                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -178,29 +185,35 @@ let test_estimator_tracks_actual () =
   (* size 16 -> millisecond-scale execution, where wall-clock noise does not
      swamp the comparison *)
   let bench = Apps.sobel ~size:16 () in
-  match
-    Harness.search ~waterlines:[ 20.; 22. ] ~use_profiled_model:true ~scheme:Driver.Eva bench
-  with
+  match Harness.search ~waterlines:[ 20.; 22. ] ~scheme:Driver.Eva bench with
   | None -> Alcotest.fail "expected feasible config"
   | Some s ->
-      (* The search timed its pick once; a slow spell of a loaded host can
-         land on one run. Compare the median of five more runs of the
-         selected configuration instead. *)
-      let prog = s.Harness.compiled.Driver.prog in
+      (* The profile's probes and the selected configuration's runs are
+         timed in the same rounds, so a slow spell of a loaded host lands
+         on both sides; the estimate is priced from those probes. *)
+      let c = s.Harness.compiled in
       let eval =
-        Harness.cached_context ~params:s.Harness.compiled.Driver.params
-          ~rotations:(Interp.required_rotations prog)
+        Harness.cached_context ~params:c.Driver.params
+          ~rotations:(Interp.required_rotations c.Driver.prog)
       in
-      let actual =
-        Stats.median
-          (Array.init 5 (fun _ ->
-               (Accuracy.measure eval ~waterline_bits:s.Harness.waterline_bits prog
-                  ~inputs:bench.Apps.inputs ~valid_slots:bench.Apps.valid_slots)
-                 .Accuracy.elapsed_seconds))
+      let probes = Profile.probes (Hecate_ckks.Eval.params eval) in
+      let run =
+        Harness.execution eval ~waterline_bits:s.Harness.waterline_bits c.Driver.prog
+          ~inputs:bench.Apps.inputs
       in
-      let rel = Stats.relative_error ~actual ~estimate:s.Harness.estimated_seconds_exec in
+      let timing =
+        Stats.interleave ~min_sample_s:1e-4 ~rounds:11
+          (Array.append (Array.map (fun p -> Stats.calls p.Profile.call) probes) [| run |])
+      in
+      let model =
+        Costmodel.of_table (Profile.table probes timing) ~fallback:(Costmodel.analytic ())
+      in
+      let estimate = Driver.estimate_at ~model c ~n:s.Harness.exec_n in
+      let actual = timing.Stats.median.(Array.length probes) in
+      let rel = Stats.relative_error ~actual ~estimate in
       check Alcotest.bool
-        (Printf.sprintf "relative error %.1f%% within 50%%" (100. *. rel))
+        (Printf.sprintf "estimate %.3f ms, actual %.3f ms: relative error %.1f%% within 50%%"
+           (estimate *. 1e3) (actual *. 1e3) (100. *. rel))
         true (rel < 0.5)
 
 (* ------------------------------------------------------------------ *)
@@ -711,6 +724,7 @@ let () =
         [
           Alcotest.test_case "shape" `Quick test_profile_shape;
           Alcotest.test_case "cache" `Quick test_profile_cache_reused;
+          Alcotest.test_case "cache, two domains" `Quick test_profile_cache_two_domains;
         ] );
       ( "harness",
         [

@@ -336,18 +336,11 @@ let test_mul_faster_at_higher_level () =
   let t = Lazy.force ctx in
   let a = random_vector 109 512 in
   let ca = Eval.encrypt_vector t ~scale:scale20 a in
-  let time_mul ct =
-    let reps = 5 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (Eval.mul t ct ct)
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let t_level0 = time_mul ca in
   let high = Eval.mod_switch t (Eval.mod_switch t ca) in
-  let t_level2 = time_mul high in
-  check Alcotest.bool "level-2 mul faster than level-0" true (t_level2 < t_level0)
+  let mul ct = Stats.calls (fun () -> ignore (Eval.mul t ct ct)) in
+  let timing = Stats.interleave ~rounds:5 [| mul ca; mul high |] in
+  check Alcotest.bool "level-2 mul faster than level-0" true
+    (timing.Stats.median.(1) < timing.Stats.median.(0))
 
 (* ------------------------------------------------------------------ *)
 (* Fast kernels vs naive reference                                     *)

@@ -550,18 +550,50 @@ let test_monotonic_now () =
     prev := t
   done
 
-let test_time_median () =
-  let calls = ref 0 in
-  let d = S.time_median ~warmup:2 ~reps:3 (fun () -> incr calls) in
-  check Alcotest.bool "positive" true (d >= 0.);
-  check Alcotest.bool "warmup + reps calls" true (!calls >= 5);
-  (* auto-batching: with a min sample duration, each sample must loop the
-     thunk enough times to fill it *)
-  let calls = ref 0 in
-  ignore (S.time_median ~warmup:0 ~min_sample_s:0.005 ~reps:2 (fun () -> incr calls));
-  check Alcotest.bool "batched" true (!calls > 2);
-  Alcotest.check_raises "reps >= 1" (Invalid_argument "Stats.time_median: reps must be >= 1")
-    (fun () -> ignore (S.time_median ~reps:0 (fun () -> ())))
+(* A sampler that takes [times.(i)] seconds a call at its [i]-th use and
+   logs the batches asked of it: no clock, so the checks are exact. *)
+let fake times =
+  let uses = ref [] in
+  ( (fun k ->
+      uses := k :: !uses;
+      times.(List.length !uses - 1) *. float_of_int k),
+    fun () -> List.rev !uses )
+
+let test_interleave_round_robin () =
+  let log = Buffer.create 16 in
+  let v c = S.calls (fun () -> Buffer.add_char log c) in
+  ignore (S.interleave ~rounds:3 [| v 'a'; v 'b'; v 'c' |]);
+  check Alcotest.string "a warm-up round, then three" "abcabcabcabc" (Buffer.contents log)
+
+let test_interleave_warmup_untimed () =
+  let a, uses = fake [| 100.; 100.; 1.; 2.; 3. |] in
+  let t = S.interleave ~warmup:2 ~rounds:3 [| a |] in
+  check Alcotest.(list int) "two warm-up calls, three samples" [ 1; 1; 1; 1; 1 ] (uses ());
+  check Alcotest.(array (float 0.)) "samples" [| 1.; 2.; 3. |] t.S.samples.(0);
+  (* on the clock: a staged call's set-up stays outside the timer *)
+  let t = S.interleave ~rounds:3 [| S.staged (fun () -> Unix.sleepf 0.02; ignore) |] in
+  check Alcotest.bool "set-up not timed" true (t.S.median.(0) < 0.01)
+
+let test_interleave_batching () =
+  (* 1 ms a call: batches of 1, 2 and 4 fall short of 5 ms, 8 reaches it *)
+  let a, uses = fake (Array.make 7 1e-3) in
+  let t = S.interleave ~warmup:0 ~min_sample_s:5e-3 ~rounds:3 [| a |] in
+  check Alcotest.(list int) "doubling, then batches of 8" [ 1; 2; 4; 8; 8; 8; 8 ] (uses ());
+  check (Alcotest.float 1e-12) "per-call time" 1e-3 t.S.median.(0)
+
+let test_interleave_ratio () =
+  (* per-round ratios 0.5, 2 and 2 have median 2; the medians' ratio is 1 *)
+  let a, _ = fake [| 1.; 2.; 10. |] and b, _ = fake [| 2.; 1.; 5. |] in
+  let t = S.interleave ~warmup:0 ~rounds:3 [| a; b |] in
+  check (Alcotest.float 0.) "equal medians" t.S.median.(0) t.S.median.(1);
+  check (Alcotest.float 0.) "median of per-round ratios" 2. t.S.speedup.(1);
+  check Alcotest.(pair (float 0.) (float 0.)) "quartiles" (1., 5.) (t.S.q1.(1), t.S.q3.(1))
+
+let test_interleave_invalid () =
+  Alcotest.check_raises "rounds" (Invalid_argument "Stats.interleave: rounds must be >= 1")
+    (fun () -> ignore (S.interleave ~rounds:0 [| S.calls ignore |]));
+  Alcotest.check_raises "warmup" (Invalid_argument "Stats.interleave: negative warmup") (fun () ->
+      ignore (S.interleave ~warmup:(-1) ~rounds:1 [| S.calls ignore |]))
 
 (* ------------------------------------------------------------------ *)
 (* Fileio.write_atomic                                                 *)
@@ -836,7 +868,11 @@ let () =
           Alcotest.test_case "errors" `Quick test_stats_errors;
           Alcotest.test_case "median" `Quick test_stats_median;
           Alcotest.test_case "monotonic clock" `Quick test_monotonic_now;
-          Alcotest.test_case "time_median" `Quick test_time_median;
+          Alcotest.test_case "interleave round-robin" `Quick test_interleave_round_robin;
+          Alcotest.test_case "interleave warm-up untimed" `Quick test_interleave_warmup_untimed;
+          Alcotest.test_case "interleave batching" `Quick test_interleave_batching;
+          Alcotest.test_case "interleave ratio" `Quick test_interleave_ratio;
+          Alcotest.test_case "interleave invalid" `Quick test_interleave_invalid;
         ] );
       ( "fileio",
         [
