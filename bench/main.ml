@@ -21,9 +21,11 @@
                                             oracle), --out FILE
      dune exec bench/main.exe passes     -- cost of one SMSE candidate on SF/HCD/MLP
                                             (codegen, each pass, validate,
-                                            typecheck, estimate), then the
+                                            typecheck, estimate; words
+                                            allocated and promoted), then the
                                             per-pass timing breakdown from the
-                                            instrumented pass manager
+                                            instrumented pass manager.
+                                            Flags: --out FILE (JSON rows)
      dune exec bench/main.exe kernels    -- RNS kernel microbenchmarks: fast
                                             vs reference modmul, NTT,
                                             keyswitch, cipher mul, rescale;
@@ -759,33 +761,56 @@ let explore_cmd flags =
 (* Per-pass timing breakdown via the instrumented pass manager         *)
 (* ------------------------------------------------------------------ *)
 
-(* Cost of one SMSE candidate: the explorer is driven with the codegen,
-   finalize and evaluate closures [Driver.compile] builds for the HECATE
-   scheme, every stage timed on its own; the pass manager charges its
-   verifier's [Prog.validate] time apart from the pass's. As in
-   [Driver.compile], parameters are selected once per candidate, from the
-   types the check left on the ops. Returns the plans scored, the
-   exploration wall time, the minor collections it ran, the seconds per
-   stage and every candidate's finalized program. The minor collections
-   come with the words allocated in the minor heap ([Gc.minor_words]),
-   which arrays past 256 words bypass. *)
-(* Each stage starts on an empty minor heap: the minor collection that
-   empties it runs outside the stage's timer and is charged to its own
-   row, so a stage pays only for the collections its own allocation
-   triggers, not for garbage the stage before it left. *)
-let timed_search (b : Apps.t) ~wl =
+(* Cost of one SMSE candidate: the explorer is driven with the scoring
+   closure [Driver.compile] builds for the HECATE scheme (codegen,
+   finalize, validate, type check, parameters, estimate, then both
+   programs discarded), every stage timed on its own; the pass manager
+   charges its verifier's [Prog.validate] time apart from the pass's. As
+   in [Driver.compile], parameters are selected once per candidate, from
+   the types the check left on the ops, and the winner is built once
+   after the search (untimed, so it falls under "other").
+
+   With [~split:true] each stage starts on an empty minor heap: the minor
+   collection that empties it runs outside the stage's timer and is
+   charged to its own row, so a stage pays only for the collections its
+   own allocation triggers, not for garbage the stage before it left.
+   Each candidate is also checked against the reference finalize
+   pipeline before it is discarded; that check and a minor collection
+   after it, which empties the heap of the check's garbage, are left out
+   of the search's time and collections. With [~split:false] nothing is
+   emptied or checked: the search allocates, collects and promotes as
+   [Driver.compile]'s does, and its words and major collections are the
+   ones reported (emptying the heap between stages would promote every
+   live candidate). *)
+type search = {
+  plans : int;
+  explore_s : float;
+  minor : int; (* minor collections the stages triggered *)
+  minor_words : float; (* allocated in the minor heap *)
+  promoted_words : float;
+  major : int;
+  rows : (string * float) list; (* seconds per stage *)
+  changed : int; (* candidates the reference pipeline changes *)
+}
+
+let timed_search ~split (b : Apps.t) ~wl =
   let cfg = Typing.config ~sf:(float_of_int sf_bits) ~waterline:wl () in
   let model = Costmodel.analytic () in
   let prog = Pass_manager.default_pipeline b.Apps.prog in
   let stats = Pass_manager.create_stats () in
+  let finalize = Pass_manager.finalize ~early_modswitch:true in
+  let reference = Pass_manager.finalize_reference ~early_modswitch:true in
   let codegen_s = ref 0. and validate_s = ref 0. and typecheck_s = ref 0. in
-  let params_s = ref 0. and estimate_s = ref 0. and empty_s = ref 0. and emptied = ref 0 in
-  let finalized = ref [] in
+  let params_s = ref 0. and estimate_s = ref 0. and empty_s = ref 0. in
+  let uncounted = ref 0 and changed = ref 0 and check_s = ref 0. in
+  let minor_collections () = (Gc.quick_stat ()).Gc.minor_collections in
   let empty_minor_heap () =
-    let t0 = Unix.gettimeofday () in
-    Gc.minor ();
-    incr emptied;
-    empty_s := !empty_s +. (Unix.gettimeofday () -. t0)
+    if split then begin
+      let t0 = Unix.gettimeofday () in
+      Gc.minor ();
+      incr uncounted;
+      empty_s := !empty_s +. (Unix.gettimeofday () -. t0)
+    end
   in
   let timed acc f =
     empty_minor_heap ();
@@ -794,120 +819,168 @@ let timed_search (b : Apps.t) ~wl =
     acc := !acc +. (Unix.gettimeofday () -. t0);
     r
   in
+  let typecheck p = match Typing.check cfg p with Ok () -> () | Error d -> Diagnostic.error d in
   (* validation as the pass manager runs it after the finalize pass, timed
      here so that it too starts on an empty minor heap *)
   let instr = Pass_manager.instrumentation ~verify:false () in
-  let codegen ~hook =
+  let score ~hook =
     let managed = timed codegen_s (fun () -> Codegen.pars cfg ~hook prog) in
     empty_minor_heap ();
-    let p = Pass_manager.run ~instr ~stats (Pass_manager.finalize ~early_modswitch:true) managed in
+    let p = Pass_manager.run ~instr ~stats finalize managed in
     timed validate_s (fun () ->
         match Prog.validate p with Ok () -> () | Error msg -> failwith ("finalize: " ^ msg));
-    finalized := p :: !finalized;
-    timed typecheck_s (fun () ->
-        match Typing.check cfg p with Ok () -> () | Error d -> Diagnostic.error d);
+    timed typecheck_s (fun () -> typecheck p);
+    let params = timed params_s (fun () -> Paramselect.of_prog ~sf_bits p) in
+    let cost =
+      timed estimate_s (fun () ->
+          Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p)
+    in
+    if split then begin
+      let m0 = minor_collections () and t0 = Unix.gettimeofday () in
+      if Pass_manager.run reference p != p then incr changed;
+      Gc.minor ();
+      check_s := !check_s +. (Unix.gettimeofday () -. t0);
+      uncounted := !uncounted + (minor_collections () - m0)
+    end;
+    Prog.discard p;
+    if p != managed then Prog.discard managed;
+    cost
+  in
+  let codegen ~hook =
+    let p = Pass_manager.run finalize (Codegen.pars cfg ~hook prog) in
+    typecheck p;
     p
   in
-  let evaluate p =
-    let params = timed params_s (fun () -> Paramselect.of_prog ~sf_bits p) in
-    timed estimate_s (fun () -> Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p)
-  in
   let edges = (Smu.generate prog).Smu.edges in
-  let minor0 = (Gc.quick_stat ()).Gc.minor_collections and words0 = Gc.minor_words () in
+  (* [Gc.quick_stat] samples the minor heap's allocation only at
+     collections; [Gc.minor_words] reads it exactly *)
+  let s0 = Gc.quick_stat () and words0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let r =
-    Explore.portfolio ~codegen ~evaluate ~edges ~strategies:[ Explore.default_strategy ]
+    Explore.portfolio ~codegen ~score ~edges ~strategies:[ Explore.default_strategy ]
       ~max_epochs:100 ~pool_size:1 ()
   in
-  let explore_s = Unix.gettimeofday () -. t0 in
-  let minor = (Gc.quick_stat ()).Gc.minor_collections - minor0 - !emptied in
-  let words = Gc.minor_words () -. words0 in
+  let explore_s = Unix.gettimeofday () -. t0 -. !check_s in
+  let s1 = Gc.quick_stat () and words1 = Gc.minor_words () in
   let finalize_s =
     List.fold_left (fun a (t : Pass_manager.timing) -> a +. t.Pass_manager.seconds) 0.
       (Pass_manager.timings stats)
   in
-  let rows =
-    [
-      ("codegen", !codegen_s);
-      ("finalize", finalize_s);
-      ("validate", !validate_s);
-      ("typecheck", !typecheck_s);
-      ("paramselect", !params_s);
-      ("estimate", !estimate_s);
-      ("minor GC between stages", !empty_s);
-    ]
-  in
-  (r.Explore.p_plans_explored, explore_s, (minor, words), rows, !finalized)
+  {
+    plans = r.Explore.p_plans_explored;
+    explore_s;
+    minor = s1.Gc.minor_collections - s0.Gc.minor_collections - !uncounted;
+    minor_words = words1 -. words0;
+    promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
+    major = s1.Gc.major_collections - s0.Gc.major_collections;
+    rows =
+      [
+        ("codegen", !codegen_s);
+        ("finalize", finalize_s);
+        ("validate", !validate_s);
+        ("typecheck", !typecheck_s);
+        ("paramselect", !params_s);
+        ("estimate", !estimate_s);
+        ("minor GC between stages", !empty_s);
+      ];
+    changed = !changed;
+  }
 
-(* The split of the median of [reps] searches, each started after a full
-   major collection so no run pays for the garbage of the one before. The
-   replica must score exactly the plans [Driver.compile] scores, or the
-   split would describe a different search. Returns how many finalized
-   candidates the reference pipeline still changes. *)
+(* The split of the median of [reps] split searches, each started after a
+   full major collection so no run pays for the garbage of the one
+   before, and the words and major collections of one search run as
+   [Driver.compile] runs it. The replica must score exactly the plans
+   [Driver.compile] scores, or the split would describe a different
+   search. Returns the JSON row and how many candidates the reference
+   pipeline still changes. *)
 let candidate_split ?(reps = 5) (b : Apps.t) ~wl =
-  let runs =
-    List.init reps (fun _ ->
-        Gc.full_major ();
-        timed_search b ~wl)
-    |> List.sort (fun (_, a, _, _, _) (_, b, _, _, _) -> compare a b)
+  let search split =
+    Gc.full_major ();
+    timed_search ~split b ~wl
   in
-  let plans, explore_s, minor, rows, finalized = List.nth runs (reps / 2) in
+  let runs =
+    List.init reps (fun _ -> search true) |> List.sort (fun a b -> compare a.explore_s b.explore_s)
+  in
+  let s = List.nth runs (reps / 2) in
+  let alloc = search false in
   let driver = Driver.compile ~pool_size:1 Driver.Hecate ~sf_bits ~waterline_bits:wl b.Apps.prog in
   let driver_plans = (Option.get driver.Driver.exploration).Driver.plans_explored in
-  if plans <> driver_plans then begin
+  if s.plans <> driver_plans || alloc.plans <> driver_plans then begin
     Printf.printf "FAIL: %s: the timed replica scored %d plans, Driver.compile %d\n" b.Apps.name
-      plans driver_plans;
+      s.plans driver_plans;
     exit 1
   end;
-  let per s = 1000. *. s /. float_of_int plans in
-  let other = explore_s -. List.fold_left (fun a (_, s) -> a +. s) 0. rows in
+  let plans = float_of_int s.plans in
+  let per s = 1000. *. s /. plans in
+  let other = s.explore_s -. List.fold_left (fun a (_, t) -> a +. t) 0. s.rows in
+  let rows = s.rows @ [ ("other (search, memo, winner)", other) ] in
   Printf.printf "\n%s @ waterline %g: %d plans explored in %.3f s, %.3f ms per candidate\n"
-    b.Apps.name wl plans explore_s (per explore_s);
-  let minor, words = minor in
+    b.Apps.name wl s.plans s.explore_s (per s.explore_s);
+  Printf.printf "  minor collections in the stages: %d, %.2f per candidate\n" s.minor
+    (float_of_int s.minor /. plans);
   Printf.printf
-    "  minor collections in the stages: %d, %.2f per candidate; %.0f words allocated per \
-     candidate\n"
-    minor
-    (float_of_int minor /. float_of_int plans)
-    (words /. float_of_int plans);
-  Printf.printf "  %-22s %9s %7s\n" "stage" "ms/cand" "share";
+    "  per candidate, undisturbed search: %.0f words allocated, %.0f words promoted, %.3f \
+     major collections\n"
+    (alloc.minor_words /. plans) (alloc.promoted_words /. plans)
+    (float_of_int alloc.major /. plans);
+  Printf.printf "  %-28s %9s %7s\n" "stage" "ms/cand" "share";
   List.iter
-    (fun (name, s) ->
-      Printf.printf "  %-22s %9.4f %6.1f%%\n" name (per s) (100. *. s /. explore_s))
-    (rows @ [ ("other (search, memo)", other) ]);
-  let reference = Pass_manager.finalize_reference ~early_modswitch:true in
-  let changed =
-    List.length (List.filter (fun p -> Pass_manager.run reference p != p) finalized)
+    (fun (name, t) ->
+      Printf.printf "  %-28s %9.4f %6.1f%%\n" name (per t) (100. *. t /. s.explore_s))
+    rows;
+  Printf.printf "  candidates the reference pipeline changes: %d of %d\n" s.changed s.plans;
+  let json =
+    Printf.sprintf
+      "    {\"bench\": \"%s\", \"waterline\": %g, \"plans\": %d, \"ms_per_candidate\": %.4f, \
+       \"minor_collections_per_candidate\": %.3f, \"minor_words_per_candidate\": %.0f, \
+       \"promoted_words_per_candidate\": %.0f, \"major_collections_per_candidate\": %.4f, \
+       \"stages_ms_per_candidate\": {%s}}"
+      b.Apps.name wl s.plans (per s.explore_s)
+      (float_of_int s.minor /. plans)
+      (alloc.minor_words /. plans) (alloc.promoted_words /. plans)
+      (float_of_int alloc.major /. plans)
+      (String.concat ", "
+         (List.map (fun (name, t) -> Printf.sprintf "\"%s\": %.4f" name (per t)) rows))
   in
-  Printf.printf "  finalized candidates the reference pipeline changes: %d of %d\n" changed
-    (List.length finalized);
-  changed
+  (json, s.changed)
 
-let passes () =
+let passes flags =
+  let out = ref None in
+  parse_flags "passes" [ ("--out", Value ("FILE", fun f -> out := Some f)) ] flags;
   heading "Cost of one SMSE candidate (HECATE, one-shot waterlines, pool 1)";
   Printf.printf
     "Every candidate plan the hill climber scores is generated, finalized in\n\
-     one sweep, validated, typechecked, given parameters and estimated.\n\
-     Times are per fresh candidate, from the median of 5 searches;\n\
-     \"validate\" is the verifier the pass manager runs after the finalize\n\
-     pass, which Driver.pass_timings does not include. Each stage starts on\n\
-     an empty minor heap; emptying it is timed apart (\"minor GC between\n\
-     stages\"), so a stage's row holds only the collections its own\n\
-     allocation triggers. Those collections and the words allocated in the\n\
-     minor heap (arrays past 256 words go straight to the major heap) are\n\
-     counted over the same search. Every\n\
-     finalized candidate must be a fixpoint of the reference pipeline,\n\
-     which the pass fuses:\n\
+     one sweep, validated, typechecked, given parameters, estimated and\n\
+     discarded. Times are per fresh candidate, from the median of 5\n\
+     searches; \"validate\" is the verifier the pass manager runs after the\n\
+     finalize pass, which Driver.pass_timings does not include. Each stage\n\
+     starts on an empty minor heap; emptying it is timed apart (\"minor GC\n\
+     between stages\"), so a stage's row holds only the collections its own\n\
+     allocation triggers. The words allocated in the minor heap (arrays past\n\
+     256 words go straight to the major heap), the words promoted out of it\n\
+     and the major collections come from one more search that empties\n\
+     nothing, as Driver.compile's does. Every finalized candidate must be a\n\
+     fixpoint of the reference pipeline, which the pass fuses:\n\
     \  %s\n\
      a candidate it changes fails this section.\n"
     (Pass_manager.to_string (Pass_manager.finalize_reference ~early_modswitch:true));
   let suite = Apps.reduced_suite () in
-  let changed =
-    List.filter
+  let results =
+    List.map
       (fun (name, wl) ->
-        candidate_split (List.find (fun (a : Apps.t) -> a.Apps.name = name) suite) ~wl > 0)
+        (name, candidate_split (List.find (fun (a : Apps.t) -> a.Apps.name = name) suite) ~wl))
       [ ("SF", 24.); ("HCD", 22.); ("MLP", 15.) ]
   in
+  Option.iter
+    (fun path ->
+      Hecate_support.Fileio.write_atomic ~path
+        (Printf.sprintf
+           "{\n  \"config\": {\"sf_bits\": %d, \"pool_size\": 1},\n  \"candidates\": [\n%s  ]\n}\n"
+           sf_bits
+           (json_rows (fun (_, (json, _)) -> json) results));
+      Printf.printf "\nwrote %s\n" path)
+    !out;
+  let changed = List.filter (fun (_, (_, n)) -> n > 0) results in
   if changed <> [] then begin
     Printf.printf "FAIL: the reference pipeline changes finalized candidates of %s\n"
       (String.concat ", " (List.map fst changed));
@@ -1742,7 +1815,7 @@ let all () =
   fig8 ();
   fig7_paper ();
   explore_cmd [];
-  passes ();
+  passes [];
   ablate ();
   ops ()
 
@@ -1754,7 +1827,7 @@ let subcommands =
     plain "table3" table3;
     plain "fig8" fig8;
     flagged "explore" explore_cmd;
-    plain "passes" passes;
+    flagged "passes" passes;
     plain "ops" ops;
     plain "ablate" ablate;
     flagged "kernels" kernels;

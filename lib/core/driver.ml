@@ -115,14 +115,27 @@ let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_explora
     | Eva | Smse -> Codegen.waterline cfg ~hook prog
     | Pars | Hecate -> Codegen.pars cfg ~hook ~downscale_analysis prog
   in
-  let run_finalized ~hook =
-    finalize_typed ?early_modswitch ?passes:finalize_passes ~instr ~stats ~cfg (generator ~hook)
+  let finalized managed =
+    finalize_typed ?early_modswitch ?passes:finalize_passes ~instr ~stats ~cfg managed
   in
+  let run_finalized ~hook = finalized (generator ~hook) in
   (* one parameter selection per candidate, from the types finalize left *)
   let params_of p = Paramselect.of_prog ?q0_bits ~sf_bits p in
   let evaluate p =
     let params = params_of p in
     Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p
+  in
+  (* A scored candidate is dead once priced, and nothing else holds its
+     programs: discard both, so their bodies stop pinning young ops (see
+     [Prog.discard]). The finalized program may share op records with
+     the generator's output; discarding a body leaves the records alone. *)
+  let score ~hook =
+    let managed = generator ~hook in
+    let p = finalized managed in
+    let cost = evaluate p in
+    Prog.discard p;
+    if p != managed then Prog.discard managed;
+    cost
   in
   match scheme with
   | Eva | Pars ->
@@ -146,7 +159,7 @@ let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_explora
       in
       let t0 = Unix.gettimeofday () in
       let result =
-        Explore.portfolio ~codegen:run_finalized ~evaluate ~edges ?strategies
+        Explore.portfolio ~codegen:run_finalized ~score ~edges ?strategies
           ~max_epochs ?pool_size ?should_stop ?on_epoch ~warm_starts ?gate ()
       in
       let explore_seconds = Unix.gettimeofday () -. t0 in

@@ -86,6 +86,12 @@ val compile :
     [pool_size] sets the exploration worker-domain count (see
     {!Explore.portfolio}); every pool size returns the same result.
 
+    The exploring schemes discard every candidate program once it is
+    scored ({!Hecate_ir.Prog.discard}), so a pass in [finalize_passes]
+    or a dump sink in [instr] that keeps a candidate past its call must
+    keep a copy of its body. The returned program, and every program
+    [gate] receives, is built apart and never discarded.
+
     [strategy] picks the exploration strategy for [Smse]/[Hecate]: a name
     from {!Explore.strategy_names} (default {!Explore.default_strategy}),
     or {!Explore.portfolio_name} to race every registered strategy under

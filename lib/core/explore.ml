@@ -99,64 +99,44 @@ exception Cancelled
    strategy's neighbourhoods — flows through one memoized batch evaluator.
    The memo maps plan contents to cost and is read and written by the
    coordinating domain only; it and the pool's worker domains run the
-   pure codegen+evaluate closure. Because costs are a pure function of the
+   pure scoring closure. Because costs are a pure function of the
    plan, sharing the memo across portfolio strategies cannot change any
-   strategy's trajectory — only the hit/miss accounting. *)
+   strategy's trajectory — only the hit/miss accounting. Only costs are
+   kept: a scored candidate's program is dead once its score returns. *)
 type context = {
-  ctx_run : plan -> Hecate_ir.Prog.t option * float;
+  ctx_run : plan -> float;
   ctx_memo : float Plan_table.t;
   ctx_pool : Pool.t;
   mutable ctx_explored : int;
   mutable ctx_hits : int;
 }
 
-type batch_eval = plan array -> (Hecate_ir.Prog.t option * float) array * int
+type batch_eval = plan array -> float array * int
 
 (* Evaluate a batch of plans: split cached from fresh (and fresh
    duplicates within the batch) before dispatch, so hit/miss accounting
-   and every downstream winner rule are independent of the pool size.
-   Cached answers come back with [None] for the program — a winning plan
-   whose program was dropped is rebuilt by one extra codegen at the end,
-   never re-evaluated. *)
-let eval_batch ctx (plans : plan array) : (Hecate_ir.Prog.t option * float) array * int =
+   and every downstream winner rule are independent of the pool size. *)
+let eval_batch ctx (plans : plan array) : float array * int =
   let n = Array.length plans in
-  let state = Array.make n `Dup in
   let hits = ref 0 in
   let seen = Plan_table.create (2 * n) in
   let fresh_rev = ref [] in
   Array.iteri
     (fun i p ->
-      match Plan_table.find_opt ctx.ctx_memo p with
-      | Some cost ->
-          incr hits;
-          state.(i) <- `Cached cost
-      | None ->
-          if Plan_table.mem seen p then incr hits (* duplicate within the batch *)
-          else begin
-            Plan_table.replace seen p ();
-            fresh_rev := i :: !fresh_rev
-          end)
+      if Plan_table.mem ctx.ctx_memo p || Plan_table.mem seen p then
+        incr hits (* cached, or a duplicate within the batch *)
+      else begin
+        Plan_table.replace seen p ();
+        fresh_rev := i :: !fresh_rev
+      end)
     plans;
   let fresh_idx = Array.of_list (List.rev !fresh_rev) in
   let fresh = Array.map (fun i -> plans.(i)) fresh_idx in
-  let results = Pool.map_array ctx.ctx_pool ~f:ctx.ctx_run fresh in
-  Array.iteri
-    (fun k i ->
-      let prog, cost = results.(k) in
-      Plan_table.replace ctx.ctx_memo plans.(i) cost;
-      state.(i) <- `Fresh (prog, cost))
-    fresh_idx;
+  let costs = Pool.map_array ctx.ctx_pool ~f:ctx.ctx_run fresh in
+  Array.iteri (fun k i -> Plan_table.replace ctx.ctx_memo plans.(i) costs.(k)) fresh_idx;
   ctx.ctx_explored <- ctx.ctx_explored + Array.length fresh;
   ctx.ctx_hits <- ctx.ctx_hits + !hits;
-  let out =
-    Array.mapi
-      (fun i -> function
-        | `Fresh (prog, cost) -> (prog, cost)
-        | `Cached cost -> (None, cost)
-        | `Dup -> (None, Plan_table.find ctx.ctx_memo plans.(i)))
-      state
-  in
-  (out, !hits)
+  (Array.map (Plan_table.find ctx.ctx_memo) plans, !hits)
 
 (* ------------------------------------------------------------------ *)
 (* Strategy registry                                                   *)
@@ -165,7 +145,6 @@ let eval_batch ctx (plans : plan array) : (Hecate_ir.Prog.t option * float) arra
 type step = {
   step_plan : plan;
   step_cost : float;
-  step_prog : Hecate_ir.Prog.t option;
   step_candidates : int;
   step_hits : int;
   step_improved : bool;
@@ -207,20 +186,19 @@ let make_hill_climb ~params:_ ~eval ~edges:_ ~base ~seeds () =
        memo a cached candidate can win too — its cost is just as real. *)
     let winner = ref None in
     Array.iteri
-      (fun i (prog, cost) ->
+      (fun i cost ->
         if cost < !cur_cost then
           match !winner with
-          | Some (_, _, c) when c <= cost -> ()
-          | _ -> winner := Some (moves.(i), prog, cost))
+          | Some (_, c) when c <= cost -> ()
+          | _ -> winner := Some (moves.(i), cost))
       res;
     match !winner with
-    | Some (plan, prog, cost) ->
+    | Some (plan, cost) ->
         cur_plan := plan;
         cur_cost := cost;
         {
           step_plan = plan;
           step_cost = cost;
-          step_prog = prog;
           step_candidates = Array.length moves;
           step_hits = hits;
           step_improved = true;
@@ -230,7 +208,6 @@ let make_hill_climb ~params:_ ~eval ~edges:_ ~base ~seeds () =
         {
           step_plan = !cur_plan;
           step_cost = !cur_cost;
-          step_prog = None;
           step_candidates = Array.length moves;
           step_hits = hits;
           step_improved = false;
@@ -272,7 +249,7 @@ let make_beam ~params ~eval ~edges:_ ~base ~seeds () =
     in
     let res, hits = eval expansion in
     let evaluated =
-      Array.to_list (Array.mapi (fun i (_, cost) -> (cost, expansion.(i))) res)
+      Array.to_list (Array.mapi (fun i cost -> (cost, expansion.(i))) res)
     in
     let feasible = List.filter (fun (c, _) -> c < infinity) evaluated in
     let next = take width (dedup_sorted (!beam @ feasible)) in
@@ -286,20 +263,9 @@ let make_beam ~params ~eval ~edges:_ ~base ~seeds () =
     in
     let improved = head_cost < !best_cost in
     if improved then best_cost := head_cost;
-    let head_prog =
-      (* the head's program, when this epoch freshly evaluated it *)
-      let found = ref None in
-      Array.iteri
-        (fun i (prog, _) ->
-          if !found = None && prog <> None && plan_compare expansion.(i) head_plan = 0
-          then found := prog)
-        res;
-      !found
-    in
     {
       step_plan = head_plan;
       step_cost = head_cost;
-      step_prog = head_prog;
       step_candidates = Array.length expansion;
       step_hits = hits;
       step_improved = improved;
@@ -338,7 +304,7 @@ let make_anneal ~params ~eval ~edges:_ ~base ~seeds () =
        exp(-Δ/T). The PRNG is advanced only on the uphill test, so the
        whole trajectory is a pure function of the seed and the costs. *)
     Array.iteri
-      (fun i (_, cost) ->
+      (fun i cost ->
         if cost < !cur_cost then begin
           cur_plan := props.(i);
           cur_cost := cost
@@ -374,7 +340,7 @@ let make_anneal ~params ~eval ~edges:_ ~base ~seeds () =
         let res1, hits1 = eval [| p |] in
         incr extra_candidates;
         extra_hits := hits1;
-        let _, c = res1.(0) in
+        let c = res1.(0) in
         if c < infinity then begin
           cur_plan := p;
           cur_cost := c;
@@ -388,7 +354,6 @@ let make_anneal ~params ~eval ~edges:_ ~base ~seeds () =
     {
       step_plan = !best_plan;
       step_cost = !best_cost;
-      step_prog = None;
       step_candidates = Array.length props + !extra_candidates;
       step_hits = hits + !extra_hits;
       step_improved = improved || !restart_improved;
@@ -414,7 +379,7 @@ let make_gradient ~params:_ ~eval ~edges:_ ~base ~seeds () =
     let best_delta = Array.make num_edges 0 in
     let best_delta_cost = Array.make num_edges infinity in
     Array.iteri
-      (fun i (_, cost) ->
+      (fun i cost ->
         let edge, delta, _ = labelled.(i) in
         if cost < !cur_cost && cost < best_delta_cost.(edge) then begin
           best_delta.(edge) <- delta;
@@ -426,7 +391,6 @@ let make_gradient ~params:_ ~eval ~edges:_ ~base ~seeds () =
       {
         step_plan = !cur_plan;
         step_cost = !cur_cost;
-        step_prog = None;
         step_candidates = Array.length moves;
         step_hits = hits;
         step_improved = false;
@@ -436,24 +400,23 @@ let make_gradient ~params:_ ~eval ~edges:_ ~base ~seeds () =
       (* best single move, in move order (ties to the earliest) *)
       let single = ref None in
       Array.iteri
-        (fun i (prog, cost) ->
+        (fun i cost ->
           if cost < !cur_cost then
             match !single with
-            | Some (_, _, c) when c <= cost -> ()
-            | _ -> single := Some (moves.(i), prog, cost))
+            | Some (_, c) when c <= cost -> ()
+            | _ -> single := Some (moves.(i), cost))
         res;
-      let sp, sprog, sc = Option.get !single in
+      let sp, sc = Option.get !single in
       let composite = Array.copy !cur_plan in
       Array.iteri (fun e d -> composite.(e) <- composite.(e) + d) best_delta;
       let res2, hits2 = eval [| composite |] in
-      let cprog, cc = res2.(0) in
-      let plan, prog, cost = if cc < sc then (composite, cprog, cc) else (sp, sprog, sc) in
+      let cc = res2.(0) in
+      let plan, cost = if cc < sc then (composite, cc) else (sp, sc) in
       cur_plan := plan;
       cur_cost := cost;
       {
         step_plan = plan;
         step_cost = cost;
-        step_prog = prog;
         step_candidates = Array.length moves + 1;
         step_hits = hits + hits2;
         step_improved = true;
@@ -528,24 +491,20 @@ type runner = {
   r_step : stepper;
   mutable r_best_plan : plan;
   mutable r_best_cost : float;
-  mutable r_best_prog : Hecate_ir.Prog.t option;
   mutable r_epochs : int; (* improving epochs *)
   mutable r_steps : int; (* epochs run *)
   mutable r_finished : bool;
   mutable r_trace_rev : epoch_trace list;
 }
 
-let make_context ~codegen ~evaluate ~hook_of ~should_stop pool =
+let make_context ~score ~hook_of ~should_stop pool =
   let run plan =
-    if should_stop () then (None, infinity)
+    if should_stop () then infinity
     else
-      match
-        let prog = codegen ~hook:(hook_of plan) in
-        (prog, evaluate prog)
-      with
-      | prog, cost -> (Some prog, cost)
-      | exception Invalid_argument _ -> (None, infinity)
-      | exception Hecate_ir.Diagnostic.Error _ -> (None, infinity)
+      match score ~hook:(hook_of plan) with
+      | cost -> cost
+      | exception Invalid_argument _ -> infinity
+      | exception Hecate_ir.Diagnostic.Error _ -> infinity
   in
   {
     ctx_run = run;
@@ -555,7 +514,7 @@ let make_context ~codegen ~evaluate ~hook_of ~should_stop pool =
     ctx_hits = 0;
   }
 
-let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
+let portfolio ~codegen ~score ~(edges : Smu.edge array) ?strategies
     ?(beam_width = 4) ?(prng_seed = 0x48454341) ?(anneal_proposals = 8)
     ?(max_epochs = 100) ?budget_seconds ?pool_size
     ?(should_stop = fun () -> false) ?on_epoch ?(warm_starts = [])
@@ -581,7 +540,7 @@ let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
   let num_edges = Array.length edges in
   Pool.with_pool ?size:pool_size (fun pool ->
       let hook_of = hook_of_plan edges in
-      let ctx = make_context ~codegen ~evaluate ~hook_of ~should_stop pool in
+      let ctx = make_context ~score ~hook_of ~should_stop pool in
       let eval = eval_batch ctx in
       (* Base plan plus any warm-start seeds are the shared opening batch;
          every strategy starts from the best of them, and the memo already
@@ -594,16 +553,13 @@ let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
       in
       let opening = Array.of_list (base_plan :: seeds_in) in
       let res0, _ = eval opening in
-      let base_prog, base_cost =
-        match res0.(0) with
-        | Some prog, cost when cost < infinity -> (prog, cost)
-        | _ ->
-            if should_stop () then raise Cancelled
-            else invalid_arg "Explore.portfolio: the unmodified plan failed to compile"
-      in
+      let base_cost = res0.(0) in
+      if base_cost = infinity then
+        if should_stop () then raise Cancelled
+        else invalid_arg "Explore.portfolio: the unmodified plan failed to compile";
       let seeds =
         List.filteri (fun i _ -> i > 0) (Array.to_list res0)
-        |> List.mapi (fun i (_, cost) -> (List.nth seeds_in i, cost))
+        |> List.mapi (fun i cost -> (List.nth seeds_in i, cost))
         |> List.filter (fun (_, c) -> c < infinity)
       in
       let seeded = List.exists (fun (_, c) -> c < base_cost) seeds in
@@ -621,7 +577,6 @@ let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
                 maker ~params ~eval ~edges ~base:(base_plan, base_cost) ~seeds;
               r_best_plan = start_plan;
               r_best_cost = start_cost;
-              r_best_prog = (if start_cost = base_cost then Some base_prog else None);
               r_epochs = 0;
               r_steps = 0;
               r_finished = false;
@@ -646,12 +601,8 @@ let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
               if s.step_improved then r.r_epochs <- r.r_epochs + 1;
               if s.step_cost < r.r_best_cost then begin
                 r.r_best_plan <- s.step_plan;
-                r.r_best_cost <- s.step_cost;
-                r.r_best_prog <- s.step_prog
-              end
-              else if
-                r.r_best_prog = None && plan_compare s.step_plan r.r_best_plan = 0
-              then r.r_best_prog <- s.step_prog;
+                r.r_best_cost <- s.step_cost
+              end;
               if s.step_finished then r.r_finished <- true;
               let record =
                 {
@@ -668,11 +619,16 @@ let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
             end)
           runners
       done;
-      (* One codegen rebuilds a winner whose program was answered from the
-         memo; no re-evaluation, and the generators are deterministic. *)
-      let rebuild plan = codegen ~hook:(hook_of plan) in
-      let prog_of r =
-        match r.r_best_prog with Some p -> p | None -> rebuild r.r_best_plan
+      (* A winning plan's program is built once, by [codegen], for the gate
+         and the result alike; its cost comes from the memo. *)
+      let built : Hecate_ir.Prog.t Plan_table.t = Plan_table.create 8 in
+      let prog_of plan =
+        match Plan_table.find_opt built plan with
+        | Some p -> p
+        | None ->
+            let p = codegen ~hook:(hook_of plan) in
+            Plan_table.replace built plan p;
+            p
       in
       (* Gate every strategy's winner (deduplicated by plan — strategies
          that converged to the same plan share one oracle run). *)
@@ -685,7 +641,7 @@ let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
               match Plan_table.find_opt verdicts r.r_best_plan with
               | Some v -> v
               | None ->
-                  let v = g ~strategy:r.r_name ~plan:r.r_best_plan (prog_of r) in
+                  let v = g ~strategy:r.r_name ~plan:r.r_best_plan (prog_of r.r_best_plan) in
                   Plan_table.replace verdicts r.r_best_plan v;
                   v
             in
@@ -747,11 +703,10 @@ let portfolio ~codegen ~evaluate ~(edges : Smu.edge array) ?strategies
                    by the oracle gate: %s"
                   detail))
       | Some w ->
-          let w_runner = List.find (fun r -> r.r_name = w.strategy) runners in
           {
             p_winner = w.strategy;
             p_best_plan = w.s_best_plan;
-            p_best_prog = prog_of w_runner;
+            p_best_prog = prog_of w.s_best_plan;
             p_best_cost = w.s_best_cost;
             p_strategies = stats;
             p_plans_explored = ctx.ctx_explored;

@@ -10,20 +10,22 @@
 
     The engine is:
 
-    - {e exception-safe}: an [Invalid_argument] raised by either [codegen]
-      or [evaluate] marks that one candidate infeasible ([infinity] cost)
+    - {e exception-safe}: an [Invalid_argument] raised by [score] marks
+      that one candidate infeasible ([infinity] cost)
       instead of aborting the search — except on the all-zero base plan,
-      which must compile and evaluate (a failure there is a hard error);
+      which must score (a failure there is a hard error);
     - {e parallel}: each strategy's per-epoch candidate batch is evaluated
       concurrently on a {!Hecate_support.Pool} of OCaml 5 domains; the
       scheduler itself is single-threaded round-robin, so strategies never
       nest pool calls;
-    - {e memoized}: candidate costs are cached by plan contents in a memo
+    - {e memoized}: candidate costs, and only costs, are cached by plan
+      contents in a memo
       (a {!Plan_table}, hashed over every entry)
       {e shared by every strategy} — a plan any strategy (or the opening
       base-plan/warm-start batch) has already scored is never recompiled,
       and in particular a strategy's own incumbent is never re-evaluated
-      when the memo is warm;
+      when the memo is warm; a candidate's program is never kept, and
+      each winning plan is built once, by [codegen];
     - {e deterministic}: batches are classified cached/fresh before
       dispatch and every winner rule is a pure function of plan costs, so
       parallel and serial runs — and any strategy-registration order —
@@ -81,9 +83,6 @@ exception Cancelled
 type step = {
   step_plan : plan; (** strategy's best plan after this epoch *)
   step_cost : float;
-  step_prog : Hecate_ir.Prog.t option;
-      (** the program for [step_plan] when this epoch evaluated it fresh;
-          [None] when it came from the memo (rebuilt once if it wins) *)
   step_candidates : int;
   step_hits : int;
   step_improved : bool;
@@ -92,11 +91,10 @@ type step = {
 
 type stepper = unit -> step
 
-type batch_eval = plan array -> (Hecate_ir.Prog.t option * float) array * int
-(** Memoized batch evaluation: costs aligned with the input (programs only
-    for plans evaluated fresh by this very call), plus the number of
-    candidates answered from the memo (cached, or duplicated within the
-    batch). Infeasible plans cost [infinity]. *)
+type batch_eval = plan array -> float array * int
+(** Memoized batch evaluation: costs aligned with the input, plus the
+    number of candidates answered from the memo (cached, or duplicated
+    within the batch). Infeasible plans cost [infinity]. *)
 
 type strategy_params = {
   beam_width : int; (** beam search width (default 4) *)
@@ -164,7 +162,7 @@ type strategy_stats = {
 type portfolio_result = {
   p_winner : string; (** winning strategy name *)
   p_best_plan : plan;
-  p_best_prog : Hecate_ir.Prog.t;
+  p_best_prog : Hecate_ir.Prog.t; (** [codegen] of [p_best_plan], built once *)
   p_best_cost : float;
   p_strategies : strategy_stats list; (** per strategy, in name order *)
   p_plans_explored : int; (** fresh evaluations across all strategies *)
@@ -174,7 +172,7 @@ type portfolio_result = {
 
 val portfolio :
   codegen:(hook:Codegen.hook -> Hecate_ir.Prog.t) ->
-  evaluate:(Hecate_ir.Prog.t -> float) ->
+  score:(hook:Codegen.hook -> float) ->
   edges:Smu.edge array ->
   ?strategies:string list ->
   ?beam_width:int ->
@@ -202,12 +200,19 @@ val portfolio :
     including rejections with their diagnostic code, are in
     [p_strategies].
 
-    [codegen] and [evaluate] must be safe to call concurrently from
-    several domains (the in-tree generators and estimator qualify).
+    [score] prices one candidate; the portfolio keeps the cost and
+    nothing else, so a [score] that builds a program may drop it, or
+    {!Hecate_ir.Prog.discard} it, before returning. [codegen] builds a
+    plan's program: the portfolio calls it once per winning plan (every
+    strategy's winner when [gate] is given, the overall winner
+    otherwise), after the search, and returns that program untouched to
+    [gate] and in [p_best_prog]. [score] must be safe to call
+    concurrently from several domains (the in-tree generators and
+    estimator qualify).
     [on_epoch] fires on the coordinating domain after every strategy
     epoch — the daemon streams these as per-strategy progress events.
     @raise Cancelled if [should_stop] is true before the base plan runs.
-    @raise Invalid_argument if the base plan fails to compile or evaluate,
+    @raise Invalid_argument if the base plan fails to score,
     or a name in [strategies] is not registered.
     @raise Hecate_ir.Diagnostic.Error with code [Oracle_rejected] if every
     strategy's winning plan failed [gate]. *)

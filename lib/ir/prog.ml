@@ -47,6 +47,8 @@ type t = {
 
 let placeholder = { id = -1; kind = Add; args = [||]; ty = Types.Free; prov = None }
 
+let discard p = Array.fill p.body 0 (Array.length p.body) placeholder
+
 let op p v =
   if v < 0 || v >= Array.length p.body then invalid_arg "Prog.op: value id out of range";
   p.body.(v)
@@ -417,21 +419,29 @@ module Rewriter = struct
 
   (* Value ids are dense on both sides, so the old->new mapping and the
      emitted ops (which carry their types) live in arrays indexed by id.
-     [ops] grows by doubling; slots at or past [count] hold [placeholder]. *)
+     [ops] grows by doubling; slots at or past [count] hold [placeholder].
+     [finish] copies the emitted ops out and fills [ops] with [placeholder]:
+     a working array past 256 words lives in the major heap, and each op
+     stored into it stays remembered, and is promoted at the next minor
+     collection, for as long as the array holds it. *)
   type t = {
     src : prog;
     mutable ops : op array;
     mutable count : int;
     mapping : value array; (* old id -> new id; -1 until set *)
     mutable new_inputs : value list; (* reversed *)
+    mutable finished : bool;
   }
 
   let create src =
     let n = Array.length src.body in
     { src; ops = Array.make (max 16 (2 * n)) placeholder; count = 0; mapping = Array.make n (-1);
-      new_inputs = [] }
+      new_inputs = []; finished = false }
+
+  let live r fn = if r.finished then invalid_arg ("Prog.Rewriter." ^ fn ^ ": finished rewriter")
 
   let emit ?prov r kind args ty =
+    live r "emit";
     let id = r.count in
     if id = Array.length r.ops then begin
       let grown = Array.make (2 * id) placeholder in
@@ -444,19 +454,23 @@ module Rewriter = struct
     id
 
   let mapped r v =
+    live r "mapped";
     if v < 0 || v >= Array.length r.mapping || r.mapping.(v) < 0 then raise Not_found;
     r.mapping.(v)
 
   let set_mapped r ~old_value v =
+    live r "set_mapped";
     if old_value < 0 || old_value >= Array.length r.mapping then
       invalid_arg "Prog.Rewriter.set_mapped: value id out of range";
     r.mapping.(old_value) <- v
 
   let ty r v =
+    live r "ty";
     if v < 0 || v >= r.count then invalid_arg "Prog.Rewriter.ty: unknown value";
     r.ops.(v).ty
 
   let finish r =
+    live r "finish";
     let p =
       {
         name = r.src.name;
@@ -466,6 +480,8 @@ module Rewriter = struct
         outputs = List.map (mapped r) r.src.outputs;
       }
     in
+    r.finished <- true;
+    Array.fill r.ops 0 r.count placeholder;
     match validate p with
     | Ok () -> p
     | Error msg -> invalid_arg ("Prog.Rewriter.finish: " ^ msg)

@@ -60,6 +60,14 @@ val placeholder : op
     a large array with a freshly allocated op instead makes OCaml run a
     minor collection first. *)
 
+val discard : t -> unit
+(** [discard p] fills [p]'s body with {!placeholder}, leaving [p] invalid
+    but its op records untouched (another program sharing them stays
+    valid). A body past 256 words lives in the major heap, and every young
+    op stored into it is promoted at the next minor collection, even once
+    [p] is dead; after [discard] the body points at no young op. Only
+    [p]'s sole owner may call it, and only when dropping [p]. *)
+
 val op : t -> value -> op
 (** @raise Invalid_argument on out-of-range ids. *)
 
@@ -177,6 +185,8 @@ module Rewriter : sig
       @raise Invalid_argument if no op with that id has been emitted. *)
 
   val finish : t -> prog
-  (** Rebuilds with the original outputs (remapped).
+  (** Rebuilds with the original outputs (remapped), and releases the
+      working array: every later call on the rewriter, [finish] included,
+      raises [Invalid_argument].
       @raise Invalid_argument if validation fails. *)
 end

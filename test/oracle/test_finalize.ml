@@ -143,9 +143,9 @@ let () =
       ( "fused sweep",
         [
           Alcotest.test_case "SF/HCD/MLP/matvec searches" `Quick
-            (test_searches [ "SF"; "HCD"; "MLP"; "matvec" ] ~candidates:4963 ~calls:9567);
+            (test_searches [ "SF"; "HCD"; "MLP"; "matvec" ] ~candidates:4993 ~calls:9617);
           Alcotest.test_case "PR E2 searches" `Quick
-            (test_searches [ "PR E2" ] ~candidates:35825 ~calls:71650);
+            (test_searches [ "PR E2" ] ~candidates:35832 ~calls:71664);
           QCheck_alcotest.to_alcotest prop_generated;
           Alcotest.test_case "200-deep chain" `Quick test_deep_chain;
           Alcotest.test_case "folds, duplicates, dead ops" `Quick test_hand_written;

@@ -28,13 +28,13 @@ let test_oneshot_programs () =
         List.map (fun conf -> (t, conf)) (Modswitch_sweep.configurations ()))
       [ "SF"; "HCD"; "MLP"; "matvec" ]
   in
-  Alcotest.(check int) "early-modswitch calls checked" 9567 (compiles targets)
+  Alcotest.(check int) "early-modswitch calls checked" 9617 (compiles targets)
 
 let test_pr_e2_hill_climb () =
   let calls =
     compiles [ (Modswitch_sweep.standard "PR E2", (Driver.Hecate, Explore.default_strategy)) ]
   in
-  Alcotest.(check int) "early-modswitch calls checked" 7960 calls
+  Alcotest.(check int) "early-modswitch calls checked" 7962 calls
 
 let () =
   Alcotest.run "early_modswitch"

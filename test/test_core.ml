@@ -496,6 +496,9 @@ let test_fig2_three_plans () =
 (* Explorer and driver                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* the explorer's scoring closure: build the candidate, then price it *)
+let score_of codegen evaluate ~hook = evaluate (codegen ~hook)
+
 (* improving epochs of the (only) strategy *)
 let epochs (r : Explore.portfolio_result) = (List.hd r.Explore.p_strategies).Explore.s_epochs
 
@@ -509,7 +512,8 @@ let test_hill_climb_improves () =
     Estimator.estimate ~model ~params ~n:8192 p
   in
   let r =
-    Explore.portfolio ~codegen ~evaluate ~edges:smu.Smu.edges ~strategies:[ "hill-climb" ] ()
+    Explore.portfolio ~codegen ~score:(score_of codegen evaluate) ~edges:smu.Smu.edges
+      ~strategies:[ "hill-climb" ] ()
   in
   let base = evaluate (codegen ~hook:Codegen.no_hook) in
   check Alcotest.bool "no regression" true (r.Explore.p_best_cost <= base);
@@ -529,7 +533,8 @@ let test_hill_climb_evaluate_exception_skipped () =
     else invalid_arg "Paramselect.num_primes_at: bad level"
   in
   let r =
-    Explore.portfolio ~codegen ~evaluate ~edges:smu.Smu.edges ~strategies:[ "hill-climb" ] ()
+    Explore.portfolio ~codegen ~score:(score_of codegen evaluate) ~edges:smu.Smu.edges
+      ~strategies:[ "hill-climb" ] ()
   in
   check Alcotest.bool "search survived" true (r.Explore.p_best_cost < infinity);
   check Alcotest.int "no candidate accepted" 0 (epochs r);
@@ -545,7 +550,8 @@ let test_hill_climb_base_evaluate_fatal () =
   let codegen ~hook = fst (Driver.finalize ~cfg (Codegen.waterline cfg ~hook prog)) in
   let evaluate _ = invalid_arg "boom" in
   match
-    Explore.portfolio ~codegen ~evaluate ~edges:smu.Smu.edges ~strategies:[ "hill-climb" ] ()
+    Explore.portfolio ~codegen ~score:(score_of codegen evaluate) ~edges:smu.Smu.edges
+      ~strategies:[ "hill-climb" ] ()
   with
   | _ -> Alcotest.fail "expected Invalid_argument on a failing base plan"
   | exception Invalid_argument _ -> ()
@@ -578,7 +584,8 @@ let backoff_evaluate p =
 
 let test_hill_climb_backoff () =
   let r =
-    Explore.portfolio ~codegen:backoff_codegen ~evaluate:backoff_evaluate ~edges:backoff_edges
+    Explore.portfolio ~codegen:backoff_codegen
+      ~score:(score_of backoff_codegen backoff_evaluate) ~edges:backoff_edges
       ~strategies:[ "hill-climb" ] ()
   in
   check (Alcotest.array Alcotest.int) "optimum needs a -1 move" [| 0; 1; 1 |]
@@ -608,7 +615,8 @@ let test_hill_climb_parallel_matches_serial () =
         Estimator.estimate ~model ~params ~n:8192 p
       in
       let explore pool_size =
-        Explore.portfolio ~codegen ~evaluate ~edges:smu.Smu.edges ~strategies:[ "hill-climb" ]
+        Explore.portfolio ~codegen ~score:(score_of codegen evaluate) ~edges:smu.Smu.edges
+          ~strategies:[ "hill-climb" ]
           ~max_epochs ~pool_size ()
       in
       let serial = explore 1 in
@@ -678,7 +686,8 @@ let test_hill_climb_epoch_cap () =
   let codegen ~hook = fst (Driver.finalize ~cfg (Codegen.waterline cfg ~hook prog)) in
   let evaluate p = float_of_int (Prog.num_ops p) in
   let r =
-    Explore.portfolio ~codegen ~evaluate ~edges:smu.Smu.edges ~strategies:[ "hill-climb" ]
+    Explore.portfolio ~codegen ~score:(score_of codegen evaluate) ~edges:smu.Smu.edges
+      ~strategies:[ "hill-climb" ]
       ~max_epochs:1 ()
   in
   check Alcotest.bool "capped" true (epochs r <= 1)
@@ -866,7 +875,7 @@ let test_finalize_fixpoint_iterations () =
           ~n:params.Paramselect.secure_n p
       in
       let edges = (Smu.generate prog).Smu.edges in
-      ignore (Explore.portfolio ~codegen ~evaluate ~edges ~pool_size:1 ());
+      ignore (Explore.portfolio ~codegen ~score:(score_of codegen evaluate) ~edges ~pool_size:1 ());
       check Alcotest.bool (name ^ ": candidates finalized") true (!candidates > 1);
       check Alcotest.bool
         (Printf.sprintf "%s: at most 2 fixpoint iterations per candidate (worst %d)" name !worst)

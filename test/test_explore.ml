@@ -49,7 +49,7 @@ let fig2_pow ?(name = "fig2_pow") ?(x = "x") ?(y = "y") ?(dead = false) () =
    same canonical DAG, so it shares [fig2_pow]'s fingerprint. *)
 let fig2_pow_alpha () = fig2_pow ~name:"fig2_pow_alpha" ~x:"u" ~y:"v" ~dead:true ()
 
-let fig2_codegen_evaluate () =
+let fig2_codegen_score () =
   let prog = fig2 () in
   let smu = Smu.generate prog in
   let codegen ~hook = fst (Driver.finalize ~cfg (Codegen.waterline cfg ~hook prog)) in
@@ -59,7 +59,7 @@ let fig2_codegen_evaluate () =
     let params = Paramselect.select ~sf_bits:28 ~types ~slot_count:8 () in
     Estimator.estimate ~model ~params ~n:8192 p
   in
-  (codegen, evaluate, smu.Smu.edges)
+  (codegen, (fun ~hook -> evaluate (codegen ~hook)), smu.Smu.edges)
 
 (* ------------------------------------------------------------------ *)
 (* Shared memo: the incumbent is never re-evaluated                     *)
@@ -103,7 +103,9 @@ let test_no_incumbent_reevaluation () =
     backoff_cost p
   in
   let r =
-    Explore.portfolio ~codegen:backoff_codegen ~evaluate ~edges:backoff_edges
+    Explore.portfolio ~codegen:backoff_codegen
+      ~score:(fun ~hook -> evaluate (backoff_codegen ~hook))
+      ~edges:backoff_edges
       ~strategies:[ "hill-climb" ] ()
   in
   check (Alcotest.array Alcotest.int) "search still finds the optimum" [| 0; 1; 1 |]
@@ -141,9 +143,9 @@ let shuffle seed l =
   Array.to_list a
 
 let portfolio_order_and_pool_invariant =
-  let codegen, evaluate, edges = fig2_codegen_evaluate () in
+  let codegen, score, edges = fig2_codegen_score () in
   let run ~strategies ~pool_size =
-    Explore.portfolio ~codegen ~evaluate ~edges ~strategies ~max_epochs:8 ~pool_size ()
+    Explore.portfolio ~codegen ~score ~edges ~strategies ~max_epochs:8 ~pool_size ()
   in
   let reference = lazy (run ~strategies:(Explore.strategy_names ()) ~pool_size:1) in
   QCheck.Test.make ~count:6
@@ -315,7 +317,6 @@ let register_liar () =
            per-plan dedup *)
         Explore.step_plan = Array.make (Array.length edges) 1;
         step_cost = 0.;
-        step_prog = None;
         step_candidates = 0;
         step_hits = 0;
         step_improved = true;
@@ -334,9 +335,9 @@ let test_gate_rejects_faulty_strategy () =
   let prog = fig2 () in
   let transform ~strategy p = if strategy = liar then mis_scaled () else p in
   let gate = Oracle.explorer_gate ~transform ~sf_bits:28 ~waterline_bits:20. prog in
-  let codegen, evaluate, edges = fig2_codegen_evaluate () in
+  let codegen, score, edges = fig2_codegen_score () in
   let r =
-    Explore.portfolio ~codegen ~evaluate ~edges
+    Explore.portfolio ~codegen ~score ~edges
       ~strategies:(liar :: Explore.strategy_names ())
       ~max_epochs:8 ~gate ()
   in
@@ -357,7 +358,7 @@ let test_gate_rejects_faulty_strategy () =
   | _ -> Alcotest.fail "the fallback winner did not pass the gate");
   (* and absent the gate, the liar's claimed cost would have won *)
   let ungated =
-    Explore.portfolio ~codegen ~evaluate ~edges
+    Explore.portfolio ~codegen ~score ~edges
       ~strategies:(liar :: Explore.strategy_names ())
       ~max_epochs:8 ()
   in
@@ -380,6 +381,89 @@ let test_search_pinned () =
       check Alcotest.int (name ^ " cache hits") hits e.Driver.cache_hits;
       check Alcotest.int (name ^ " epochs") epochs e.Driver.epochs)
     [ ("SF", 24., 19, 0, 0); ("HCD", 22., 256, 11, 6); ("MLP", 15., 67, 1, 1) ]
+
+(* ------------------------------------------------------------------ *)
+(* Candidates die young                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The explorer keeps costs, not programs, and Driver discards every
+   program it scores: a candidate's ops must not outlive it in the major
+   heap. One compile of each after a warm-up; the parent of this guard
+   promoted 422k (HCD) and 452k (MLP) words per compile. *)
+let test_candidates_die_young () =
+  let compile name wl =
+    let app = List.find (fun (a : Apps.t) -> a.Apps.name = name) (Apps.reduced_suite ()) in
+    fun () ->
+      ignore (Driver.compile ~pool_size:1 Driver.Hecate ~sf_bits:28 ~waterline_bits:wl app.Apps.prog)
+  in
+  let hcd = compile "HCD" 22. and mlp = compile "MLP" 15. in
+  hcd ();
+  List.iter
+    (fun (name, f) ->
+      Gc.minor ();
+      let before = (Gc.quick_stat ()).Gc.promoted_words in
+      f ();
+      Gc.minor ();
+      let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+      check Alcotest.bool
+        (Printf.sprintf "%s compile promotes %.0f words, under 150000" name promoted)
+        true (promoted < 150_000.))
+    [ ("HCD", hcd); ("MLP", mlp) ]
+
+(* No program the gate or the caller receives was ever discarded. The
+   gate counts and validates every program reaching it; the winner is
+   checked against a fresh build of its plan. *)
+let test_winners_never_discarded () =
+  let prog = fig2_pow () in
+  let seen = ref 0 and invalid = ref [] in
+  let gate ~strategy ~plan:_ p =
+    incr seen;
+    (match Prog.validate p with Ok () -> () | Error m -> invalid := (strategy ^ ": " ^ m) :: !invalid);
+    Ok ()
+  in
+  let c =
+    Driver.compile ~pool_size:1 ~strategy:Explore.portfolio_name ~gate Driver.Hecate ~sf_bits:28
+      ~waterline_bits:20. prog
+  in
+  let e = Option.get c.Driver.exploration in
+  check Alcotest.bool "the gate saw every distinct winner" true
+    (!seen >= 1 && !seen <= List.length e.Driver.strategies);
+  check Alcotest.(list string) "every gated program validates" [] !invalid;
+  check Alcotest.(result unit string) "the compiled program validates" (Ok ())
+    (Prog.validate c.Driver.prog);
+  let again =
+    Driver.compile ~pool_size:1 ~strategy:Explore.portfolio_name Driver.Hecate ~sf_bits:28
+      ~waterline_bits:20. prog
+  in
+  check Alcotest.string "the winner prints as an ungated compile's"
+    (Hecate_ir.Printer.to_string again.Driver.prog)
+    (Hecate_ir.Printer.to_string c.Driver.prog)
+
+(* Discarding a codegen output leaves the finalized program valid and
+   printing the same, where finalize carried op records over from it. *)
+let test_discard_codegen_output () =
+  let app = List.find (fun (a : Apps.t) -> a.Apps.name = "HCD") (Apps.reduced_suite ()) in
+  let cfg = Typing.config ~sf:28. ~waterline:22. () in
+  let prog = Hecate_ir.Pass_manager.run Hecate_ir.Pass_manager.cleanup app.Apps.prog in
+  let edges = (Smu.generate prog).Smu.edges in
+  let hook_of = Explore.hook_of_plan edges in
+  let sharing = ref 0 in
+  List.iter
+    (fun plan ->
+      let managed = Codegen.pars cfg ~hook:(hook_of plan) prog in
+      let p, _ = Driver.finalize ~cfg managed in
+      check Alcotest.bool "finalize returned another program" true (p != managed);
+      if Array.exists (fun o -> Array.memq o managed.Prog.body) p.Prog.body then incr sharing;
+      let before = Hecate_ir.Printer.to_string p in
+      Prog.discard managed;
+      check Alcotest.(result unit string) "finalized program still valid" (Ok ())
+        (Prog.validate p);
+      check Alcotest.string "and prints the same" before (Hecate_ir.Printer.to_string p))
+    (List.init (Array.length edges + 1) (fun k ->
+         Array.init (Array.length edges) (fun i -> if i = k then 1 else 0)));
+  check Alcotest.bool
+    (Printf.sprintf "%d finalized programs share op records with their input" !sharing)
+    true (!sharing > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Memo hash: every entry of a plan counts                              *)
@@ -413,7 +497,8 @@ let test_hcd_memo_buckets () =
   let prog = Hecate_ir.Pass_manager.run Hecate_ir.Pass_manager.cleanup app.Apps.prog in
   let edges = (Smu.generate prog).Smu.edges in
   let plans = ref [] in
-  let codegen ~hook =
+  let codegen ~hook = fst (Driver.finalize ~cfg (Codegen.pars cfg ~hook prog)) in
+  let score ~hook =
     plans :=
       Array.map
         (fun (e : Smu.edge) ->
@@ -421,14 +506,12 @@ let test_hcd_memo_buckets () =
           hook ~op_id ~operand)
         edges
       :: !plans;
-    fst (Driver.finalize ~cfg (Codegen.pars cfg ~hook prog))
-  in
-  let evaluate p =
+    let p = codegen ~hook in
     let params = Paramselect.of_prog ~sf_bits:28 p in
     Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p
   in
   let r =
-    Explore.portfolio ~codegen ~evaluate ~edges ~strategies:[ Explore.default_strategy ]
+    Explore.portfolio ~codegen ~score ~edges ~strategies:[ Explore.default_strategy ]
       ~pool_size:1 ()
   in
   check Alcotest.int "plans scored" 256 r.Explore.p_plans_explored;
@@ -450,6 +533,13 @@ let () =
       ( "determinism",
         [ qtest portfolio_order_and_pool_invariant; qtest portfolio_schemes_invariant ] );
       ("search", [ Alcotest.test_case "SF/HCD/MLP search pinned" `Quick test_search_pinned ]);
+      ( "lifecycle",
+        [
+          Alcotest.test_case "HCD and MLP candidates die young" `Quick test_candidates_die_young;
+          Alcotest.test_case "gate and winner get undiscarded programs" `Quick
+            test_winners_never_discarded;
+          Alcotest.test_case "discarding a codegen output" `Quick test_discard_codegen_output;
+        ] );
       ( "memo-hash",
         [
           Alcotest.test_case "every plan entry counts" `Quick test_hash_reads_every_entry;

@@ -239,7 +239,34 @@ let test_rewriter_contracts () =
   let q = Prog.Rewriter.finish r in
   check Alcotest.int "all ops kept" (Prog.num_ops p + 40) (Prog.num_ops q);
   check Alcotest.(list int) "inputs" p.Prog.inputs q.Prog.inputs;
-  check Alcotest.(list int) "outputs" p.Prog.outputs q.Prog.outputs
+  check Alcotest.(list int) "outputs" p.Prog.outputs q.Prog.outputs;
+  check Alcotest.(result unit string) "finished program valid" (Ok ()) (Prog.validate q);
+  (* a finished rewriter has released its working array *)
+  let finished fn f =
+    Alcotest.check_raises (fn ^ " after finish")
+      (Invalid_argument ("Prog.Rewriter." ^ fn ^ ": finished rewriter")) f
+  in
+  finished "emit" (fun () -> ignore (Prog.Rewriter.emit r Prog.Add [| 0; 1 |] Types.Free));
+  finished "mapped" (fun () -> ignore (Prog.Rewriter.mapped r 0));
+  finished "set_mapped" (fun () -> Prog.Rewriter.set_mapped r ~old_value:0 0);
+  finished "ty" (fun () -> ignore (Prog.Rewriter.ty r 0));
+  finished "finish" (fun () -> ignore (Prog.Rewriter.finish r))
+
+(* [discard] empties the body and nothing else: a program sharing the op
+   records keeps them, types included. *)
+let test_discard () =
+  let p = small_prog () in
+  (Prog.op p 3).Prog.ty <- cipher 20. 3;
+  let q = { p with Prog.body = Array.copy p.Prog.body } in
+  let before = Printer.to_string q in
+  Prog.discard p;
+  check Alcotest.bool "every slot holds the placeholder" true
+    (Array.for_all (fun o -> o == Prog.placeholder) p.Prog.body);
+  check Alcotest.int "body length kept" (Prog.num_ops q) (Prog.num_ops p);
+  check Alcotest.bool "the discarded program is invalid" true (Result.is_error (Prog.validate p));
+  check Alcotest.(result unit string) "the sharer stays valid" (Ok ()) (Prog.validate q);
+  check Alcotest.string "the sharer prints the same" before (Printer.to_string q);
+  check ty "types on shared ops kept" (cipher 20. 3) (Prog.op q 3).Prog.ty
 
 let test_builder_rejects_no_output () =
   let b = B.create ~slot_count:4 () in
@@ -1279,6 +1306,7 @@ let () =
           Alcotest.test_case "structural equality" `Quick test_prog_equal;
           Alcotest.test_case "builder output required" `Quick test_builder_rejects_no_output;
           Alcotest.test_case "rewriter contracts" `Quick test_rewriter_contracts;
+          Alcotest.test_case "discard" `Quick test_discard;
         ] );
       ( "text",
         [
