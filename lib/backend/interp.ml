@@ -8,6 +8,7 @@ type report = Schedule.report = {
   outputs : float array list;
   elapsed_seconds : float;
   per_class : (Hecate.Costmodel.op_class * class_stat) list;
+  counts : Hecate.Estimator.counts;
   peak_live : int;
 }
 

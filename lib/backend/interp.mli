@@ -9,6 +9,7 @@ type report = Schedule.report = {
   outputs : float array list; (** decrypted slot vectors, one per output *)
   elapsed_seconds : float; (** homomorphic execution only (no encrypt/decrypt) *)
   per_class : (Hecate.Costmodel.op_class * class_stat) list;
+  counts : Hecate.Estimator.counts;
   peak_live : int; (** peak number of occupied ciphertext buffers *)
 }
 val required_rotations : Hecate_ir.Prog.t -> int list

@@ -5,6 +5,7 @@ module Chain = Hecate_rns.Chain
 module Params = Hecate_ckks.Params
 module Costmodel = Hecate.Costmodel
 module Select = Hecate.Select
+module Estimator = Hecate.Estimator
 open Select
 
 type instruction = Select.instruction
@@ -103,6 +104,7 @@ type report = {
   outputs : float array list;
   elapsed_seconds : float;
   per_class : (Costmodel.op_class * class_stat) list;
+  counts : Estimator.counts;
   peak_live : int;
 }
 
@@ -214,9 +216,11 @@ let run eval ~waterline_bits t ~inputs =
         write dst (Eval.rescale_into eval ~scratch up)
     | Output { src; index } -> outputs.(index) <- Eval.decrypt eval (ct src)
   in
-  let add cls count seconds =
-    let prev = Option.value ~default:{ count = 0; seconds = 0. } (Hashtbl.find_opt stats cls) in
-    Hashtbl.replace stats cls { count = prev.count + count; seconds = prev.seconds +. seconds }
+  (* what ran, counted as the estimator counts it *)
+  let counts = Estimator.create ~levels:params.Params.levels in
+  let add cls seconds =
+    let prev = Option.value ~default:0. (Hashtbl.find_opt stats cls) in
+    Hashtbl.replace stats cls (prev +. seconds)
   in
   (* an instruction of several charges splits its time across them in
      proportion to their analytic prices at its level *)
@@ -234,18 +238,21 @@ let run eval ~waterline_bits t ~inputs =
           step instr;
           let dt = Unix.gettimeofday () -. t0 in
           elapsed := !elapsed +. dt;
+          let level = t.levels.(k) in
+          Estimator.charge counts instr ~level;
           match charges with
-          | [ (cls, count) ] -> add cls count dt
+          | [ (cls, _) ] -> add cls dt
           | _ ->
-              let level = t.levels.(k) in
               let total = List.fold_left (fun a c -> a +. price level c) 0. charges in
-              List.iter
-                (fun ((cls, count) as c) -> add cls count (dt *. price level c /. total))
-                charges))
+              List.iter (fun ((cls, _) as c) -> add cls (dt *. price level c /. total)) charges))
     t.instructions;
   {
     outputs = Array.to_list outputs;
     elapsed_seconds = !elapsed;
-    per_class = Hashtbl.fold (fun cls st acc -> (cls, st) :: acc) stats [];
+    per_class =
+      Hashtbl.fold
+        (fun cls seconds acc -> (cls, { count = Estimator.class_runs counts cls; seconds }) :: acc)
+        stats [];
+    counts;
     peak_live = !peak;
   }

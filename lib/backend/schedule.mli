@@ -42,6 +42,9 @@ type report = {
       (** counts and time per class, charged by {!Hecate.Select.charges};
           an instruction of several classes splits its time in proportion
           to their analytic prices, so the seconds sum to [elapsed_seconds] *)
+  counts : Hecate.Estimator.counts;
+      (** how often each (class, level) entry ran, counted by
+          {!Hecate.Estimator.charge}: [per_class]'s counts are its rows *)
   peak_live : int; (** peak number of occupied ciphertext buffers *)
 }
 

@@ -1,54 +1,67 @@
-module Prog = Hecate_ir.Prog
+type counts = { stride : int; runs : int array }
 
-(* The model's cost of each (class, prime count) one estimate asks for,
-   computed on first use: [costs.(index cls * stride + num_primes - 1)],
-   NaN until filled. *)
-type costs = {
-  model : Costmodel.t;
-  params : Paramselect.t;
-  n : int;
-  stride : int;
-  costs : float array;
-}
+let create ~levels =
+  let stride = levels + 1 in
+  { stride; runs = Array.make (Costmodel.num_classes * stride) 0 }
 
-let costs ~model ~params ~n =
-  let stride = params.Paramselect.chain_levels + 1 in
-  { model; params; n; stride; costs = Array.make (Costmodel.num_classes * stride) Float.nan }
+let add c cls ~level k =
+  if level < 0 then invalid_arg "Estimator: an instruction's operand is not scaled";
+  if level >= c.stride then invalid_arg "Estimator: level outside the parameter set's chain";
+  let i = (Costmodel.index cls * c.stride) + level in
+  Array.unsafe_set c.runs i (Array.unsafe_get c.runs i + k)
 
-let fill t cls num_primes k =
-  let c = t.model.Costmodel.cost cls ~num_primes ~n:t.n in
-  t.costs.(k) <- c;
+(* {!Select.charges} decides what each instruction costs, for this
+   estimate and for the executed report alike, so the Fig. 8
+   estimator-vs-actual property compares like with like. *)
+let charge c i ~level =
+  match Select.charges i with
+  | [] -> ()
+  | [ (cls, k) ] -> add c cls ~level k
+  | charges -> List.iter (fun (cls, k) -> add c cls ~level k) charges
+
+let counts ~params p =
+  let c = create ~levels:params.Paramselect.chain_levels in
+  Select.iter p (fun i ~level -> charge c i ~level);
   c
 
-let[@inline] cost t cls level =
-  let num_primes = Paramselect.num_primes_at t.params ~level in
-  let k = (Costmodel.index cls * t.stride) + num_primes - 1 in
-  let c = Array.unsafe_get t.costs k in
-  if Float.is_nan c then fill t cls num_primes k else c
+let class_runs c cls =
+  let base = Costmodel.index cls * c.stride in
+  let k = ref 0 in
+  for level = 0 to c.stride - 1 do
+    k := !k + c.runs.(base + level)
+  done;
+  !k
 
-(* An instruction's charges, priced at its level: the model's cost of each
-   class times its count, summed in the order [Select.charges] lists them. *)
-let[@inline] price t level = function
-  | [ (cls, count) ] -> float_of_int count *. cost t cls level
-  | charges ->
-      List.fold_left
-        (fun acc (cls, count) -> acc +. (float_of_int count *. cost t cls level))
-        0. charges
+let equal a b = a.stride = b.stride && a.runs = b.runs
+
+let to_string c =
+  let entries = ref [] in
+  List.iter
+    (fun cls ->
+      for level = c.stride - 1 downto 0 do
+        let k = c.runs.((Costmodel.index cls * c.stride) + level) in
+        if k <> 0 then
+          entries := Printf.sprintf "%s@%d=%d" (Costmodel.class_name cls) level k :: !entries
+      done)
+    (List.rev Costmodel.classes);
+  String.concat " " !entries
 
 (* a float field is stored unboxed: adding to it allocates nothing *)
 type total = { mutable seconds : float }
 
-(* The sum of the priced charges of the instructions that would run, in
-   stream order: {!Select.charges} decides what each instruction costs, for
-   this estimate and for the executed report alike, so the Fig. 8
-   estimator-vs-actual property compares like with like. *)
-let estimate ~model ~params ~n (p : Prog.t) =
-  let t = costs ~model ~params ~n in
+let price ~model ~params ~n c =
   let total = { seconds = 0. } in
-  Select.iter p (fun i ~level ->
-      match Select.charges i with
-      | [] -> ()
-      | charges ->
-          if level < 0 then invalid_arg "Estimator: an instruction's operand is not scaled";
-          total.seconds <- total.seconds +. price t level charges);
+  List.iter
+    (fun cls ->
+      let base = Costmodel.index cls * c.stride in
+      for level = 0 to c.stride - 1 do
+        let k = Array.unsafe_get c.runs (base + level) in
+        if k <> 0 then
+          let num_primes = Paramselect.num_primes_at params ~level in
+          total.seconds <-
+            total.seconds +. (float_of_int k *. model.Costmodel.cost cls ~num_primes ~n)
+      done)
+    Costmodel.classes;
   total.seconds
+
+let estimate ~model ~params ~n p = price ~model ~params ~n (counts ~params p)

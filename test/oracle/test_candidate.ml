@@ -78,6 +78,37 @@ let check_difference ~where cfg p =
   else if got <> want then fail "types: %s, reference %s" got want
   else None
 
+(* The reference estimator's runs of every (class, level) entry, written
+   as [Estimator.to_string] writes a matrix. One run with a model that
+   records which entries it prices, then one per recorded entry with a
+   model that costs 1 there and 0 elsewhere: the sum it returns is that
+   entry's count, exactly. *)
+let reference_counts ~params p =
+  let n = params.Paramselect.secure_n in
+  let priced = Hashtbl.create 16 in
+  let recording =
+    { Costmodel.cost = (fun cls ~num_primes ~n:_ -> Hashtbl.replace priced (cls, num_primes) (); 0.) }
+  in
+  ignore (Candidate_ref.Estimator.estimate ~model:recording ~params ~n p);
+  let entries =
+    Hashtbl.fold
+      (fun (cls, num_primes) () acc ->
+        let unit_model =
+          {
+            Costmodel.cost =
+              (fun c ~num_primes:np ~n:_ -> if c = cls && np = num_primes then 1. else 0.);
+          }
+        in
+        let runs = Candidate_ref.Estimator.estimate ~model:unit_model ~params ~n p in
+        let level = params.Paramselect.chain_levels + 1 - num_primes in
+        if runs = 0. then acc else ((Costmodel.index cls, level), (cls, level, runs)) :: acc)
+      priced []
+  in
+  List.sort compare entries
+  |> List.map (fun (_, (cls, level, runs)) ->
+         Printf.sprintf "%s@%d=%.0f" (Costmodel.class_name cls) level runs)
+  |> String.concat " "
+
 (* [None] when both agree on the typed candidate [p], or the difference. *)
 let difference ~where p =
   let model = Costmodel.analytic () in
@@ -93,17 +124,24 @@ let difference ~where p =
   if roles <> ref_roles then fail "fusion roles differ"
   else if Paramselect.of_prog ~sf_bits:28 p <> params then fail "of_prog differs from select"
   else
-    List.fold_left
-      (fun acc n ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-            let got = bits (fun () -> Estimator.estimate ~model ~params ~n p)
-            and want = bits (fun () -> Candidate_ref.Estimator.estimate ~model ~params ~n p) in
-            if got <> want then fail "estimate at n=%d: %s, reference %s" n got want
-            else None))
-      None
-      [ params.Paramselect.secure_n; 4096 ]
+    match
+      ( bits (fun () -> Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p),
+        Estimator.counts ~params p )
+    with
+    | exception Invalid_argument m ->
+        let want =
+          bits (fun () ->
+              Candidate_ref.Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p)
+        in
+        if m <> want then fail "estimate: %s, reference %s" m want else None
+    | got, counts ->
+        let want = reference_counts ~params p in
+        if Estimator.to_string counts <> want then
+          fail "count matrix: %s, reference %s" (Estimator.to_string counts) want
+        else if
+          got <> bits (fun () -> Estimator.price ~model ~params ~n:params.Paramselect.secure_n counts)
+        then fail "estimate %s is not the price of its matrix" got
+        else None
 
 type tally = { mutable candidates : int; mutable typed : int }
 

@@ -385,9 +385,11 @@ func fused_fan(%0: cipher "x") slots=16 {
   let total = List.fold_left (fun a (_, st) -> a +. st.Schedule.seconds) 0. r.Schedule.per_class in
   check (Alcotest.float 1e-9) "classes sum to the elapsed time" r.Schedule.elapsed_seconds total
 
-(* The estimate prices the instructions that run: under a unit model (cost
-   1 for one class, 0 for the others) a compiled program's estimate is the
-   executed report's count of that class, for every class and scheme. *)
+(* The estimate prices the instructions that run: the matrix of (class,
+   level) runs the estimator counts for a compiled program is the one the
+   executor counts from the instructions it ran, for every scheme, and
+   under a unit model (cost 1 for one class, 0 for the others) the
+   estimate is the executed report's count of that class. *)
 let check_counts_match ?passes label ~waterline_bits ~inputs prog =
   List.iter
     (fun scheme ->
@@ -397,6 +399,13 @@ let check_counts_match ?passes label ~waterline_bits ~inputs prog =
           ~rotations:(Interp.required_rotations c.Driver.prog) ()
       in
       let r = Interp.execute eval ~waterline_bits c.Driver.prog ~inputs in
+      let where = Printf.sprintf "%s, %s" label (Driver.scheme_name scheme) in
+      check Alcotest.string (where ^ ": count matrix")
+        (Hecate.Estimator.to_string r.Interp.counts)
+        (Hecate.Estimator.to_string (Hecate.Estimator.counts ~params:c.Driver.params c.Driver.prog));
+      check Alcotest.bool (where ^ ": count matrices equal") true
+        (Hecate.Estimator.equal r.Interp.counts
+           (Hecate.Estimator.counts ~params:c.Driver.params c.Driver.prog));
       List.iter
         (fun cls ->
           let unit_model =
@@ -406,8 +415,7 @@ let check_counts_match ?passes label ~waterline_bits ~inputs prog =
             match List.assoc_opt cls r.Interp.per_class with Some st -> st.Interp.count | None -> 0
           in
           check (Alcotest.float 0.)
-            (Printf.sprintf "%s, %s: %s" label (Driver.scheme_name scheme)
-               (Costmodel.class_name cls))
+            (Printf.sprintf "%s: %s" where (Costmodel.class_name cls))
             (float_of_int ran)
             (Driver.estimate_at ~model:unit_model c ~n:c.Driver.params.Hecate.Paramselect.secure_n))
         Costmodel.classes)
