@@ -75,6 +75,7 @@ module Costmodel = Hecate.Costmodel
 module Paramselect = Hecate.Paramselect
 module Codegen = Hecate.Codegen
 module Estimator = Hecate.Estimator
+module Scorer = Hecate.Scorer
 module Prog = Hecate_ir.Prog
 module Typing = Hecate_ir.Typing
 module Diagnostic = Hecate_ir.Diagnostic
@@ -761,10 +762,12 @@ let explore_cmd flags =
 (* Per-pass timing breakdown via the instrumented pass manager         *)
 (* ------------------------------------------------------------------ *)
 
-(* Cost of one SMSE candidate: the explorer is driven with the scoring
-   closure [Driver.compile] builds for the HECATE scheme (codegen,
-   finalize, validate, type check, parameters, estimate, then both
-   programs discarded), every stage timed on its own; the pass manager
+(* Cost of one SMSE candidate, two ways. [Driver.compile] scores every
+   candidate with the abstract scorer ([Scorer.cost]: no candidate
+   built), timed as a whole in [abstract_search]. The built reference it
+   replaced (test/oracle's Score_ref: codegen, finalize, validate, type
+   check, parameters, estimate, then both programs discarded) drives the
+   explorer here with every stage timed on its own; the pass manager
    charges its verifier's [Prog.validate] time apart from the pass's. As
    in [Driver.compile], parameters are selected once per candidate, from
    the types the check left on the ops, and the winner is built once
@@ -842,8 +845,8 @@ let timed_search ~split (b : Apps.t) ~wl =
       check_s := !check_s +. (Unix.gettimeofday () -. t0);
       uncounted := !uncounted + (minor_collections () - m0)
     end;
-    Prog.discard p;
-    if p != managed then Prog.discard managed;
+    Score_check.Score_ref.discard p;
+    if p != managed then Score_check.Score_ref.discard managed;
     cost
   in
   let codegen ~hook =
@@ -886,6 +889,29 @@ let timed_search ~split (b : Apps.t) ~wl =
     changed = !changed;
   }
 
+(* The search [Driver.compile] runs: every candidate scored by the
+   abstract scorer. Seconds of the search and words allocated in the minor
+   heap. *)
+let abstract_search (b : Apps.t) ~wl =
+  let cfg = Typing.config ~sf:(float_of_int sf_bits) ~waterline:wl () in
+  let model = Costmodel.analytic () in
+  let prog = Pass_manager.default_pipeline b.Apps.prog in
+  let scorer =
+    Option.get
+      (Scorer.create cfg (Scorer.Pars { downscale_analysis = true }) ~early_modswitch:true
+         ~sf_bits prog)
+  in
+  let codegen ~hook =
+    fst (Driver.finalize ~cfg (Codegen.pars cfg ~hook prog))
+  in
+  let edges = (Smu.generate prog).Smu.edges in
+  let words0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+  let r =
+    Explore.portfolio ~codegen ~score:(Scorer.cost scorer ~model) ~edges
+      ~strategies:[ Explore.default_strategy ] ~max_epochs:100 ~pool_size:1 ()
+  in
+  (r.Explore.p_plans_explored, Unix.gettimeofday () -. t0, Gc.minor_words () -. words0)
+
 (* The split of the median of [reps] split searches, each started after a
    full major collection so no run pays for the garbage of the one
    before, and the words and major collections of one search run as
@@ -910,8 +936,21 @@ let candidate_split ?(reps = 5) (b : Apps.t) ~wl =
       s.plans driver_plans;
     exit 1
   end;
+  let abstract =
+    List.init reps (fun _ ->
+        Gc.full_major ();
+        abstract_search b ~wl)
+    |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
+  in
+  let abstract_plans, abstract_s, abstract_words = List.nth abstract (reps / 2) in
+  if abstract_plans <> driver_plans then begin
+    Printf.printf "FAIL: %s: the abstract search scored %d plans, Driver.compile %d\n" b.Apps.name
+      abstract_plans driver_plans;
+    exit 1
+  end;
   let plans = float_of_int s.plans in
   let per s = 1000. *. s /. plans in
+  let abstract_us = 1e6 *. abstract_s /. plans and abstract_words = abstract_words /. plans in
   let other = s.explore_s -. List.fold_left (fun a (_, t) -> a +. t) 0. s.rows in
   let rows = s.rows @ [ ("other (search, memo, winner)", other) ] in
   Printf.printf "\n%s @ waterline %g: %d plans explored in %.3f s, %.3f ms per candidate\n"
@@ -929,18 +968,26 @@ let candidate_split ?(reps = 5) (b : Apps.t) ~wl =
       Printf.printf "  %-28s %9.4f %6.1f%%\n" name (per t) (100. *. t /. s.explore_s))
     rows;
   Printf.printf "  candidates the reference pipeline changes: %d of %d\n" s.changed s.plans;
+  Printf.printf
+    "  abstract scorer (Driver.compile): %.1f us per candidate (%.1fx less than built), %.0f \
+     words allocated per candidate\n"
+    abstract_us
+    (1000. *. per s.explore_s /. abstract_us)
+    abstract_words;
   let json =
     Printf.sprintf
       "    {\"bench\": \"%s\", \"waterline\": %g, \"plans\": %d, \"ms_per_candidate\": %.4f, \
        \"minor_collections_per_candidate\": %.3f, \"minor_words_per_candidate\": %.0f, \
        \"promoted_words_per_candidate\": %.0f, \"major_collections_per_candidate\": %.4f, \
-       \"stages_ms_per_candidate\": {%s}}"
+       \"stages_ms_per_candidate\": {%s}, \"abstract_us_per_candidate\": %.2f, \
+       \"abstract_words_per_candidate\": %.0f}"
       b.Apps.name wl s.plans (per s.explore_s)
       (float_of_int s.minor /. plans)
       (alloc.minor_words /. plans) (alloc.promoted_words /. plans)
       (float_of_int alloc.major /. plans)
       (String.concat ", "
          (List.map (fun (name, t) -> Printf.sprintf "\"%s\": %.4f" name (per t)) rows))
+      abstract_us abstract_words
   in
   (json, s.changed)
 

@@ -2,49 +2,84 @@ module Prog = Hecate_ir.Prog
 module Types = Hecate_ir.Types
 module Typing = Hecate_ir.Typing
 module Diagnostic = Hecate_ir.Diagnostic
-module R = Hecate_ir.Prog.Rewriter
 
 type hook = op_id:int -> operand:int -> int
 
 let no_hook ~op_id:_ ~operand:_ = 0
 let eps = 1e-6
 
-let scale_of r v = Types.scale_exn (R.ty r v)
-let level_of r v = Types.level_exn (R.ty r v)
-let is_cipher r v = Types.is_cipher (R.ty r v)
-let is_free r v =
-  match R.ty r v with Types.Free -> true | Types.Plain _ | Types.Cipher _ -> false
+(* The generators emit into a {!Flat} program: [flat] receives the ops,
+   [mapped] maps each source value to the value standing for it, and
+   [classes] is the integer attribute a source constant carries (its
+   class of equal constants, where [flat] numbers values). *)
+type target = { mutable flat : Flat.t; mapped : int array; classes : int array }
 
-let retag r v (s : Types.scaled) =
-  if is_cipher r v then Types.Cipher s else Types.Plain s
+let target flat ~classes (p : Prog.t) = { flat; mapped = Array.make (Prog.num_ops p) (-1); classes }
+
+module T = struct
+  let[@inline] tag r v = r.flat.Flat.tag.(v)
+
+  let scale r v =
+    if tag r v = Flat.free then invalid_arg "Types.scale_exn: free type has no scale"
+    else r.flat.Flat.scale.(v)
+
+  let level r v =
+    if tag r v = Flat.free then invalid_arg "Types.level_exn: free type has no level"
+    else r.flat.Flat.level.(v)
+
+  let[@inline] mapped r v = r.mapped.(v)
+  let[@inline] set_mapped r old_value v = r.mapped.(old_value) <- v
+
+  (* the source op [o] over the managed operands *)
+  let source r (o : Prog.op) a b tag scale level =
+    let iattr =
+      match o.Prog.kind with
+      | Prog.Rotate { amount } -> amount
+      | Prog.Input _ -> o.Prog.id
+      | Prog.Const _ -> if Array.length r.classes = 0 then o.Prog.id else r.classes.(o.Prog.id)
+      | _ -> 0
+    in
+    Flat.emit r.flat ~src:o.Prog.id (Flat.code_of o.Prog.kind) a b iattr 0. tag scale level
+
+  let encode r v scale level =
+    Flat.emit r.flat ~src:(-1) Flat.encode v (-1) level scale Flat.plain scale level
+
+  let rescale r v scale level =
+    Flat.emit r.flat ~src:(-1) Flat.rescale v (-1) 0 0. Flat.cipher scale level
+
+  let modswitch r v tag scale level =
+    Flat.emit r.flat ~src:(-1) Flat.modswitch v (-1) 0 0. tag scale level
+
+  let upscale r v tag target level =
+    Flat.emit r.flat ~src:(-1) Flat.upscale v (-1) 0 target tag target level
+
+  let downscale r v waterline level =
+    Flat.emit r.flat ~src:(-1) Flat.downscale v (-1) 0 waterline Flat.cipher waterline level
+end
+
+let scale_of = T.scale
+let level_of = T.level
+let is_cipher r v = T.tag r v = Flat.cipher
+let is_free r v = T.tag r v = Flat.free
+
+(* a ciphertext keeps its tag through an op that leaves it scaled *)
+let scaled_tag r v = if is_cipher r v then Flat.cipher else Flat.plain
 
 let emit_rescale r (cfg : Typing.config) v =
-  let s = scale_of r v and k = level_of r v in
-  R.emit r Prog.Rescale [| v |] (Types.Cipher { scale = s -. cfg.sf; level = k + 1 })
+  T.rescale r v (scale_of r v -. cfg.sf) (level_of r v + 1)
 
-let emit_modswitch r v =
-  let s = scale_of r v and k = level_of r v in
-  R.emit r Prog.Modswitch [| v |] (retag r v { scale = s; level = k + 1 })
+let emit_modswitch r v = T.modswitch r v (scaled_tag r v) (scale_of r v) (level_of r v + 1)
 
-let emit_downscale r (cfg : Typing.config) v =
-  let k = level_of r v in
-  R.emit r
-    (Prog.Downscale { waterline = cfg.waterline })
-    [| v |]
-    (Types.Cipher { scale = cfg.waterline; level = k + 1 })
-
-let emit_upscale r v target =
-  let k = level_of r v in
-  R.emit r (Prog.Upscale { target_scale = target }) [| v |] (retag r v { scale = target; level = k })
+let emit_downscale r (cfg : Typing.config) v = T.downscale r v cfg.waterline (level_of r v + 1)
+let emit_upscale r v target = T.upscale r v (scaled_tag r v) target (level_of r v)
 
 let encode_free r (cfg : Typing.config) v ~scale ~level =
-  let scale = Float.max scale cfg.waterline in
-  R.emit r (Prog.Encode { scale; level }) [| v |] (Types.Plain { scale; level })
+  T.encode r v (Float.max scale cfg.waterline) level
 
 let rescale_applicable (cfg : Typing.config) s = s -. cfg.sf >= cfg.waterline -. eps
 
-(* (b) rescale analysis: reduce a ciphertext's scale by the fixed factor as
-   long as the waterline allows. *)
+(* (b) rescale analysis: reduce a ciphertext's scale by the fixed factor
+   as long as the waterline allows. *)
 let rec rescale_while r cfg v =
   if is_cipher r v && rescale_applicable cfg (scale_of r v) then
     rescale_while r cfg (emit_rescale r cfg v)
@@ -64,8 +99,9 @@ let rec force_steps r cfg v d = if d = 0 then v else force_steps r cfg (force_st
 let apply_hook r cfg (hook : hook) ~op_id ~operand v =
   if is_free r v then v else force_steps r cfg v (hook ~op_id ~operand)
 
-(* (c) level match, proactive flavor: raise a value to [target] one prime at
-   a time, preferring rescale, then downscale, falling back to modswitch. *)
+(* (c) level match, proactive flavor: raise a value to [target] one prime
+   at a time, preferring rescale, then downscale, falling back to
+   modswitch. *)
 let rec raise_level_pars r cfg v ~target =
   if level_of r v >= target then v else raise_level_pars r cfg (force_step r cfg v) ~target
 
@@ -74,7 +110,8 @@ let rec raise_level_eva r v ~target =
   if level_of r v >= target then v else raise_level_eva r (emit_modswitch r v) ~target
 
 (* (d) scale match for additive operations: [v] upscaled to [sibling]'s
-   scale when it is clearly below it. Of two operands, at most one moves. *)
+   scale when it is clearly below it. Of two operands, at most one
+   moves. *)
 let match_scale r v ~sibling =
   let sv = scale_of r v and ss = scale_of r sibling in
   if Types.scale_close sv ss || sv >= ss then v else emit_upscale r v ss
@@ -85,16 +122,11 @@ let is_mul (o : Prog.op) =
   | Prog.Add | Prog.Sub -> false
   | _ -> invalid_arg "Codegen: not a binary operation"
 
-let emit_binop r (o : Prog.op) a b ty = R.emit ?prov:o.Prog.prov r o.Prog.kind [| a; b |] ty
-
-let result_scaled r ~is_mul a b : Types.scaled =
+(* the source's binary operation over the managed operands *)
+let emit_binop r (o : Prog.op) ~is_mul a b =
   let sa = scale_of r a and ka = level_of r a in
-  let sb = scale_of r b in
-  if is_mul then { scale = sa +. sb; level = ka } else { scale = sa; level = ka }
-
-let result_ty r ~is_mul a b =
-  let s = result_scaled r ~is_mul a b in
-  if is_cipher r a || is_cipher r b then Types.Cipher s else Types.Plain s
+  let scale = if is_mul then sa +. scale_of r b else sa in
+  T.source r o a b (if is_cipher r a || is_cipher r b then Flat.cipher else Flat.plain) scale ka
 
 (* Per-operand steps of the binary-operation rules, on free operands the
    identity. *)
@@ -118,28 +150,25 @@ let downscale_operand r (cfg : Typing.config) v =
   else if scale_of r v > cfg.waterline +. eps then emit_downscale r cfg v
   else emit_modswitch r v
 
-(* Shared driver: walks the source program, delegating binary operations. *)
-let run (cfg : Typing.config) ~hook ~binop (p : Prog.t) =
-  let r = R.create p in
+(* Shared driver: walks the source program, delegating binary
+   operations. *)
+let run (cfg : Typing.config) ~hook ~binop r (p : Prog.t) =
   Prog.iter
     (fun (o : Prog.op) ->
       let new_id =
         match o.Prog.kind with
-        | Prog.Input { name } ->
-            R.emit ?prov:o.Prog.prov r (Prog.Input { name }) [||]
-              (Types.Cipher { scale = cfg.waterline; level = 0 })
-        | Prog.Const { value } -> R.emit ?prov:o.Prog.prov r (Prog.Const { value }) [||] Types.Free
+        | Prog.Input _ -> T.source r o (-1) (-1) Flat.cipher cfg.waterline 0
+        | Prog.Const _ -> T.source r o (-1) (-1) Flat.free 0. 0
         | Prog.Negate | Prog.Rotate _ ->
-            let a = R.mapped r o.Prog.args.(0) in
+            let a = T.mapped r o.Prog.args.(0) in
             let a = apply_hook r cfg hook ~op_id:o.Prog.id ~operand:0 a in
             let a =
               if is_free r a then encode_free r cfg a ~scale:cfg.waterline ~level:0 else a
             in
-            R.emit ?prov:o.Prog.prov r o.Prog.kind [| a |]
-              (retag r a { scale = scale_of r a; level = level_of r a })
+            T.source r o a (-1) (scaled_tag r a) (scale_of r a) (level_of r a)
         | Prog.Add | Prog.Sub | Prog.Mul ->
-            let a = R.mapped r o.Prog.args.(0) in
-            let b = R.mapped r o.Prog.args.(1) in
+            let a = T.mapped r o.Prog.args.(0) in
+            let b = T.mapped r o.Prog.args.(1) in
             let a = apply_hook r cfg hook ~op_id:o.Prog.id ~operand:0 a in
             let b = apply_hook r cfg hook ~op_id:o.Prog.id ~operand:1 b in
             binop r o a b
@@ -152,58 +181,58 @@ let run (cfg : Typing.config) ~hook ~binop (p : Prog.t) =
                        the program as-is without a scheme) before re-managing it"
                     "Codegen: input program already contains scale-management operations"))
       in
-      R.set_mapped r ~old_value:o.Prog.id new_id)
-    p;
-  R.finish r
+      T.set_mapped r o.Prog.id new_id)
+    p
 
-(* ------------------------------------------------------------------ *)
-(* EVA: waterline rescaling                                             *)
-(* ------------------------------------------------------------------ *)
+(* ---------------------------------------------------------------- *)
+(* EVA: waterline rescaling                                           *)
+(* ---------------------------------------------------------------- *)
 
-let waterline cfg ?(hook = no_hook) p =
+let emit_waterline cfg ~hook r p =
   let binop r o a b =
     let is_mul = is_mul o in
     match (is_free r a, is_free r b) with
     | true, true ->
         let a = encode_free r cfg a ~scale:cfg.waterline ~level:0 in
         let b = encode_free r cfg b ~scale:cfg.waterline ~level:0 in
-        emit_binop r o a b (result_ty r ~is_mul a b)
+        emit_binop r o ~is_mul a b
     | _ ->
         (* normalize ciphers: waterline rescaling *)
         let a = norm r cfg a and b = norm r cfg b in
         (* level match the scaled operands by modswitch *)
         let target = Int.max (level_or_zero r a) (level_or_zero r b) in
         let a = lift_eva r a ~target and b = lift_eva r b ~target in
-        let a = encode_at r cfg ~is_mul ~sibling:b a and b = encode_at r cfg ~is_mul ~sibling:a b in
+        let a = encode_at r cfg ~is_mul ~sibling:b a
+        and b = encode_at r cfg ~is_mul ~sibling:a b in
         let a = if is_mul then a else match_scale r a ~sibling:b
         and b = if is_mul then b else match_scale r b ~sibling:a in
-        let res = emit_binop r o a b (result_ty r ~is_mul a b) in
+        let res = emit_binop r o ~is_mul a b in
         (* reactive rescaling of multiplication results *)
         if is_mul then rescale_while r cfg res else res
   in
-  run cfg ~hook ~binop p
+  run cfg ~hook ~binop r p
 
-(* ------------------------------------------------------------------ *)
-(* PARS: proactive rescaling (Algorithm 2)                              *)
-(* ------------------------------------------------------------------ *)
+(* ---------------------------------------------------------------- *)
+(* PARS: proactive rescaling (Algorithm 2)                            *)
+(* ---------------------------------------------------------------- *)
 
-let pars cfg ?(hook = no_hook) ?(downscale_analysis = true) p =
+let emit_pars cfg ~hook ~downscale_analysis r p =
   let binop r o a b =
     let is_mul = is_mul o in
     match (is_free r a, is_free r b) with
     | true, true ->
         let a = encode_free r cfg a ~scale:cfg.waterline ~level:0 in
         let b = encode_free r cfg b ~scale:cfg.waterline ~level:0 in
-        emit_binop r o a b (result_ty r ~is_mul a b)
+        emit_binop r o ~is_mul a b
     | _ ->
         (* (b) rescale analysis *)
         let a = norm r cfg a and b = norm r cfg b in
         (* (c) level match: proactive, may downscale *)
         let target = Int.max (level_or_zero r a) (level_or_zero r b) in
         let a = lift_pars r cfg a ~target and b = lift_pars r cfg b ~target in
-        (* (e) downscale analysis for multiplications: if the product scale
-           would exceed the peak a pre-downscale costs, downscale operands
-           first *)
+        (* (e) downscale analysis for multiplications: if the product
+           scale would exceed the peak a pre-downscale costs, downscale
+           operands first *)
         let a, b =
           if
             is_mul && downscale_analysis
@@ -214,10 +243,22 @@ let pars cfg ?(hook = no_hook) ?(downscale_analysis = true) p =
           else (a, b)
         in
         (* (a) encode free operands at the sibling's level *)
-        let a = encode_at r cfg ~is_mul ~sibling:b a and b = encode_at r cfg ~is_mul ~sibling:a b in
+        let a = encode_at r cfg ~is_mul ~sibling:b a
+        and b = encode_at r cfg ~is_mul ~sibling:a b in
         (* (d) scale match for additive ops *)
         let a = if is_mul then a else match_scale r a ~sibling:b
         and b = if is_mul then b else match_scale r b ~sibling:a in
-        emit_binop r o a b (result_ty r ~is_mul a b)
+        emit_binop r o ~is_mul a b
   in
-  run cfg ~hook ~binop p
+  run cfg ~hook ~binop r p
+
+(* The managed program, built from the ops the rules emit. *)
+let build emit (p : Prog.t) =
+  let r = target (Flat.create ~hashcons:false (2 * Prog.num_ops p)) ~classes:[||] p in
+  emit r p;
+  Flat.to_prog r.flat p ~outputs:(List.map (T.mapped r) p.Prog.outputs)
+
+let waterline cfg ?(hook = no_hook) p = build (emit_waterline cfg ~hook) p
+
+let pars cfg ?(hook = no_hook) ?(downscale_analysis = true) p =
+  build (emit_pars cfg ~hook ~downscale_analysis) p

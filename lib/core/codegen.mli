@@ -22,6 +22,35 @@ type hook = op_id:int -> operand:int -> int
 
 val no_hook : hook
 
+(** {1 The rules over flat arrays}
+
+    The rules are written once, over a {!Flat} program they emit into:
+    {!waterline} and {!pars} emit into one that keeps every op and build
+    the managed program from it; the abstract scorer ({!Scorer}) emits
+    into one that hash-conses. *)
+
+type target = { mutable flat : Flat.t; mapped : int array; classes : int array }
+(** [flat] receives the ops; [mapped] maps each source value to the value
+    standing for it; [classes] gives each source constant its integer
+    attribute in [flat] (equal constants share one, so a hash-consing
+    [flat] merges them; empty: the constant's own id). *)
+
+val target : Flat.t -> classes:int array -> Hecate_ir.Prog.t -> target
+
+val emit_waterline : Hecate_ir.Typing.config -> hook:hook -> target -> Hecate_ir.Prog.t -> unit
+(** Emit the source program's EVA management, mapping every source value.
+    @raise Hecate_ir.Diagnostic.Error as {!waterline}. *)
+
+val emit_pars :
+  Hecate_ir.Typing.config ->
+  hook:hook ->
+  downscale_analysis:bool ->
+  target ->
+  Hecate_ir.Prog.t ->
+  unit
+
+(** {1 Building} *)
+
 val waterline : Hecate_ir.Typing.config -> ?hook:hook -> Hecate_ir.Prog.t -> Hecate_ir.Prog.t
 (** EVA's waterline rescaling. Surface provenance is carried onto the
     re-emitted operations, so diagnostics on the managed program still name

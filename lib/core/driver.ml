@@ -125,17 +125,27 @@ let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_explora
     let params = params_of p in
     Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p
   in
-  (* A scored candidate is dead once priced, and nothing else holds its
-     programs: discard both, so their bodies stop pinning young ops (see
-     [Prog.discard]). The finalized program may share op records with
-     the generator's output; discarding a body leaves the records alone. *)
-  let score ~hook =
-    let managed = generator ~hook in
-    let p = finalized managed in
-    let cost = evaluate p in
-    Prog.discard p;
-    if p != managed then Prog.discard managed;
-    cost
+  (* A candidate is scored without being built: the abstract scorer walks
+     the source once under the plan's hook and counts what the finalized
+     candidate would run. Only a caller's own finalization, or a source
+     outside what the scorer models, makes every candidate be built. *)
+  let score =
+    let scorer =
+      match finalize_passes with
+      | Some _ -> None
+      | None ->
+          let generator =
+            match scheme with
+            | Eva | Smse -> Scorer.Waterline
+            | Pars | Hecate -> Scorer.Pars { downscale_analysis }
+          in
+          Scorer.create cfg generator
+            ~early_modswitch:(Option.value early_modswitch ~default:true)
+            ?q0_bits ~sf_bits prog
+    in
+    match scorer with
+    | Some s -> fun ~hook -> Scorer.cost s ~model ~hook
+    | None -> fun ~hook -> evaluate (run_finalized ~hook)
   in
   match scheme with
   | Eva | Pars ->

@@ -13,7 +13,7 @@ type exploration_stats = {
   smu_edges : int;
   use_def_edges : int;
   epochs : int; (** winning strategy's improving epochs *)
-  plans_explored : int; (** candidate programs actually compiled+evaluated *)
+  plans_explored : int; (** candidate plans actually scored *)
   cache_hits : int; (** candidates answered by the shared plan memo cache *)
   trace : Explore.epoch_trace list;
       (** the winning strategy's per-epoch records, in epoch order *)
@@ -38,8 +38,9 @@ type compiled = {
   estimated_seconds : float; (** at the security-mandated ring degree *)
   exploration : exploration_stats option; (** for [Smse] and [Hecate] *)
   pass_timings : Hecate_ir.Pass_manager.timing list;
-      (** per-pass wall time and op delta over the whole compile, including
-          every finalization the explorer ran on candidate plans *)
+      (** per-pass wall time and op delta over the whole compile: the
+          cleanup, and the finalization of each program built (candidates
+          scored without being built run no pass) *)
 }
 
 val scheme_name : scheme -> string
@@ -86,11 +87,13 @@ val compile :
     [pool_size] sets the exploration worker-domain count (see
     {!Explore.portfolio}); every pool size returns the same result.
 
-    The exploring schemes discard every candidate program once it is
-    scored ({!Hecate_ir.Prog.discard}), so a pass in [finalize_passes]
-    or a dump sink in [instr] that keeps a candidate past its call must
-    keep a copy of its body. The returned program, and every program
-    [gate] receives, is built apart and never discarded.
+    The exploring schemes score every candidate plan without building it
+    ({!Scorer}: the count matrix the finalized candidate would run, from
+    one abstract pass over the source), and build only the winning plan
+    (every strategy's winner when [gate] is given), through [instr]. With
+    [finalize_passes], or a source the scorer does not model (see
+    {!Scorer.create}), every candidate is built, finalized through
+    [finalize_passes] under [instr], type-checked and estimated instead.
 
     [strategy] picks the exploration strategy for [Smse]/[Hecate]: a name
     from {!Explore.strategy_names} (default {!Explore.default_strategy}),

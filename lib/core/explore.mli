@@ -201,8 +201,8 @@ val portfolio :
     [p_strategies].
 
     [score] prices one candidate; the portfolio keeps the cost and
-    nothing else, so a [score] that builds a program may drop it, or
-    {!Hecate_ir.Prog.discard} it, before returning. [codegen] builds a
+    nothing else, so a [score] that builds a program may drop it before
+    returning ([Driver.compile]'s builds none: see {!Scorer}). [codegen] builds a
     plan's program: the portfolio calls it once per winning plan (every
     strategy's winner when [gate] is given, the overall winner
     otherwise), after the search, and returns that program untouched to

@@ -34,5 +34,14 @@ val of_prog : ?q0_bits:int -> ?margin_bits:float -> sf_bits:int -> Hecate_ir.Pro
     ({!Hecate_ir.Typing.check} sets them), for its slot count, with no
     type array built. *)
 
+val needed :
+  ?q0_bits:int -> ?margin_bits:float -> sf_bits:int -> int -> scale:float -> level:int -> int
+(** [needed ~sf_bits k ~scale ~level] is the larger of [k] and the chain
+    levels a value of that scale at that level needs: the step {!select}
+    folds over the types, for callers that hold scales and levels apart. *)
+
+val of_chain_levels : ?q0_bits:int -> sf_bits:int -> slot_count:int -> int -> t
+(** The parameters of a chain of that many rescaling primes. *)
+
 val num_primes_at : t -> level:int -> int
 (** Chain primes still present at a rescaling level. *)

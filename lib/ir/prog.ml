@@ -47,7 +47,6 @@ type t = {
 
 let placeholder = { id = -1; kind = Add; args = [||]; ty = Types.Free; prov = None }
 
-let discard p = Array.fill p.body 0 (Array.length p.body) placeholder
 
 let op p v =
   if v < 0 || v >= Array.length p.body then invalid_arg "Prog.op: value id out of range";

@@ -60,14 +60,6 @@ val placeholder : op
     a large array with a freshly allocated op instead makes OCaml run a
     minor collection first. *)
 
-val discard : t -> unit
-(** [discard p] fills [p]'s body with {!placeholder}, leaving [p] invalid
-    but its op records untouched (another program sharing them stays
-    valid). A body past 256 words lives in the major heap, and every young
-    op stored into it is promoted at the next minor collection, even once
-    [p] is dead; after [discard] the body points at no young op. Only
-    [p]'s sole owner may call it, and only when dropping [p]. *)
-
 val op : t -> value -> op
 (** @raise Invalid_argument on out-of-range ids. *)
 

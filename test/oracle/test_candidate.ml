@@ -20,17 +20,16 @@ module Estimator = Hecate.Estimator
 module Paramselect = Hecate.Paramselect
 module Costmodel = Hecate.Costmodel
 
-(* Every finalized candidate of the compile running now, newest first.
-   [Driver.compile] discards a candidate's body once it is scored, so each
-   is recorded with a body of its own; the op records, which carry the
-   types its type check leaves, are shared. *)
+(* Every finalized candidate of the compile running now, newest first:
+   with [finalize_passes] given, [Driver.compile] builds every candidate,
+   and keeps none of them. *)
 let recorded : Prog.t list ref = ref []
 
 let () =
   Pass_manager.register "finalize-record"
     ~description:"finalize, recording every candidate (test/oracle)" (fun p ->
       let q = Passes.finalize ~early_modswitch:true p in
-      recorded := { q with Prog.body = Array.copy q.Prog.body } :: !recorded;
+      recorded := q :: !recorded;
       q)
 
 let record_pipeline = Pass_manager.parse_exn "finalize-record"

@@ -439,32 +439,6 @@ let test_winners_never_discarded () =
     (Hecate_ir.Printer.to_string again.Driver.prog)
     (Hecate_ir.Printer.to_string c.Driver.prog)
 
-(* Discarding a codegen output leaves the finalized program valid and
-   printing the same, where finalize carried op records over from it. *)
-let test_discard_codegen_output () =
-  let app = List.find (fun (a : Apps.t) -> a.Apps.name = "HCD") (Apps.reduced_suite ()) in
-  let cfg = Typing.config ~sf:28. ~waterline:22. () in
-  let prog = Hecate_ir.Pass_manager.run Hecate_ir.Pass_manager.cleanup app.Apps.prog in
-  let edges = (Smu.generate prog).Smu.edges in
-  let hook_of = Explore.hook_of_plan edges in
-  let sharing = ref 0 in
-  List.iter
-    (fun plan ->
-      let managed = Codegen.pars cfg ~hook:(hook_of plan) prog in
-      let p, _ = Driver.finalize ~cfg managed in
-      check Alcotest.bool "finalize returned another program" true (p != managed);
-      if Array.exists (fun o -> Array.memq o managed.Prog.body) p.Prog.body then incr sharing;
-      let before = Hecate_ir.Printer.to_string p in
-      Prog.discard managed;
-      check Alcotest.(result unit string) "finalized program still valid" (Ok ())
-        (Prog.validate p);
-      check Alcotest.string "and prints the same" before (Hecate_ir.Printer.to_string p))
-    (List.init (Array.length edges + 1) (fun k ->
-         Array.init (Array.length edges) (fun i -> if i = k then 1 else 0)));
-  check Alcotest.bool
-    (Printf.sprintf "%d finalized programs share op records with their input" !sharing)
-    true (!sharing > 0)
-
 (* ------------------------------------------------------------------ *)
 (* Memo hash: every entry of a plan counts                              *)
 (* ------------------------------------------------------------------ *)
@@ -538,7 +512,6 @@ let () =
           Alcotest.test_case "HCD and MLP candidates die young" `Quick test_candidates_die_young;
           Alcotest.test_case "gate and winner get undiscarded programs" `Quick
             test_winners_never_discarded;
-          Alcotest.test_case "discarding a codegen output" `Quick test_discard_codegen_output;
         ] );
       ( "memo-hash",
         [

@@ -252,22 +252,6 @@ let test_rewriter_contracts () =
   finished "ty" (fun () -> ignore (Prog.Rewriter.ty r 0));
   finished "finish" (fun () -> ignore (Prog.Rewriter.finish r))
 
-(* [discard] empties the body and nothing else: a program sharing the op
-   records keeps them, types included. *)
-let test_discard () =
-  let p = small_prog () in
-  (Prog.op p 3).Prog.ty <- cipher 20. 3;
-  let q = { p with Prog.body = Array.copy p.Prog.body } in
-  let before = Printer.to_string q in
-  Prog.discard p;
-  check Alcotest.bool "every slot holds the placeholder" true
-    (Array.for_all (fun o -> o == Prog.placeholder) p.Prog.body);
-  check Alcotest.int "body length kept" (Prog.num_ops q) (Prog.num_ops p);
-  check Alcotest.bool "the discarded program is invalid" true (Result.is_error (Prog.validate p));
-  check Alcotest.(result unit string) "the sharer stays valid" (Ok ()) (Prog.validate q);
-  check Alcotest.string "the sharer prints the same" before (Printer.to_string q);
-  check ty "types on shared ops kept" (cipher 20. 3) (Prog.op q 3).Prog.ty
-
 let test_builder_rejects_no_output () =
   let b = B.create ~slot_count:4 () in
   ignore (B.input b "x");
@@ -1306,7 +1290,6 @@ let () =
           Alcotest.test_case "structural equality" `Quick test_prog_equal;
           Alcotest.test_case "builder output required" `Quick test_builder_rejects_no_output;
           Alcotest.test_case "rewriter contracts" `Quick test_rewriter_contracts;
-          Alcotest.test_case "discard" `Quick test_discard;
         ] );
       ( "text",
         [
