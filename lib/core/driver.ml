@@ -125,28 +125,6 @@ let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_explora
     let params = params_of p in
     Estimator.estimate ~model ~params ~n:params.Paramselect.secure_n p
   in
-  (* A candidate is scored without being built: the abstract scorer walks
-     the source once under the plan's hook and counts what the finalized
-     candidate would run. Only a caller's own finalization, or a source
-     outside what the scorer models, makes every candidate be built. *)
-  let score =
-    let scorer =
-      match finalize_passes with
-      | Some _ -> None
-      | None ->
-          let generator =
-            match scheme with
-            | Eva | Smse -> Scorer.Waterline
-            | Pars | Hecate -> Scorer.Pars { downscale_analysis }
-          in
-          Scorer.create cfg generator
-            ~early_modswitch:(Option.value early_modswitch ~default:true)
-            ?q0_bits ~sf_bits prog
-    in
-    match scorer with
-    | Some s -> fun ~hook -> Scorer.cost s ~model ~hook
-    | None -> fun ~hook -> evaluate (run_finalized ~hook)
-  in
   match scheme with
   | Eva | Pars ->
       let managed = run_finalized ~hook:Codegen.no_hook in
@@ -160,6 +138,28 @@ let compile ?(model = Costmodel.analytic ()) ?(max_epochs = 100) ?(naive_explora
         pass_timings = Pass_manager.timings stats;
       }
   | Smse | Hecate ->
+      (* A candidate is scored without being built: the abstract scorer walks
+         the source once under the plan's hook and counts what the finalized
+         candidate would run. Only a caller's own finalization, or a source
+         outside what the scorer models, makes every candidate be built. *)
+      let score =
+        let scorer =
+          match finalize_passes with
+          | Some _ -> None
+          | None ->
+              let generator =
+                match scheme with
+                | Eva | Smse -> Scorer.Waterline
+                | Pars | Hecate -> Scorer.Pars { downscale_analysis }
+              in
+              Scorer.create cfg generator
+                ~early_modswitch:(Option.value early_modswitch ~default:true)
+                ?q0_bits ~sf_bits prog
+        in
+        match scorer with
+        | Some s -> fun ~hook -> Scorer.cost s ~model ~hook
+        | None -> fun ~hook -> evaluate (run_finalized ~hook)
+      in
       let smu = Smu.generate ?phases:smu_phases prog in
       let edges = if naive_exploration then Smu.naive_edges prog else smu.Smu.edges in
       let keys = edge_keys prog edges in

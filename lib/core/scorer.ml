@@ -42,7 +42,7 @@ type scratch = {
 
 let scratch src =
   let n = Prog.num_ops src.prog in
-  let cap = Int.max 16 (4 * n) in
+  let cap = Int.max 16 (2 * n) in
   let ints () = Array.make cap 0 in
   {
     src;
@@ -254,7 +254,9 @@ let params ?q0_bits ~sf_bits s =
   let needed = ref 0 in
   for i = 0 to b.Flat.n - 1 do
     if s.w_live.(i) = 1 && b.Flat.tag.(i) <> Flat.free then
-      needed := Paramselect.needed ?q0_bits ~sf_bits !needed ~scale:b.Flat.scale.(i) ~level:b.Flat.level.(i)
+      needed :=
+        Paramselect.needed ?q0_bits ~sf_bits !needed ~scale:b.Flat.scale.(i)
+          ~level:b.Flat.level.(i)
   done;
   Paramselect.of_chain_levels ?q0_bits ~sf_bits ~slot_count:s.src.prog.Prog.slot_count !needed
 
@@ -368,7 +370,8 @@ let count_matrix s (params : Paramselect.t) =
   done;
   Array.iter
     (fun v ->
-      if b.Flat.tag.(v) <> Flat.cipher then invalid_arg "Typing.check: an output is not a ciphertext";
+      if b.Flat.tag.(v) <> Flat.cipher then
+        invalid_arg "Typing.check: an output is not a ciphertext";
       cipher v)
     s.outputs;
   counts

@@ -5,7 +5,8 @@
     matrix by one abstract pass over the source program under the plan's
     hook, with no program, rewriter or op record built:
 
-    - the code generators' rules ({!Codegen.Make}) emit into flat arrays,
+    - the code generators' rules ({!Codegen.emit_waterline},
+      {!Codegen.emit_pars}) emit into flat arrays ({!Flat}),
       hash-consed as they go, which is [Passes.finalize]'s value numbering
       and the dead-code removal after it;
     - early-modswitch's absorption is run on the arrays to its fixpoint,

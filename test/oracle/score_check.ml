@@ -127,7 +127,8 @@ let configurations () =
 let plans ~seed ~singles ~random edges =
   let n = Array.length edges in
   let st = Random.State.make [| seed |] in
-  (Array.make n 0 :: List.init (Int.min singles n) (fun i -> Array.init n (fun j -> if j = i then 1 else 0)))
+  (Array.make n 0
+  :: List.init (Int.min singles n) (fun i -> Array.init n (fun j -> if j = i then 1 else 0)))
   @ List.init (if n = 0 then 0 else random) (fun _ -> Array.init n (fun _ -> Random.State.int st 4))
 
 (* Both scorers on [plans] of one source: the candidates compared and how

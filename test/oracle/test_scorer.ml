@@ -120,7 +120,9 @@ let test_infeasible () =
               check Alcotest.int (where ^ ": every plan infeasible") t.Score_check.candidates
                 t.Score_check.infeasible
           | Error msg -> Alcotest.fail msg)
-        [ (true, Driver.Smse); (true, Driver.Hecate); (false, Driver.Smse); (false, Driver.Hecate) ])
+        [
+          (true, Driver.Smse); (true, Driver.Hecate); (false, Driver.Smse); (false, Driver.Hecate);
+        ])
     sources
 
 (* [Score_ref.discard] empties the body and nothing else: a program
