@@ -996,17 +996,19 @@ let passes flags =
   parse_flags "passes" [ ("--out", Value ("FILE", fun f -> out := Some f)) ] flags;
   heading "Cost of one SMSE candidate (HECATE, one-shot waterlines, pool 1)";
   Printf.printf
-    "Every candidate plan the hill climber scores is generated, finalized in\n\
-     one sweep, validated, typechecked, given parameters, estimated and\n\
+    "Driver.compile scores every candidate plan with the abstract scorer,\n\
+     building none (\"abstract scorer\": microseconds and minor words per\n\
+     candidate, median of 5 searches). The stage rows time the built\n\
+     reference it replaced: every candidate generated, finalized in one\n\
+     sweep, validated, typechecked, given parameters, estimated and\n\
      discarded. Times are per fresh candidate, from the median of 5\n\
      searches; \"validate\" is the verifier the pass manager runs after the\n\
-     finalize pass, which Driver.pass_timings does not include. Each stage\n\
-     starts on an empty minor heap; emptying it is timed apart (\"minor GC\n\
-     between stages\"), so a stage's row holds only the collections its own\n\
-     allocation triggers. The words allocated in the minor heap (arrays past\n\
-     256 words go straight to the major heap), the words promoted out of it\n\
-     and the major collections come from one more search that empties\n\
-     nothing, as Driver.compile's does. Every finalized candidate must be a\n\
+     finalize pass. Each stage starts on an empty minor heap; emptying it is\n\
+     timed apart (\"minor GC between stages\"), so a stage's row holds only\n\
+     the collections its own allocation triggers. The words allocated in the\n\
+     minor heap (arrays past 256 words go straight to the major heap), the\n\
+     words promoted out of it and the major collections come from one more\n\
+     built search that empties nothing. Every finalized candidate must be a\n\
      fixpoint of the reference pipeline, which the pass fuses:\n\
     \  %s\n\
      a candidate it changes fails this section.\n"
