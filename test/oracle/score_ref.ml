@@ -31,8 +31,3 @@ let counts ~scheme ~cfg ~early_modswitch ~hook prog =
   discard p;
   if p != managed then discard managed;
   (params, counts)
-
-(* The scoring closure Driver.compile ran on every candidate. *)
-let score ~model ~scheme ~cfg ~early_modswitch prog ~hook =
-  let params, counts = counts ~scheme ~cfg ~early_modswitch ~hook prog in
-  Estimator.price ~model ~params ~n:params.Paramselect.secure_n counts
